@@ -40,14 +40,10 @@ from .echo import (
 )
 from .model import (
     DegenerateModeError,
-    ModeEntry,
-    ModeQuantities,
     ModeTable,
     QuenchParams,
-    dispersion,
     mode_table,
     momenta,
-    sin2_dtheta_explicit,
 )
 from .special import bessel_j0, elliptic_e
 from .stats import (
@@ -73,8 +69,6 @@ __all__ = [
     "DegenerateModeError",
     "EchoPoint",
     "EffectiveDimension",
-    "ModeEntry",
-    "ModeQuantities",
     "ModeTable",
     "QuenchParams",
     "SampleSet",
@@ -94,7 +88,6 @@ __all__ = [
     "char_fn",
     "classify",
     "damping",
-    "dispersion",
     "echo_point",
     "effective_dimension",
     "elliptic_e",
@@ -105,7 +98,6 @@ __all__ = [
     "mode_table",
     "momenta",
     "sample_logle",
-    "sin2_dtheta_explicit",
     "smallquench_variance",
     "variance_le",
     "weights",

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .echo import _product_over_modes, effective_dimension
+from .echo import effective_dimension
 from .model import ModeTable
-from .special import bessel_j0, elliptic_e
+from .special import elliptic_e
 
 __all__ = [
     "AverageReport",
@@ -25,8 +25,6 @@ __all__ = [
     "avg_linearized",
     "avg_loschmidt",
     "avg_loschmidt_series",
-    "bessel_j0",
-    "elliptic_e",
     "smallquench_variance",
     "variance_le",
 ]
@@ -71,7 +69,7 @@ def avg_loschmidt(table: ModeTable) -> float:
     with ``b = 0`` or in the ground state contribute no ``g`` term; they are
     masked out so the elliptic integral only sees arguments in ``[0, 1)``.
     """
-    b = -(table.one_minus_cinv2 * table.alpha)
+    b = table.b
     pref = 2.0 * table.cinv / (1.0 + table.cinv) ** 2
     g = np.zeros_like(b)
     active = (pref > 0.0) & (b < 0.0)
@@ -79,7 +77,7 @@ def avg_loschmidt(table: ModeTable) -> float:
         mb = -b[active]
         g[active] = pref[active] * ((2.0 / np.pi) * elliptic_e(mb) + mb / 4.0 - 1.0)
     factors = 1.0 - table.one_minus_cinv * table.alpha / 2.0 + g
-    return float(_product_over_modes(factors, table.length))
+    return float(np.exp(np.sum(np.log(factors))))
 
 
 def _series_factors(table: ModeTable) -> tuple[np.ndarray, np.ndarray]:
@@ -92,10 +90,11 @@ def _series_factors(table: ModeTable) -> tuple[np.ndarray, np.ndarray]:
     generated as a running product.
     """
     n = table.n_modes
+    b_arr = table.b
     g1_arr = np.zeros(n)
     g2_arr = np.zeros(n)
     for i in range(n):
-        b = -(table.one_minus_cinv2[i] * table.alpha[i])
+        b = b_arr[i]
         if b == 0.0:
             continue
         cinv = table.cinv[i]
@@ -147,7 +146,7 @@ def avg_linearized(table: ModeTable) -> float:
     ``prod (1 - (1 - cinv**2) * alpha / 2)``.
     """
     factors = 1.0 - table.one_minus_cinv2 * table.alpha / 2.0
-    core = _product_over_modes(factors, table.length)
+    core = np.exp(np.sum(np.log(factors)))
     return float(np.exp(effective_dimension(table).log_purity) * core)
 
 

@@ -4,7 +4,7 @@ Every run is reproducible: the resolved configuration (seed included) is
 embedded as a '#' comment in each CSV and echoed into each JSON file, all
 floats are printed with 17 significant digits, and sampling is seeded, so a
 rerun with the same inputs produces byte-identical files under any thread
-count (set ``THERMALECHO_THREADS`` to control parallel sampling).
+count (set ``THERMALECHO_THREADS`` to control parallel echo evaluation).
 
 Exit codes: 0 success, 1 invalid input, 2 verification failure, 3 I/O error.
 """
@@ -294,11 +294,7 @@ def cmd_timeseries(cfg: RunConfig) -> int:
     params = _params_for(cfg)
     table = mode_table(params)
     t = np.linspace(0.0, cfg.tmax, cfg.tpoints)
-    le = np.atleast_1d(echo.loschmidt(table, t))
-    lef = np.atleast_1d(echo.linearized(table, t))
-    lower, upper = echo.bounds(table, t)
-    lower = np.atleast_1d(lower)
-    upper = np.atleast_1d(upper)
+    pt = echo.echo_point(table, t)
     dim = echo.effective_dimension(table)
     summary = {
         "d_eff": dim.d_eff,
@@ -314,7 +310,7 @@ def cmd_timeseries(cfg: RunConfig) -> int:
         print(f"warning: variance series did not converge: {exc}", file=sys.stderr)
     base = _base(cfg, "timeseries")
     header = ["t", "le", "lef", "lower", "upper"]
-    rows = list(zip(t, le, lef, lower, upper))
+    rows = list(zip(t, pt.le, pt.lef, pt.lower, pt.upper))
     if cfg.format == "json":
         _write_json(
             base + ".json",
@@ -582,12 +578,13 @@ def _suite_bounds(seed: int, inject_failure: bool) -> dict:
         )
         table = mode_table(params)
         t = float(rng.uniform(-20.0, 50.0))
-        le = echo.loschmidt(table, t)
-        lower, upper = echo.bounds(table, t)
+        # one kernel pass covers both the random time and t = 0
+        pt = echo.echo_point(table, np.array([t, 0.0]))
+        le = float(pt.le[0])
+        (lower, lo0), (upper, up0) = pt.lower.tolist(), pt.upper.tolist()
         if inject_failure:
             lower = lower * (1.0 + 1e-6) + 1e-9
         worst = min(worst, le - lower, upper - le)
-        lo0, up0 = echo.bounds(table, 0.0)
         t0_worst = max(t0_worst, abs(lo0 - 1.0), abs(up0 - 1.0))
     return {
         "passed": worst >= -1e-12 and t0_worst <= 1e-12,

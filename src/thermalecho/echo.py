@@ -1,14 +1,21 @@
 """Finite-temperature Loschmidt echo of a quenched quasi-free chain.
 
-The echo factorizes over momentum modes.  Each factor is a function of the
-mode's thermal occupation ratio, the Bogoliubov rotation angle, and the
-post-quench frequency, so a whole time series costs one outer product.  For
-long chains the product of many sub-unit factors underflows, so products are
-accumulated as sums of logs.
+The echo factorizes over momentum modes.  Every quantity here (the echo,
+the linear overlap echo and both bounds) is a product over modes of the
+same factors ``1 - (1 - cinv**2) * alpha * sin(lam1 t)**2``, so one private
+kernel evaluates them all.  It always works in log space, since products of
+many sub-unit factors underflow for long chains, and it walks the times in
+chunks of fixed byte size, so memory does not grow with the number of
+times.  When there is more than one chunk the chunks are spread over one
+thread pool of ``THERMALECHO_THREADS`` workers (default: the CPU count);
+chunk boundaries do not depend on the thread count, so neither do the
+results.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,11 +33,14 @@ __all__ = [
     "loschmidt",
 ]
 
-# above this chain length, products over modes run in log space
-_LOG_SPACE_LENGTH = 64
-
 # the clamped quantity may dip below its analytic floor only by rounding dust
 _CLAMP_SLACK = 1e-15
+
+# float64 scratch per (chunk x n_modes) buffer; the value only affects speed
+_CHUNK_BYTES = 4 << 20
+
+# worker count when THERMALECHO_THREADS is unset; looked up once, not per call
+_CPU_COUNT = os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -49,43 +59,101 @@ class EffectiveDimension:
 
 @dataclass(frozen=True)
 class EchoPoint:
-    """Echo quantities at a single time."""
+    """Echo quantities at one time, or at each time of an array.
 
-    t: float
-    le: float
-    lef: float
-    lower: float
-    upper: float
-
-
-def _linear_factors(table: ModeTable, t: np.ndarray) -> np.ndarray:
-    """Per-mode factors ``1 - (1 - cinv**2) * alpha * sin(lam1 t)**2``.
-
-    Shape ``t.shape + (n_modes,)``.  The result is clamped to its analytic
-    range ``[cinv**2, 1]``; an excursion below the floor beyond rounding
-    dust would mean the inputs are inconsistent.
+    Fields are floats for a scalar time and arrays shaped like the times
+    otherwise.
     """
-    s2 = np.sin(np.multiply.outer(t, table.lam1)) ** 2
-    arg = 1.0 - table.one_minus_cinv2 * table.alpha * s2
+
+    t: float | np.ndarray
+    le: float | np.ndarray
+    lef: float | np.ndarray
+    lower: float | np.ndarray
+    upper: float | np.ndarray
+
+
+def _thread_count() -> int:
+    raw = os.environ.get("THERMALECHO_THREADS", "")
+    if not raw:
+        return _CPU_COUNT
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise ValueError(f"THERMALECHO_THREADS must be an integer, got {raw!r}") from None
+
+
+def _kernel(table: ModeTable, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-time ``(log_le, log_core)`` over a 1-D time array.
+
+    ``log_core`` is the sum over modes of ``log(arg)`` with
+    ``arg = 1 - (1 - cinv**2) * alpha * sin(lam1 t)**2``, clamped to its
+    analytic floor ``cinv**2``, and ``log_le`` twice the sum of
+    ``log((cinv + sqrt(arg)) / (1 + cinv))``.  An excursion of ``arg`` below
+    the floor beyond rounding dust means the table is inconsistent and
+    raises ``FloatingPointError``.  ``arg`` cannot exceed 1, since the term
+    it subtracts is a product of squares.
+    """
+    n_modes = table.n_modes
+    rows = max(1, _CHUNK_BYTES // (8 * n_modes))
+    starts = range(0, t.size, rows)
+    n_workers = min(_thread_count(), len(starts))
+    coef = table.one_minus_cinv2 * table.alpha
     floor = table.cinv**2
-    assert np.all(arg > floor - _CLAMP_SLACK)
-    return np.clip(arg, floor, 1.0)
+    lowest = floor - _CLAMP_SLACK
+    norm = 1.0 + table.cinv
+    log_le = np.empty(t.size)
+    log_core = np.empty(t.size)
 
-
-def _product_over_modes(factors: np.ndarray, length: int) -> np.ndarray:
-    """Product along the last axis, via logs for long chains."""
-    if length > _LOG_SPACE_LENGTH:
+    def work(first: int) -> None:
+        arg = np.empty((min(rows, t.size), n_modes))
+        logs = np.empty_like(arg)
         with np.errstate(divide="ignore"):
-            return np.exp(np.sum(np.log(factors), axis=-1))
-    return np.prod(factors, axis=-1)
+            for start in starts[first::n_workers]:
+                stop = min(start + rows, t.size)
+                a = arg[: stop - start]
+                b = logs[: stop - start]
+                np.multiply.outer(t[start:stop], table.lam1, out=a)
+                np.sin(a, out=a)
+                np.square(a, out=a)
+                np.multiply(a, coef, out=a)
+                np.subtract(1.0, a, out=a)
+                if not (a.min(axis=0) > lowest).all():
+                    raise FloatingPointError(
+                        "echo factor fell below its floor cinv**2; the mode table is inconsistent"
+                    )
+                np.maximum(a, floor, out=a)
+                np.log(a, out=b)
+                np.add.reduce(b, axis=1, out=log_core[start:stop])
+                np.sqrt(a, out=a)
+                np.add(a, table.cinv, out=a)
+                np.divide(a, norm, out=a)
+                np.log(a, out=a)
+                np.add.reduce(a, axis=1, out=log_le[start:stop])
+
+    if n_workers > 1:
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            list(pool.map(work, range(n_workers)))
+    elif n_workers == 1:
+        work(0)
+    log_le *= 2.0
+    return log_le, log_core
 
 
-def _as_time_array(t) -> tuple[np.ndarray, bool]:
+def _evaluate(table: ModeTable, t):
+    """Kernel output at ``t`` plus a function that gives a result ``t``'s shape.
+
+    A scalar time gives Python floats; an array gives arrays shaped like it.
+    """
     t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    if np.any(~np.isfinite(t_arr)):
+    if not np.isfinite(t_arr).all():
         raise ValueError("times must be finite")
-    return np.atleast_1d(t_arr), scalar
+    log_le, log_core = _kernel(table, t_arr.reshape(-1))
+
+    def shaped(values: np.ndarray):
+        out = values.reshape(t_arr.shape)
+        return float(out) if t_arr.ndim == 0 else out
+
+    return log_le, log_core, shaped
 
 
 def log_loschmidt(table: ModeTable, t) -> np.ndarray | float:
@@ -103,12 +171,8 @@ def log_loschmidt(table: ModeTable, t) -> np.ndarray | float:
     ``ln L(t)`` with the same shape as ``t``.  At zero temperature the echo
     can touch zero exactly, in which case the log is ``-inf``.
     """
-    t_arr, scalar = _as_time_array(t)
-    arg = _linear_factors(table, t_arr)
-    with np.errstate(divide="ignore"):
-        logs = np.log((table.cinv + np.sqrt(arg)) / (1.0 + table.cinv))
-    out = 2.0 * np.sum(logs, axis=-1)
-    return float(out[0]) if scalar else out
+    log_le, _, shaped = _evaluate(table, t)
+    return shaped(log_le)
 
 
 def loschmidt(table: ModeTable, t) -> np.ndarray | float:
@@ -118,11 +182,8 @@ def loschmidt(table: ModeTable, t) -> np.ndarray | float:
     Values lie in ``[0, 1]`` with ``L(0) = 1``; zero is reachable only in
     the ground state.
     """
-    t_arr, scalar = _as_time_array(t)
-    arg = _linear_factors(table, t_arr)
-    factors = ((table.cinv + np.sqrt(arg)) / (1.0 + table.cinv)) ** 2
-    out = _product_over_modes(factors, table.length)
-    return float(out[0]) if scalar else out
+    log_le, _, shaped = _evaluate(table, t)
+    return shaped(np.exp(log_le))
 
 
 def linearized(table: ModeTable, t) -> np.ndarray | float:
@@ -131,11 +192,8 @@ def linearized(table: ModeTable, t) -> np.ndarray | float:
     The product of the initial purity and the per-mode linear factors.  It
     never exceeds the echo itself and coincides with it in the ground state.
     """
-    t_arr, scalar = _as_time_array(t)
-    arg = _linear_factors(table, t_arr)
-    core = _product_over_modes(arg, table.length)
-    out = np.exp(effective_dimension(table).log_purity) * core
-    return float(out[0]) if scalar else out
+    _, log_core, shaped = _evaluate(table, t)
+    return shaped(effective_dimension(table).purity * np.exp(log_core))
 
 
 def effective_dimension(table: ModeTable) -> EffectiveDimension:
@@ -159,27 +217,25 @@ def bounds(table: ModeTable, t) -> tuple[np.ndarray | float, np.ndarray | float]
     mixedness gap ``1 - Tr[rho**2]`` on top of ``Tr[rho(t) rho]``.  Both
     equal 1 at ``t = 0``.
     """
-    t_arr, scalar = _as_time_array(t)
-    arg = _linear_factors(table, t_arr)
-    core = _product_over_modes(arg, table.length)
-    purity = np.exp(effective_dimension(table).log_purity)
-    lower = core
-    upper = purity * core + (1.0 - purity)
-    if scalar:
-        return float(lower[0]), float(upper[0])
-    return lower, upper
+    _, log_core, shaped = _evaluate(table, t)
+    purity = effective_dimension(table).purity
+    core = np.exp(log_core)
+    return shaped(core), shaped(purity * core + (1.0 - purity))
 
 
-def echo_point(table: ModeTable, t: float) -> EchoPoint:
-    """All single-time echo quantities at once."""
-    t_arr, _ = _as_time_array(float(t))
-    arg = _linear_factors(table, t_arr)
-    core = float(_product_over_modes(arg, table.length)[0])
-    le = float(
-        _product_over_modes(
-            ((table.cinv + np.sqrt(arg)) / (1.0 + table.cinv)) ** 2, table.length
-        )[0]
-    )
-    purity = float(np.exp(effective_dimension(table).log_purity))
+def echo_point(table: ModeTable, t) -> EchoPoint:
+    """Echo, linear overlap echo and both bounds from one kernel pass.
+
+    ``t`` is a scalar or an array; see :class:`EchoPoint`.
+    """
+    log_le, log_core, shaped = _evaluate(table, t)
+    purity = effective_dimension(table).purity
+    core = np.exp(log_core)
     lef = purity * core
-    return EchoPoint(t=float(t), le=le, lef=lef, lower=core, upper=lef + 1.0 - purity)
+    return EchoPoint(
+        t=shaped(np.asarray(t, dtype=float)),
+        le=shaped(np.exp(log_le)),
+        lef=shaped(lef),
+        lower=shaped(core),
+        upper=shaped(lef + (1.0 - purity)),
+    )

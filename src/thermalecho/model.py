@@ -17,14 +17,10 @@ import numpy as np
 
 __all__ = [
     "DegenerateModeError",
-    "ModeQuantities",
-    "ModeEntry",
     "ModeTable",
     "QuenchParams",
-    "dispersion",
     "mode_table",
     "momenta",
-    "sin2_dtheta_explicit",
 ]
 
 # beta*lambda beyond this would overflow cosh; all code paths below use
@@ -74,35 +70,6 @@ class QuenchParams:
                 raise ValueError(f"beta must be positive and finite, got {self.beta}")
 
 
-@dataclass(frozen=True)
-class ModeQuantities:
-    """Single-mode dispersion data at momentum ``k``.
-
-    ``lam`` is the quasiparticle energy, ``eps`` and ``delta`` its
-    longitudinal and pairing components, and ``theta`` the Bogoliubov angle
-    with ``cos(theta) * lam = eps`` and ``sin(theta) * lam = delta``.
-    """
-
-    k: float
-    eps: float
-    delta: float
-    lam: float
-    theta: float
-
-
-@dataclass(frozen=True)
-class ModeEntry:
-    """Pre/post dispersion pair for one momentum with derived quench data."""
-
-    pre: ModeQuantities
-    post: ModeQuantities
-    dtheta: float
-    alpha: float
-    c: float
-    b: float
-    omega: float
-
-
 def momenta(length: int) -> np.ndarray:
     """Antiperiodic momenta ``(2n + 1) pi / L`` in ``(0, pi)``.
 
@@ -122,29 +89,6 @@ def _components(h: float, gamma: float, k: np.ndarray) -> tuple[np.ndarray, np.n
     delta = gamma * np.sin(k)
     lam = np.hypot(eps, delta)
     return eps, delta, lam
-
-
-def dispersion(h: float, gamma: float, k: float) -> ModeQuantities:
-    """Dispersion of a single mode of the XY chain.
-
-    Parameters
-    ----------
-    h, gamma
-        Transverse field and anisotropy.
-    k
-        Momentum, any real number.
-
-    Returns
-    -------
-    ModeQuantities
-        Energy components, quasiparticle energy, and Bogoliubov angle.  At a
-        gapless point the angle degenerates to ``atan2(0, 0) = 0``.
-    """
-    eps = math.cos(k) + h
-    delta = gamma * math.sin(k)
-    lam = math.hypot(eps, delta)
-    theta = math.atan2(delta, eps)
-    return ModeQuantities(k=float(k), eps=eps, delta=delta, lam=lam, theta=theta)
 
 
 def _stable_ratios(beta: float | None, lam: np.ndarray, zero_temperature: bool):
@@ -213,41 +157,6 @@ class ModeTable:
         """Per-mode coefficient ``-(1 - cinv**2) * alpha``, in ``(-1, 0]``."""
         return -(self.one_minus_cinv2 * self.alpha)
 
-    @property
-    def modes(self) -> list[ModeEntry]:
-        """The table as a list of per-momentum entries."""
-        c = self.c
-        b = self.b
-        omega = self.omega
-        out = []
-        for i in range(self.n_modes):
-            pre = ModeQuantities(
-                k=float(self.k[i]),
-                eps=float(self.eps0[i]),
-                delta=float(self.delta0[i]),
-                lam=float(self.lam0[i]),
-                theta=float(self.theta0[i]),
-            )
-            post = ModeQuantities(
-                k=float(self.k[i]),
-                eps=float(self.eps1[i]),
-                delta=float(self.delta1[i]),
-                lam=float(self.lam1[i]),
-                theta=float(self.theta1[i]),
-            )
-            out.append(
-                ModeEntry(
-                    pre=pre,
-                    post=post,
-                    dtheta=float(self.dtheta[i]),
-                    alpha=float(self.alpha[i]),
-                    c=float(c[i]),
-                    b=float(b[i]),
-                    omega=float(omega[i]),
-                )
-            )
-        return out
-
 
 def mode_table(params: QuenchParams) -> ModeTable:
     """Build the full per-mode table for a quench.
@@ -282,33 +191,3 @@ def mode_table(params: QuenchParams) -> ModeTable:
         one_minus_cinv=one_m_cinv,
         one_minus_cinv2=one_m_cinv2,
     )
-
-
-def sin2_dtheta_explicit(params: QuenchParams, k) -> np.ndarray | float:
-    """Closed form of ``sin(dtheta)**2`` without evaluating either angle.
-
-    Parameters
-    ----------
-    params
-        Quench parameters; only the four couplings are used.
-    k
-        Momentum, scalar or array.
-
-    Raises
-    ------
-    DegenerateModeError
-        If a requested mode is gapless before or after the quench.
-    """
-    k_arr = np.asarray(k, dtype=float)
-    scalar = k_arr.ndim == 0
-    k_arr = np.atleast_1d(k_arr)
-    _, _, lam0 = _components(params.h0, params.gamma0, k_arr)
-    _, _, lam1 = _components(params.h1, params.gamma1, k_arr)
-    denom = (lam0 * lam1) ** 2
-    if np.any(denom == 0.0):
-        raise DegenerateModeError("sin(dtheta)**2 is undefined for a gapless mode")
-    cross = (params.gamma1 - params.gamma0) * np.cos(k_arr) + (
-        params.gamma1 * params.h0 - params.gamma0 * params.h1
-    )
-    out = np.sin(k_arr) ** 2 * cross**2 / denom
-    return float(out[0]) if scalar else out

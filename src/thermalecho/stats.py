@@ -6,14 +6,14 @@ weight spectrum alone: a couple of dominant weights produce a two-peaked or
 merged distribution, many comparable weights produce a Gaussian.  This
 module computes the weights, samples the exact log-echo at uniform random
 times, detects histogram peaks, and classifies the resulting shape.
+Sampling evaluates the log-echo through :func:`echo.log_loschmidt`, so it
+shares the echo kernel's log-space chunks and its one thread pool.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,11 +44,6 @@ DEFAULT_SMOOTH_WINDOW = 5
 DEFAULT_PROMINENCE = 0.05
 DEFAULT_DOMINANCE_THRESHOLD = 0.6
 DEFAULT_GAP_FACTOR = 3.0
-
-# sampling chunk handed to each worker thread; value only affects speed
-_CHUNK = 16384
-
-THREADS_ENV_VAR = "THERMALECHO_THREADS"
 
 
 class ShapeLabel(str, enum.Enum):
@@ -154,29 +149,6 @@ def weights(table: ModeTable, use_second_order: bool = False) -> WeightSpectrum:
     )
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return os.cpu_count() or 1
-
-
-def _eval_logle(table: ModeTable, times: np.ndarray) -> np.ndarray:
-    """Log-echo over a time array, chunked across threads when requested.
-
-    Chunks are fixed-size and reassembled in order, so the result is
-    bit-identical for any thread count.
-    """
-    n_threads = _thread_count()
-    if n_threads <= 1 or times.size <= _CHUNK:
-        return np.asarray(log_loschmidt(table, times))
-    chunks = [times[i : i + _CHUNK] for i in range(0, times.size, _CHUNK)]
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        parts = list(pool.map(lambda c: np.asarray(log_loschmidt(table, c)), chunks))
-    return np.concatenate(parts)
-
-
 def sample_logle(params: QuenchParams, tau: float, n_samples: int, seed: int) -> SampleSet:
     """Sample the exact log-echo at uniform random times.
 
@@ -203,7 +175,7 @@ def sample_logle(params: QuenchParams, tau: float, n_samples: int, seed: int) ->
     rng = np.random.default_rng(seed)
     times = rng.uniform(0.0, tau, int(n_samples))
     table = mode_table(params)
-    z = _eval_logle(table, times)
+    z = log_loschmidt(table, times)
     return SampleSet(tau=float(tau), seed=int(seed), times=times, z=z)
 
 

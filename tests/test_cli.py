@@ -6,7 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from thermalecho import cli
+from thermalecho import cli, echo
 
 
 def _run(args, tmp_path, monkeypatch):
@@ -75,14 +75,26 @@ def test_reruns_are_byte_identical(tmp_path, monkeypatch):
 def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir(), b.mkdir()
-    args = ["distribution", "--length", "20", "--samples", "40000",
-            "--h0", "0.8", "--h1", "1.2", "--gamma0", "1", "--gamma1", "1"]
-    monkeypatch.setenv("THERMALECHO_THREADS", "1")
-    assert _run(args, a, monkeypatch) == 0
-    monkeypatch.setenv("THERMALECHO_THREADS", "4")
-    assert _run(args, b, monkeypatch) == 0
-    for name in sorted(p.name for p in a.iterdir()):
+    # both runs span at least three kernel chunks, so the pool is used:
+    # 40000 samples over 100 modes, and 1600 times over 1000 modes
+    dist_args = ["distribution", "--length", "200", "--samples", "40000",
+                 "--h0", "0.8", "--h1", "1.2", "--gamma0", "1", "--gamma1", "1"]
+    ts_args = ["timeseries", "--length", "2000", "--tpoints", "1600", "--tmax", "400"]
+    assert 40000 > 3 * (echo._CHUNK_BYTES // (8 * 100))
+    assert 1600 > 3 * (echo._CHUNK_BYTES // (8 * 1000))
+    for threads, out in (("1", a), ("4", b)):
+        monkeypatch.setenv("THERMALECHO_THREADS", threads)
+        assert _run(dist_args, out, monkeypatch) == 0
+        assert _run(ts_args, out, monkeypatch) == 0
+    names = sorted(p.name for p in a.iterdir())
+    assert "timeseries.csv" in names
+    for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_malformed_thread_count_exits_one(tmp_path, monkeypatch):
+    monkeypatch.setenv("THERMALECHO_THREADS", "abc")
+    assert _run(TS_ARGS, tmp_path, monkeypatch) == 1
 
 
 def test_config_file_merge_and_flag_override(tmp_path, monkeypatch):

@@ -1,6 +1,10 @@
 """Echo time series: unit values, bounds, log-space route, dense-oracle parity."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +21,8 @@ from thermalecho import (
     loschmidt,
     mode_table,
 )
-from thermalecho import oracle
+import thermalecho
+from thermalecho import echo, oracle
 
 DECAY_QUENCH = dict(h0=0.5, h1=0.5, gamma0=0.25, gamma1=0.1, beta=10.0)
 
@@ -60,11 +65,17 @@ def test_decay_series_regression_value():
 
 
 def test_log_route_matches_direct_product():
+    # reference: the direct product over modes of factors built from the table
     t = np.linspace(0.0, 25.0, 101)
     for length in (20, 64, 66, 120):
         table = _table(length=length, beta=4.0)
-        le = loschmidt(table, t)
-        assert np.allclose(le, np.exp(log_loschmidt(table, t)), rtol=1e-12, atol=1e-300)
+        s2 = np.sin(np.multiply.outer(t, table.lam1)) ** 2
+        arg = 1.0 - table.one_minus_cinv2 * table.alpha * s2
+        direct = np.prod(((table.cinv + np.sqrt(arg)) / (1.0 + table.cinv)) ** 2, axis=-1)
+        assert np.allclose(loschmidt(table, t), direct, rtol=1e-12, atol=1e-300)
+        assert np.allclose(np.exp(log_loschmidt(table, t)), direct, rtol=1e-12, atol=1e-300)
+        lower, _ = bounds(table, t)
+        assert np.allclose(lower, np.prod(arg, axis=-1), rtol=1e-12, atol=1e-300)
 
 
 def test_scalar_and_array_shapes():
@@ -123,6 +134,48 @@ def test_echo_point_bundles_consistently():
     lo, up = bounds(table, 2.25)
     assert pt.lower == pytest.approx(lo, rel=1e-14)
     assert pt.upper == pytest.approx(up, rel=1e-14)
+    t = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+    grid = echo_point(table, t)
+    assert np.array_equal(grid.t, t)
+    assert np.array_equal(grid.le, loschmidt(table, t))
+    assert np.array_equal(grid.lef, linearized(table, t))
+    lo, up = bounds(table, t)
+    assert np.array_equal(grid.lower, lo)
+    assert np.array_equal(grid.upper, up)
+
+
+def test_range_guard_survives_optimized_mode():
+    # the guard must raise, not clip, even with asserts stripped by -O
+    script = (
+        "import dataclasses, numpy as np\n"
+        "from thermalecho import QuenchParams, loschmidt, mode_table\n"
+        "table = mode_table(QuenchParams(h0=0.5, h1=-0.5, gamma0=1.0, gamma1=1.0,"
+        " beta=2.0, length=20))\n"
+        "bad = dataclasses.replace(table, alpha=3.0 * table.alpha)\n"
+        "try:\n"
+        "    loschmidt(bad, np.linspace(0.0, 10.0, 101))\n"
+        "except FloatingPointError:\n"
+        "    print('raised')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(thermalecho.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "raised"
+
+
+def test_thread_count_variable_must_be_an_integer(monkeypatch):
+    table = _table()
+    t = np.linspace(0.0, 4.0, 9)
+    monkeypatch.setenv("THERMALECHO_THREADS", "abc")
+    with pytest.raises(ValueError, match="THERMALECHO_THREADS"):
+        loschmidt(table, t)
+    monkeypatch.setenv("THERMALECHO_THREADS", "")
+    assert echo._thread_count() == (os.cpu_count() or 1)
+    monkeypatch.delenv("THERMALECHO_THREADS")
+    assert echo._thread_count() == (os.cpu_count() or 1)
+    monkeypatch.setenv("THERMALECHO_THREADS", "3")
+    assert echo._thread_count() == 3
 
 
 def test_dense_oracle_round_trip(pinned):

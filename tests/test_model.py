@@ -1,6 +1,7 @@
 """Mode table construction: momenta, dispersion, thermal ratios, rotation angles."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -10,11 +11,49 @@ from hypothesis import strategies as st
 from thermalecho import (
     DegenerateModeError,
     QuenchParams,
-    dispersion,
     mode_table,
     momenta,
-    sin2_dtheta_explicit,
 )
+
+
+class ModeQuantities(NamedTuple):
+    """Single-mode dispersion data: ``cos(theta) * lam = eps`` and
+    ``sin(theta) * lam = delta``."""
+
+    eps: float
+    delta: float
+    lam: float
+    theta: float
+
+
+def dispersion(h: float, gamma: float, k: float) -> ModeQuantities:
+    """Scalar reference route for one mode of the XY chain.
+
+    At a gapless point the angle degenerates to ``atan2(0, 0) = 0``.
+    """
+    eps = math.cos(k) + h
+    delta = gamma * math.sin(k)
+    return ModeQuantities(eps, delta, math.hypot(eps, delta), math.atan2(delta, eps))
+
+
+def sin2_dtheta_explicit(params: QuenchParams, k) -> np.ndarray | float:
+    """Closed form of ``sin(dtheta)**2`` without evaluating either angle.
+
+    Raises DegenerateModeError if a requested mode is gapless before or
+    after the quench.
+    """
+    k_arr = np.atleast_1d(np.asarray(k, dtype=float))
+    lam0 = np.hypot(np.cos(k_arr) + params.h0, params.gamma0 * np.sin(k_arr))
+    lam1 = np.hypot(np.cos(k_arr) + params.h1, params.gamma1 * np.sin(k_arr))
+    denom = (lam0 * lam1) ** 2
+    if np.any(denom == 0.0):
+        raise DegenerateModeError("sin(dtheta)**2 is undefined for a gapless mode")
+    cross = (params.gamma1 - params.gamma0) * np.cos(k_arr) + (
+        params.gamma1 * params.h0 - params.gamma0 * params.h1
+    )
+    out = np.sin(k_arr) ** 2 * cross**2 / denom
+    return float(out[0]) if np.ndim(k) == 0 else out
+
 
 couplings = st.floats(-2.0, 2.0, allow_nan=False)
 fields = st.floats(-2.5, 2.5, allow_nan=False)
@@ -133,14 +172,6 @@ def test_series_coefficient_identity():
 def test_omega_is_twice_post_quench_energy():
     table = mode_table(_params())
     assert np.allclose(table.omega, 2.0 * table.lam1, rtol=0, atol=0)
-
-
-def test_mode_entries_mirror_arrays():
-    table = mode_table(_params(length=6))
-    entries = table.modes
-    assert len(entries) == 3
-    assert entries[1].alpha == table.alpha[1]
-    assert entries[2].c == table.c[2]
 
 
 @pytest.mark.parametrize(
