@@ -39,7 +39,6 @@ from .echo import (
     loschmidt,
 )
 from .model import (
-    DegenerateModeError,
     ModeTable,
     QuenchParams,
     mode_table,
@@ -66,7 +65,6 @@ from .stats import (
 __all__ = [
     "AverageReport",
     "Classification",
-    "DegenerateModeError",
     "EchoPoint",
     "EffectiveDimension",
     "ModeTable",

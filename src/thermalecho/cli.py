@@ -1,10 +1,10 @@
 """Command-line front end: time series, distributions, weights, sweeps, checks.
 
 Every run is reproducible: the resolved configuration (seed included) is
-embedded as a '#' comment in each CSV and echoed into each JSON file, all
-floats are printed with 17 significant digits, and sampling is seeded, so a
-rerun with the same inputs produces byte-identical files under any thread
-count (set ``THERMALECHO_THREADS`` to control parallel echo evaluation).
+embedded as a '#' comment in each CSV and echoed into each JSON file, CSV
+floats are printed with ``%.17g``, and sampling is seeded, so a rerun with
+the same inputs produces byte-identical files under any thread count (set
+``THERMALECHO_THREADS`` to control parallel echo evaluation).
 
 Exit codes: 0 success, 1 invalid input, 2 verification failure, 3 I/O error.
 """
@@ -70,6 +70,8 @@ class RunConfig:
 
 _INT_FIELDS = {"length", "tpoints", "samples", "seed", "bins"}
 _DEFAULT_BETA = 10.0
+# rows the CSV writer formats in one go, which bounds its memory
+_BLOCK_ROWS = 65_536
 
 
 class _Parser(argparse.ArgumentParser):
@@ -256,26 +258,41 @@ def _params_for(cfg: RunConfig, temperature: float | None = None) -> QuenchParam
     )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    return str(value)
-
-
 def _config_json(cfg: RunConfig) -> str:
     return json.dumps(dataclasses.asdict(cfg), sort_keys=True)
 
 
-def _write_csv(path: str, cfg: RunConfig, header: list[str], rows) -> None:
+def _cell_format(column: np.ndarray) -> str:
+    if column.dtype.kind in "iu":
+        return "%d"
+    if column.dtype.kind == "U":
+        return "%s"
+    return "%.17g"
+
+
+def _write_csv(path: str, cfg: RunConfig, header: list[str], columns) -> None:
+    """Write equal-length 1-D columns under a config comment and a header.
+
+    Integer columns are written with ``%d``, string columns with ``%s`` and
+    everything else with ``%.17g`` (so ``nan``, ``inf`` and ``-inf`` are
+    spelled that way).  Rows go out in blocks of ``_BLOCK_ROWS``, each
+    formatted by one ``%`` operation, which bounds memory for any row count.
+    """
+    arrays = [np.asarray(column) for column in columns]
+    n_rows = len(arrays[0])
+    if any(a.ndim != 1 or len(a) != n_rows for a in arrays):
+        raise ValueError("CSV columns must be 1-D and of equal length")
+    width = len(arrays)
+    row_fmt = ",".join(_cell_format(a) for a in arrays) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# config = {_config_json(cfg)}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, n_rows)
+            cells = [None] * ((stop - start) * width)
+            for j, a in enumerate(arrays):
+                cells[j::width] = a[start:stop].tolist()
+            fh.write((row_fmt * (stop - start)) % tuple(cells))
     print(f"wrote {path}")
 
 
@@ -310,19 +327,19 @@ def cmd_timeseries(cfg: RunConfig) -> int:
         print(f"warning: variance series did not converge: {exc}", file=sys.stderr)
     base = _base(cfg, "timeseries")
     header = ["t", "le", "lef", "lower", "upper"]
-    rows = list(zip(t, pt.le, pt.lef, pt.lower, pt.upper))
+    columns = [t, pt.le, pt.lef, pt.lower, pt.upper]
     if cfg.format == "json":
         _write_json(
             base + ".json",
             {
                 "config": dataclasses.asdict(cfg),
                 "columns": header,
-                "rows": [[float(v) for v in row] for row in rows],
+                "rows": np.column_stack(columns).tolist(),
                 "summary": summary,
             },
         )
     else:
-        _write_csv(base + ".csv", cfg, header, rows)
+        _write_csv(base + ".csv", cfg, header, columns)
         _write_json(base + ".json", {"config": dataclasses.asdict(cfg), "summary": summary})
     return EXIT_OK
 
@@ -330,6 +347,8 @@ def cmd_timeseries(cfg: RunConfig) -> int:
 def _temperature_tag(temperature: float | None, params: QuenchParams) -> str:
     if temperature is not None:
         return f"T{temperature:g}"
+    if params.zero_temperature:
+        return "T0"
     return f"beta{params.beta:g}"
 
 
@@ -373,22 +392,15 @@ def cmd_distribution(cfg: RunConfig) -> int:
             },
         }
         if cfg.format == "json":
-            entry["samples"] = {
-                "t": [float(v) for v in sample.times],
-                "z": [float(v) for v in sample.z],
-            }
-            entry["histogram"] = {
-                "edges": [float(v) for v in edges],
-                "counts": [int(v) for v in hist],
-            }
+            entry["samples"] = {"t": sample.times.tolist(), "z": sample.z.tolist()}
+            entry["histogram"] = {"edges": edges.tolist(), "counts": hist.tolist()}
         else:
             _write_csv(
-                f"{base}_{tag}_samples.csv", cfg, ["t", "z"],
-                zip(sample.times, sample.z),
+                f"{base}_{tag}_samples.csv", cfg, ["t", "z"], [sample.times, sample.z],
             )
             _write_csv(
                 f"{base}_{tag}_hist.csv", cfg, ["bin_left", "bin_right", "count"],
-                zip(edges[:-1], edges[1:], hist),
+                [edges[:-1], edges[1:], hist],
             )
         entries.append(entry)
     _write_json(
@@ -428,19 +440,18 @@ def cmd_weights(cfg: RunConfig) -> int:
         columns += [bell, np.full_like(spectrum.k, width)]
         summary["bell"] = {"kind": "aniso", "width": width}
     base = _base(cfg, "weights")
-    rows = list(zip(*columns))
     if cfg.format == "json":
         _write_json(
             base + ".json",
             {
                 "config": dataclasses.asdict(cfg),
                 "columns": header,
-                "rows": [[float(v) for v in row] for row in rows],
+                "rows": np.column_stack(columns).tolist(),
                 "summary": summary,
             },
         )
     else:
-        _write_csv(base + ".csv", cfg, header, rows)
+        _write_csv(base + ".csv", cfg, header, columns)
         _write_json(base + ".json", {"config": dataclasses.asdict(cfg), "summary": summary})
     return EXIT_OK
 
@@ -529,7 +540,7 @@ def cmd_scan(cfg: RunConfig) -> int:
             },
         )
     else:
-        _write_csv(base + ".csv", cfg, header, rows)
+        _write_csv(base + ".csv", cfg, header, list(zip(*rows)))
     return EXIT_OK
 
 

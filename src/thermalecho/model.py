@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "DegenerateModeError",
     "ModeTable",
     "QuenchParams",
     "mode_table",
@@ -26,10 +25,6 @@ __all__ = [
 # beta*lambda beyond this would overflow cosh; all code paths below use
 # exp(-x)/tanh forms that stay finite for arbitrarily large arguments.
 OVERFLOW_GUARD = 350.0
-
-
-class DegenerateModeError(ValueError):
-    """Raised when a mode is gapless and its Bogoliubov angle is undefined."""
 
 
 @dataclass(frozen=True)
@@ -145,12 +140,6 @@ class ModeTable:
     @property
     def omega(self) -> np.ndarray:
         return 2.0 * self.lam1
-
-    @property
-    def c(self) -> np.ndarray:
-        """Occupation factor ``cosh(beta * lam0)``; inf where that overflows."""
-        with np.errstate(divide="ignore"):
-            return 1.0 / self.cinv
 
     @property
     def b(self) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, determinism, config merging, exit codes."""
 
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -12,6 +13,26 @@ from thermalecho import cli, echo
 def _run(args, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     return cli.main(args)
+
+
+def _fmt(value) -> str:
+    """Per-cell reference formatting of a CSV value."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.17g}"
+    return str(value)
+
+
+def _reference_csv(path, cfg, header, rows):
+    """Row-by-row reference route for ``cli._write_csv``."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# config = {cli._config_json(cfg)}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _read_config_comment(path):
@@ -58,15 +79,49 @@ def test_float_cells_round_trip(tmp_path, monkeypatch):
             assert f"{float(cell):.17g}" == cell
 
 
+@pytest.mark.parametrize("n_rows", [0, 1, cli._BLOCK_ROWS + 7])
+def test_writer_matches_per_cell_reference(n_rows, tmp_path, capsys):
+    rng = np.random.default_rng(n_rows)
+    special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300]
+    floats = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
+    # the special values at both ends and across the first block boundary
+    for at in (0, cli._BLOCK_ROWS - 3, n_rows - len(special)):
+        if 0 <= at <= n_rows - len(special):
+            floats[at:at + len(special)] = special
+    counts = rng.integers(-2**62, 2**62, n_rows)  # int64
+    lengths = [int(v) for v in rng.integers(2, 10**6, n_rows)]  # Python ints
+    labels = [("Gaussian", "DoublePeaked", "nan")[i % 3] for i in range(n_rows)]
+    # Python and numpy floats mixed, as in a scan column
+    mixed = tuple(float(v) if i % 2 else np.float64(v) for i, v in enumerate(floats))
+    header = ["x", "count", "length", "label", "mixed"]
+    columns = [floats, counts, lengths, labels, mixed]
+    cfg = cli.RunConfig()
+    cli._write_csv(str(tmp_path / "columnar.csv"), cfg, header, columns)
+    _reference_csv(tmp_path / "reference.csv", cfg, header, zip(*columns))
+    written = (tmp_path / "columnar.csv").read_bytes()
+    assert written == (tmp_path / "reference.csv").read_bytes()
+    assert len(written.splitlines()) == 2 + n_rows
+    assert capsys.readouterr().out == f"wrote {tmp_path / 'columnar.csv'}\n"
+
+
+def test_writer_rejects_ragged_columns(tmp_path):
+    with pytest.raises(ValueError, match="equal length"):
+        cli._write_csv(str(tmp_path / "x.csv"), cli.RunConfig(), ["a", "b"],
+                       [np.zeros(3), np.zeros(4)])
+
+
 def test_reruns_are_byte_identical(tmp_path, monkeypatch):
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir(), b.mkdir()
     args = ["distribution", "--length", "30", "--samples", "5000",
             "--temperatures", "0.05,0.2", "--h0", "0.9", "--h1", "1.1",
             "--gamma0", "1", "--gamma1", "1"]
-    assert _run(args, a, monkeypatch) == 0
-    assert _run(args, b, monkeypatch) == 0
+    json_args = args + ["--format", "json", "--output", "distribution_json"]
+    for out in (a, b):
+        assert _run(args, out, monkeypatch) == 0
+        assert _run(json_args, out, monkeypatch) == 0
     produced = sorted(p.name for p in a.iterdir())
+    assert "distribution_json.json" in produced
     assert produced == sorted(p.name for p in b.iterdir())
     for name in produced:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
@@ -82,12 +137,14 @@ def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
     ts_args = ["timeseries", "--length", "2000", "--tpoints", "1600", "--tmax", "400"]
     assert 40000 > 3 * (echo._CHUNK_BYTES // (8 * 100))
     assert 1600 > 3 * (echo._CHUNK_BYTES // (8 * 1000))
+    json_args = dist_args + ["--format", "json", "--output", "distribution_json"]
     for threads, out in (("1", a), ("4", b)):
         monkeypatch.setenv("THERMALECHO_THREADS", threads)
         assert _run(dist_args, out, monkeypatch) == 0
+        assert _run(json_args, out, monkeypatch) == 0
         assert _run(ts_args, out, monkeypatch) == 0
     names = sorted(p.name for p in a.iterdir())
-    assert "timeseries.csv" in names
+    assert {"timeseries.csv", "distribution_json.json"} <= set(names)
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
@@ -198,6 +255,24 @@ def test_zero_quench_distribution_warns_but_succeeds(tmp_path, monkeypatch, caps
     entry = payload["results"][0]
     assert entry["degenerate"] is True
     assert entry["label"] == "Indeterminate"
+
+
+def test_zero_temperature_distribution_is_tagged_t0(tmp_path, monkeypatch):
+    args = ["distribution", "--length", "30", "--h0", "0.5", "--h1", "1.5",
+            "--gamma0", "1", "--gamma1", "1", "--temperature", "0", "--samples", "2000"]
+    csv_dir, json_dir = tmp_path / "csv", tmp_path / "json"
+    csv_dir.mkdir(), json_dir.mkdir()
+    assert _run(args, csv_dir, monkeypatch) == 0
+    assert sorted(p.name for p in csv_dir.iterdir()) == [
+        "distribution.json", "distribution_T0_hist.csv", "distribution_T0_samples.csv",
+    ]
+    assert len(_data_rows(csv_dir / "distribution_T0_samples.csv")) == 2000
+    assert _run(args + ["--format", "json"], json_dir, monkeypatch) == 0
+    assert [p.name for p in json_dir.iterdir()] == ["distribution.json"]
+    entry = json.loads((json_dir / "distribution.json").read_text())["results"][0]
+    assert entry["zero_temperature"] is True and entry["beta"] is None
+    assert len(entry["samples"]["z"]) == 2000
+    assert sum(entry["histogram"]["counts"]) == 2000
 
 
 def test_distribution_ladder_files_and_labels(tmp_path, monkeypatch):
