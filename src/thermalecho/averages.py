@@ -5,7 +5,9 @@ series in the per-mode coefficient ``b = -(1 - cinv**2) * alpha``.  The
 average of the echo itself has a closed form through the complete elliptic
 integral; the average of its square only has the series.  Both are summed
 by multiplicative recurrences, so no factorials or Gamma functions appear
-and the terms stay well scaled out to hundreds of orders.
+and the terms stay well scaled out to hundreds of orders.  The series is
+summed across all modes per term, as arrays over the modes still summing;
+a mode leaves the sum once its next term no longer changes it.
 """
 
 from __future__ import annotations
@@ -38,8 +40,10 @@ class SeriesConvergenceError(ArithmeticError):
 
     The per-mode terms scale like ``|b|**m / m**1.5``, so convergence to a
     relative 1e-15 within 200 terms requires roughly ``|b| < 0.84``.  Modes
-    quenched nearly orthogonally at low temperature can exceed that; the
-    error reports the offending mode instead of returning a truncated sum.
+    quenched nearly orthogonally at low temperature can exceed that.  All
+    modes are summed together, but the error names one offending mode, the
+    lowest-index one still summing after the last term, instead of
+    returning a truncated sum.
     """
 
 
@@ -88,45 +92,65 @@ def _series_factors(table: ModeTable) -> tuple[np.ndarray, np.ndarray]:
     expansion of the square root; ``g[m]`` its square by Cauchy product; the
     time average weights each power ``m`` by ``4**-m * binom(2m, m)``,
     generated as a running product.
+
+    The loop runs over the term index only: each term is added to every
+    mode still summing at once, and a mode leaves the sum (its rows are
+    compacted away) at the first term that moves neither sum by more than
+    ``_SERIES_RTOL``.  Modes with ``b = 0`` never enter.  The coefficients
+    are also kept reversed in ``r``, so each Cauchy term is a stack of
+    contiguous dot products, summed in the same order as ``np.dot`` of one
+    mode's coefficients.
     """
-    n = table.n_modes
-    b_arr = table.b
-    g1_arr = np.zeros(n)
-    g2_arr = np.zeros(n)
-    for i in range(n):
-        b = b_arr[i]
-        if b == 0.0:
-            continue
-        cinv = table.cinv[i]
-        pref = 2.0 * cinv / (1.0 + cinv) ** 2
-        h = np.zeros(_SERIES_MAX_TERMS + 1)
-        g1 = 0.0
-        g2 = 0.0
-        w = 1.0
-        binom_half = 1.0
-        b_pow = 1.0
-        converged = False
-        for m in range(1, _SERIES_MAX_TERMS + 1):
-            w *= (2.0 * m - 1.0) / (2.0 * m)
-            binom_half *= (1.5 - m) / m
-            b_pow *= b
-            h[m] = b / (1.0 + cinv) if m == 1 else pref * b_pow * binom_half
-            gm = 2.0 * h[m] + float(np.dot(h[1:m], h[m - 1 : 0 : -1]))
-            t1 = h[m] * w
-            t2 = gm * w
-            g1 += t1
-            g2 += t2
-            if abs(t1) <= _SERIES_RTOL * abs(1.0 + g1) and abs(t2) <= _SERIES_RTOL * abs(1.0 + g2):
-                converged = True
-                break
-        if not converged:
-            raise SeriesConvergenceError(
-                f"mode k={table.k[i]:.6f} with b={b:.6f} did not converge "
-                f"in {_SERIES_MAX_TERMS} terms"
+    b_all = table.b
+    g1_out = np.zeros(table.n_modes)
+    g2_out = np.zeros(table.n_modes)
+    idx = np.flatnonzero(b_all != 0.0)
+    b = b_all[idx]
+    cinv = table.cinv[idx]
+    pref = 2.0 * cinv / (1.0 + cinv) ** 2
+    top = _SERIES_MAX_TERMS
+    # h[:, j] holds the coefficient of power j, r[:, top - j] the same value
+    h = np.empty((idx.size, top + 1))
+    r = np.empty((idx.size, top + 1))
+    g1 = np.zeros(idx.size)
+    g2 = np.zeros(idx.size)
+    b_pow = np.ones(idx.size)
+    w = 1.0
+    binom_half = 1.0
+    for m in range(1, top + 1):
+        n = idx.size
+        if n == 0:
+            break
+        w *= (2.0 * m - 1.0) / (2.0 * m)
+        binom_half *= (1.5 - m) / m
+        b_pow *= b
+        hm = b / (1.0 + cinv) if m == 1 else pref * b_pow * binom_half
+        h[:n, m] = hm
+        r[:n, top - m] = hm
+        cauchy = np.matmul(h[:n, None, 1:m], r[:n, top + 1 - m : top, None])[:, 0, 0]
+        t1 = hm * w
+        t2 = (2.0 * hm + cauchy) * w
+        g1 += t1
+        g2 += t2
+        done = (np.abs(t1) <= _SERIES_RTOL * np.abs(1.0 + g1)) & (
+            np.abs(t2) <= _SERIES_RTOL * np.abs(1.0 + g2)
+        )
+        if done.any():
+            g1_out[idx[done]] = g1[done]
+            g2_out[idx[done]] = g2[done]
+            keep = ~done
+            idx, b, cinv, pref, g1, g2, b_pow = (
+                a[keep] for a in (idx, b, cinv, pref, g1, g2, b_pow)
             )
-        g1_arr[i] = g1
-        g2_arr[i] = g2
-    return g1_arr, g2_arr
+            h[: idx.size, 1 : m + 1] = h[:n][keep, 1 : m + 1]
+            r[: idx.size, top - m : top] = r[:n][keep, top - m : top]
+    if idx.size:
+        i = idx[0]
+        raise SeriesConvergenceError(
+            f"mode k={table.k[i]:.6f} with b={b_all[i]:.6f} did not converge "
+            f"in {_SERIES_MAX_TERMS} terms"
+        )
+    return g1_out, g2_out
 
 
 def avg_loschmidt_series(table: ModeTable) -> float:

@@ -303,6 +303,14 @@ def _write_json(path: str, payload: dict) -> None:
     print(f"wrote {path}")
 
 
+def _json_cell(value):
+    """A scan cell as strict JSON: strings as they are, non-finite numbers as null."""
+    if isinstance(value, str):
+        return value
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
 def _base(cfg: RunConfig, command: str) -> str:
     return cfg.output if cfg.output else command
 
@@ -534,9 +542,7 @@ def cmd_scan(cfg: RunConfig) -> int:
             {
                 "config": dataclasses.asdict(cfg),
                 "columns": header,
-                "rows": [
-                    [v if isinstance(v, str) else float(v) for v in row] for row in rows
-                ],
+                "rows": [[_json_cell(v) for v in row] for row in rows],
             },
         )
     else:

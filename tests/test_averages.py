@@ -1,5 +1,6 @@
 """Infinite-time averages: closed form vs series, variance, dense-oracle parity."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from thermalecho import (
     smallquench_variance,
     variance_le,
 )
-from thermalecho import oracle
+from thermalecho import averages, oracle
 
 fields = st.floats(-2.0, 2.0, allow_nan=False)
 couplings = st.floats(-1.5, 1.5, allow_nan=False)
@@ -29,6 +30,123 @@ betas = st.floats(0.05, 30.0, allow_nan=False)
 def _table(h0=0.5, h1=0.5, g0=0.25, g1=0.1, beta=10.0, length=40, **kw):
     return mode_table(QuenchParams(h0=h0, h1=h1, gamma0=g0, gamma1=g1,
                                    beta=beta, length=length, **kw))
+
+
+def _series_factors_reference(table):
+    """Mode-by-mode reference route for ``averages._series_factors``.
+
+    Sums each mode's series on its own, one ``np.dot`` per Cauchy term, and
+    stops that mode at the first term below ``_SERIES_RTOL`` in both sums.
+    Returns ``(G1, G2, terms)``, where ``terms`` counts the terms each mode
+    took (0 for ``b = 0``).
+    """
+    n = table.n_modes
+    b_arr = table.b
+    g1_arr = np.zeros(n)
+    g2_arr = np.zeros(n)
+    terms = np.zeros(n, dtype=int)
+    for i in range(n):
+        b = b_arr[i]
+        if b == 0.0:
+            continue
+        cinv = table.cinv[i]
+        pref = 2.0 * cinv / (1.0 + cinv) ** 2
+        h = np.zeros(averages._SERIES_MAX_TERMS + 1)
+        g1 = 0.0
+        g2 = 0.0
+        w = 1.0
+        binom_half = 1.0
+        b_pow = 1.0
+        converged = False
+        for m in range(1, averages._SERIES_MAX_TERMS + 1):
+            w *= (2.0 * m - 1.0) / (2.0 * m)
+            binom_half *= (1.5 - m) / m
+            b_pow *= b
+            h[m] = b / (1.0 + cinv) if m == 1 else pref * b_pow * binom_half
+            gm = 2.0 * h[m] + float(np.dot(h[1:m], h[m - 1 : 0 : -1]))
+            t1 = h[m] * w
+            t2 = gm * w
+            g1 += t1
+            g2 += t2
+            if (abs(t1) <= averages._SERIES_RTOL * abs(1.0 + g1)
+                    and abs(t2) <= averages._SERIES_RTOL * abs(1.0 + g2)):
+                converged = True
+                break
+        if not converged:
+            raise SeriesConvergenceError(
+                f"mode k={table.k[i]:.6f} with b={b:.6f} did not converge "
+                f"in {averages._SERIES_MAX_TERMS} terms"
+            )
+        g1_arr[i] = g1
+        g2_arr[i] = g2
+        terms[i] = m
+    return g1_arr, g2_arr, terms
+
+
+def _assert_series_matches_reference(table):
+    g1, g2 = averages._series_factors(table)
+    ref_g1, ref_g2, terms = _series_factors_reference(table)
+    np.testing.assert_allclose(g1, ref_g1, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(g2, ref_g2, rtol=1e-14, atol=0.0)
+    return terms
+
+
+@given(fields, fields, couplings, couplings, betas, st.integers(8, 20))
+@settings(max_examples=100, deadline=None)
+def test_series_matches_reference_property(h0, h1, g0, g1, beta, half_length):
+    table = _table(h0=h0, h1=h1, g0=g0, g1=g1, beta=beta, length=2 * half_length)
+    assume(float(np.max(np.abs(table.b))) <= 0.8)
+    _assert_series_matches_reference(table)
+
+
+def test_series_matches_reference_across_term_counts():
+    # alternate modes: b ~ -1e-17 (one term) and |b| = 0.8 on warm modes
+    # (over a hundred terms), so modes leave the sum at very different terms
+    table = _table(h0=0.5, h1=0.5, g0=0.25, g1=0.1, beta=2.0, length=40)
+    alpha = np.where(np.arange(table.n_modes) % 2 == 0, 1e-17,
+                     np.minimum(1.0, 0.8 / table.one_minus_cinv2))
+    table = dataclasses.replace(table, alpha=alpha)
+    terms = _assert_series_matches_reference(table)
+    assert np.min(terms) == 1
+    assert np.max(terms) > 100
+    assert len(np.unique(terms)) > 5
+
+
+def test_series_matches_reference_without_quench():
+    table = _table(h1=0.5, g1=0.25)
+    assert not np.any(table.b)
+    _assert_series_matches_reference(table)
+    g1, g2 = averages._series_factors(table)
+    assert not np.any(g1) and not np.any(g2)
+
+
+def test_series_matches_reference_at_zero_temperature():
+    table = _table(h0=0.9, h1=1.1, g0=1.0, g1=0.6, beta=None, length=30,
+                   zero_temperature=True)
+    assert np.all(table.cinv == 0.0)
+    terms = _assert_series_matches_reference(table)
+    assert np.max(terms) <= 3
+
+
+def _assert_same_series_error(table):
+    with pytest.raises(SeriesConvergenceError) as ref:
+        _series_factors_reference(table)
+    with pytest.raises(SeriesConvergenceError) as new:
+        averages._series_factors(table)
+    assert str(new.value) == str(ref.value)
+    return str(new.value)
+
+
+def test_series_error_names_the_reference_mode():
+    # modes 32 and 33 both fail; the error names the lower one, and the
+    # other once the lower one is quenched away
+    table = _table(h0=0.2, h1=3.0, g0=1.0, g1=1.0, beta=2.0, length=100)
+    assert _assert_same_series_error(table) == (
+        "mode k=2.042035 with b=-0.903211 did not converge in 200 terms")
+    alpha = np.where(np.arange(table.n_modes) == 32, 0.0, table.alpha)
+    table = dataclasses.replace(table, alpha=alpha)
+    assert _assert_same_series_error(table) == (
+        "mode k=2.104867 with b=-0.901868 did not converge in 200 terms")
 
 
 def test_closed_form_matches_series_on_grid():

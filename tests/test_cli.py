@@ -49,6 +49,12 @@ def _data_rows(path):
 TS_ARGS = ["timeseries", "--length", "24", "--tpoints", "9", "--tmax", "3",
            "--beta", "2"]
 
+# a strong quench whose variance series converges at beta=0.5 but not at 2
+SCAN_FAILING_ARGS = ["scan", "--length", "100", "--h0", "0.2", "--h1", "3.0",
+                     "--gamma0", "1", "--gamma1", "1", "--sweep", "beta=0.5:2:2"]
+SCAN_WARNING = ("warning: variance series did not converge at {'beta': 2.0}: "
+                "mode k=2.042035 with b=-0.903211 did not converge in 200 terms")
+
 
 def test_timeseries_outputs(tmp_path, monkeypatch):
     assert _run(TS_ARGS, tmp_path, monkeypatch) == 0
@@ -110,7 +116,20 @@ def test_writer_rejects_ragged_columns(tmp_path):
                        [np.zeros(3), np.zeros(4)])
 
 
-def test_reruns_are_byte_identical(tmp_path, monkeypatch):
+def _run_failing_scan(out, monkeypatch, capsys):
+    """Run ``SCAN_FAILING_ARGS`` as CSV and JSON; check the failed point is reported."""
+    capsys.readouterr()
+    assert _run(SCAN_FAILING_ARGS, out, monkeypatch) == 0
+    assert _run(SCAN_FAILING_ARGS + ["--format", "json", "--output", "scan_json"],
+                out, monkeypatch) == 0
+    assert capsys.readouterr().err.count(SCAN_WARNING) == 2
+    var_le = [row[5] for row in _data_rows(out / "scan.csv")]
+    assert var_le[1] == "nan" and math.isfinite(float(var_le[0]))
+    rows = json.loads((out / "scan_json.json").read_text())["rows"]
+    assert rows[1][5] is None and math.isfinite(rows[0][5])
+
+
+def test_reruns_are_byte_identical(tmp_path, monkeypatch, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir(), b.mkdir()
     args = ["distribution", "--length", "30", "--samples", "5000",
@@ -120,14 +139,15 @@ def test_reruns_are_byte_identical(tmp_path, monkeypatch):
     for out in (a, b):
         assert _run(args, out, monkeypatch) == 0
         assert _run(json_args, out, monkeypatch) == 0
+        _run_failing_scan(out, monkeypatch, capsys)
     produced = sorted(p.name for p in a.iterdir())
-    assert "distribution_json.json" in produced
+    assert {"distribution_json.json", "scan.csv", "scan_json.json"} <= set(produced)
     assert produced == sorted(p.name for p in b.iterdir())
     for name in produced:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
-def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
+def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir(), b.mkdir()
     # both runs span at least three kernel chunks, so the pool is used:
@@ -143,8 +163,10 @@ def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
         assert _run(dist_args, out, monkeypatch) == 0
         assert _run(json_args, out, monkeypatch) == 0
         assert _run(ts_args, out, monkeypatch) == 0
+        _run_failing_scan(out, monkeypatch, capsys)
     names = sorted(p.name for p in a.iterdir())
-    assert {"timeseries.csv", "distribution_json.json"} <= set(names)
+    assert {"timeseries.csv", "distribution_json.json", "scan.csv",
+            "scan_json.json"} <= set(names)
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
@@ -332,6 +354,22 @@ def test_scan_cartesian_product(tmp_path, monkeypatch):
     assert len(rows) == 6
     assert all(row[-1] in {"DoublePeaked", "MergedSinglePeak", "Gaussian",
                            "Indeterminate"} for row in rows)
+
+
+def test_scan_json_is_strict(tmp_path, monkeypatch, capsys):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    args = SCAN_FAILING_ARGS + ["--format", "json"]
+    assert _run(args, tmp_path, monkeypatch) == 0
+    assert SCAN_WARNING in capsys.readouterr().err
+    payload = json.loads((tmp_path / "scan.json").read_text(), parse_constant=reject)
+    assert payload["columns"][5] == "var_le"
+    assert [row[5] is None for row in payload["rows"]] == [False, True]
+    for row in payload["rows"]:
+        assert row[-1] in {"DoublePeaked", "MergedSinglePeak", "Gaussian",
+                           "Indeterminate"}
+        assert all(math.isfinite(v) for v in row[:-1] if v is not None)
 
 
 def test_scan_temperature_axis(tmp_path, monkeypatch):
