@@ -15,6 +15,8 @@ Layout:
 - :mod:`thermalecho.stats` samples, histograms, and classifies the log-echo.
 - :mod:`thermalecho.oracle` is the dense cross-check plus qubit-level checks.
 - :mod:`thermalecho.special` holds the self-contained special functions.
+- :mod:`thermalecho.verify` holds the verification suites shared by
+  ``thermalecho verify`` and the acceptance gate.
 - :mod:`thermalecho.cli` is the command-line front end.
 """
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import averages, echo, oracle, stats
+from . import averages, echo, stats, verify
 from .model import QuenchParams, mode_table
 
 __all__ = ["DEFAULT_SEED", "RunConfig", "build_parser", "main"]
@@ -303,8 +303,27 @@ def _write_json(path: str, payload: dict) -> None:
     print(f"wrote {path}")
 
 
+def _write_table(cfg: RunConfig, command: str, header: list[str], columns,
+                 summary: dict) -> None:
+    """Write a table and its summary: one JSON file, or a CSV and a JSON sidecar."""
+    base = _base(cfg, command)
+    if cfg.format == "json":
+        _write_json(
+            base + ".json",
+            {
+                "config": dataclasses.asdict(cfg),
+                "columns": header,
+                "rows": np.column_stack(columns).tolist(),
+                "summary": summary,
+            },
+        )
+    else:
+        _write_csv(base + ".csv", cfg, header, columns)
+        _write_json(base + ".json", {"config": dataclasses.asdict(cfg), "summary": summary})
+
+
 def _json_cell(value):
-    """A scan cell as strict JSON: strings as they are, non-finite numbers as null."""
+    """A number as strict JSON: strings as they are, non-finite numbers as null."""
     if isinstance(value, str):
         return value
     value = float(value)
@@ -324,6 +343,7 @@ def cmd_timeseries(cfg: RunConfig) -> int:
     summary = {
         "d_eff": dim.d_eff,
         "purity": dim.purity,
+        "log_purity": dim.log_purity,
         "mean_le": averages.avg_loschmidt(table),
         "mean_lef": averages.avg_linearized(table),
         "smallquench_var": averages.smallquench_variance(table),
@@ -331,24 +351,13 @@ def cmd_timeseries(cfg: RunConfig) -> int:
     try:
         summary["var_le"] = averages.variance_le(table)
     except averages.SeriesConvergenceError as exc:
-        summary["var_le"] = None
+        summary["var_le"] = math.nan
         print(f"warning: variance series did not converge: {exc}", file=sys.stderr)
-    base = _base(cfg, "timeseries")
-    header = ["t", "le", "lef", "lower", "upper"]
-    columns = [t, pt.le, pt.lef, pt.lower, pt.upper]
-    if cfg.format == "json":
-        _write_json(
-            base + ".json",
-            {
-                "config": dataclasses.asdict(cfg),
-                "columns": header,
-                "rows": np.column_stack(columns).tolist(),
-                "summary": summary,
-            },
-        )
-    else:
-        _write_csv(base + ".csv", cfg, header, columns)
-        _write_json(base + ".json", {"config": dataclasses.asdict(cfg), "summary": summary})
+    _write_table(
+        cfg, "timeseries", ["t", "le", "lef", "lower", "upper"],
+        [t, pt.le, pt.lef, pt.lower, pt.upper],
+        {name: _json_cell(value) for name, value in summary.items()},
+    )
     return EXIT_OK
 
 
@@ -447,20 +456,7 @@ def cmd_weights(cfg: RunConfig) -> int:
         header += ["bell", "bell_width"]
         columns += [bell, np.full_like(spectrum.k, width)]
         summary["bell"] = {"kind": "aniso", "width": width}
-    base = _base(cfg, "weights")
-    if cfg.format == "json":
-        _write_json(
-            base + ".json",
-            {
-                "config": dataclasses.asdict(cfg),
-                "columns": header,
-                "rows": np.column_stack(columns).tolist(),
-                "summary": summary,
-            },
-        )
-    else:
-        _write_csv(base + ".csv", cfg, header, columns)
-        _write_json(base + ".json", {"config": dataclasses.asdict(cfg), "summary": summary})
+    _write_table(cfg, "weights", header, columns, summary)
     return EXIT_OK
 
 
@@ -550,148 +546,45 @@ def cmd_scan(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _suite_oracle_equivalence(seed: int) -> dict:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for length in (2, 4, 6, 8):
-        for _ in range(3):
-            h0, h1 = rng.uniform(-2.0, 2.0, 2)
-            g0, g1 = rng.uniform(-1.5, 1.5, 2)
-            beta = rng.uniform(0.1, 8.0)
-            params = QuenchParams(h0=h0, h1=h1, gamma0=g0, gamma1=g1,
-                                  beta=beta, length=length)
-            table = mode_table(params)
-            ham0 = oracle.build_quasifree(h0, g0, length)
-            ham1 = oracle.build_quasifree(h1, g1, length)
-            times = rng.uniform(0.0, 20.0, 5)
-            le_err = np.max(np.abs(
-                np.atleast_1d(echo.loschmidt(table, times))
-                - oracle.exact_le(ham0, ham1, beta, times)
-            ))
-            lef_err = np.max(np.abs(
-                np.atleast_1d(echo.linearized(table, times))
-                - oracle.exact_linearized(ham0, ham1, beta, times)
-            ))
-            p = oracle.spectral(ham0, beta=beta).gibbs_weights
-            purity_err = abs(echo.effective_dimension(table).purity - float(np.sum(p**2)))
-            avg_err = abs(
-                averages.avg_linearized(table)
-                - oracle.dephased_purity(ham0, ham1, beta)
-            )
-            worst = max(worst, float(le_err), float(lef_err), purity_err, avg_err)
-    return {"passed": worst < 1e-9, "worst_abs_error": worst, "tolerance": 1e-9}
-
-
-def _suite_bounds(seed: int, inject_failure: bool) -> dict:
-    rng = np.random.default_rng(seed)
-    worst = math.inf
-    t0_worst = 0.0
-    for _ in range(10_000):
-        length = 2 * int(rng.integers(1, 101))
-        params = QuenchParams(
-            h0=float(rng.uniform(-2, 2)), h1=float(rng.uniform(-2, 2)),
-            gamma0=float(rng.uniform(-1.5, 1.5)), gamma1=float(rng.uniform(-1.5, 1.5)),
-            beta=float(rng.uniform(0.01, 50.0)), length=length,
-        )
-        table = mode_table(params)
-        t = float(rng.uniform(-20.0, 50.0))
-        # one kernel pass covers both the random time and t = 0
-        pt = echo.echo_point(table, np.array([t, 0.0]))
-        le = float(pt.le[0])
-        (lower, lo0), (upper, up0) = pt.lower.tolist(), pt.upper.tolist()
-        if inject_failure:
-            lower = lower * (1.0 + 1e-6) + 1e-9
-        worst = min(worst, le - lower, upper - le)
-        t0_worst = max(t0_worst, abs(lo0 - 1.0), abs(up0 - 1.0))
-    return {
-        "passed": worst >= -1e-12 and t0_worst <= 1e-12,
-        "worst_slack": worst,
-        "worst_t0_deviation": t0_worst,
-        "tolerance": -1e-12,
-    }
-
-
-def _suite_qubit(seed: int) -> dict:
-    report = oracle.qubit_inequality_check(100_000, seed)
-    return {
-        "passed": report.violations == 0
-        and report.max_closed_form_dev < 1e-12
-        and report.max_route_dev < 1e-10,
-        "violations": report.violations,
-        "min_slack": report.min_slack,
-        "max_closed_form_dev": report.max_closed_form_dev,
-        "max_route_dev": report.max_route_dev,
-    }
-
-
-def _suite_q_scan() -> dict:
-    scan = oracle.q_function_scan(x_max=20.0, v_max=2.0, nx=1000, nv=1000)
-    return {
-        "passed": scan.min_value >= -1e-12
-        and scan.max_abs_at_v_zero <= 1e-11
-        and scan.max_v_curvature <= 1e-10,
-        "min_value": scan.min_value,
-        "max_abs_at_v_zero": scan.max_abs_at_v_zero,
-        "max_v_curvature": scan.max_v_curvature,
-    }
-
-
-def _suite_perturbation(seed: int) -> dict:
-    rng = np.random.default_rng(seed)
-    dim = 8
-    ham0 = oracle.random_hermitian(dim, rng)
-    pert = oracle.random_hermitian(dim, rng)
-    beta = 1.0
-    times = (0.7, 1.3, 2.6)
-    scales = [1e-3 * 0.5**i for i in range(4)]
-    errors = []
-    for scale in scales:
-        v = scale * pert
-        err = max(
-            abs(
-                oracle.exact_le(ham0, ham0 + v, beta, t)
-                - oracle.perturbative_le(ham0, v, beta, t)
-            )
-            for t in times
-        )
-        errors.append(err)
-    ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
-    passed = all(5.6 <= r <= 10.4 for r in ratios)
-    return {"passed": passed, "error_ratios": ratios, "expected": 8.0, "tolerance_pct": 30}
-
-
-def _suite_bures(seed: int) -> dict:
-    rng = np.random.default_rng(seed)
-    dim = 8
-    ham0 = oracle.random_hermitian(dim, rng)
-    v = 1e-3 * oracle.random_hermitian(dim, rng)
-    beta = 1.0
-    rho0 = oracle.gibbs(ham0, beta)
-    rho1 = oracle.gibbs(ham0 + v, beta)
-    fid = oracle.uhlmann(rho0, rho1)
-    metric = oracle.bures_decomposition(ham0, v, beta)
-    lbar = oracle.perturbative_le_average(ham0, v, beta)
-    # fid**2 - (lbar - ds2_fr/2) cancels at second order in the perturbation
-    residual = abs(fid**2 - (lbar - metric.ds2_fr / 2.0))
-    return {"passed": residual < 1e-8, "residual": residual, "tolerance": 1e-8}
+# what `verify` runs, in report order: the suite, the offset added to --seed
+# (None for the seedless kernel scan) and the suite's data
+_VERIFY_DATA = {
+    "oracle_equivalence": (verify.oracle_equivalence, 0, {
+        "lengths": (2, 4, 6, 8), "n_param_sets": 3, "n_times": 5,
+        "field_range": (-2.0, 2.0), "anisotropy_range": (-1.5, 1.5),
+        "beta_range": (0.1, 8.0), "time_range": (0.0, 20.0),
+        "max_abs_residual": 1e-9,
+    }),
+    "bounds": (verify.bound_suite, 1, {
+        "n_trials": 10_000, "max_length": 200,
+        "field_range": (-2.0, 2.0), "anisotropy_range": (-1.5, 1.5),
+        "beta_range": (0.01, 50.0), "time_range": (-20.0, 50.0),
+        "slack_floor": -1e-12, "t0_tolerance": 1e-12,
+    }),
+    "qubit_inequality": (verify.qubit_inequality, 2, {
+        "n_trials": 100_000, "slack_floor": -1e-12,
+        "closed_form_tolerance": 1e-12, "route_tolerance": 1e-10,
+    }),
+    "q_function_scan": (verify.q_function_scan, None,
+                        {"x_max": 20.0, "v_max": 2.0, "nx": 1000, "nv": 1000}),
+    "perturbation_scaling": (verify.perturbation_scaling, 3, {
+        "dim": 8, "beta": 1.0, "times": (0.7, 1.3, 2.6), "base_scale": 1e-3,
+        "halvings": 3, "ratio_low": 5.6, "ratio_high": 10.4,
+    }),
+    "bures_relation": (verify.bures_relation, 4,
+                       {"dim": 8, "beta": 1.0, "scale": 1e-3, "max_residual": 1e-8}),
+}
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    suites = {
-        "oracle_equivalence": lambda: _suite_oracle_equivalence(cfg.seed),
-        "bounds": lambda: _suite_bounds(cfg.seed + 1, cfg.inject_failure),
-        "qubit_inequality": lambda: _suite_qubit(cfg.seed + 2),
-        "q_function_scan": _suite_q_scan,
-        "perturbation_scaling": lambda: _suite_perturbation(cfg.seed + 3),
-        "bures_relation": lambda: _suite_bures(cfg.seed + 4),
-    }
     results = {}
-    all_passed = True
-    for name, run in suites.items():
-        outcome = run()
-        results[name] = outcome
-        all_passed = all_passed and outcome["passed"]
+    for name, (suite, offset, data) in _VERIFY_DATA.items():
+        kwargs = dict(data) if offset is None else {**data, "seed": cfg.seed + offset}
+        if suite is verify.bound_suite:
+            kwargs["inject_failure"] = cfg.inject_failure
+        results[name] = outcome = suite(**kwargs)
         print(f"{name}: {'pass' if outcome['passed'] else 'FAIL'}")
+    all_passed = all(outcome["passed"] for outcome in results.values())
     base = _base(cfg, "verify")
     _write_json(
         base + ".json",

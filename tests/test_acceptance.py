@@ -6,7 +6,9 @@ prints a single ``criterion NN <name>: PASS|FAIL`` line (visible with
 equivalence, the two-sided bounds, short-time decay and its extensivity,
 distribution-shape reproduction, the characteristic function, the bound-slack
 kernel and qubit inequality, second-order perturbation theory, the variance
-series, the special functions, and the continuum bell widths.
+series, the special functions, and the continuum bell widths.  Criteria 01,
+02, 08 and 09 run the suites of :mod:`thermalecho.verify` that
+``thermalecho verify`` runs, on the pinned fixture data.
 """
 
 import time
@@ -23,6 +25,7 @@ from thermalecho import (
     oracle,
     special,
     stats,
+    verify,
 )
 
 
@@ -48,65 +51,21 @@ def _quadratic_amplitude(length, tmax=0.01, npts=50):
 
 
 def test_criterion_01_dense_oracle_equivalence(pinned):
-    cfg = pinned["oracle_equivalence"]
-    rng = np.random.default_rng(cfg["seed"])
-    tol = cfg["max_abs_residual"]
     start = time.perf_counter()
-    worst = 0.0
-    for length in cfg["lengths"]:
-        for _ in range(cfg["n_param_sets"]):
-            h0, h1 = rng.uniform(*cfg["field_range"], size=2)
-            g0, g1 = rng.uniform(*cfg["anisotropy_range"], size=2)
-            beta = rng.uniform(*cfg["beta_range"])
-            times = rng.uniform(*cfg["time_range"], size=cfg["n_times"])
-            params = QuenchParams(h0=h0, h1=h1, gamma0=g0, gamma1=g1,
-                                  beta=beta, length=length)
-            table = mode_table(params)
-            ham0 = oracle.build_quasifree(h0, g0, length)
-            ham1 = oracle.build_quasifree(h1, g1, length)
-
-            le_err = np.max(np.abs(echo.loschmidt(table, times)
-                                   - oracle.exact_le(ham0, ham1, beta, times)))
-            lef_err = np.max(np.abs(echo.linearized(table, times)
-                                    - oracle.exact_linearized(ham0, ham1, beta, times)))
-            dims = echo.effective_dimension(table)
-            dense_purity = float(
-                np.sum(oracle.spectral(ham0, beta).gibbs_weights ** 2))
-            deff_err = abs(dims.d_eff - 1.0 / dense_purity)
-            deph_err = abs(averages.avg_linearized(table)
-                           - oracle.dephased_purity(ham0, ham1, beta))
-            worst = max(worst, le_err, lef_err, deff_err, deph_err)
+    report = verify.oracle_equivalence(**pinned["oracle_equivalence"])
     elapsed = time.perf_counter() - start
     _verdict(1, "dense_oracle_equivalence", [
-        (worst < tol, f"worst residual {worst:.3e} !< {tol}"),
+        (report["passed"], f"oracle residuals too large: {report}"),
         (elapsed < 120.0, f"runtime {elapsed:.1f}s !< 120s"),
     ])
 
 
 def test_criterion_02_bound_suite(pinned):
-    cfg = pinned["bound_suite"]
-    rng = np.random.default_rng(cfg["seed"])
-    floor = cfg["slack_floor"]
-    worst_slack = np.inf
-    worst_t0 = 0.0
-    for _ in range(cfg["n_trials"]):
-        length = 2 * int(rng.integers(1, cfg["max_length"] // 2 + 1))
-        h0, h1 = rng.uniform(-2.0, 2.0, size=2)
-        g0, g1 = rng.uniform(-1.5, 1.5, size=2)
-        beta = rng.uniform(0.1, 8.0)
-        t = rng.uniform(0.0, 20.0)
-        table = mode_table(QuenchParams(h0=h0, h1=h1, gamma0=g0, gamma1=g1,
-                                        beta=beta, length=length))
-        le = echo.loschmidt(table, t)
-        lower, upper = echo.bounds(table, t)
-        worst_slack = min(worst_slack, le - lower, upper - le)
-        lower0, upper0 = echo.bounds(table, 0.0)
-        worst_t0 = max(worst_t0, abs(lower0 - 1.0), abs(upper0 - 1.0),
-                       abs(echo.loschmidt(table, 0.0) - 1.0))
+    report = verify.bound_suite(
+        **pinned["bound_suite"], field_range=(-2.0, 2.0),
+        anisotropy_range=(-1.5, 1.5), beta_range=(0.1, 8.0), time_range=(0.0, 20.0))
     _verdict(2, "bound_suite", [
-        (worst_slack >= floor, f"slack {worst_slack:.3e} below {floor}"),
-        (worst_t0 <= cfg["t0_tolerance"],
-         f"t=0 deviation {worst_t0:.3e} !<= {cfg['t0_tolerance']}"),
+        (report["passed"], f"bound slack or t=0 deviation out of range: {report}"),
     ])
 
 
@@ -222,50 +181,20 @@ def test_criterion_07_characteristic_function(pinned):
 
 
 def test_criterion_08_slack_kernel_and_qubit_inequality(pinned):
-    cfg = pinned["qubit_inequality"]
-    scan = oracle.q_function_scan()
-    n_points = scan.nx * scan.nv
-    report = oracle.qubit_inequality_check(cfg["n_trials"], cfg["seed"])
+    grid = {"x_max": 20.0, "v_max": 2.0, "nx": 1001, "nv": 1001}
+    scan = verify.q_function_scan(**grid)
+    qubit = verify.qubit_inequality(**pinned["qubit_inequality"])
     _verdict(8, "slack_kernel_and_qubit_inequality", [
-        (n_points >= 10**6, f"grid has {n_points} points !>= 1e6"),
-        (scan.min_value >= -1e-12,
-         f"kernel grid minimum {scan.min_value:.3e} !>= -1e-12"),
-        (scan.max_abs_at_v_zero <= 1e-11,
-         f"kernel at v=0 reaches {scan.max_abs_at_v_zero:.3e} !<= 1e-11"),
-        (report.violations == 0, f"{report.violations} qubit bound violations"),
-        (report.min_slack >= cfg["slack_floor"],
-         f"qubit slack {report.min_slack:.3e} below {cfg['slack_floor']}"),
-        (report.max_closed_form_dev <= cfg["closed_form_tolerance"],
-         f"closed-form slack deviation {report.max_closed_form_dev:.3e} "
-         f"!<= {cfg['closed_form_tolerance']}"),
-        (report.max_route_dev <= cfg["route_tolerance"],
-         f"fidelity route deviation {report.max_route_dev:.3e} "
-         f"!<= {cfg['route_tolerance']}"),
+        (grid["nx"] * grid["nv"] >= 10**6,
+         f"grid has {grid['nx'] * grid['nv']} points !>= 1e6"),
+        (scan["passed"], f"kernel scan failed: {scan}"),
+        (qubit["passed"], f"qubit inequality failed: {qubit}"),
     ])
 
 
 def test_criterion_09_perturbation_theory(pinned):
-    cfg = pinned["perturbation_scaling"]
-    rng = np.random.default_rng(cfg["seed"])
-    ham0 = oracle.random_hermitian(cfg["dim"], rng)
-    pert = oracle.random_hermitian(cfg["dim"], rng)
-    errors = []
-    for i in range(cfg["halvings"] + 1):
-        v = cfg["base_scale"] * 0.5**i * pert
-        errors.append(max(
-            abs(oracle.exact_le(ham0, ham0 + v, cfg["beta"], t)
-                - oracle.perturbative_le(ham0, v, cfg["beta"], t))
-            for t in cfg["times"]
-        ))
-    ratios = [a / b for a, b in zip(errors, errors[1:])]
-
-    bures = pinned["bures_relation"]
-    v = bures["scale"] * pert
-    metric = oracle.bures_decomposition(ham0, v, bures["beta"])
-    fid = oracle.uhlmann(oracle.gibbs(ham0, bures["beta"]),
-                         oracle.gibbs(ham0 + v, bures["beta"]))
-    lbar = oracle.perturbative_le_average(ham0, v, bures["beta"])
-    residual = abs(fid**2 - (lbar - metric.ds2_fr / 2.0))
+    scaling = verify.perturbation_scaling(**pinned["perturbation_scaling"])
+    bures = verify.bures_relation(**pinned["bures_relation"])
 
     energies = np.array([0.0, 0.7, 1.1, 1.9])
     in_range = all(
@@ -275,11 +204,8 @@ def test_criterion_09_perturbation_theory(pinned):
     )
     cold = oracle.damping_generic(energies, 200.0).d_factors
     _verdict(9, "perturbation_theory", [
-        (all(cfg["ratio_low"] <= r <= cfg["ratio_high"] for r in ratios),
-         f"error ratios {['%.2f' % r for r in ratios]} not within "
-         f"[{cfg['ratio_low']}, {cfg['ratio_high']}]"),
-        (residual < bures["max_residual"],
-         f"fidelity expansion residual {residual:.3e} !< {bures['max_residual']}"),
+        (scaling["passed"], f"error ratios out of their window: {scaling}"),
+        (bures["passed"], f"fidelity expansion residual too large: {bures}"),
         (in_range, "damping factors left [0, 1] on the temperature grid"),
         (np.max(np.abs(cold[1:] - 1.0)) < 1e-10,
          "damping factors do not reach 1 in the cold limit"),

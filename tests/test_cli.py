@@ -49,6 +49,9 @@ def _data_rows(path):
 TS_ARGS = ["timeseries", "--length", "24", "--tpoints", "9", "--tmax", "3",
            "--beta", "2"]
 
+# a hot, long chain whose purity underflows and whose d_eff overflows
+HOT_TS_ARGS = ["timeseries", "--length", "4000", "--beta", "0.01", "--tpoints", "3"]
+
 # a strong quench whose variance series converges at beta=0.5 but not at 2
 SCAN_FAILING_ARGS = ["scan", "--length", "100", "--h0", "0.2", "--h1", "3.0",
                      "--gamma0", "1", "--gamma1", "1", "--sweep", "beta=0.5:2:2"]
@@ -356,20 +359,30 @@ def test_scan_cartesian_product(tmp_path, monkeypatch):
                            "Indeterminate"} for row in rows)
 
 
-def test_scan_json_is_strict(tmp_path, monkeypatch, capsys):
-    def reject(name):
-        raise ValueError(f"non-standard JSON constant {name}")
+@pytest.mark.parametrize("args, name", [
+    (SCAN_FAILING_ARGS + ["--format", "json"], "scan.json"),
+    (HOT_TS_ARGS + ["--format", "json"], "timeseries.json"),
+    (HOT_TS_ARGS, "timeseries.json"),
+], ids=["scan", "timeseries", "timeseries-sidecar"])
+def test_json_is_strict(args, name, tmp_path, monkeypatch, capsys):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
 
-    args = SCAN_FAILING_ARGS + ["--format", "json"]
     assert _run(args, tmp_path, monkeypatch) == 0
-    assert SCAN_WARNING in capsys.readouterr().err
-    payload = json.loads((tmp_path / "scan.json").read_text(), parse_constant=reject)
-    assert payload["columns"][5] == "var_le"
-    assert [row[5] is None for row in payload["rows"]] == [False, True]
-    for row in payload["rows"]:
-        assert row[-1] in {"DoublePeaked", "MergedSinglePeak", "Gaussian",
-                           "Indeterminate"}
-        assert all(math.isfinite(v) for v in row[:-1] if v is not None)
+    payload = json.loads((tmp_path / name).read_text(), parse_constant=reject)
+    if name == "scan.json":
+        assert SCAN_WARNING in capsys.readouterr().err
+        assert payload["columns"][5] == "var_le"
+        assert [row[5] is None for row in payload["rows"]] == [False, True]
+        for row in payload["rows"]:
+            assert row[-1] in {"DoublePeaked", "MergedSinglePeak", "Gaussian",
+                               "Indeterminate"}
+            assert all(math.isfinite(v) for v in row[:-1] if v is not None)
+    else:
+        # purity underflows and d_eff overflows; the log purity stays finite
+        summary = payload["summary"]
+        assert summary["purity"] == 0.0 and summary["d_eff"] is None
+        assert -3000.0 < summary["log_purity"] < -2000.0
 
 
 def test_scan_temperature_axis(tmp_path, monkeypatch):
@@ -394,6 +407,15 @@ def test_verify_passes_and_reports(tmp_path, monkeypatch):
         "q_function_scan", "perturbation_scaling", "bures_relation",
     }
     assert all(entry["passed"] for entry in payload["suites"].values())
+    # the CLI's suite sizes, which the benchmark counts as the verify items
+    data = {name: kwargs for name, (_, _, kwargs) in cli._VERIFY_DATA.items()}
+    oracle, scan, scaling = (data[name] for name in (
+        "oracle_equivalence", "q_function_scan", "perturbation_scaling"))
+    assert (len(oracle["lengths"]) * oracle["n_param_sets"], oracle["n_times"]) == (12, 5)
+    assert data["bounds"]["n_trials"] == 10_000
+    assert data["qubit_inequality"]["n_trials"] == 100_000
+    assert (scan["nx"], scan["nv"]) == (1000, 1000)
+    assert (scaling["halvings"] + 1, len(scaling["times"])) == (4, 3)
 
 
 def test_verify_inject_failure_trips_gate(tmp_path, monkeypatch, capsys):

@@ -1,4 +1,5 @@
-"""Smoke test of the ``scripts/`` experiment drivers at tiny sizes."""
+"""Fresh-interpreter checks: the ``scripts/`` drivers at tiny sizes, and the
+runtime package's imports."""
 
 import os
 import pathlib
@@ -43,3 +44,14 @@ def test_driver_runs_and_writes_its_files(script, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
+
+
+def test_runtime_imports_need_only_numpy():
+    code = ("import sys, thermalecho, thermalecho.cli, thermalecho.verify; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} "
+            "& {'scipy', 'hypothesis', 'pytest'}))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
