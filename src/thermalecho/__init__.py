@@ -4,8 +4,9 @@ The package works in the per-mode picture of a periodic transverse-field
 chain with anisotropic pair creation: a quench of the field or the
 anisotropy leaves the problem block-diagonal in momentum, so echoes,
 their infinite-time statistics, and fidelity bounds all reduce to products
-over a table of per-mode quantities.  A dense matrix oracle built from the
-same pair blocks provides an independent route to every headline number.
+over a table of per-mode quantities.  A dense matrix oracle, built from
+the chain's real-space fermion operators rather than from the momentum
+modes, provides an independent route to every headline number.
 
 Layout:
 

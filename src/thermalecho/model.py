@@ -79,11 +79,11 @@ def momenta(length: int) -> np.ndarray:
     return (2.0 * n + 1.0) * math.pi / length
 
 
-def _components(h: float, gamma: float, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _components(h: float, gamma: float, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bogoliubov energy ``lam`` and angle ``theta`` of each mode."""
     eps = np.cos(k) + h
     delta = gamma * np.sin(k)
-    lam = np.hypot(eps, delta)
-    return eps, delta, lam
+    return np.hypot(eps, delta), np.arctan2(delta, eps)
 
 
 def _stable_ratios(beta: float | None, lam: np.ndarray, zero_temperature: bool):
@@ -109,20 +109,15 @@ class ModeTable:
 
     ``cinv`` is ``1 / cosh(beta * lam0)`` and the ``one_minus_*`` arrays are
     the differences ``1 - cinv`` and ``1 - cinv**2`` computed without
-    cancellation.  ``alpha = sin(dtheta)**2`` and ``omega = 2 * lam1`` is
-    the oscillation frequency of the mode after the quench.
+    cancellation.  ``dtheta`` is the Bogoliubov angle after the quench
+    minus the one before, ``alpha = sin(dtheta)**2``, and ``omega = 2 *
+    lam1`` is the oscillation frequency of the mode after the quench.
     """
 
     params: QuenchParams
     k: np.ndarray
-    eps0: np.ndarray
-    delta0: np.ndarray
     lam0: np.ndarray
-    theta0: np.ndarray
-    eps1: np.ndarray
-    delta1: np.ndarray
     lam1: np.ndarray
-    theta1: np.ndarray
     dtheta: np.ndarray
     alpha: np.ndarray
     cinv: np.ndarray
@@ -156,24 +151,16 @@ def mode_table(params: QuenchParams) -> ModeTable:
         Arrays over the ``length / 2`` positive momenta.
     """
     k = momenta(params.length)
-    eps0, delta0, lam0 = _components(params.h0, params.gamma0, k)
-    eps1, delta1, lam1 = _components(params.h1, params.gamma1, k)
-    theta0 = np.arctan2(delta0, eps0)
-    theta1 = np.arctan2(delta1, eps1)
+    lam0, theta0 = _components(params.h0, params.gamma0, k)
+    lam1, theta1 = _components(params.h1, params.gamma1, k)
     dtheta = theta1 - theta0
     alpha = np.sin(dtheta) ** 2
     cinv, one_m_cinv, one_m_cinv2 = _stable_ratios(params.beta, lam0, params.zero_temperature)
     return ModeTable(
         params=params,
         k=k,
-        eps0=eps0,
-        delta0=delta0,
         lam0=lam0,
-        theta0=theta0,
-        eps1=eps1,
-        delta1=delta1,
         lam1=lam1,
-        theta1=theta1,
         dtheta=dtheta,
         alpha=alpha,
         cinv=cinv,

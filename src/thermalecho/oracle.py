@@ -3,9 +3,11 @@
 Everything here works on explicit matrices in the full Fock space, kept
 deliberately simple and capped at dimension 4096: the point is to verify
 the product formulas and the perturbative identities on small instances,
-not to scale.  Fidelities are evaluated through spectral factorizations
-that stay relatively accurate even when Gibbs weights span hundreds of
-orders of magnitude.
+not to scale.  The chain is built from its real-space fermion operators,
+so no momentum, dispersion or mode formula of :mod:`thermalecho.model`
+enters the reference route.  Fidelities are evaluated through spectral
+factorizations that stay relatively accurate even when Gibbs weights span
+hundreds of orders of magnitude.
 """
 
 from __future__ import annotations
@@ -27,12 +29,10 @@ __all__ = [
     "build_quasifree",
     "bures_decomposition",
     "damping_generic",
-    "dephase",
     "dephased_purity",
     "exact_le",
     "exact_linearized",
     "gibbs",
-    "hermitian_defect",
     "perturbation_report",
     "perturbative_le",
     "perturbative_le_average",
@@ -41,8 +41,6 @@ __all__ = [
     "qubit_inequality_check",
     "random_hermitian",
     "spectral",
-    "sqrtm_psd",
-    "trace_distance",
     "uhlmann",
 ]
 
@@ -76,7 +74,7 @@ class SpectralData:
     gibbs_weights: np.ndarray | None
 
 
-def hermitian_defect(m: np.ndarray) -> float:
+def _hermitian_defect(m: np.ndarray) -> float:
     """Largest entry of ``|M - M^dagger|``."""
     return float(np.max(np.abs(m - m.conj().T)))
 
@@ -85,7 +83,7 @@ def _require_hermitian(m, name: str, tol: float = _HERMITIAN_TOL) -> np.ndarray:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
-    defect = hermitian_defect(m)
+    defect = _hermitian_defect(m)
     if defect > tol:
         raise ValueError(f"{name} is not Hermitian (defect {defect:.3e})")
     return m
@@ -126,28 +124,14 @@ def spectral(H, beta: float | None = None) -> SpectralData:
     return SpectralData(energies=energies, states=states, gibbs_weights=weights)
 
 
-def _pair_block(eps: float, delta: float) -> np.ndarray:
-    """4x4 Hamiltonian of one ``(k, -k)`` momentum pair.
-
-    Occupation basis ``|n_k n_{-k}>`` ordered ``00, 01, 10, 11``.  The zero
-    of energy is fixed so the empty pair costs nothing; the constant shift
-    cancels in every fidelity.
-    """
-    block = np.zeros((4, 4), dtype=complex)
-    block[1, 1] = eps
-    block[2, 2] = eps
-    block[3, 3] = 2.0 * eps
-    block[0, 3] = 1j * delta
-    block[3, 0] = -1j * delta
-    return block
-
-
 def build_quasifree(h: float, gamma: float, length: int) -> np.ndarray:
     """Quasi-free chain Hamiltonian on the full ``2**length`` Fock space.
 
-    One 4x4 block per positive momentum, embedded by Kronecker products in
-    ascending-momentum order.  Only even fermion-parity terms appear, so the
-    embedding needs no sign strings.
+    ``H = sum_j [(c+_j c_{j+1} + h.c.)/2 + gamma (c+_j c+_{j+1} + h.c.)/2
+    + h n_j]`` in the site basis, closed antiperiodically (``c_{L+1} =
+    -c_1``).  Bit ``j`` of a basis index is the occupation of site ``j``,
+    and each fermion operator carries the Jordan-Wigner sign of the
+    occupied sites below it.  The matrix is real.
 
     Raises
     ------
@@ -160,18 +144,29 @@ def build_quasifree(h: float, gamma: float, length: int) -> np.ndarray:
         raise ValueError(f"length must be even and >= 2, got {length}")
     if 2**length > DIM_CAP:
         raise ValueError(f"dimension 2**{length} exceeds the cap {DIM_CAP}")
-    n_pairs = length // 2
-    k = (2.0 * np.arange(n_pairs) + 1.0) * math.pi / length
-    dim = 2**length
-    total = np.zeros((dim, dim), dtype=complex)
-    for i in range(n_pairs):
-        eps = math.cos(k[i]) + h
-        delta = gamma * math.sin(k[i])
-        op = _pair_block(eps, delta)
-        left = np.eye(4**i)
-        right = np.eye(4 ** (n_pairs - i - 1))
-        total += np.kron(np.kron(left, op), right)
-    return total
+    states = np.arange(2**length)
+    occ = (states[:, None] >> np.arange(length)) & 1
+    below = np.cumsum(occ, axis=1) - occ
+    ham = np.zeros((states.size, states.size))
+    np.fill_diagonal(ham, h * occ.sum(axis=1))
+    for i in range(length):
+        j = (i + 1) % length
+        # the wrap bond picks up the antiperiodic sign of c_{L+1} = -c_1
+        bond = -0.5 if j == 0 else 0.5
+        parity = below[:, i] + below[:, j]
+        # hopping c+_j c_i (site i occupied, site j empty) and its conjugate
+        src = states[(occ[:, i] == 1) & (occ[:, j] == 0)]
+        sign = 1 - 2 * ((parity[src] - (i < j)) & 1)
+        tgt = src ^ (1 << i) ^ (1 << j)
+        ham[tgt, src] += bond * sign
+        ham[src, tgt] += bond * sign
+        # pairing c+_i c+_j (both sites empty) and its conjugate
+        src = states[(occ[:, i] == 0) & (occ[:, j] == 0)]
+        sign = 1 - 2 * ((parity[src] + (j < i)) & 1)
+        tgt = src | (1 << i) | (1 << j)
+        ham[tgt, src] += gamma * bond * sign
+        ham[src, tgt] += gamma * bond * sign
+    return ham
 
 
 def gibbs(H, beta: float) -> np.ndarray:
@@ -183,25 +178,11 @@ def gibbs(H, beta: float) -> np.ndarray:
     return (data.states * data.gibbs_weights) @ data.states.conj().T
 
 
-def sqrtm_psd(m, neg_tol: float = 1e-10) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix.
-
-    Eigenvalues in ``(-neg_tol, 0)`` are treated as rounding dust and
-    clamped to zero; anything more negative is an error.
-    """
-    m = _require_hermitian(m, "matrix", tol=_DENSITY_HERMITIAN_TOL)
-    w, v = np.linalg.eigh(m)
-    if w.min() < -neg_tol:
-        raise InvalidStateError(f"matrix has negative eigenvalue {w.min():.3e}")
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
 def _density_eigh(rho, name: str) -> tuple[np.ndarray, np.ndarray]:
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidStateError(f"{name} must be a square matrix")
-    if hermitian_defect(rho) > _DENSITY_HERMITIAN_TOL:
+    if _hermitian_defect(rho) > _DENSITY_HERMITIAN_TOL:
         raise InvalidStateError(f"{name} is not Hermitian")
     w, v = np.linalg.eigh(rho)
     if w.min() < -_DENSITY_NEG_TOL:
@@ -280,23 +261,6 @@ def _cluster_labels(energies: np.ndarray, gap_tol: float) -> np.ndarray:
     labels = np.zeros(energies.size, dtype=int)
     labels[1:] = np.cumsum(np.diff(energies) > gap_tol)
     return labels
-
-
-def dephase(rho0, H1, gap_tol: float = _GAP_TOL) -> np.ndarray:
-    """Time-averaged (dephased) state of ``rho0`` under evolution by ``H1``.
-
-    Eigenvalues of ``H1`` closer than ``gap_tol`` are grouped into one
-    degenerate block and the state is projected block-diagonally; for a
-    non-degenerate spectrum this is exactly the diagonal-part projection.
-    Blockwise projection is the correct infinite-time average whenever the
-    distinct level spacings are incommensurate.
-    """
-    rho0 = _require_hermitian(rho0, "rho0", tol=_DENSITY_HERMITIAN_TOL)
-    s = spectral(H1)
-    r = s.states.conj().T @ rho0 @ s.states
-    labels = _cluster_labels(s.energies, gap_tol)
-    mask = labels[:, None] == labels[None, :]
-    return s.states @ (r * mask) @ s.states.conj().T
 
 
 def dephased_purity(H0, H1, beta: float, gap_tol: float = _GAP_TOL) -> float:
@@ -387,27 +351,14 @@ def bures_decomposition(H, dH, beta: float) -> BuresMetric:
     DegenerateSpectrumError
         If the spectrum of ``H`` has a gap at or below 1e-10.
     """
-    H = _require_hermitian(H, "H")
-    dH = _require_hermitian(dH, "dH")
-    s = spectral(H, beta=beta)
-    if _min_gap(s.energies) <= _GAP_TOL:
-        raise DegenerateSpectrumError(
-            f"H spectrum has minimum gap {_min_gap(s.energies):.3e} <= {_GAP_TOL}"
-        )
+    s, dh_mat, c = _perturbation_pieces(H, dH, beta)
     p = s.gibbs_weights
-    dh_mat = s.states.conj().T @ dH @ s.states
     de_diag = np.real(np.diag(dh_mat))
     dp = -beta * p * (de_diag - float(np.dot(p, de_diag)))
     with np.errstate(divide="ignore", invalid="ignore"):
         fr_terms = np.where(p > 0.0, dp**2 / np.where(p > 0.0, p, 1.0), 0.0)
     ds2_fr = float(np.sum(fr_terms))
-    de = s.energies[:, None] - s.energies[None, :]
-    np.fill_diagonal(de, 1.0)
-    dpm = p[:, None] - p[None, :]
-    spm = p[:, None] + p[None, :]
-    terms = dpm**2 / spm * np.abs(dh_mat) ** 2 / de**2
-    np.fill_diagonal(terms, 0.0)
-    nonclassical = 0.5 * float(np.sum(terms))
+    nonclassical = 0.5 * float(np.sum(c))
     return BuresMetric(ds2=ds2_fr / 4.0 + nonclassical, ds2_fr=ds2_fr, nonclassical=nonclassical)
 
 
@@ -660,10 +611,3 @@ def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> 
     """Gaussian Hermitian matrix with entries of typical size ``scale``."""
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return scale * 0.5 * (a + a.conj().T)
-
-
-def trace_distance(rho, sigma) -> float:
-    """Trace distance ``||rho - sigma||_1 / 2``."""
-    diff = np.asarray(rho) - np.asarray(sigma)
-    w = np.linalg.eigvalsh(_require_hermitian(diff, "difference", tol=1e-10))
-    return float(0.5 * np.sum(np.abs(w)))

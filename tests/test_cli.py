@@ -402,6 +402,8 @@ def test_verify_passes_and_reports(tmp_path, monkeypatch):
     assert _run(["verify"], tmp_path, monkeypatch) == 0
     payload = json.loads((tmp_path / "verify.json").read_text())
     assert payload["passed"] is True
+    assert payload["config"] == {"seed": cli.DEFAULT_SEED, "output": None,
+                                 "inject_failure": False}
     assert set(payload["suites"]) == {
         "oracle_equivalence", "bounds", "qubit_inequality",
         "q_function_scan", "perturbation_scaling", "bures_relation",
@@ -424,8 +426,21 @@ def test_verify_inject_failure_trips_gate(tmp_path, monkeypatch, capsys):
     assert "bounds: FAIL" in out
     payload = json.loads((tmp_path / "verify.json").read_text())
     assert payload["passed"] is False
+    assert payload["config"]["inject_failure"] is True
     assert payload["suites"]["bounds"]["passed"] is False
     assert payload["suites"]["oracle_equivalence"]["passed"] is True
+
+
+@pytest.mark.parametrize("flag", [
+    ["--length", "7"], ["--h0", "0.5"], ["--beta", "2"], ["--samples", "5"],
+    ["--format", "csv"], ["--config", "run.json"],
+])
+def test_verify_rejects_flags_it_does_not_use(flag, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", *flag])
+    assert exc.value.code == 1
+    assert not (tmp_path / "verify.json").exists()
 
 
 def test_output_base_override(tmp_path, monkeypatch):

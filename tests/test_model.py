@@ -115,9 +115,8 @@ def test_table_matches_scalar_dispersion():
     for i, k in enumerate(table.k):
         pre = dispersion(params.h0, params.gamma0, k)
         post = dispersion(params.h1, params.gamma1, k)
-        assert table.eps0[i] == pytest.approx(pre.eps, rel=1e-15)
         assert table.lam0[i] == pytest.approx(pre.lam, rel=1e-15)
-        assert table.theta1[i] == pytest.approx(post.theta, rel=1e-15)
+        assert table.lam1[i] == pytest.approx(post.lam, rel=1e-15)
         assert table.dtheta[i] == pytest.approx(post.theta - pre.theta, abs=1e-15)
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from thermalecho import QuenchParams, mode_table
+from thermalecho import QuenchParams, echo, mode_table, oracle
 from thermalecho.oracle import (
     DIM_CAP,
     BuresMetric,
@@ -14,12 +14,10 @@ from thermalecho.oracle import (
     bures_decomposition,
     build_quasifree,
     damping_generic,
-    dephase,
     dephased_purity,
     exact_le,
     exact_linearized,
     gibbs,
-    hermitian_defect,
     perturbation_report,
     perturbative_le,
     perturbative_le_average,
@@ -28,8 +26,6 @@ from thermalecho.oracle import (
     qubit_inequality_check,
     random_hermitian,
     spectral,
-    sqrtm_psd,
-    trace_distance,
     uhlmann,
 )
 
@@ -56,6 +52,62 @@ def _random_unitary(dim, rng):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
+def sqrtm_psd(m, neg_tol=1e-10):
+    """Hermitian square root of a positive semidefinite matrix.
+
+    Eigenvalues in ``(-neg_tol, 0)`` are rounding dust and clamp to zero;
+    anything more negative is an error.
+    """
+    w, v = np.linalg.eigh(m)
+    if w.min() < -neg_tol:
+        raise InvalidStateError(f"matrix has negative eigenvalue {w.min():.3e}")
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+
+def trace_distance(rho, sigma):
+    """Trace distance ``||rho - sigma||_1 / 2``."""
+    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho - sigma))))
+
+
+def dephase(rho0, ham1, gap_tol=1e-10):
+    """Infinite-time average of ``rho0`` under ``ham1``: ``sum_E P_E rho0 P_E``.
+
+    Levels of ``ham1`` closer than ``gap_tol`` share one projector ``P_E``.
+    """
+    energies, states = np.linalg.eigh(ham1)
+    out = np.zeros(np.shape(rho0), dtype=complex)
+    edges = [0, *(np.flatnonzero(np.diff(energies) > gap_tol) + 1), energies.size]
+    for start, stop in zip(edges[:-1], edges[1:]):
+        proj = states[:, start:stop] @ states[:, start:stop].conj().T
+        out += proj @ rho0 @ proj
+    return out
+
+
+def _pair_block(eps, delta):
+    """4x4 Hamiltonian of one ``(k, -k)`` pair in the basis ``00, 01, 10, 11``."""
+    block = np.zeros((4, 4), dtype=complex)
+    block[1, 1] = block[2, 2] = eps
+    block[3, 3] = 2.0 * eps
+    block[0, 3] = 1j * delta
+    block[3, 0] = -1j * delta
+    return block
+
+
+def _momentum_chain(h, gamma, length):
+    """Reference route: the chain as Kronecker-embedded momentum-pair blocks.
+
+    Antiperiodic momenta ``k = (2n + 1) pi / L`` in ``(0, pi)``, with
+    ``eps = cos k + h`` and ``delta = gamma sin k``.
+    """
+    n_pairs = length // 2
+    total = np.zeros((2**length, 2**length), dtype=complex)
+    for i in range(n_pairs):
+        k = (2.0 * i + 1.0) * math.pi / length
+        op = _pair_block(math.cos(k) + h, gamma * math.sin(k))
+        total += np.kron(np.kron(np.eye(4**i), op), np.eye(4 ** (n_pairs - i - 1)))
+    return total
+
+
 def test_chain_builder_spectrum_structure():
     rng = np.random.default_rng(8)
     for length in (2, 4, 6):
@@ -63,7 +115,8 @@ def test_chain_builder_spectrum_structure():
         gamma = float(rng.uniform(-1.5, 1.5))
         ham = build_quasifree(h, gamma, length)
         assert ham.shape == (2**length, 2**length)
-        assert hermitian_defect(ham) < 1e-14
+        assert ham.dtype == np.float64
+        assert np.array_equal(ham, ham.T)
         table = mode_table(QuenchParams(h0=h, h1=h, gamma0=gamma, gamma1=gamma,
                                         beta=1.0, length=length))
         energies = np.linalg.eigvalsh(ham)
@@ -73,6 +126,29 @@ def test_chain_builder_spectrum_structure():
         # spectrum is reflection-symmetric about its midpoint
         center = 0.5 * (energies[0] + energies[-1])
         assert np.allclose(energies + energies[::-1], 2.0 * center, atol=1e-9)
+
+
+@pytest.mark.parametrize("length", [2, 4, 6, 8])
+def test_site_chain_matches_momentum_spectrum(length):
+    rng = np.random.default_rng(100 + length)
+    for _ in range(3):
+        h = float(rng.uniform(-2, 2))
+        gamma = float(rng.uniform(-1.5, 1.5))
+        site = np.linalg.eigvalsh(build_quasifree(h, gamma, length))
+        momentum = np.linalg.eigvalsh(_momentum_chain(h, gamma, length))
+        assert np.max(np.abs(site - momentum)) < 1e-12
+
+
+def test_site_chain_echo_at_length_ten():
+    rng = np.random.default_rng(10)
+    h0, h1 = rng.uniform(-2, 2, 2)
+    g0, g1 = rng.uniform(-1.5, 1.5, 2)
+    beta = float(rng.uniform(0.1, 8.0))
+    t = float(rng.uniform(0.0, 20.0))
+    table = mode_table(QuenchParams(h0=h0, h1=h1, gamma0=g0, gamma1=g1,
+                                    beta=beta, length=10))
+    dense = exact_le(build_quasifree(h0, g0, 10), build_quasifree(h1, g1, 10), beta, t)
+    assert abs(echo.loschmidt(table, t) - dense) < 1e-9
 
 
 def test_chain_builder_rejects_bad_sizes():
@@ -119,7 +195,7 @@ def test_gibbs_limits():
     assert np.max(np.abs(cold - ground)) < 1e-12
     warm = gibbs(ham, 1.3)
     assert np.trace(warm).real == pytest.approx(1.0, rel=1e-14)
-    assert hermitian_defect(warm) < 1e-14
+    assert np.max(np.abs(warm - warm.conj().T)) < 1e-14
     assert np.min(np.linalg.eigvalsh(warm)) > 0.0
 
 
@@ -489,10 +565,10 @@ def test_random_hermitian_is_seeded_and_hermitian():
     a = random_hermitian(5, np.random.default_rng(101))
     b = random_hermitian(5, np.random.default_rng(101))
     assert np.array_equal(a, b)
-    assert hermitian_defect(a) == 0.0
+    assert np.array_equal(a, a.conj().T)
 
 
 def test_hermitian_defect_measures_asymmetry():
     m = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
-    assert hermitian_defect(m) == pytest.approx(2.0)
-    assert hermitian_defect(np.eye(3)) == 0.0
+    assert oracle._hermitian_defect(m) == pytest.approx(2.0)
+    assert oracle._hermitian_defect(np.eye(3)) == 0.0
