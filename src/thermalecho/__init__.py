@@ -35,6 +35,7 @@ from .echo import (
     EchoPoint,
     EffectiveDimension,
     bounds,
+    echo_chains,
     echo_point,
     effective_dimension,
     linearized,
@@ -89,6 +90,7 @@ __all__ = [
     "char_fn",
     "classify",
     "damping",
+    "echo_chains",
     "echo_point",
     "effective_dimension",
     "elliptic_e",

@@ -27,7 +27,7 @@ __all__ = [
 OVERFLOW_GUARD = 350.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuenchParams:
     """Parameters of a sudden quench of the XY chain in a transverse field.
 
@@ -75,27 +75,32 @@ def momenta(length: int) -> np.ndarray:
         raise ValueError(f"length must be an int, got {length!r}")
     if length < 2 or length % 2:
         raise ValueError(f"length must be even and >= 2, got {length}")
-    n = np.arange(length // 2)
+    return _momenta(np.arange(length // 2), length)
+
+
+def _momenta(n, length) -> np.ndarray:
+    """Momentum ``(2n + 1) pi / L`` of mode ``n``; scalars or per-mode arrays."""
     return (2.0 * n + 1.0) * math.pi / length
 
 
-def _components(h: float, gamma: float, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _components(h, gamma, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bogoliubov energy ``lam`` and angle ``theta`` of each mode."""
     eps = np.cos(k) + h
     delta = gamma * np.sin(k)
     return np.hypot(eps, delta), np.arctan2(delta, eps)
 
 
-def _stable_ratios(beta: float | None, lam: np.ndarray, zero_temperature: bool):
+def _stable_ratios(beta, lam: np.ndarray):
     """Thermal factors ``1/c``, ``1 - 1/c``, ``1 - 1/c**2`` for ``c = cosh(beta*lam)``.
 
     Evaluated through ``exp(-x)`` and ``tanh`` so the results are accurate
-    for any ``beta * lam`` and exact in the ground-state limit.
+    for any ``beta * lam``.  ``beta = inf`` is the ground state, where the
+    factors are exactly 0, 1 and 1, also for a mode at zero energy.
     """
-    if zero_temperature:
-        shape = np.shape(lam)
-        return np.zeros(shape), np.ones(shape), np.ones(shape)
-    x = beta * lam
+    with np.errstate(invalid="ignore"):
+        x = beta * lam
+    # inf * 0 is nan: a zero-energy mode of the ground state stays there
+    x = np.where(np.isnan(x), np.inf, x)
     e = np.exp(-x)
     cinv = 2.0 * e / (1.0 + e * e)
     one_m_cinv = np.tanh(x) * np.tanh(0.5 * x)
@@ -142,6 +147,33 @@ class ModeTable:
         return -(self.one_minus_cinv2 * self.alpha)
 
 
+def _columns(k: np.ndarray, h0, h1, gamma0, gamma1, beta) -> dict:
+    """The per-mode arrays of a :class:`ModeTable`, keyed by field name.
+
+    Every argument is a scalar or an array over the modes in ``k``, so
+    consecutive chains can be built as one stack; ``beta = inf`` is the
+    ground state.
+    """
+    lam0, theta0 = _components(h0, gamma0, k)
+    lam1, theta1 = _components(h1, gamma1, k)
+    dtheta = theta1 - theta0
+    cinv, one_m_cinv, one_m_cinv2 = _stable_ratios(beta, lam0)
+    return dict(
+        k=k,
+        lam0=lam0,
+        lam1=lam1,
+        dtheta=dtheta,
+        alpha=np.sin(dtheta) ** 2,
+        cinv=cinv,
+        one_minus_cinv=one_m_cinv,
+        one_minus_cinv2=one_m_cinv2,
+    )
+
+
+def _beta(params: QuenchParams) -> float:
+    return math.inf if params.zero_temperature else params.beta
+
+
 def mode_table(params: QuenchParams) -> ModeTable:
     """Build the full per-mode table for a quench.
 
@@ -151,19 +183,20 @@ def mode_table(params: QuenchParams) -> ModeTable:
         Arrays over the ``length / 2`` positive momenta.
     """
     k = momenta(params.length)
-    lam0, theta0 = _components(params.h0, params.gamma0, k)
-    lam1, theta1 = _components(params.h1, params.gamma1, k)
-    dtheta = theta1 - theta0
-    alpha = np.sin(dtheta) ** 2
-    cinv, one_m_cinv, one_m_cinv2 = _stable_ratios(params.beta, lam0, params.zero_temperature)
-    return ModeTable(
-        params=params,
-        k=k,
-        lam0=lam0,
-        lam1=lam1,
-        dtheta=dtheta,
-        alpha=alpha,
-        cinv=cinv,
-        one_minus_cinv=one_m_cinv,
-        one_minus_cinv2=one_m_cinv2,
-    )
+    return ModeTable(params=params, **_columns(
+        k, params.h0, params.h1, params.gamma0, params.gamma1, _beta(params)))
+
+
+def _stacked_columns(chains) -> tuple[np.ndarray, dict]:
+    """Columns of consecutive chains, concatenated, and each chain's first row.
+
+    ``chains`` is a sequence of :class:`QuenchParams`; every value is the
+    same as in ``mode_table`` of that chain.
+    """
+    counts = np.array([p.length // 2 for p in chains], dtype=np.intp)
+    starts = np.cumsum(counts) - counts
+    values = np.array(
+        [(p.length, p.h0, p.h1, p.gamma0, p.gamma1, _beta(p)) for p in chains], dtype=float)
+    length, h0, h1, gamma0, gamma1, beta = np.repeat(values.T, counts, axis=1)
+    k = _momenta(np.arange(counts.sum()) - np.repeat(starts, counts), length)
+    return starts, _columns(k, h0, h1, gamma0, gamma1, beta)

@@ -91,13 +91,10 @@ def _require_hermitian(m, name: str, tol: float = _HERMITIAN_TOL) -> np.ndarray:
 
 def _fix_phases(states: np.ndarray) -> np.ndarray:
     """Rotate each column so its first significant entry is positive real."""
-    out = states.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        idx = int(np.argmax(np.abs(col) > 1e-8 * np.abs(col).max()))
-        phase = col[idx] / abs(col[idx])
-        out[:, j] = col / phase
-    return out
+    mag = np.abs(states)
+    first = np.argmax(mag > 1e-8 * mag.max(axis=0), axis=0)
+    lead = states[first, np.arange(states.shape[1])]
+    return states / (lead / np.abs(lead))
 
 
 def _gibbs_weights(energies: np.ndarray, beta: float) -> np.ndarray:
@@ -351,7 +348,11 @@ def bures_decomposition(H, dH, beta: float) -> BuresMetric:
     DegenerateSpectrumError
         If the spectrum of ``H`` has a gap at or below 1e-10.
     """
-    s, dh_mat, c = _perturbation_pieces(H, dH, beta)
+    return _bures_metric(beta, *_perturbation_pieces(H, dH, beta))
+
+
+def _bures_metric(beta: float, s: SpectralData, dh_mat: np.ndarray, c: np.ndarray) -> BuresMetric:
+    """Bures metric from the pieces of :func:`_perturbation_pieces`."""
     p = s.gibbs_weights
     de_diag = np.real(np.diag(dh_mat))
     dp = -beta * p * (de_diag - float(np.dot(p, de_diag)))
@@ -445,7 +446,7 @@ def perturbation_report(H0, V, beta: float) -> PerturbationReport:
     their damping, the Bures metric split, and the averaged echo.
     """
     s0, v_mat, c = _perturbation_pieces(H0, V, beta)
-    metric = bures_decomposition(H0, V, beta)
+    metric = _bures_metric(beta, s0, v_mat, c)
     damping = damping_generic(s0.energies, beta, couplings=v_mat[:, 0])
     return PerturbationReport(
         c_table=c,

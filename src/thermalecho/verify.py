@@ -5,7 +5,7 @@ arguments named like the keys of ``tests/fixtures/oracle_seeds.json`` and
 returns a JSON-ready report whose ``passed`` entry is the verdict.
 ``thermalecho verify`` and the acceptance gate run the same suites on their
 own data.  Other layers are called through their module attributes
-(``echo.echo_point``), so a tracer that rebinds those sees every call.
+(``echo.echo_chains``), so a tracer that rebinds those sees every call.
 """
 
 from __future__ import annotations
@@ -67,26 +67,25 @@ def bound_suite(*, seed, n_trials, max_length, field_range, anisotropy_range, be
     must fail.
     """
     rng = np.random.default_rng(seed)
-    worst = math.inf
-    t0_worst = 0.0
-    for _ in range(n_trials):
+    chains = []
+    times = np.zeros((n_trials, 2))
+    for trial in range(n_trials):
         length = 2 * int(rng.integers(1, max_length // 2 + 1))
-        h0, h1 = rng.uniform(*field_range, size=2)
-        g0, g1 = rng.uniform(*anisotropy_range, size=2)
+        h0, h1 = rng.uniform(*field_range, size=2).tolist()
+        g0, g1 = rng.uniform(*anisotropy_range, size=2).tolist()
         beta = rng.uniform(*beta_range)
-        t = rng.uniform(*time_range)
-        table = model.mode_table(model.QuenchParams(
-            h0=float(h0), h1=float(h1), gamma0=float(g0), gamma1=float(g1),
-            beta=float(beta), length=length))
-        # one kernel pass covers both the random time and t = 0
-        pt = echo.echo_point(table, np.array([t, 0.0]))
-        le, le0 = pt.le.tolist()
-        lower, lo0 = pt.lower.tolist()
-        upper, up0 = pt.upper.tolist()
-        if inject_failure:
-            lower = lower * (1.0 + 1e-6) + 1e-9
-        worst = min(worst, le - lower, upper - le)
-        t0_worst = max(t0_worst, abs(lo0 - 1.0), abs(up0 - 1.0), abs(le0 - 1.0))
+        times[trial, 0] = rng.uniform(*time_range)
+        chains.append(model.QuenchParams(
+            h0=h0, h1=h1, gamma0=g0, gamma1=g1, beta=beta, length=length))
+    # one stacked pass covers every chain at both its random time and t = 0
+    pt = echo.echo_chains(chains, times)
+    lower = pt.lower[:, 0]
+    if inject_failure:
+        lower = lower * (1.0 + 1e-6) + 1e-9
+    slack = np.concatenate([pt.le[:, 0] - lower, pt.upper[:, 0] - pt.le[:, 0]])
+    worst = float(np.min(slack, initial=math.inf))
+    t0 = np.concatenate([pt.lower[:, 1], pt.upper[:, 1], pt.le[:, 1]])
+    t0_worst = float(np.max(np.abs(t0 - 1.0), initial=0.0))
     return {
         "passed": worst >= slack_floor and t0_worst <= t0_tolerance,
         "worst_slack": worst,

@@ -431,6 +431,17 @@ def test_verify_inject_failure_trips_gate(tmp_path, monkeypatch, capsys):
     assert payload["suites"]["oracle_equivalence"]["passed"] is True
 
 
+def test_verify_thread_count_does_not_change_bytes(tmp_path, monkeypatch, capsys):
+    runs = []
+    for threads in ("1", "4"):
+        out = tmp_path / threads
+        out.mkdir()
+        monkeypatch.setenv("THERMALECHO_THREADS", threads)
+        assert _run(["verify"], out, monkeypatch) == 0
+        runs.append((capsys.readouterr().out, (out / "verify.json").read_bytes()))
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("flag", [
     ["--length", "7"], ["--h0", "0.5"], ["--beta", "2"], ["--samples", "5"],
     ["--format", "csv"], ["--config", "run.json"],

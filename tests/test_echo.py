@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from thermalecho import (
     QuenchParams,
     bounds,
+    echo_chains,
     echo_point,
     effective_dimension,
     linearized,
@@ -142,6 +143,79 @@ def test_echo_point_bundles_consistently():
     lo, up = bounds(table, t)
     assert np.array_equal(grid.lower, lo)
     assert np.array_equal(grid.upper, up)
+
+
+def _random_chains(rng, n_chains):
+    """Chains of every length from 2 to 200 sites, a fifth at zero temperature."""
+    chains = []
+    for i in range(n_chains):
+        length = 2 + 2 * (i % 100)
+        h0, h1 = rng.uniform(-2.0, 2.0, 2)
+        g0, g1 = rng.uniform(-1.5, 1.5, 2)
+        cold = i % 5 == 0
+        chains.append(QuenchParams(h0=h0, h1=h1, gamma0=g0, gamma1=g1,
+                                   beta=None if cold else rng.uniform(0.01, 50.0),
+                                   length=length, zero_temperature=cold))
+    return chains
+
+
+def test_stacked_chains_match_per_chain_route():
+    rng = np.random.default_rng(17)
+    chains = _random_chains(rng, 400)
+    # 400 chains of 1 to 100 modes fill more than one group of stacked modes
+    assert sum(p.length // 2 for p in chains) > 2 * echo._GROUP_MODES
+    t = np.zeros((len(chains), 4))
+    t[:, 1:] = rng.uniform(-20.0, 50.0, (len(chains), 3))
+    stacked = echo_chains(chains, t)
+    for name in ("t", "le", "lef", "lower", "upper"):
+        assert getattr(stacked, name).shape == t.shape
+    for i, params in enumerate(chains):
+        single = echo_point(mode_table(params), t[i])
+        for name in ("le", "lef", "lower", "upper"):
+            assert np.allclose(getattr(stacked, name)[i], getattr(single, name),
+                               rtol=0.0, atol=1e-15), (i, name)
+    for name in ("le", "lower", "upper"):
+        assert (getattr(stacked, name)[:, 0] == 1.0).all(), name
+
+
+def test_stacked_groups_do_not_change_results(monkeypatch):
+    rng = np.random.default_rng(23)
+    # one chain longer than a whole group, between chains that share one
+    chains = _random_chains(rng, 60)
+    chains.insert(30, QuenchParams(length=2 * echo._GROUP_MODES + 4, **DECAY_QUENCH))
+    t = rng.uniform(-20.0, 50.0, (len(chains), 5))
+    whole = echo_chains(chains, t)
+    single = echo_point(mode_table(chains[30]), t[30])
+    assert np.allclose(whole.le[30], single.le, rtol=1e-12, atol=0.0)
+    # tiny groups and one time per block walk every loop many times over
+    monkeypatch.setattr(echo, "_GROUP_MODES", 40)
+    monkeypatch.setattr(echo, "_CHUNK_BYTES", 8)
+    split = echo_chains(chains, t)
+    for name in ("le", "lef", "lower", "upper"):
+        assert np.array_equal(getattr(split, name), getattr(whole, name)), name
+
+
+def test_stacked_chains_validate_times():
+    chains = _random_chains(np.random.default_rng(5), 3)
+    with pytest.raises(ValueError, match="shape"):
+        echo_chains(chains, np.zeros((2, 4)))
+    with pytest.raises(ValueError, match="shape"):
+        echo_chains(chains, np.zeros(3))
+    with pytest.raises(ValueError, match="finite"):
+        echo_chains(chains, np.full((3, 2), math.nan))
+    empty = echo_chains([], np.zeros((0, 2)))
+    assert empty.le.shape == empty.upper.shape == (0, 2)
+
+
+def test_floor_guard_raises_on_both_routes(monkeypatch):
+    chains = _random_chains(np.random.default_rng(3), 4)
+    t = np.linspace(0.0, 5.0, 8).reshape(4, 2)
+    # a negative slack puts every factor below the guard's threshold
+    monkeypatch.setattr(echo, "_CLAMP_SLACK", -0.5)
+    with pytest.raises(FloatingPointError):
+        echo_point(mode_table(chains[1]), t[1])
+    with pytest.raises(FloatingPointError):
+        echo_chains(chains, t)
 
 
 def test_range_guard_survives_optimized_mode():

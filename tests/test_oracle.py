@@ -1,5 +1,6 @@
 """Dense-matrix reference routes: fidelities, dephasing, perturbation, qubit checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -174,6 +175,30 @@ def test_spectral_orders_and_normalizes():
         lead = col[np.abs(col) > 1e-8 * np.abs(col).max()][0]
         assert abs(lead.imag) < 1e-12
         assert lead.real > 0
+
+
+def _fix_phases_loop(states):
+    """Column-by-column reference route for ``oracle._fix_phases``."""
+    out = states.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        idx = int(np.argmax(np.abs(col) > 1e-8 * np.abs(col).max()))
+        phase = col[idx] / abs(col[idx])
+        out[:, j] = col / phase
+    return out
+
+
+@pytest.mark.parametrize("length", [2, 4, 6, 8, 10])
+def test_fix_phases_matches_column_loop(length):
+    rng = np.random.default_rng(length)
+    # complex random spectra, and the real, degenerate spectra of the site chain
+    _, random_states = np.linalg.eigh(random_hermitian(2 ** min(length, 8), rng))
+    _, chain_states = np.linalg.eigh(build_quasifree(*rng.uniform(-1.5, 1.5, 2), length))
+    for states in (random_states, chain_states):
+        fixed = oracle._fix_phases(states)
+        reference = _fix_phases_loop(states)
+        assert fixed.dtype == reference.dtype
+        assert np.array_equal(fixed, reference)
 
 
 def test_spectral_rejects_bad_beta():
@@ -492,6 +517,36 @@ def test_generic_damping_couplings_cross_route():
     assert generic.chi_f == pytest.approx(
         float(np.sum(generic.w_zero[1:])), rel=1e-13)
     assert np.allclose(report.w_thermal, 2.0 * report.c_table[:, 0], atol=0)
+
+
+def test_perturbation_report_diagonalises_once(monkeypatch):
+    rng = np.random.default_rng(29)
+    ham0 = random_hermitian(6, rng)
+    v = 1e-2 * random_hermitian(6, rng)
+    beta = 0.7
+    # the two-call route: the shared pieces, then the metric from scratch
+    s0, v_mat, c = oracle._perturbation_pieces(ham0, v, beta)
+    metric = bures_decomposition(ham0, v, beta)
+    damping = damping_generic(s0.energies, beta, couplings=v_mat[:, 0])
+    expected = dict(
+        c_table=c, w_thermal=2.0 * c[:, 0], d_factors=damping.d_factors,
+        chi_f=damping.chi_f, ds2=metric.ds2, ds2_fr=metric.ds2_fr,
+        nonclassical=metric.nonclassical, lbar_perturbative=1.0 - float(np.sum(c)),
+    )
+    calls = []
+    real_spectral = oracle.spectral
+
+    def counting_spectral(*args, **kwargs):
+        calls.append(args)
+        return real_spectral(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "spectral", counting_spectral)
+    report = perturbation_report(ham0, v, beta)
+    assert len(calls) == 1
+    fields = {f.name for f in dataclasses.fields(report)}
+    assert fields == set(expected)
+    for name in fields:
+        assert np.array_equal(getattr(report, name), expected[name]), name
 
 
 def test_generic_damping_rejects_bad_spectra():
