@@ -34,13 +34,9 @@ from .averages import (
 from .echo import (
     EchoPoint,
     EffectiveDimension,
-    bounds,
     echo_chains,
     echo_point,
     effective_dimension,
-    linearized,
-    log_loschmidt,
-    loschmidt,
 )
 from .model import (
     ModeTable,
@@ -86,7 +82,6 @@ __all__ = [
     "bell_width_aniso",
     "bell_width_ising",
     "bessel_j0",
-    "bounds",
     "char_fn",
     "classify",
     "damping",
@@ -95,9 +90,6 @@ __all__ = [
     "effective_dimension",
     "elliptic_e",
     "histogram_peaks",
-    "linearized",
-    "log_loschmidt",
-    "loschmidt",
     "mode_table",
     "momenta",
     "sample_logle",

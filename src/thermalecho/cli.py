@@ -68,7 +68,8 @@ class RunConfig:
     inject_failure: bool = False
 
 
-_INT_FIELDS = {"length", "tpoints", "samples", "seed", "bins"}
+# the values of the choice options, shared by their flags and config-file keys
+_CHOICES = {"format": ("csv", "json"), "bell": ("ising", "aniso")}
 _DEFAULT_BETA = 10.0
 # rows the CSV writer formats in one go, which bounds its memory
 _BLOCK_ROWS = 65_536
@@ -105,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, help=f"pseudorandom seed (default {DEFAULT_SEED})")
     run.add_argument("--bins", type=int, help="histogram bin count")
     run.add_argument("--output", help="output base path (files get .csv/.json suffixes)")
-    run.add_argument("--format", choices=("csv", "json"), help="output format")
+    run.add_argument("--format", choices=_CHOICES["format"], help="output format")
     run.add_argument("--config", help="JSON config file; flags override its values")
 
     parser = _Parser(
@@ -138,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="use the leading-order dtheta**2 weights instead of sin(dtheta)**2",
     )
     wts.add_argument(
-        "--bell", choices=("ising", "aniso"),
+        "--bell", choices=_CHOICES["bell"],
         help="add the continuum bell-curve column and its inflection width",
     )
     scan = sub.add_parser(
@@ -172,25 +173,50 @@ def _load_config_file(path: str) -> dict:
             raise ValueError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = set(raw) - known
+    unknown = set(raw) - set(_FIELD_TYPES)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return raw
+    return {name: _file_value(name, value) for name, value in raw.items()}
 
 
-def _coerce(name: str, value):
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# RunConfig annotations without their "| None", and what a file value of each
+# must be
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+_VALUE_CHECKS = {
+    "int": (_is_number, "a number"),
+    "float": (_is_number, "a number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "list[float]": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
+                    "a list of numbers"),
+    "list[str]": (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+                  "a list of strings"),
+}
+
+
+def _file_value(name: str, value):
+    """A config-file value, checked as its flag's parser would check it.
+
+    Integer fields accept integral floats such as ``80.0`` and return ints.
+    """
+    annotation = _FIELD_TYPES[name]
     if value is None:
+        if not annotation.endswith(" | None"):
+            raise ValueError(f"config key {name!r} may not be null")
         return None
-    if name in _INT_FIELDS:
-        if isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer")
-        if isinstance(value, float):
-            if not value.is_integer():
-                raise ValueError(f"{name} must be an integer, got {value}")
-            return int(value)
-        if not isinstance(value, int):
-            raise ValueError(f"{name} must be an integer")
+    check, expected = _VALUE_CHECKS[annotation.removesuffix(" | None")]
+    if not check(value):
+        raise ValueError(f"config key {name!r} must be {expected}, got {value!r}")
+    if name in _CHOICES and value not in _CHOICES[name]:
+        raise ValueError(f"config key {name!r} must be one of {_CHOICES[name]}, got {value!r}")
+    if annotation == "int":
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"config key {name!r} must be an integer, got {value}")
+        return int(value)
     return value
 
 
@@ -219,14 +245,9 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             cli_vals["temperatures"] = [float(x) for x in cli_vals["temperatures"].split(",")]
         except ValueError:
             raise ValueError("--temperatures must be a comma-separated list of numbers") from None
-    for name, value in file_vals.items():
-        if name in ("beta", "temperature"):
-            continue
-        merged[name] = _coerce(name, value)
-    for name, value in cli_vals.items():
-        if name in ("beta", "temperature"):
-            continue
-        merged[name] = _coerce(name, value)
+    for name, value in {**file_vals, **cli_vals}.items():
+        if name not in ("beta", "temperature"):
+            merged[name] = value
     merged["beta"], merged["temperature"] = _pick_thermal(cli_vals, file_vals)
     cfg = RunConfig(**merged)
     if cfg.bins < 1:
@@ -379,9 +400,10 @@ def cmd_distribution(cfg: RunConfig) -> int:
     entries = []
     for temperature in ladder:
         params = _params_for(cfg, temperature)
+        table = mode_table(params)
         tau = cfg.tau_factor * params.length**2
-        sample = stats.sample_logle(params, tau, cfg.samples, cfg.seed)
-        spectrum = stats.weights(mode_table(params))
+        sample = stats.sample_logle(table, tau, cfg.samples, cfg.seed)
+        spectrum = stats.weights(table)
         verdict = stats.classify(spectrum, sample, bins=cfg.bins)
         if verdict.degenerate:
             print(

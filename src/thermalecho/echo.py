@@ -3,14 +3,15 @@
 The echo factorizes over momentum modes.  Every quantity here (the echo,
 the linear overlap echo and both bounds) is a product over modes of the
 same factors ``1 - (1 - cinv**2) * alpha * sin(lam1 t)**2``, so one private
-kernel evaluates them all.  It always works in log space, since products of
-many sub-unit factors underflow for long chains, and it walks the times in
-chunks of fixed byte size, so memory does not grow with the number of
-times.  When there is more than one chunk the chunks are spread over one
-thread pool of ``THERMALECHO_THREADS`` workers (default: the CPU count);
-chunk boundaries do not depend on the thread count, so neither do the
-results.  Many short chains are evaluated as one stack of modes
-(:func:`echo_chains`) by the same factor arithmetic.
+kernel evaluates them all, and :func:`echo_point` returns them all, with
+the log of the echo, from one pass over a table.  The kernel always works
+in log space, since products of many sub-unit factors underflow for long
+chains, and it walks the times in chunks of fixed byte size, so memory
+does not grow with the number of times.  When there is more than one chunk
+the chunks are spread over one thread pool of ``THERMALECHO_THREADS``
+workers (default: the CPU count); chunk boundaries do not depend on the
+thread count, so neither do the results.  Many short chains are evaluated
+as one stack of modes (:func:`echo_chains`) by the same factor arithmetic.
 """
 
 from __future__ import annotations
@@ -27,13 +28,9 @@ from .model import ModeTable, QuenchParams, _stacked_columns
 __all__ = [
     "EchoPoint",
     "EffectiveDimension",
-    "bounds",
     "echo_chains",
     "echo_point",
     "effective_dimension",
-    "linearized",
-    "log_loschmidt",
-    "loschmidt",
 ]
 
 # the clamped quantity may dip below its analytic floor only by rounding dust
@@ -68,12 +65,20 @@ class EffectiveDimension:
 class EchoPoint:
     """Echo quantities at one time, or at each time of an array.
 
-    Fields are floats for a scalar time and arrays shaped like the times
-    otherwise.
+    ``le`` is the Loschmidt echo, the Uhlmann fidelity squared between the
+    initial Gibbs state and its evolved image: it lies in ``[0, 1]``, is 1
+    at ``t = 0`` and reaches 0 only in the ground state.  ``log_le`` is its
+    natural log straight from the kernel, finite where ``le`` underflows to
+    0.0 for long chains (``-inf`` only where the ground-state echo is
+    exactly 0).  ``lef`` is the linear overlap echo ``Tr[rho(t) rho]``, at
+    most ``le``.  ``lower = d_eff * lef`` and ``upper = lef + 1 - purity``
+    bound the echo from both sides.  Fields are floats for a scalar time and
+    arrays shaped like the times otherwise.
     """
 
     t: float | np.ndarray
     le: float | np.ndarray
+    log_le: float | np.ndarray
     lef: float | np.ndarray
     lower: float | np.ndarray
     upper: float | np.ndarray
@@ -160,63 +165,6 @@ def _kernel(table: ModeTable, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return log_le, log_core
 
 
-def _evaluate(table: ModeTable, t):
-    """Kernel output at ``t`` plus a function that gives a result ``t``'s shape.
-
-    A scalar time gives Python floats; an array gives arrays shaped like it.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    if not np.isfinite(t_arr).all():
-        raise ValueError("times must be finite")
-    log_le, log_core = _kernel(table, t_arr.reshape(-1))
-
-    def shaped(values: np.ndarray):
-        out = values.reshape(t_arr.shape)
-        return float(out) if t_arr.ndim == 0 else out
-
-    return log_le, log_core, shaped
-
-
-def log_loschmidt(table: ModeTable, t) -> np.ndarray | float:
-    """Natural log of the Loschmidt echo, accurate for any chain length.
-
-    Parameters
-    ----------
-    table
-        Mode table of the quench.
-    t
-        Time, scalar or array; negative values are allowed.
-
-    Returns
-    -------
-    ``ln L(t)`` with the same shape as ``t``.  At zero temperature the echo
-    can touch zero exactly, in which case the log is ``-inf``.
-    """
-    log_le, _, shaped = _evaluate(table, t)
-    return shaped(log_le)
-
-
-def loschmidt(table: ModeTable, t) -> np.ndarray | float:
-    """Loschmidt echo ``L(t)``, the Uhlmann fidelity squared between the
-    initial Gibbs state and its evolved image under the post-quench chain.
-
-    Values lie in ``[0, 1]`` with ``L(0) = 1``; zero is reachable only in
-    the ground state.
-    """
-    log_le, _, shaped = _evaluate(table, t)
-    return shaped(np.exp(log_le))
-
-
-def linearized(table: ModeTable, t) -> np.ndarray | float:
-    """Linear overlap echo ``Tr[rho(t) rho]``.
-
-    The product of the initial purity and the per-mode linear factors.  It
-    never exceeds the echo itself and coincides with it in the ground state.
-    """
-    _, log_core, shaped = _evaluate(table, t)
-    return shaped(effective_dimension(table).purity * np.exp(log_core))
-
-
 def effective_dimension(table: ModeTable) -> EffectiveDimension:
     """Purity of the initial Gibbs state and the effective dimension ``1 / purity``.
 
@@ -230,20 +178,6 @@ def effective_dimension(table: ModeTable) -> EffectiveDimension:
     return EffectiveDimension(d_eff=d_eff, purity=purity, log_purity=log_purity)
 
 
-def bounds(table: ModeTable, t) -> tuple[np.ndarray | float, np.ndarray | float]:
-    """Two-sided bounds on the echo from the overlap echo alone.
-
-    The lower bound is ``d_eff * Tr[rho(t) rho]``, which reduces to the bare
-    product of the per-mode linear factors, and the upper bound adds the
-    mixedness gap ``1 - Tr[rho**2]`` on top of ``Tr[rho(t) rho]``.  Both
-    equal 1 at ``t = 0``.
-    """
-    _, log_core, shaped = _evaluate(table, t)
-    purity = effective_dimension(table).purity
-    core = np.exp(log_core)
-    return shaped(core), shaped(purity * core + (1.0 - purity))
-
-
 def _point(t, log_le, log_core, purity, shaped=np.asarray) -> EchoPoint:
     """Assemble an :class:`EchoPoint` from the kernel sums and the purity."""
     core = np.exp(log_core)
@@ -251,6 +185,7 @@ def _point(t, log_le, log_core, purity, shaped=np.asarray) -> EchoPoint:
     return EchoPoint(
         t=shaped(t),
         le=shaped(np.exp(log_le)),
+        log_le=shaped(log_le),
         lef=shaped(lef),
         lower=shaped(core),
         upper=shaped(lef + (1.0 - purity)),
@@ -258,13 +193,22 @@ def _point(t, log_le, log_core, purity, shaped=np.asarray) -> EchoPoint:
 
 
 def echo_point(table: ModeTable, t) -> EchoPoint:
-    """Echo, linear overlap echo and both bounds from one kernel pass.
+    """Echo, its log, the linear overlap echo and both bounds from one kernel pass.
 
-    ``t`` is a scalar or an array; see :class:`EchoPoint`.
+    ``t`` is a time, negative values allowed, or an array of them; it must
+    be finite.  A scalar gives Python floats and an array gives arrays
+    shaped like it; see :class:`EchoPoint`.
     """
-    log_le, log_core, shaped = _evaluate(table, t)
-    purity = effective_dimension(table).purity
-    return _point(np.asarray(t, dtype=float), log_le, log_core, purity, shaped)
+    t_arr = np.asarray(t, dtype=float)
+    if not np.isfinite(t_arr).all():
+        raise ValueError("times must be finite")
+    log_le, log_core = _kernel(table, t_arr.reshape(-1))
+
+    def shaped(values: np.ndarray):
+        out = values.reshape(t_arr.shape)
+        return float(out) if t_arr.ndim == 0 else out
+
+    return _point(t_arr, log_le, log_core, effective_dimension(table).purity, shaped)
 
 
 def _chain_groups(counts):

@@ -50,6 +50,9 @@ _HERMITIAN_TOL = 1e-12
 _DENSITY_HERMITIAN_TOL = 1e-10
 _DENSITY_TRACE_TOL = 1e-8
 _DENSITY_NEG_TOL = 1e-8
+# float64 bytes per block of the kernel scan's grid; the value only affects
+# speed and memory, never the scan's results
+_SCAN_BLOCK_BYTES = 1 << 20
 
 
 class DegenerateSpectrumError(ValueError):
@@ -595,12 +598,19 @@ def q_function_scan(
         raise ValueError(f"v_max must lie in (0, 2], got {v_max}")
     x = np.linspace(0.0, float(x_max), int(nx))
     v = np.linspace(0.0, float(v_max), int(nv))
-    grid = q_function(x[:, None], v[None, :])
-    curvature = grid[:, 2:] - 2.0 * grid[:, 1:-1] + grid[:, :-2]
+    # whole x rows per block: each row's curvature needs only that row, so
+    # the per-block extrema reduce to exactly the whole-grid ones
+    rows = max(1, _SCAN_BLOCK_BYTES // (8 * v.size))
+    extrema = []
+    for start in range(0, x.size, rows):
+        grid = q_function(x[start : start + rows, None], v[None, :])
+        curvature = grid[:, 2:] - 2.0 * grid[:, 1:-1] + grid[:, :-2]
+        extrema.append((grid.min(), np.max(np.abs(grid[:, 0])), curvature.max()))
+    lowest, edge, bend = np.array(extrema).T
     return QFunctionScan(
-        min_value=float(grid.min()),
-        max_abs_at_v_zero=float(np.max(np.abs(grid[:, 0]))),
-        max_v_curvature=float(curvature.max()),
+        min_value=float(lowest.min()),
+        max_abs_at_v_zero=float(edge.max()),
+        max_v_curvature=float(bend.max()),
         x_max=float(x_max),
         v_max=float(v_max),
         nx=int(nx),

@@ -6,8 +6,8 @@ weight spectrum alone: a couple of dominant weights produce a two-peaked or
 merged distribution, many comparable weights produce a Gaussian.  This
 module computes the weights, samples the exact log-echo at uniform random
 times, detects histogram peaks, and classifies the resulting shape.
-Sampling evaluates the log-echo through :func:`echo.log_loschmidt`, so it
-shares the echo kernel's log-space chunks and its one thread pool.
+Sampling reads the log-echo from :func:`echo.echo_point`, so it shares the
+echo kernel's log-space chunks and its one thread pool.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .echo import log_loschmidt
-from .model import ModeTable, QuenchParams, mode_table
+from .echo import echo_point
+from .model import ModeTable
 from .special import bessel_j0
 
 __all__ = [
@@ -149,7 +149,7 @@ def weights(table: ModeTable, use_second_order: bool = False) -> WeightSpectrum:
     )
 
 
-def sample_logle(params: QuenchParams, tau: float, n_samples: int, seed: int) -> SampleSet:
+def sample_logle(table: ModeTable, tau: float, n_samples: int, seed: int) -> SampleSet:
     """Sample the exact log-echo at uniform random times.
 
     Times are drawn sequentially from the seed before any parallel
@@ -158,8 +158,8 @@ def sample_logle(params: QuenchParams, tau: float, n_samples: int, seed: int) ->
 
     Parameters
     ----------
-    params
-        Quench parameters.
+    table
+        Mode table of the quench.
     tau
         Observation horizon; must be positive.  A horizon growing like
         ``length**2`` resolves the slowest beat between mode frequencies.
@@ -174,8 +174,7 @@ def sample_logle(params: QuenchParams, tau: float, n_samples: int, seed: int) ->
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     times = rng.uniform(0.0, tau, int(n_samples))
-    table = mode_table(params)
-    z = log_loschmidt(table, times)
+    z = echo_point(table, times).log_le
     return SampleSet(tau=float(tau), seed=int(seed), times=times, z=z)
 
 

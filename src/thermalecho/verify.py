@@ -40,10 +40,9 @@ def oracle_equivalence(*, seed, lengths, n_param_sets, n_times, field_range,
                 h0=h0, h1=h1, gamma0=g0, gamma1=g1, beta=beta, length=length))
             ham0 = oracle.build_quasifree(h0, g0, length)
             ham1 = oracle.build_quasifree(h1, g1, length)
-            le_err = np.max(np.abs(echo.loschmidt(table, times)
-                                   - oracle.exact_le(ham0, ham1, beta, times)))
-            lef_err = np.max(np.abs(echo.linearized(table, times)
-                                    - oracle.exact_linearized(ham0, ham1, beta, times)))
+            pt = echo.echo_point(table, times)
+            le_err = np.max(np.abs(pt.le - oracle.exact_le(ham0, ham1, beta, times)))
+            lef_err = np.max(np.abs(pt.lef - oracle.exact_linearized(ham0, ham1, beta, times)))
             dims = echo.effective_dimension(table)
             dense_purity = float(np.sum(oracle.spectral(ham0, beta=beta).gibbs_weights**2))
             purity_err = abs(dims.purity - dense_purity)

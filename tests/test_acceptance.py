@@ -43,7 +43,7 @@ def _quadratic_amplitude(length, tmax=0.01, npts=50):
                           beta=10.0, length=length)
     table = mode_table(params)
     t = np.linspace(0.0, tmax, npts + 1)[1:]
-    y = 1.0 - echo.loschmidt(table, t)
+    y = 1.0 - echo.echo_point(table, t).le
     amp = float(np.sum(y * t**2) / np.sum(t**4))
     resid = y - amp * t**2
     r2 = 1.0 - float(np.sum(resid**2) / np.sum((y - y.mean()) ** 2))
@@ -77,7 +77,7 @@ def test_criterion_03_short_time_decay_and_monte_carlo(pinned):
                           beta=10.0, length=80)
     table = mode_table(params)
     tau = cfg["tau_factor"] * 80.0**2
-    sample = stats.sample_logle(params, tau, cfg["n_samples"], cfg["seed"])
+    sample = stats.sample_logle(mode_table(params), tau, cfg["n_samples"], cfg["seed"])
     le_draws = np.exp(sample.z)
     mc_mean = float(le_draws.mean())
     stderr = float(le_draws.std(ddof=1) / np.sqrt(le_draws.size))
@@ -111,7 +111,7 @@ def test_criterion_05_near_critical_shape_crossover(pinned):
                               beta=1.0 / temp, length=50)
         table = mode_table(params)
         spectrum = stats.weights(table)
-        sample = stats.sample_logle(params, mc["tau_factor"] * 50.0**2,
+        sample = stats.sample_logle(mode_table(params), mc["tau_factor"] * 50.0**2,
                                     mc["n_samples"], mc["seed"])
         verdicts[temp] = stats.classify(spectrum, sample)
         spectra[temp] = spectrum
@@ -141,7 +141,7 @@ def test_criterion_06_finite_size_peak_merging(pinned):
         params = QuenchParams(h0=0.2, h1=0.2, gamma0=0.01, gamma1=-0.01,
                               beta=40.0, length=length)
         spectrum = stats.weights(mode_table(params))
-        sample = stats.sample_logle(params, mc["tau_factor"] * length**2,
+        sample = stats.sample_logle(mode_table(params), mc["tau_factor"] * length**2,
                                     mc["n_samples"], mc["seed"])
         labels[length] = stats.classify(spectrum, sample).label
         top = np.sort(spectrum.a)[::-1][:2]
@@ -163,7 +163,7 @@ def test_criterion_07_characteristic_function(pinned):
     table = mode_table(params)
     assert np.max(np.abs(table.dtheta)) < 0.05  # small-quench precondition
     spectrum = stats.weights(table)
-    sample = stats.sample_logle(params, mc["tau_factor"] * 40.0**2,
+    sample = stats.sample_logle(mode_table(params), mc["tau_factor"] * 40.0**2,
                                 mc["n_samples"], mc["seed"])
     centered = sample.z - sample.z.mean()
     lam = np.linspace(0.0, 50.0, 501)
@@ -218,7 +218,7 @@ def test_criterion_10_variance_series(pinned):
                           beta=10.0, length=80)
     table = mode_table(params)
     analytic = averages.variance_le(table)
-    sample = stats.sample_logle(params, mc["tau_factor"] * 80.0**2,
+    sample = stats.sample_logle(mode_table(params), mc["tau_factor"] * 80.0**2,
                                 mc["n_samples"], mc["seed"])
     empirical = float(np.exp(sample.z).var(ddof=1))
 

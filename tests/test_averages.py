@@ -266,7 +266,7 @@ def test_monte_carlo_time_average_consistency():
 
     params = QuenchParams(h0=0.8, h1=1.2, gamma0=0.7, gamma1=0.4, beta=2.0, length=16)
     table = mode_table(params)
-    sample = sample_logle(params, 100.0 * 16**2, 200_000, 13579)
+    sample = sample_logle(mode_table(params), 100.0 * 16**2, 200_000, 13579)
     mc = float(np.mean(np.exp(sample.z)))
     se = math.sqrt(variance_le(table) / 200_000)
     assert abs(mc - avg_loschmidt(table)) < 4.0 * se

@@ -7,7 +7,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from thermalecho import cli, echo
+from thermalecho import cli, echo, model
+from thermalecho.model import momenta
 
 
 def _run(args, tmp_path, monkeypatch):
@@ -262,6 +263,65 @@ def test_malformed_config_exits_one(tmp_path, monkeypatch):
     cfg_file = tmp_path / "broken.json"
     cfg_file.write_text("{not json")
     assert _run(["timeseries", "--config", str(cfg_file)], tmp_path, monkeypatch) == 1
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"h0": "0.5"}, "'h0' must be a number"),
+        ({"length": True}, "'length' must be a number"),
+        ({"length": None}, "'length' may not be null"),
+        ({"length": 80.5}, "'length' must be an integer"),
+        ({"tmax": [5.0]}, "'tmax' must be a number"),
+        ({"temperatures": 0.1}, "'temperatures' must be a list of numbers"),
+        ({"temperatures": [0.1, "warm"]}, "'temperatures' must be a list of numbers"),
+        ({"sweep": "beta=1:2:3"}, "'sweep' must be a list of strings"),
+        ({"format": "xml"}, "'format' must be one of"),
+        ({"bell": "foo"}, "'bell' must be one of"),
+        ({"second_order": 1}, "'second_order' must be true or false"),
+        ({"output": 7}, "'output' must be a string"),
+    ],
+)
+def test_bad_config_values_exit_one(values, message, tmp_path, monkeypatch, capsys):
+    # every file value meets the check its flag would get, and the error names the key
+    cfg_file = tmp_path / "bad.json"
+    cfg_file.write_text(json.dumps(values))
+    code = _run(["weights", "--length", "8", "--config", str(cfg_file)], tmp_path, monkeypatch)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("thermalecho: config key ") and message in err
+    assert not list(tmp_path.glob("weights*"))
+
+
+def test_every_config_field_type_has_a_check():
+    for name, annotation in cli._FIELD_TYPES.items():
+        assert annotation.removesuffix(" | None") in cli._VALUE_CHECKS, name
+
+
+def test_good_config_values_pass_the_checks(tmp_path, monkeypatch):
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"length": 16.0, "h0": 0.9, "h1": 1, "gamma0": 1,
+                                    "gamma1": 1, "beta": 20, "format": "json",
+                                    "bell": "ising", "output": None}))
+    assert _run(["weights", "--config", str(cfg_file)], tmp_path, monkeypatch) == 0
+    payload = json.loads((tmp_path / "weights.json").read_text())
+    assert payload["config"]["length"] == 16 and payload["summary"]["bell"]["kind"] == "ising"
+
+
+def test_distribution_ladder_builds_each_table_once(tmp_path, monkeypatch):
+    # every mode_table call, whichever module's name it goes through, asks
+    # model.momenta for the table's momenta once
+    calls = []
+
+    def counted(length):
+        calls.append(length)
+        return momenta(length)
+
+    monkeypatch.setattr(model, "momenta", counted)
+    args = ["distribution", "--length", "12", "--samples", "500",
+            "--temperatures", "0.1,0.5,2"]
+    assert _run(args, tmp_path, monkeypatch) == 0
+    assert calls == [12, 12, 12]
 
 
 def test_unknown_command_exits_one(tmp_path, monkeypatch):

@@ -13,13 +13,9 @@ from hypothesis import strategies as st
 
 from thermalecho import (
     QuenchParams,
-    bounds,
     echo_chains,
     echo_point,
     effective_dimension,
-    linearized,
-    log_loschmidt,
-    loschmidt,
     mode_table,
 )
 import thermalecho
@@ -40,29 +36,30 @@ def _table(length=20, beta=10.0, **kw):
 
 
 def test_unit_echo_at_time_zero():
-    table = _table()
-    assert loschmidt(table, 0.0) == pytest.approx(1.0, abs=1e-14)
-    lo, up = bounds(table, 0.0)
-    assert lo == pytest.approx(1.0, abs=1e-12)
-    assert up == pytest.approx(1.0, abs=1e-12)
+    pt = echo_point(_table(), 0.0)
+    assert pt.le == pytest.approx(1.0, abs=1e-14)
+    assert pt.log_le == pytest.approx(0.0, abs=1e-14)
+    assert pt.lower == pytest.approx(1.0, abs=1e-12)
+    assert pt.upper == pytest.approx(1.0, abs=1e-12)
 
 
 def test_linearized_at_zero_equals_purity():
     table = _table(length=30, beta=2.0)
     dim = effective_dimension(table)
-    assert linearized(table, 0.0) == pytest.approx(dim.purity, rel=1e-13)
+    assert echo_point(table, 0.0).lef == pytest.approx(dim.purity, rel=1e-13)
 
 
 def test_even_in_time():
     table = _table(length=26, beta=3.0)
     t = np.linspace(0.1, 12.0, 37)
-    assert np.array_equal(loschmidt(table, t), loschmidt(table, -t))
-    assert np.array_equal(linearized(table, t), linearized(table, -t))
+    forward, backward = echo_point(table, t), echo_point(table, -t)
+    for name in ("le", "log_le", "lef", "lower", "upper"):
+        assert np.array_equal(getattr(forward, name), getattr(backward, name)), name
 
 
 def test_decay_series_regression_value():
     table = _table(length=80)
-    assert loschmidt(table, 1.0) == pytest.approx(0.778441479334611, rel=1e-12)
+    assert echo_point(table, 1.0).le == pytest.approx(0.778441479334611, rel=1e-12)
 
 
 def test_log_route_matches_direct_product():
@@ -73,35 +70,39 @@ def test_log_route_matches_direct_product():
         s2 = np.sin(np.multiply.outer(t, table.lam1)) ** 2
         arg = 1.0 - table.one_minus_cinv2 * table.alpha * s2
         direct = np.prod(((table.cinv + np.sqrt(arg)) / (1.0 + table.cinv)) ** 2, axis=-1)
-        assert np.allclose(loschmidt(table, t), direct, rtol=1e-12, atol=1e-300)
-        assert np.allclose(np.exp(log_loschmidt(table, t)), direct, rtol=1e-12, atol=1e-300)
-        lower, _ = bounds(table, t)
-        assert np.allclose(lower, np.prod(arg, axis=-1), rtol=1e-12, atol=1e-300)
+        pt = echo_point(table, t)
+        assert np.allclose(pt.le, direct, rtol=1e-12, atol=1e-300)
+        assert np.allclose(np.exp(pt.log_le), direct, rtol=1e-12, atol=1e-300)
+        assert np.allclose(pt.lower, np.prod(arg, axis=-1), rtol=1e-12, atol=1e-300)
 
 
 def test_scalar_and_array_shapes():
     table = _table()
-    assert isinstance(loschmidt(table, 1.5), float)
-    out = loschmidt(table, np.linspace(0, 4, 7))
-    assert out.shape == (7,)
-    lo, up = bounds(table, np.linspace(0, 4, 7))
-    assert lo.shape == up.shape == (7,)
+    fields = ("t", "le", "log_le", "lef", "lower", "upper")
+    pt = echo_point(table, 1.5)
+    for name in fields:
+        assert isinstance(getattr(pt, name), float), name
+    for t in (np.linspace(0, 4, 7), np.linspace(0, 4, 12).reshape(3, 4)):
+        grid = echo_point(table, t)
+        assert np.array_equal(grid.t, t)
+        for name in fields:
+            assert getattr(grid, name).shape == t.shape, name
 
 
 def test_rejects_non_finite_time():
     table = _table()
     with pytest.raises(ValueError):
-        loschmidt(table, math.nan)
+        echo_point(table, math.nan)
     with pytest.raises(ValueError):
-        linearized(table, np.array([1.0, math.inf]))
+        echo_point(table, np.array([1.0, math.inf]))
 
 
 def test_lower_bound_is_scaled_linearized():
     table = _table(length=40, beta=2.0)
     t = np.linspace(0.0, 10.0, 41)
     dim = effective_dimension(table)
-    lo, _ = bounds(table, t)
-    assert np.allclose(lo, linearized(table, t) * dim.d_eff, rtol=1e-10)
+    pt = echo_point(table, t)
+    assert np.allclose(pt.lower, pt.lef * dim.d_eff, rtol=1e-10)
 
 
 def test_effective_dimension_limits():
@@ -122,27 +123,37 @@ def test_deep_lattice_underflow_handled():
     assert dim.purity == 0.0
     assert math.isinf(dim.d_eff)
     assert math.isfinite(dim.log_purity)
-    le = loschmidt(table, 3.0)
-    assert 0.0 <= le <= 1.0
+    pt = echo_point(table, 3.0)
+    assert 0.0 <= pt.le <= 1.0
+    assert math.isfinite(pt.log_le)
+    # a hot, purity-underflowing chain keeps its overlap echo and bounds finite
+    assert pt.lef == 0.0
+    assert 0.0 <= pt.lower <= 1.0 and pt.upper == 1.0
+
+
+def test_log_echo_survives_echo_underflow():
+    # a strong quench on a long chain: the echo is far below the float64 range
+    table = mode_table(QuenchParams(h0=0.5, h1=1.5, gamma0=1.0, gamma1=1.0,
+                                    beta=10.0, length=20_000))
+    pt = echo_point(table, np.array([0.0, 10.0, 20.0]))
+    assert pt.le[0] == 1.0
+    assert (pt.le[1:] == 0.0).all()
+    assert np.isfinite(pt.log_le).all()
+    assert (pt.log_le[1:] < -800.0).all()
 
 
 def test_echo_point_bundles_consistently():
     table = _table(length=36, beta=1.5)
     pt = echo_point(table, 2.25)
     assert pt.t == 2.25
-    assert pt.le == pytest.approx(loschmidt(table, 2.25), rel=1e-14)
-    assert pt.lef == pytest.approx(linearized(table, 2.25), rel=1e-14)
-    lo, up = bounds(table, 2.25)
-    assert pt.lower == pytest.approx(lo, rel=1e-14)
-    assert pt.upper == pytest.approx(up, rel=1e-14)
+    assert pt.le == pytest.approx(math.exp(pt.log_le), rel=1e-15)
+    assert pt.lower <= pt.le <= pt.upper
+    assert pt.lef == pytest.approx(pt.lower * effective_dimension(table).purity, rel=1e-14)
     t = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
     grid = echo_point(table, t)
-    assert np.array_equal(grid.t, t)
-    assert np.array_equal(grid.le, loschmidt(table, t))
-    assert np.array_equal(grid.lef, linearized(table, t))
-    lo, up = bounds(table, t)
-    assert np.array_equal(grid.lower, lo)
-    assert np.array_equal(grid.upper, up)
+    # the echo is the exponential of the log-echo, bit for bit
+    assert np.array_equal(grid.le, np.exp(grid.log_le))
+    assert np.array_equal(grid.le[1, 2], echo_point(table, t[1, 2]).le)
 
 
 def _random_chains(rng, n_chains):
@@ -167,8 +178,9 @@ def test_stacked_chains_match_per_chain_route():
     t = np.zeros((len(chains), 4))
     t[:, 1:] = rng.uniform(-20.0, 50.0, (len(chains), 3))
     stacked = echo_chains(chains, t)
-    for name in ("t", "le", "lef", "lower", "upper"):
+    for name in ("t", "le", "log_le", "lef", "lower", "upper"):
         assert getattr(stacked, name).shape == t.shape
+    assert np.array_equal(stacked.le, np.exp(stacked.log_le))
     for i, params in enumerate(chains):
         single = echo_point(mode_table(params), t[i])
         for name in ("le", "lef", "lower", "upper"):
@@ -222,12 +234,12 @@ def test_range_guard_survives_optimized_mode():
     # the guard must raise, not clip, even with asserts stripped by -O
     script = (
         "import dataclasses, numpy as np\n"
-        "from thermalecho import QuenchParams, loschmidt, mode_table\n"
+        "from thermalecho import QuenchParams, echo_point, mode_table\n"
         "table = mode_table(QuenchParams(h0=0.5, h1=-0.5, gamma0=1.0, gamma1=1.0,"
         " beta=2.0, length=20))\n"
         "bad = dataclasses.replace(table, alpha=3.0 * table.alpha)\n"
         "try:\n"
-        "    loschmidt(bad, np.linspace(0.0, 10.0, 101))\n"
+        "    echo_point(bad, np.linspace(0.0, 10.0, 101))\n"
         "except FloatingPointError:\n"
         "    print('raised')\n"
     )
@@ -243,7 +255,7 @@ def test_thread_count_variable_must_be_an_integer(monkeypatch):
     t = np.linspace(0.0, 4.0, 9)
     monkeypatch.setenv("THERMALECHO_THREADS", "abc")
     with pytest.raises(ValueError, match="THERMALECHO_THREADS"):
-        loschmidt(table, t)
+        echo_point(table, t)
     monkeypatch.setenv("THERMALECHO_THREADS", "")
     assert echo._thread_count() == (os.cpu_count() or 1)
     monkeypatch.delenv("THERMALECHO_THREADS")
@@ -266,9 +278,9 @@ def test_dense_oracle_round_trip(pinned):
             ham0 = oracle.build_quasifree(h0, g0, length)
             ham1 = oracle.build_quasifree(h1, g1, length)
             t = rng.uniform(0.0, 20.0, 5)
-            assert np.allclose(loschmidt(table, t),
-                               oracle.exact_le(ham0, ham1, beta, t), atol=1e-10)
-            assert np.allclose(linearized(table, t),
+            pt = echo_point(table, t)
+            assert np.allclose(pt.le, oracle.exact_le(ham0, ham1, beta, t), atol=1e-10)
+            assert np.allclose(pt.lef,
                                oracle.exact_linearized(ham0, ham1, beta, t), atol=1e-10)
 
 
@@ -278,11 +290,10 @@ def test_dense_oracle_round_trip(pinned):
 def test_bound_sandwich(h0, h1, g0, g1, beta, t, length):
     table = mode_table(QuenchParams(h0=h0, h1=h1, gamma0=g0, gamma1=g1,
                                     beta=beta, length=length))
-    le = loschmidt(table, t)
-    lo, up = bounds(table, t)
-    assert lo - 1e-12 <= le <= up + 1e-12
-    assert 0.0 <= le <= 1.0 + 1e-12
-    assert linearized(table, t) <= effective_dimension(table).purity + 1e-12
+    pt = echo_point(table, t)
+    assert pt.lower - 1e-12 <= pt.le <= pt.upper + 1e-12
+    assert 0.0 <= pt.le <= 1.0 + 1e-12
+    assert pt.lef <= effective_dimension(table).purity + 1e-12
 
 
 @given(fields, fields, couplings, couplings, times)
@@ -291,8 +302,6 @@ def test_zero_temperature_bound_collapse(h0, h1, g0, g1, t):
     # pure initial state: echo and linearized echo coincide, bounds pinch
     table = mode_table(QuenchParams(h0=h0, h1=h1, gamma0=g0, gamma1=g1,
                                     beta=None, length=24, zero_temperature=True))
-    le = loschmidt(table, t)
-    lef = linearized(table, t)
-    assert le == pytest.approx(lef, abs=1e-13)
-    lo, up = bounds(table, t)
-    assert lo == pytest.approx(up, abs=1e-13)
+    pt = echo_point(table, t)
+    assert pt.le == pytest.approx(pt.lef, abs=1e-13)
+    assert pt.lower == pytest.approx(pt.upper, abs=1e-13)

@@ -149,7 +149,7 @@ def test_site_chain_echo_at_length_ten():
     table = mode_table(QuenchParams(h0=h0, h1=h1, gamma0=g0, gamma1=g1,
                                     beta=beta, length=10))
     dense = exact_le(build_quasifree(h0, g0, 10), build_quasifree(h1, g1, 10), beta, t)
-    assert abs(echo.loschmidt(table, t) - dense) < 1e-9
+    assert abs(echo.echo_point(table, t).le - dense) < 1e-9
 
 
 def test_chain_builder_rejects_bad_sizes():
@@ -614,6 +614,14 @@ def test_q_function_scan_summary():
     assert scan.max_abs_at_v_zero <= 1e-11
     assert scan.max_v_curvature <= 1e-10
     assert scan.nx == 201 and scan.nv == 201
+
+
+@pytest.mark.parametrize("block_bytes", [1, 8 * 33 * 3, 8 * 33 * 7])
+def test_q_function_scan_blocks_do_not_change_results(block_bytes, monkeypatch):
+    # one row, three rows and seven rows per block, the last block ragged
+    whole = q_function_scan(x_max=25.0, v_max=1.5, nx=50, nv=33)
+    monkeypatch.setattr(oracle, "_SCAN_BLOCK_BYTES", block_bytes)
+    assert q_function_scan(x_max=25.0, v_max=1.5, nx=50, nv=33) == whole
 
 
 def test_random_hermitian_is_seeded_and_hermitian():

@@ -1,8 +1,9 @@
 """Fresh-interpreter checks: the ``scripts/`` drivers at tiny sizes, and the
-runtime package's imports."""
+runtime package's imports; and the README's library example, run as written."""
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -55,3 +56,11 @@ def test_runtime_imports_need_only_numpy():
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()

@@ -21,8 +21,8 @@ from thermalecho import (
     char_fn,
     classify,
     damping,
+    echo_point,
     histogram_peaks,
-    log_loschmidt,
     mode_table,
     sample_logle,
     weights,
@@ -101,22 +101,22 @@ def test_mean_log_echo_extensivity():
 def test_sampling_reproducible_and_route_equal():
     params = _params(length=30, beta=2.0)
     table = mode_table(params)
-    s1 = sample_logle(params, 500.0, 5000, 42)
-    s2 = sample_logle(params, 500.0, 5000, 42)
-    s3 = sample_logle(params, 500.0, 5000, 43)
+    s1 = sample_logle(mode_table(params), 500.0, 5000, 42)
+    s2 = sample_logle(mode_table(params), 500.0, 5000, 42)
+    s3 = sample_logle(mode_table(params), 500.0, 5000, 43)
     assert np.array_equal(s1.times, s2.times)
     assert np.array_equal(s1.z, s2.z)
     assert not np.array_equal(s1.z, s3.z)
     assert np.all((s1.times >= 0.0) & (s1.times <= 500.0))
-    assert np.array_equal(s1.z, log_loschmidt(table, s1.times))
+    assert np.array_equal(s1.z, echo_point(table, s1.times).log_le)
 
 
 def test_sampling_thread_count_invariance(monkeypatch):
     params = _params(length=30, beta=2.0)
     monkeypatch.setenv("THERMALECHO_THREADS", "1")
-    serial = sample_logle(params, 1000.0, 40_000, 7)
+    serial = sample_logle(mode_table(params), 1000.0, 40_000, 7)
     monkeypatch.setenv("THERMALECHO_THREADS", "3")
-    threaded = sample_logle(params, 1000.0, 40_000, 7)
+    threaded = sample_logle(mode_table(params), 1000.0, 40_000, 7)
     assert np.array_equal(serial.z, threaded.z)
     assert np.array_equal(serial.times, threaded.times)
 
@@ -124,11 +124,11 @@ def test_sampling_thread_count_invariance(monkeypatch):
 def test_sampling_rejects_bad_arguments():
     params = _params()
     with pytest.raises(ValueError):
-        sample_logle(params, 0.0, 100, 1)
+        sample_logle(mode_table(params), 0.0, 100, 1)
     with pytest.raises(ValueError):
-        sample_logle(params, math.inf, 100, 1)
+        sample_logle(mode_table(params), math.inf, 100, 1)
     with pytest.raises(ValueError):
-        sample_logle(params, 10.0, 0, 1)
+        sample_logle(mode_table(params), 10.0, 0, 1)
 
 
 def test_char_fn_normalization_and_bound():
