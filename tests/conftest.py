@@ -1,3 +1,10 @@
+import os
+
+# one BLAS thread for the whole suite, set before anything imports numpy:
+# OpenBLAS's own pool makes the dense-oracle SVDs many times slower whenever
+# other processes compete for the cores
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import json
 import pathlib
 

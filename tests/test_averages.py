@@ -201,7 +201,7 @@ def test_mean_linearized_equals_dephased_purity(pinned):
         ham0 = oracle.build_quasifree(h0, g0, 4)
         ham1 = oracle.build_quasifree(h1, g1, 4)
         assert avg_linearized(table) == pytest.approx(
-            oracle.dephased_purity(ham0, ham1, beta), abs=1e-11)
+            oracle.exact_le(ham0, ham1, beta, 0.0).dephased_purity, abs=1e-11)
 
 
 @given(fields, fields, couplings, couplings, betas)

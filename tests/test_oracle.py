@@ -2,11 +2,12 @@
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 
-from thermalecho import QuenchParams, echo, mode_table, oracle
+from thermalecho import QuenchParams, averages, echo, mode_table, oracle
 from thermalecho.oracle import (
     DIM_CAP,
     BuresMetric,
@@ -15,9 +16,7 @@ from thermalecho.oracle import (
     bures_decomposition,
     build_quasifree,
     damping_generic,
-    dephased_purity,
     exact_le,
-    exact_linearized,
     gibbs,
     perturbation_report,
     perturbative_le,
@@ -149,7 +148,9 @@ def test_site_chain_echo_at_length_ten():
     table = mode_table(QuenchParams(h0=h0, h1=h1, gamma0=g0, gamma1=g1,
                                     beta=beta, length=10))
     dense = exact_le(build_quasifree(h0, g0, 10), build_quasifree(h1, g1, 10), beta, t)
-    assert abs(echo.echo_point(table, t).le - dense) < 1e-9
+    assert abs(echo.echo_point(table, t).le - dense.le) < 1e-9
+    assert abs(averages.avg_linearized(table) - dense.dephased_purity) < 1e-9
+    assert abs(echo.effective_dimension(table).purity - dense.purity) < 1e-9
 
 
 def test_chain_builder_rejects_bad_sizes():
@@ -320,25 +321,123 @@ def test_exact_echo_matches_uhlmann_composition():
     for t in rng.uniform(0.0, 15.0, 4):
         u = (states * np.exp(-1j * energies * t)) @ states.conj().T
         rho_t = u @ rho0 @ u.conj().T
-        assert exact_le(ham0, ham1, beta, float(t)) == pytest.approx(
-            uhlmann(rho0, rho_t), abs=1e-11)
-        assert exact_linearized(ham0, ham1, beta, float(t)) == pytest.approx(
-            float(np.trace(rho0 @ rho_t).real), abs=1e-12)
+        dense = exact_le(ham0, ham1, beta, float(t))
+        assert dense.le == pytest.approx(uhlmann(rho0, rho_t), abs=1e-11)
+        assert dense.lef == pytest.approx(float(np.trace(rho0 @ rho_t).real), abs=1e-12)
 
 
 def test_exact_echo_time_structure():
     ham0 = build_quasifree(0.5, 0.25, 4)
     ham1 = build_quasifree(0.5, 0.1, 4)
-    assert exact_le(ham0, ham1, 2.0, 0.0) == pytest.approx(1.0, abs=1e-12)
+    at_zero = exact_le(ham0, ham1, 2.0, 0.0)
+    assert at_zero.le == pytest.approx(1.0, abs=1e-12)
     rho0 = gibbs(ham0, 2.0)
-    assert exact_linearized(ham0, ham1, 2.0, 0.0) == pytest.approx(
-        float(np.trace(rho0 @ rho0).real), rel=1e-12)
+    assert at_zero.lef == pytest.approx(float(np.trace(rho0 @ rho0).real), rel=1e-12)
     t = np.linspace(0.5, 9.5, 7)
-    assert np.allclose(exact_le(ham0, ham1, 2.0, t),
-                       exact_le(ham0, ham1, 2.0, -t), atol=1e-12)
-    out = exact_le(ham0, ham1, 2.0, t)
+    assert np.allclose(exact_le(ham0, ham1, 2.0, t).le,
+                       exact_le(ham0, ham1, 2.0, -t).le, atol=1e-12)
+    out = exact_le(ham0, ham1, 2.0, t).le
     assert out.shape == (7,)
-    assert isinstance(exact_le(ham0, ham1, 2.0, 1.0), float)
+    assert isinstance(exact_le(ham0, ham1, 2.0, 1.0).le, float)
+
+
+def _full_space_echo(ham0, ham1, beta, t):
+    """Reference route for ``oracle.exact_le``: the whole space at once.
+
+    Diagonalises both operators in the full space, with no block split, and
+    returns the echo and overlap echo at the times ``t`` (an array), the
+    purity and the dephased purity.
+    """
+    s0 = spectral(ham0, beta=beta)
+    s1 = spectral(ham1)
+    m = s0.states.conj().T @ s1.states
+    sp = np.sqrt(s0.gibbs_weights)
+    le = np.empty(len(t))
+    lef = np.empty(len(t))
+    for i, tt in enumerate(t):
+        u = (m * np.exp(-1j * s1.energies * float(tt))) @ m.conj().T
+        b = (sp[:, None] * u) * sp[None, :]
+        le[i] = np.linalg.svd(b, compute_uv=False).sum() ** 2
+        lef[i] = float(np.sum(np.abs(b) ** 2))
+    r = (m.conj().T * s0.gibbs_weights) @ m
+    labels = np.zeros(s1.energies.size, dtype=int)
+    labels[1:] = np.cumsum(np.diff(s1.energies) > 1e-10)
+    mask = labels[:, None] == labels[None, :]
+    return le, lef, float(np.sum(s0.gibbs_weights**2)), float(np.sum(np.abs(r * mask) ** 2))
+
+
+def _assert_matches_full_space(ham0, ham1, beta, t, tol):
+    dense = exact_le(ham0, ham1, beta, t)
+    le, lef, purity, dephased = _full_space_echo(ham0, ham1, beta, t)
+    assert np.max(np.abs(dense.le - le)) < tol
+    assert np.max(np.abs(dense.lef - lef)) < tol
+    assert abs(dense.purity - purity) < tol
+    assert abs(dense.dephased_purity - dephased) < tol
+
+
+@pytest.mark.parametrize("length", [2, 4, 6, 8])
+@pytest.mark.parametrize("kind", ["random", "number_conserving", "zero_field"])
+def test_block_route_matches_full_space(length, kind):
+    rng = np.random.default_rng(7 * length + len(kind))
+    for _ in range(2):
+        h0, h1 = rng.uniform(-2, 2, 2)
+        g0, g1 = rng.uniform(-1.5, 1.5, 2)
+        if kind == "number_conserving":  # L + 1 blocks
+            g0 = g1 = 0.0
+        if kind == "zero_field":  # post-quench levels degenerate across blocks
+            h1 = 0.0
+        beta = float(rng.uniform(0.1, 8.0))
+        _assert_matches_full_space(build_quasifree(h0, g0, length),
+                                   build_quasifree(h1, g1, length), beta,
+                                   rng.uniform(0.0, 20.0, 4), 1e-13)
+
+
+def test_blocks_are_the_symmetry_sectors():
+    parity = [b.size for b in oracle._blocks(build_quasifree(0.4, 0.3, 8),
+                                             build_quasifree(-0.9, -0.7, 8))]
+    assert parity == [128, 128]
+    number = [b.size for b in oracle._blocks(build_quasifree(0.4, 0.0, 8),
+                                             build_quasifree(-0.9, 0.0, 8))]
+    assert number == [math.comb(8, n) for n in range(9)]
+    rng = np.random.default_rng(79)
+    assert len(oracle._blocks(random_hermitian(16, rng), random_hermitian(16, rng))) == 1
+
+
+def test_block_route_keeps_dense_matrices_bit_identical():
+    rng = np.random.default_rng(83)
+    ham0 = random_hermitian(12, rng)
+    ham1 = ham0 + 0.3 * random_hermitian(12, rng)
+    t = rng.uniform(0.0, 10.0, 4)
+    dense = exact_le(ham0, ham1, 1.7, t)
+    le, lef, purity, dephased = _full_space_echo(ham0, ham1, 1.7, t)
+    assert np.array_equal(dense.le, le)
+    assert np.array_equal(dense.lef, lef)
+    assert dense.purity == purity
+    assert dense.dephased_purity == dephased
+    scalar = exact_le(ham0, ham1, 1.7, float(t[0]))
+    assert isinstance(scalar.lef, float)
+    assert scalar.le == le[0] and scalar.lef == lef[0]
+
+
+def test_gibbs_weights_normalised_over_all_blocks():
+    # an odd-parity shift puts the ground state in the odd sector; at large
+    # beta the even block then holds almost no weight, so weights normalised
+    # within each block would count it as a second whole state
+    odd = np.array([bin(i).count("1") % 2 for i in range(2**6)], dtype=float)
+    ham0 = build_quasifree(0.6, 0.8, 6) - 3.0 * np.diag(odd)
+    ham1 = build_quasifree(-0.4, 0.5, 6)
+    assert len(oracle._blocks(ham0, ham1)) == 2
+    ground = np.linalg.eigh(ham0)[1][:, 0]
+    assert np.sum(np.abs(ground[odd == 0]) ** 2) < 1e-20
+    t = np.array([0.0, 0.9, 4.1])
+    _assert_matches_full_space(ham0, ham1, 30.0, t, 1e-13)
+    assert exact_le(ham0, ham1, 30.0, t).le[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_blas_threads_pinned_for_the_suite():
+    # set in conftest.py before numpy loads, so dense SVDs do not slow down
+    # when other processes compete for the cores
+    assert os.environ.get("OPENBLAS_NUM_THREADS")
 
 
 def test_dephase_commuting_is_identity_map():
@@ -381,7 +480,7 @@ def test_dephased_purity_two_routes():
         beta = rng.uniform(0.2, 5.0)
         ham0 = build_quasifree(h0, g0, 4)
         ham1 = build_quasifree(h1, g1, 4)
-        direct = dephased_purity(ham0, ham1, beta)
+        direct = exact_le(ham0, ham1, beta, 0.0).dephased_purity
         rho_bar = dephase(gibbs(ham0, beta), ham1)
         assert direct == pytest.approx(float(np.trace(rho_bar @ rho_bar).real),
                                        abs=1e-12)
@@ -438,7 +537,7 @@ def test_perturbative_echo_tracks_exact_for_small_coupling():
     ham0 = random_hermitian(8, rng)
     v = 1e-4 * random_hermitian(8, rng)
     for t in (0.8, 2.2):
-        exact = exact_le(ham0, ham0 + v, 1.0, t)
+        exact = exact_le(ham0, ham0 + v, 1.0, t).le
         pert = perturbative_le(ham0, v, 1.0, t)
         assert pert == pytest.approx(exact, abs=1e-7)
 
