@@ -2,9 +2,11 @@
 
 Every run is reproducible: the resolved configuration (seed included) is
 embedded as a '#' comment in each CSV and echoed into each JSON file, CSV
-floats are printed with ``%.17g``, and sampling is seeded, so a rerun with
-the same inputs produces byte-identical files under any thread count (set
-``THERMALECHO_THREADS`` to control parallel echo evaluation).
+float cells are byte-identical to printf ``%.17g`` (vectorised in numpy for
+the fixed-notation band 1e-4 <= |x| < 1e17, printf elsewhere), and sampling
+is seeded, so a rerun with the same inputs produces byte-identical files
+under any thread count (set ``THERMALECHO_THREADS`` to control parallel echo
+evaluation).
 
 Exit codes: 0 success, 1 invalid input, 2 verification failure, 3 I/O error.
 """
@@ -71,8 +73,9 @@ class RunConfig:
 # the values of the choice options, shared by their flags and config-file keys
 _CHOICES = {"format": ("csv", "json"), "bell": ("ising", "aniso")}
 _DEFAULT_BETA = 10.0
-# rows the CSV writer formats in one go, which bounds its memory
-_BLOCK_ROWS = 65_536
+# rows the CSV writer formats in one go: few enough that each block's numpy
+# temporaries are reused heap memory, not pages freshly mapped and faulted in
+_BLOCK_ROWS = 8192
 
 
 class _Parser(argparse.ArgumentParser):
@@ -285,37 +288,205 @@ def _config_json(cfg: RunConfig) -> str:
     return json.dumps(dataclasses.asdict(cfg), sort_keys=True)
 
 
-def _cell_format(column: np.ndarray) -> str:
-    if column.dtype.kind in "iu":
-        return "%d"
-    if column.dtype.kind == "U":
-        return "%s"
-    return "%.17g"
+def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of doubles into two halves of at most 26 bits each."""
+    c = v * 134217729.0  # 2**27 + 1
+    high = c - (c - v)
+    return high, v - high
+
+
+# 10**k for k = 0..20, all exact doubles, and their Veltkamp halves
+_POW10 = np.array([float(10**k) for k in range(21)])
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _packed(text: bytes) -> np.ndarray:
+    """Up to 24 bytes as three uint64 words, byte j at bits 8j to 8j + 7."""
+    return np.frombuffer(text.ljust(24, b"\0"), "<u8").astype(np.uint64)
+
+
+def _group_table() -> np.ndarray:
+    """The four ASCII digits of each g < 10**4, packed into a uint64.
+
+    Entry ``10**4 + g`` is the same group with its trailing zeros as NUL
+    bytes, for the last nonzero group of a number and those after it.
+    """
+    digits = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, -1).T
+    tails = np.logical_and.accumulate(digits[:, ::-1] == 0, axis=1)[:, ::-1]
+    table = np.zeros((2, 10_000, 8), np.uint8)
+    table[:, :, :4] = digits + ord("0")
+    table[1, :, :4][tails] = 0
+    return table.view("<u8").ravel().astype(np.uint64)
+
+
+_GROUPS = _group_table()
+_ASCII_ZEROS = np.uint64(0x3030_3030_3030_3030)
+
+
+def _layout_table(text) -> np.ndarray:
+    """``text(e, neg)`` packed for each index ``2 * (e + 4) + neg``, e = -4..16."""
+    return np.stack([_packed(text(e, neg)) for e in range(-4, 17) for neg in (0, 1)], axis=1)
+
+
+# by decimal exponent E and sign: the bytes of the integer part; the '.'
+# after them, or "0.000" in front of the digits when E < 0; and the number
+# of bits the fraction digits move to make room for either
+_INT_BYTES = _layout_table(lambda e, neg: b"\0" * neg + b"\xff" * (e + 1))
+_POINT = _layout_table(lambda e, neg: b"\0" * (neg + e + 1) + b"." if e >= 0
+                       else b"\0" * neg + b"0." + b"0" * (-e - 1))
+_FRAC_MOVE = np.repeat([8 * max(1, 1 - e) for e in range(-4, 17)], 2).astype(np.uint64)
+
+
+def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a * 10**(16 - e)`` exactly, as ``hi + lo`` (Dekker's two-product)."""
+    k = 16 - e
+    hi = a * _POW10[k]
+    a_hi, a_lo = _split(a)
+    p_hi, p_lo = _POW10_HI[k], _POW10_LO[k]
+    lo = a_lo * p_lo - (((hi - a_hi * p_hi) - a_lo * p_hi) - a_hi * p_lo)
+    return hi, lo
+
+
+def _fixed_cells(x: np.ndarray) -> np.ndarray:
+    """``'%.17g' % v`` for each v with ``1e-4 <= |v| < 1e17``, without printf.
+
+    Those are the doubles ``%.17g`` prints in fixed notation, with decimal
+    exponent E = floor(log10|v|) in [-4, 16].  The 17 significant digits are
+    D = round(|v| * 10**(16 - E)).  Since 10**k is exact for k <= 20, the
+    two-product gives that product exactly as hi + lo; hi >= 2**53 is an
+    even integer, so hi + rint(lo) rounds half to even, as dtoa does.  The
+    text is built in three little-endian uint64 words per cell with integer
+    operations only, and comes back as (n, 24) ASCII bytes, NUL-padded.
+    """
+    a = np.abs(x)
+    e = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.int64)
+    hi, lo = _scaled(a, e)
+    # log10 can miss by one next to a power of ten: test the exact product
+    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    miss = np.flatnonzero(below | above)
+    if miss.size:
+        e[miss] += above[miss].astype(np.int64) - below[miss]
+        hi[miss], lo[miss] = _scaled(a[miss], e[miss])
+    # no carry to 10**17: the largest double below each power of ten in the
+    # band lies more than eight units of its 17th digit below it
+    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+    # D is a leading digit and four groups of four: g1 g2 g3 g4; a group
+    # loses its trailing zeros when every group after it is zero
+    lead = digits // 10**16
+    tail = digits - lead * 10**16
+    upper = tail // 10**8
+    lower = tail - upper * 10**8
+    g1 = upper // 10**4
+    g2 = upper - g1 * 10**4
+    g3 = lower // 10**4
+    g4 = lower - g3 * 10**4
+    t1 = _GROUPS.take(g1 + 10**4 * ((g2 == 0) & (lower == 0)))
+    t2 = _GROUPS.take(g2 + 10**4 * (lower == 0))
+    t3 = _GROUPS.take(g3 + 10**4 * (g4 == 0))
+    t4 = _GROUPS.take(g4 + 10**4)
+    # the 17 digit bytes, one byte further right after a minus sign
+    neg = np.signbit(x)
+    sign = neg.astype(np.uint64)
+    pad = sign << 3
+    down = 24 - pad
+    w0 = ((lead.astype(np.uint64) + ord("0")) << pad) | (t1 << (pad + 8)) | (t2 << (pad + 40))
+    w1 = (t2 >> down) | (t3 << (pad + 8)) | (t4 << (pad + 40))
+    w2 = t4 >> down
+
+    # the integer part stays, NULs back to '0'; the fraction moves right
+    # past the '.' (or the "0.000"), which goes when no fraction is left
+    i = 2 * e + 8 + neg
+    m0, m1, m2 = _INT_BYTES[0].take(i), _INT_BYTES[1].take(i), _INT_BYTES[2].take(i)
+    f0, f1, f2 = w0 & ~m0, w1 & ~m1, w2 & ~m2
+    point = (f0 | f1 | f2) != 0
+    move = _FRAC_MOVE.take(i)
+    back = 64 - move
+    cells = np.empty((len(x), 3), np.uint64)
+    cells[:, 0] = (((w0 | _ASCII_ZEROS) & m0) | (_POINT[0].take(i) * point) | (f0 << move)
+                   | (sign * ord("-")))
+    cells[:, 1] = (((w1 | _ASCII_ZEROS) & m1) | (_POINT[1].take(i) * point) | (f1 << move)
+                   | (f0 >> back))
+    cells[:, 2] = (((w2 | _ASCII_ZEROS) & m2) | (_POINT[2].take(i) * point) | (f2 << move)
+                   | (f1 >> back))
+    return cells.astype("<u8", copy=False).view(np.uint8)
+
+
+def _printf_cells(values: list, fmt: str, width: int) -> np.ndarray:
+    """Cells formatted by one ``%`` operation, as rows of ``width`` NUL-padded bytes.
+
+    ``fmt`` is a conversion without its ``%``, whose text never holds a
+    space and never exceeds ``width`` characters.
+    """
+    text = (f"%-{width}{fmt}" * len(values)) % tuple(values)
+    padded = text.encode().replace(b" ", b"\0")
+    return np.frombuffer(padded, np.uint8).reshape(len(values), width)
+
+
+def _cells(column: np.ndarray) -> np.ndarray:
+    """The text of one column's cells, one row of NUL-padded bytes each.
+
+    Integers print with ``%d``, strings as they are (UTF-8), floats up to
+    float64 through :func:`_fixed_cells` where it applies, and everything
+    else with ``%.17g``.
+    """
+    kind = column.dtype.kind
+    if kind == "U":
+        cells = np.char.encode(column, "utf-8")
+        if b"\0" in b"".join(cells.tolist()):
+            raise ValueError("CSV string cells may not contain NUL characters")
+        return cells.view(np.uint8).reshape(len(column), -1)
+    if kind != "f" or column.dtype.itemsize > 8:
+        # %d of a 64-bit integer is at most 20 characters, %.17g at most 24
+        if kind in "iu":
+            return _printf_cells(column.tolist(), "d", 20)
+        return _printf_cells(column.tolist(), ".17g", 24)
+    x = column.astype(np.float64, copy=False)
+    a = np.abs(x)
+    fixed = (a >= 1e-4) & (a < 1e17)
+    if fixed.all():
+        return _fixed_cells(x)
+    cells = np.empty((len(x), 24), np.uint8)
+    cells[fixed] = _fixed_cells(x[fixed])
+    cells[~fixed] = _printf_cells(x[~fixed].tolist(), ".17g", 24)
+    return cells
+
+
+def _csv_rows(columns: list[np.ndarray]) -> np.ndarray:
+    """The bytes of a block of rows: cells joined by ',', each row ended by a newline."""
+    cells = [_cells(column) for column in columns]
+    rows = np.empty((len(columns[0]), sum(c.shape[1] + 1 for c in cells)), np.uint8)
+    at = 0
+    for c in cells:
+        rows[:, at:at + c.shape[1]] = c
+        at += c.shape[1]
+        rows[:, at] = ord(",")
+        at += 1
+    rows[:, -1] = ord("\n")
+    return rows[rows != 0]
 
 
 def _write_csv(path: str, cfg: RunConfig, header: list[str], columns) -> None:
     """Write equal-length 1-D columns under a config comment and a header.
 
-    Integer columns are written with ``%d``, string columns with ``%s`` and
-    everything else with ``%.17g`` (so ``nan``, ``inf`` and ``-inf`` are
-    spelled that way).  Rows go out in blocks of ``_BLOCK_ROWS``, each
-    formatted by one ``%`` operation, which bounds memory for any row count.
+    Integer columns are written with ``%d``, string columns as they are
+    (UTF-8, no NUL characters) and everything else as printf ``%.17g`` would
+    write it, byte for byte, so ``nan``, ``inf`` and ``-inf`` are spelled
+    that way.  Float cells are vectorised in the fixed-notation band
+    1e-4 <= |x| < 1e17 (:func:`_fixed_cells`); the other cells of a column
+    go through one ``%`` operation per block.  Rows go out in blocks of
+    ``_BLOCK_ROWS``, which bounds memory for any row count.
     """
     arrays = [np.asarray(column) for column in columns]
     n_rows = len(arrays[0])
     if any(a.ndim != 1 or len(a) != n_rows for a in arrays):
         raise ValueError("CSV columns must be 1-D and of equal length")
-    width = len(arrays)
-    row_fmt = ",".join(_cell_format(a) for a in arrays) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# config = {_config_json(cfg)}\n")
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(f"# config = {_config_json(cfg)}\n".encode())
+        fh.write((",".join(header) + "\n").encode())
         for start in range(0, n_rows, _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, n_rows)
-            cells = [None] * ((stop - start) * width)
-            for j, a in enumerate(arrays):
-                cells[j::width] = a[start:stop].tolist()
-            fh.write((row_fmt * (stop - start)) % tuple(cells))
+            fh.write(_csv_rows([a[start:start + _BLOCK_ROWS] for a in arrays]))
     print(f"wrote {path}")
 
 

@@ -250,11 +250,25 @@ def _blocks(a: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
     return blocks
 
 
+def _flat_times(t) -> np.ndarray:
+    """``t`` (scalar or any shape) as a 1-D float array, checked finite."""
+    t_arr = np.asarray(t, dtype=float)
+    if not np.isfinite(t_arr).all():
+        raise ValueError("times must be finite")
+    return t_arr.reshape(-1)
+
+
+def _shaped(values: np.ndarray, t):
+    """Per-time ``values`` in the shape of ``t``: a float for a scalar."""
+    return float(values[0]) if np.ndim(t) == 0 else values.reshape(np.shape(t))
+
+
 def exact_le(H0, H1, beta: float, t) -> ExactEcho:
     """Loschmidt echo of the quench ``H0 -> H1`` from the dense operators.
 
     The echo is the Uhlmann fidelity between the Gibbs state of ``H0`` and
-    its image evolved under ``H1`` for time ``t`` (scalar or array).  Both
+    its image evolved under ``H1`` for time ``t``: a finite time or an
+    array of them, giving floats or arrays shaped like ``t``.  Both
     operators are diagonalised once per block of :func:`_blocks`, the Gibbs
     weights are normalised over all blocks together, and per block and time
     ``B(t) = sqrt(p) U(t) sqrt(p)`` in the initial eigenbasis gives the echo
@@ -266,10 +280,10 @@ def exact_le(H0, H1, beta: float, t) -> ExactEcho:
     H1 = _require_hermitian(H1, "H1")
     if H0.shape != H1.shape:
         raise ValueError(f"H0 is {H0.shape} but H1 is {H1.shape}")
+    t_arr = _flat_times(t)
     pairs = [(spectral(H0[np.ix_(b, b)]), spectral(H1[np.ix_(b, b)]))
              for b in _blocks(H0, H1)]
     weights = _gibbs_weights(np.concatenate([s0.energies for s0, _ in pairs]), beta)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     nuclear = np.zeros(t_arr.shape)
     lef = np.zeros(t_arr.shape)
     dephased = 0.0
@@ -288,10 +302,8 @@ def exact_le(H0, H1, beta: float, t) -> ExactEcho:
             b = (sp[:, None] * u) * sp[None, :]
             nuclear[i] += np.linalg.svd(b, compute_uv=False).sum()
             lef[i] += np.sum(np.abs(b) ** 2)
-    le = nuclear**2
-    if np.ndim(t) == 0:
-        le, lef = float(le[0]), float(lef[0])
-    return ExactEcho(le=le, lef=lef, purity=float(np.sum(weights**2)),
+    return ExactEcho(le=_shaped(nuclear**2, t), lef=_shaped(lef, t),
+                     purity=float(np.sum(weights**2)),
                      dephased_purity=dephased)
 
 
@@ -323,21 +335,24 @@ def perturbative_le(H0, V, beta: float, t) -> np.ndarray | float:
     """Loschmidt echo of the quench ``H0 -> H0 + V`` to second order in ``V``.
 
     Oscillation frequencies are the exact eigenvalue differences of
-    ``H0 + V``; only the amplitudes are perturbative.
+    ``H0 + V``; only the amplitudes are perturbative.  ``t`` is a finite
+    time or an array of them; the result is a float or shaped like ``t``.
 
     Raises
     ------
     DegenerateSpectrumError
         If the spectrum of ``H0`` has a gap at or below 1e-10.
+    ValueError
+        If a time is not finite.
     """
+    t_arr = _flat_times(t)
     s0, _, c = _perturbation_pieces(H0, V, beta)
     e1 = np.linalg.eigvalsh(np.asarray(H0) + np.asarray(V))
     de1 = e1[:, None] - e1[None, :]
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.empty(t_arr.shape)
     for i, tt in enumerate(t_arr):
         out[i] = 1.0 - float(np.sum(c * (1.0 - np.cos(de1 * tt))))
-    return float(out[0]) if np.ndim(t) == 0 else out
+    return _shaped(out, t)
 
 
 def perturbative_le_average(H0, V, beta: float) -> float:

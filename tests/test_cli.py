@@ -6,6 +6,8 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermalecho import cli, echo, model
 from thermalecho.model import momenta
@@ -92,7 +94,12 @@ def test_float_cells_round_trip(tmp_path, monkeypatch):
 @pytest.mark.parametrize("n_rows", [0, 1, cli._BLOCK_ROWS + 7])
 def test_writer_matches_per_cell_reference(n_rows, tmp_path, capsys):
     rng = np.random.default_rng(n_rows)
-    special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300]
+    special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300,
+               # rounding ties and both edges of the fixed-notation band
+               123456789012345.625, 9.9999999999999999e-5, 99999999999999999.0,
+               *(np.nextafter(p, towards) for p in (1e-4, 1e16, 1e17)
+                 for towards in (0.0, math.inf)),
+               np.nextafter(2.2250738585072014e-308, 0.0), -0.0]
     floats = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
     # the special values at both ends and across the first block boundary
     for at in (0, cli._BLOCK_ROWS - 3, n_rows - len(special)):
@@ -112,6 +119,25 @@ def test_writer_matches_per_cell_reference(n_rows, tmp_path, capsys):
     assert written == (tmp_path / "reference.csv").read_bytes()
     assert len(written.splitlines()) == 2 + n_rows
     assert capsys.readouterr().out == f"wrote {tmp_path / 'columnar.csv'}\n"
+
+
+def test_writer_matches_printf_on_a_million_floats(tmp_path, capsys):
+    rng = np.random.default_rng(20260)
+    bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
+    n = 800_000
+    log_uniform = 10.0 ** rng.uniform(-6.0, 18.0, n) * rng.choice([-1.0, 1.0], n)
+    floats = np.concatenate([bits, log_uniform])
+    cfg = cli.RunConfig()
+    cli._write_csv(str(tmp_path / "floats.csv"), cfg, ["x"], [floats])
+    want = (f"# config = {cli._config_json(cfg)}\nx\n"
+            + ("%.17g\n" * floats.size) % tuple(floats.tolist()))
+    assert (tmp_path / "floats.csv").read_bytes() == want.encode()
+
+
+@given(st.floats())
+@settings(max_examples=500, deadline=None)
+def test_writer_matches_printf_on_any_float(x):
+    assert cli._csv_rows([np.array([x])]).tobytes() == ("%.17g\n" % x).encode()
 
 
 def test_writer_rejects_ragged_columns(tmp_path):

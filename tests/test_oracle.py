@@ -341,6 +341,39 @@ def test_exact_echo_time_structure():
     assert isinstance(exact_le(ham0, ham1, 2.0, 1.0).le, float)
 
 
+def _perturbative_quench():
+    rng = np.random.default_rng(67)
+    return random_hermitian(5, rng), 1e-3 * random_hermitian(5, rng)
+
+
+def test_oracle_times_of_any_shape():
+    ham0 = build_quasifree(0.5, 0.25, 4)
+    ham1 = build_quasifree(0.5, 0.1, 4)
+    t = np.linspace(-3.0, 7.0, 6).reshape(2, 3)
+    grid = exact_le(ham0, ham1, 2.0, t)
+    flat = exact_le(ham0, ham1, 2.0, t.ravel())
+    assert grid.le.shape == grid.lef.shape == (2, 3)
+    assert np.array_equal(grid.le, flat.le.reshape(2, 3))
+    assert np.array_equal(grid.lef, flat.lef.reshape(2, 3))
+    ham, v = _perturbative_quench()
+    pert = perturbative_le(ham, v, 1.0, t)
+    assert pert.shape == (2, 3)
+    assert np.array_equal(pert, perturbative_le(ham, v, 1.0, t.ravel()).reshape(2, 3))
+    assert isinstance(perturbative_le(ham, v, 1.0, 0.5), float)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_oracle_rejects_non_finite_times(bad):
+    ham0 = build_quasifree(0.5, 0.25, 2)
+    ham1 = build_quasifree(0.5, 0.1, 2)
+    ham, v = _perturbative_quench()
+    for t in (bad, np.array([[0.0, 1.0], [bad, 2.0]])):
+        with pytest.raises(ValueError, match="times must be finite"):
+            exact_le(ham0, ham1, 2.0, t)
+        with pytest.raises(ValueError, match="times must be finite"):
+            perturbative_le(ham, v, 1.0, t)
+
+
 def _full_space_echo(ham0, ham1, beta, t):
     """Reference route for ``oracle.exact_le``: the whole space at once.
 
