@@ -12,7 +12,8 @@ Layout:
 
 - :mod:`thermalecho.model` builds the per-mode table from quench parameters.
 - :mod:`thermalecho.echo` evaluates echoes and bounds on time grids.
-- :mod:`thermalecho.averages` gives closed forms and series for time averages.
+- :mod:`thermalecho.averages` gives the infinite-time means and variance
+  from per-mode phase moments.
 - :mod:`thermalecho.stats` samples, histograms, and classifies the log-echo.
 - :mod:`thermalecho.oracle` is the dense cross-check plus qubit-level checks.
 - :mod:`thermalecho.special` holds the self-contained special functions.
@@ -22,12 +23,8 @@ Layout:
 """
 
 from .averages import (
-    AverageReport,
-    SeriesConvergenceError,
-    average_report,
     avg_linearized,
     avg_loschmidt,
-    avg_loschmidt_series,
     smallquench_variance,
     variance_le,
 )
@@ -63,20 +60,16 @@ from .stats import (
 )
 
 __all__ = [
-    "AverageReport",
     "Classification",
     "EchoPoint",
     "EffectiveDimension",
     "ModeTable",
     "QuenchParams",
     "SampleSet",
-    "SeriesConvergenceError",
     "ShapeLabel",
     "WeightSpectrum",
-    "average_report",
     "avg_linearized",
     "avg_loschmidt",
-    "avg_loschmidt_series",
     "bell_aniso",
     "bell_ising",
     "bell_width_aniso",

@@ -541,12 +541,8 @@ def cmd_timeseries(cfg: RunConfig) -> int:
         "mean_le": averages.avg_loschmidt(table),
         "mean_lef": averages.avg_linearized(table),
         "smallquench_var": averages.smallquench_variance(table),
+        "var_le": averages.variance_le(table),
     }
-    try:
-        summary["var_le"] = averages.variance_le(table)
-    except averages.SeriesConvergenceError as exc:
-        summary["var_le"] = math.nan
-        print(f"warning: variance series did not converge: {exc}", file=sys.stderr)
     _write_table(
         cfg, "timeseries", ["t", "le", "lef", "lower", "upper"],
         [t, pt.le, pt.lef, pt.lower, pt.upper],
@@ -705,12 +701,6 @@ def cmd_scan(cfg: RunConfig) -> int:
         params = _params_for(point_cfg)
         table = mode_table(params)
         dim = echo.effective_dimension(table)
-        try:
-            var_le = averages.variance_le(table)
-        except averages.SeriesConvergenceError as exc:
-            var_le = math.nan
-            print(f"warning: variance series did not converge at {overrides}: {exc}",
-                  file=sys.stderr)
         spectrum = stats.weights(table)
         verdict = stats.classify(spectrum)
         rows.append(
@@ -720,7 +710,7 @@ def cmd_scan(cfg: RunConfig) -> int:
                 dim.purity,
                 averages.avg_loschmidt(table),
                 averages.avg_linearized(table),
-                var_le,
+                averages.variance_le(table),
                 spectrum.kappa2,
                 verdict.dominance,
                 verdict.label.value,

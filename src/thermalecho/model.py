@@ -143,7 +143,7 @@ class ModeTable:
 
     @property
     def b(self) -> np.ndarray:
-        """Per-mode coefficient ``-(1 - cinv**2) * alpha``, in ``(-1, 0]``."""
+        """Per-mode coefficient ``-(1 - cinv**2) * alpha``, in ``[-1, 0]``."""
         return -(self.one_minus_cinv2 * self.alpha)
 
 

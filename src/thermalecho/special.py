@@ -41,9 +41,23 @@ def elliptic_e(m) -> np.ndarray | float:
     m_arr = np.atleast_1d(m_arr)
     if np.any(~np.isfinite(m_arr)) or np.any(m_arr < 0.0) or np.any(m_arr >= 1.0):
         raise ValueError("elliptic_e requires 0 <= m < 1")
-    a = np.ones_like(m_arr)
-    b = np.sqrt(1.0 - m_arr)
-    csum = 0.5 * m_arr
+    out = _elliptic_ek(m_arr)[0]
+    return float(out[0]) if scalar else out
+
+
+def _elliptic_ek(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``E(m)`` and ``K(m)`` of an unchecked array ``m`` in ``[0, 1]``.
+
+    One AGM loop gives both: ``K = pi / (2 a)`` with ``a`` the limit of the
+    means (DLMF 19.8.5) and ``E = K (1 - csum)``.  At ``m = 1`` the
+    geometric mean is 0 and the loop would not converge, so those entries
+    run as ``m = 0`` and take the limits ``E(1) = 1`` and ``K(1) = inf``.
+    """
+    edge = m == 1.0
+    m = np.where(edge, 0.0, m)
+    a = np.ones_like(m)
+    b = np.sqrt(1.0 - m)
+    csum = 0.5 * m
     pow2 = 1.0
     for _ in range(_AGM_MAX_ITER):
         c = 0.5 * (a - b)
@@ -52,8 +66,8 @@ def elliptic_e(m) -> np.ndarray | float:
         csum = csum + 0.5 * pow2 * c * c
         if np.all(c <= np.finfo(float).eps * a):
             break
-    out = math.pi / (2.0 * a) * (1.0 - csum)
-    return float(out[0]) if scalar else out
+    k = math.pi / (2.0 * a)
+    return np.where(edge, 1.0, k * (1.0 - csum)), np.where(edge, math.inf, k)
 
 
 def _j0_series(x: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Infinite-time averages: closed form vs series, variance, dense-oracle parity."""
+"""Infinite-time averages: phase moments vs series and longdouble references, oracle parity."""
 
 import dataclasses
 import math
@@ -10,11 +10,8 @@ from hypothesis import strategies as st
 
 from thermalecho import (
     QuenchParams,
-    SeriesConvergenceError,
-    average_report,
     avg_linearized,
     avg_loschmidt,
-    avg_loschmidt_series,
     effective_dimension,
     mode_table,
     smallquench_variance,
@@ -26,6 +23,13 @@ fields = st.floats(-2.0, 2.0, allow_nan=False)
 couplings = st.floats(-1.5, 1.5, allow_nan=False)
 betas = st.floats(0.05, 30.0, allow_nan=False)
 
+_SERIES_MAX_TERMS = 200
+_SERIES_RTOL = 1e-15
+
+
+class SeriesConvergenceError(ArithmeticError):
+    """The reference series did not settle within ``_SERIES_MAX_TERMS`` terms."""
+
 
 def _table(h0=0.5, h1=0.5, g0=0.25, g1=0.1, beta=10.0, length=40, **kw):
     return mode_table(QuenchParams(h0=h0, h1=h1, gamma0=g0, gamma1=g1,
@@ -33,12 +37,16 @@ def _table(h0=0.5, h1=0.5, g0=0.25, g1=0.1, beta=10.0, length=40, **kw):
 
 
 def _series_factors_reference(table):
-    """Mode-by-mode reference route for ``averages._series_factors``.
+    """Per-mode series sums ``(G1, G2)`` of the averaged factor and its square.
 
-    Sums each mode's series on its own, one ``np.dot`` per Cauchy term, and
-    stops that mode at the first term below ``_SERIES_RTOL`` in both sums.
-    Returns ``(G1, G2, terms)``, where ``terms`` counts the terms each mode
-    took (0 for ``b = 0``).
+    ``1 + G1`` is the time average of one echo factor and ``1 + G2`` that of
+    its square.  ``h[m]`` are the coefficients of the half-power expansion
+    of the square root in ``b``, ``g[m]`` its square by Cauchy product, and
+    the time average weights power ``m`` by ``4**-m * binom(2m, m)``.  Each
+    mode stops at the first term below ``_SERIES_RTOL`` in both sums; the
+    terms scale like ``|b|**m / m**1.5``, so modes with ``|b|`` above about
+    0.84 raise.  Returns ``(G1, G2, terms)``, where ``terms`` counts the
+    terms each mode took (0 for ``b = 0``).
     """
     n = table.n_modes
     b_arr = table.b
@@ -51,14 +59,14 @@ def _series_factors_reference(table):
             continue
         cinv = table.cinv[i]
         pref = 2.0 * cinv / (1.0 + cinv) ** 2
-        h = np.zeros(averages._SERIES_MAX_TERMS + 1)
+        h = np.zeros(_SERIES_MAX_TERMS + 1)
         g1 = 0.0
         g2 = 0.0
         w = 1.0
         binom_half = 1.0
         b_pow = 1.0
         converged = False
-        for m in range(1, averages._SERIES_MAX_TERMS + 1):
+        for m in range(1, _SERIES_MAX_TERMS + 1):
             w *= (2.0 * m - 1.0) / (2.0 * m)
             binom_half *= (1.5 - m) / m
             b_pow *= b
@@ -68,14 +76,14 @@ def _series_factors_reference(table):
             t2 = gm * w
             g1 += t1
             g2 += t2
-            if (abs(t1) <= averages._SERIES_RTOL * abs(1.0 + g1)
-                    and abs(t2) <= averages._SERIES_RTOL * abs(1.0 + g2)):
+            if (abs(t1) <= _SERIES_RTOL * abs(1.0 + g1)
+                    and abs(t2) <= _SERIES_RTOL * abs(1.0 + g2)):
                 converged = True
                 break
         if not converged:
             raise SeriesConvergenceError(
                 f"mode k={table.k[i]:.6f} with b={b:.6f} did not converge "
-                f"in {averages._SERIES_MAX_TERMS} terms"
+                f"in {_SERIES_MAX_TERMS} terms"
             )
         g1_arr[i] = g1
         g2_arr[i] = g2
@@ -83,70 +91,116 @@ def _series_factors_reference(table):
     return g1_arr, g2_arr, terms
 
 
-def _assert_series_matches_reference(table):
-    g1, g2 = averages._series_factors(table)
-    ref_g1, ref_g2, terms = _series_factors_reference(table)
-    np.testing.assert_allclose(g1, ref_g1, rtol=1e-14, atol=0.0)
-    np.testing.assert_allclose(g2, ref_g2, rtol=1e-14, atol=0.0)
+def avg_loschmidt_series(table):
+    """Infinite-time average of the echo summed term by term."""
+    g1, _, _ = _series_factors_reference(table)
+    return float(np.exp(np.sum(np.log1p(g1))))
+
+
+_PI = 4.0 * np.arctan(np.longdouble(1.0))
+
+
+def _moments_reference(m, c):
+    """Per-mode ``<f>`` and ``v`` in ``np.longdouble``, one mode at a time.
+
+    The midpoint rule on ``g = f - 1`` over ``[0, pi)``: at least 2048
+    nodes, and enough that ``exp(-2 N d)`` is below 1e-26, where ``d =
+    acosh(1 / sqrt(m))`` is the half-width of the strip in which ``f`` is
+    analytic.  At ``m = 1`` ``f`` has a kink, so the exact moments of
+    ``r = |cos(phi)|`` are used instead.
+    """
+    means, vs = [], []
+    for mi, ci in zip(np.asarray(m, dtype=float), np.asarray(c, dtype=float)):
+        mi, ci = np.longdouble(mi), np.longdouble(ci)
+        if mi == 1.0:
+            r1, r2, r3, r4 = 2 / _PI, np.longdouble(0.5), 4 / (3 * _PI), np.longdouble(0.375)
+            mean = (ci**2 + 2 * ci * r1 + r2) / (1 + ci) ** 2
+            fourth = ci**4 + 4 * ci**3 * r1 + 6 * ci**2 * r2 + 4 * ci * r3 + r4
+            means.append(mean)
+            vs.append(fourth / (1 + ci) ** 4 - mean**2)
+            continue
+        n = 2048
+        if mi > 0.0:
+            n = max(n, 2 * math.ceil(30.0 / math.acosh(1.0 / math.sqrt(float(mi)))))
+        s = np.sin((np.arange(n, dtype=np.longdouble) + 0.5) * (_PI / n)) ** 2
+        r = np.sqrt(1 - mi * s)
+        g = -mi * s * (r + 1 + 2 * ci) / ((1 + r) * (1 + ci) ** 2)
+        means.append(1 + g.mean())
+        vs.append(((g - g.mean()) ** 2).mean())
+    return np.array(means), np.array(vs)
+
+
+def _variance_reference(table):
+    mean, v = _moments_reference(-table.b, table.cinv)
+    s1 = np.sum(np.log(mean))
+    return np.exp(2 * s1) * np.expm1(np.sum(np.log1p(v / mean**2)))
+
+
+def _assert_variance_matches_reference(table):
+    var = variance_le(table)
+    assert math.isfinite(var)
+    assert var == pytest.approx(float(_variance_reference(table)), rel=1e-12, abs=0.0)
+
+
+def _assert_moments_match_series(table):
+    """``<f>`` and ``<f**2> = v + <f>**2`` of each mode against ``1 + G1, 1 + G2``."""
+    mean, v = averages._phase_moments(table)
+    g1, g2, terms = _series_factors_reference(table)
+    np.testing.assert_allclose(mean, 1.0 + g1, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(v + mean**2, 1.0 + g2, rtol=1e-14, atol=0.0)
     return terms
 
 
 @given(fields, fields, couplings, couplings, betas, st.integers(8, 20))
 @settings(max_examples=100, deadline=None)
-def test_series_matches_reference_property(h0, h1, g0, g1, beta, half_length):
+def test_phase_moments_match_series_property(h0, h1, g0, g1, beta, half_length):
     table = _table(h0=h0, h1=h1, g0=g0, g1=g1, beta=beta, length=2 * half_length)
     assume(float(np.max(np.abs(table.b))) <= 0.8)
-    _assert_series_matches_reference(table)
+    _assert_moments_match_series(table)
 
 
-def test_series_matches_reference_across_term_counts():
-    # alternate modes: b ~ -1e-17 (one term) and |b| = 0.8 on warm modes
-    # (over a hundred terms), so modes leave the sum at very different terms
+def test_phase_moments_match_series_across_branches():
+    # alternate modes: b ~ -1e-17 (midpoint rule, one series term) and
+    # |b| up to 0.8 on warm modes (closed form, over a hundred series terms)
     table = _table(h0=0.5, h1=0.5, g0=0.25, g1=0.1, beta=2.0, length=40)
     alpha = np.where(np.arange(table.n_modes) % 2 == 0, 1e-17,
                      np.minimum(1.0, 0.8 / table.one_minus_cinv2))
     table = dataclasses.replace(table, alpha=alpha)
-    terms = _assert_series_matches_reference(table)
+    closed_form = -table.b > averages._MIDPOINT_MAX_M
+    assert not np.any(closed_form[::2]) and np.sum(closed_form[1::2]) >= 5
+    terms = _assert_moments_match_series(table)
     assert np.min(terms) == 1
     assert np.max(terms) > 100
-    assert len(np.unique(terms)) > 5
 
 
-def test_series_matches_reference_without_quench():
+def test_phase_moments_match_series_without_quench():
     table = _table(h1=0.5, g1=0.25)
     assert not np.any(table.b)
-    _assert_series_matches_reference(table)
-    g1, g2 = averages._series_factors(table)
-    assert not np.any(g1) and not np.any(g2)
+    _assert_moments_match_series(table)
+    mean, v = averages._phase_moments(table)
+    assert np.all(mean == 1.0) and not np.any(v)
 
 
-def test_series_matches_reference_at_zero_temperature():
+def test_phase_moments_match_series_at_zero_temperature():
     table = _table(h0=0.9, h1=1.1, g0=1.0, g1=0.6, beta=None, length=30,
                    zero_temperature=True)
     assert np.all(table.cinv == 0.0)
-    terms = _assert_series_matches_reference(table)
+    terms = _assert_moments_match_series(table)
     assert np.max(terms) <= 3
-
-
-def _assert_same_series_error(table):
-    with pytest.raises(SeriesConvergenceError) as ref:
-        _series_factors_reference(table)
-    with pytest.raises(SeriesConvergenceError) as new:
-        averages._series_factors(table)
-    assert str(new.value) == str(ref.value)
-    return str(new.value)
 
 
 def test_series_error_names_the_reference_mode():
     # modes 32 and 33 both fail; the error names the lower one, and the
     # other once the lower one is quenched away
     table = _table(h0=0.2, h1=3.0, g0=1.0, g1=1.0, beta=2.0, length=100)
-    assert _assert_same_series_error(table) == (
-        "mode k=2.042035 with b=-0.903211 did not converge in 200 terms")
+    with pytest.raises(SeriesConvergenceError) as exc:
+        _series_factors_reference(table)
+    assert str(exc.value) == "mode k=2.042035 with b=-0.903211 did not converge in 200 terms"
     alpha = np.where(np.arange(table.n_modes) == 32, 0.0, table.alpha)
     table = dataclasses.replace(table, alpha=alpha)
-    assert _assert_same_series_error(table) == (
-        "mode k=2.104867 with b=-0.901868 did not converge in 200 terms")
+    with pytest.raises(SeriesConvergenceError) as exc:
+        _series_factors_reference(table)
+    assert str(exc.value) == "mode k=2.104867 with b=-0.901868 did not converge in 200 terms"
 
 
 def test_closed_form_matches_series_on_grid():
@@ -177,10 +231,9 @@ def test_series_overflows_term_budget_when_pushed():
     assert float(np.max(np.abs(table.b))) > 0.84
     with pytest.raises(SeriesConvergenceError):
         avg_loschmidt_series(table)
-    with pytest.raises(SeriesConvergenceError):
-        variance_le(table)
-    # the closed form has no such restriction
+    # the phase moments have no such restriction
     assert 0.0 < avg_loschmidt(table) <= 1.0
+    _assert_variance_matches_reference(table)
 
 
 def test_zero_temperature_series_terminates():
@@ -240,24 +293,13 @@ def test_smallquench_variance_agrees_with_series():
     assert float(np.max(np.abs(table.dtheta))) < 0.01
     full = variance_le(table)
     approx = smallquench_variance(table)
-    assert approx == pytest.approx(full, rel=0.01)
+    assert approx == pytest.approx(full, rel=0.01, abs=0.0)
 
 
 def test_variance_vanishes_without_quench():
     table = _table(h1=0.5, g1=0.25)
     assert variance_le(table) == pytest.approx(0.0, abs=1e-30)
     assert avg_loschmidt(table) == pytest.approx(1.0, rel=1e-14)
-
-
-def test_report_bundles_all_quantities():
-    table = _table(length=30, beta=5.0)
-    report = average_report(table)
-    assert report.mean_le == pytest.approx(avg_loschmidt(table), rel=1e-14)
-    assert report.mean_lef == pytest.approx(avg_linearized(table), rel=1e-14)
-    assert report.var_le == pytest.approx(variance_le(table), rel=1e-14)
-    assert report.smallquench_var == pytest.approx(smallquench_variance(table), rel=1e-14)
-    # the equilibrium ensemble's purity is exactly the averaged overlap echo
-    assert report.equilibrium_purity == report.mean_lef
 
 
 def test_monte_carlo_time_average_consistency():
@@ -270,3 +312,78 @@ def test_monte_carlo_time_average_consistency():
     mc = float(np.mean(np.exp(sample.z)))
     se = math.sqrt(variance_le(table) / 200_000)
     assert abs(mc - avg_loschmidt(table)) < 4.0 * se
+
+
+def _single_mode(c, m):
+    """A one-mode table with ``cinv = c`` and ``-b`` as close to ``m`` as rounds."""
+    table = _table(length=2)
+    c = np.array([c])
+    return dataclasses.replace(table, cinv=c, one_minus_cinv=1.0 - c,
+                               one_minus_cinv2=1.0 - c * c,
+                               alpha=np.array([m]) / (1.0 - c * c))
+
+
+def test_variance_matches_longdouble_reference_on_random_modes():
+    # a one-mode table's variance is that mode's v; m = (1 - c**2) alpha
+    # covers [0, 1], uniform and down to 1e-14, plus the edges of both
+    # branches and m = 1, where the closed form takes its limits
+    rng = np.random.default_rng(20260)
+    c = rng.uniform(0.0, 1.0, 300)
+    alpha = np.concatenate([rng.uniform(0.0, 1.0, 200), 10.0 ** rng.uniform(-14.0, 0.0, 100)])
+    cases = list(zip(c, (1.0 - c * c) * alpha))
+    cases += [(0.0, 0.0), (0.3, 0.0), (0.0, 1.0), (0.5, 0.75), (1e-13, 1.0),
+              (0.2, 0.5), (0.2, np.nextafter(0.5, 1.0)), (0.0, 1.0 - 1e-6),
+              (0.7, 0.5), (0.9, 1e-12)]
+    got, want = [], []
+    for ci, mi in cases:
+        table = _single_mode(ci, mi)
+        got.append(variance_le(table))
+        want.append(float(_variance_reference(table)))
+    assert max(-_single_mode(ci, mi).b[0] for ci, mi in cases) == 1.0
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_variance_matches_longdouble_reference_on_weak_quench():
+    # max m = 4e-14: the old series route lost 6e-2 relative here
+    table = _table(h0=0.5, h1=0.5, g0=0.25, g1=0.2499999, beta=10.0, length=80)
+    assert float(np.max(-table.b)) < 1e-13
+    _assert_variance_matches_reference(table)
+
+
+@pytest.mark.parametrize("h0, h1, beta, length", [
+    (0.99, 0.5, 20.0, 1000),
+    (0.99, 1.5, 20.0, 1000),
+    (0.2, 3.0, 2.0, 100),
+    (0.5, 1.5, 5.0, 100),
+])
+def test_variance_matches_longdouble_reference_at_strong_points(h0, h1, beta, length):
+    # modes with m near 0.9 and above, where the series did not converge
+    table = _table(h0=h0, h1=h1, g0=1.0, g1=1.0, beta=beta, length=length)
+    assert float(np.max(-table.b)) > 0.9
+    _assert_variance_matches_reference(table)
+
+
+@pytest.mark.parametrize("beta", [None, 60.0])
+def test_variance_at_unit_parameter(beta):
+    # both modes of L=4 have m = 1.0 exactly; each factor is
+    # ((1 + |cos|) / 2)**2 up to c ~ 1e-26, so the means are 1/2 and 3/8
+    table = _table(h0=0.0, h1=0.0, g0=1.0, g1=-1.0, beta=beta, length=4,
+                   zero_temperature=beta is None)
+    assert np.all(-table.b == 1.0)
+    assert variance_le(table) == pytest.approx(5.0 / 64.0, rel=1e-15, abs=0.0)
+    assert avg_loschmidt(table) == pytest.approx(0.25, rel=1e-15, abs=0.0)
+
+
+def test_variance_matches_monte_carlo_at_strong_quench(pinned):
+    from thermalecho import sample_logle
+
+    mc = pinned["monte_carlo"]
+    table = _table(h0=0.2, h1=3.0, g0=1.0, g1=1.0, beta=2.0, length=100)
+    n = 400_000
+    echo = np.exp(sample_logle(table, mc["tau_factor"] * 100.0**2, n, mc["seed"]).z)
+    empirical = float(np.var(echo, ddof=1))
+    centred = echo - np.mean(echo)
+    se = math.sqrt((float(np.mean(centred**4)) - empirical**2) / n)
+    analytic = variance_le(table)
+    assert analytic == pytest.approx(1.6746e-8, rel=1e-4, abs=0.0)
+    assert abs(empirical - analytic) < 3.0 * se

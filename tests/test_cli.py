@@ -55,11 +55,13 @@ TS_ARGS = ["timeseries", "--length", "24", "--tpoints", "9", "--tmax", "3",
 # a hot, long chain whose purity underflows and whose d_eff overflows
 HOT_TS_ARGS = ["timeseries", "--length", "4000", "--beta", "0.01", "--tpoints", "3"]
 
-# a strong quench whose variance series converges at beta=0.5 but not at 2
+# a strong quench where a variance series failed at beta=2 (a mode with
+# m = 0.903); the closed-form branch of the phase moments covers it
 SCAN_FAILING_ARGS = ["scan", "--length", "100", "--h0", "0.2", "--h1", "3.0",
                      "--gamma0", "1", "--gamma1", "1", "--sweep", "beta=0.5:2:2"]
-SCAN_WARNING = ("warning: variance series did not converge at {'beta': 2.0}: "
-                "mode k=2.042035 with b=-0.903211 did not converge in 200 terms")
+
+# a hot scan whose d_eff is finite at L=4 and overflows at L=4000
+SCAN_OVERFLOW_ARGS = ["scan", "--beta", "0.01", "--sweep", "length=4:4000:2"]
 
 
 def test_timeseries_outputs(tmp_path, monkeypatch):
@@ -147,16 +149,16 @@ def test_writer_rejects_ragged_columns(tmp_path):
 
 
 def _run_failing_scan(out, monkeypatch, capsys):
-    """Run ``SCAN_FAILING_ARGS`` as CSV and JSON; check the failed point is reported."""
+    """Run ``SCAN_FAILING_ARGS`` as CSV and JSON; check both variances are finite."""
     capsys.readouterr()
     assert _run(SCAN_FAILING_ARGS, out, monkeypatch) == 0
     assert _run(SCAN_FAILING_ARGS + ["--format", "json", "--output", "scan_json"],
                 out, monkeypatch) == 0
-    assert capsys.readouterr().err.count(SCAN_WARNING) == 2
-    var_le = [row[5] for row in _data_rows(out / "scan.csv")]
-    assert var_le[1] == "nan" and math.isfinite(float(var_le[0]))
+    assert "did not converge" not in capsys.readouterr().err
+    var_le = [float(row[5]) for row in _data_rows(out / "scan.csv")]
+    assert all(math.isfinite(v) and v > 0.0 for v in var_le)
     rows = json.loads((out / "scan_json.json").read_text())["rows"]
-    assert rows[1][5] is None and math.isfinite(rows[0][5])
+    assert [row[5] for row in rows] == var_le
 
 
 def test_reruns_are_byte_identical(tmp_path, monkeypatch, capsys):
@@ -446,7 +448,7 @@ def test_scan_cartesian_product(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("args, name", [
-    (SCAN_FAILING_ARGS + ["--format", "json"], "scan.json"),
+    (SCAN_OVERFLOW_ARGS + ["--format", "json"], "scan.json"),
     (HOT_TS_ARGS + ["--format", "json"], "timeseries.json"),
     (HOT_TS_ARGS, "timeseries.json"),
 ], ids=["scan", "timeseries", "timeseries-sidecar"])
@@ -457,9 +459,8 @@ def test_json_is_strict(args, name, tmp_path, monkeypatch, capsys):
     assert _run(args, tmp_path, monkeypatch) == 0
     payload = json.loads((tmp_path / name).read_text(), parse_constant=reject)
     if name == "scan.json":
-        assert SCAN_WARNING in capsys.readouterr().err
-        assert payload["columns"][5] == "var_le"
-        assert [row[5] is None for row in payload["rows"]] == [False, True]
+        assert payload["columns"][1] == "d_eff"
+        assert [row[1] is None for row in payload["rows"]] == [False, True]
         for row in payload["rows"]:
             assert row[-1] in {"DoublePeaked", "MergedSinglePeak", "Gaussian",
                                "Indeterminate"}

@@ -11,6 +11,7 @@ from scipy import integrate
 from scipy import special as sp
 
 from thermalecho import bessel_j0, elliptic_e
+from thermalecho.special import _elliptic_ek
 
 FIRST_J0_ZERO = 2.404825557695773
 
@@ -53,6 +54,21 @@ def test_elliptic_matches_scipy_on_grid():
     m = np.linspace(0.0, 0.999999, 4001)
     err = np.max(np.abs(elliptic_e(m) - sp.ellipe(m)))
     assert err < 1e-13
+
+
+def test_elliptic_k_matches_scipy_on_grid():
+    m = np.concatenate([np.linspace(0.0, 0.999999, 4001),
+                        1.0 - np.logspace(-6.0, -12.0, 61)])
+    e, k = _elliptic_ek(m)
+    assert np.array_equal(e, elliptic_e(m))
+    assert np.max(np.abs(k / sp.ellipk(m) - 1.0)) < 1e-14
+
+
+def test_elliptic_pair_takes_its_limits_at_one():
+    e, k = _elliptic_ek(np.array([0.0, 1.0, 0.5]))
+    assert e[1] == 1.0 and k[1] == math.inf
+    assert e[0] == k[0] == math.pi / 2.0
+    assert e[2] == elliptic_e(0.5)
 
 
 @pytest.mark.parametrize(
