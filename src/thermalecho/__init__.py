@@ -14,9 +14,10 @@ Layout:
 - :mod:`thermalecho.echo` evaluates echoes and bounds on time grids.
 - :mod:`thermalecho.averages` gives the infinite-time means and variance
   from per-mode phase moments.
-- :mod:`thermalecho.stats` samples, histograms, and classifies the log-echo.
+- :mod:`thermalecho.stats` gives the per-mode weights and the continuum bells,
+  and samples, histograms, and classifies the log-echo.
 - :mod:`thermalecho.oracle` is the dense cross-check plus qubit-level checks.
-- :mod:`thermalecho.special` holds the self-contained special functions.
+- :mod:`thermalecho.special` holds the elliptic-integral loop of the averages.
 - :mod:`thermalecho.verify` holds the verification suites shared by
   ``thermalecho verify`` and the acceptance gate.
 - :mod:`thermalecho.cli` is the command-line front end.
@@ -41,7 +42,6 @@ from .model import (
     mode_table,
     momenta,
 )
-from .special import bessel_j0, elliptic_e
 from .stats import (
     Classification,
     SampleSet,
@@ -51,9 +51,7 @@ from .stats import (
     bell_ising,
     bell_width_aniso,
     bell_width_ising,
-    char_fn,
     classify,
-    damping,
     histogram_peaks,
     sample_logle,
     weights,
@@ -74,14 +72,10 @@ __all__ = [
     "bell_ising",
     "bell_width_aniso",
     "bell_width_ising",
-    "bessel_j0",
-    "char_fn",
     "classify",
-    "damping",
     "echo_chains",
     "echo_point",
     "effective_dimension",
-    "elliptic_e",
     "histogram_peaks",
     "mode_table",
     "momenta",

@@ -143,7 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     wts.add_argument(
         "--bell", choices=_CHOICES["bell"],
-        help="add the continuum bell-curve column and its inflection width",
+        help="add the continuum bell-curve column and its inflection width "
+             "(ising: gamma0 = gamma1 = 1; aniso: h0 = h1 = 0)",
     )
     scan = sub.add_parser(
         "scan",
@@ -619,6 +620,13 @@ def cmd_distribution(cfg: RunConfig) -> int:
 
 
 def cmd_weights(cfg: RunConfig) -> int:
+    # each bell is the continuum limit of one single-parameter quench only
+    if cfg.bell == "ising" and not cfg.gamma0 == cfg.gamma1 == 1.0:
+        raise ValueError("--bell ising needs a field quench at gamma0 = gamma1 = 1, "
+                         f"got gamma0={cfg.gamma0}, gamma1={cfg.gamma1}")
+    if cfg.bell == "aniso" and not cfg.h0 == cfg.h1 == 0.0:
+        raise ValueError("--bell aniso needs an anisotropy quench at h0 = h1 = 0, "
+                         f"got h0={cfg.h0}, h1={cfg.h1}")
     params = _params_for(cfg)
     table = mode_table(params)
     spectrum = stats.weights(table, use_second_order=cfg.second_order)

@@ -25,18 +25,14 @@ __all__ = [
     "DIM_CAP",
     "DegenerateSpectrumError",
     "ExactEcho",
-    "GenericDamping",
     "InvalidStateError",
-    "PerturbationReport",
     "QFunctionScan",
     "QubitInequalityReport",
     "SpectralData",
     "build_quasifree",
     "bures_decomposition",
-    "damping_generic",
     "exact_le",
     "gibbs",
-    "perturbation_report",
     "perturbative_le",
     "perturbative_le_average",
     "q_function",
@@ -396,101 +392,6 @@ def _bures_metric(beta: float, s: SpectralData, dh_mat: np.ndarray, c: np.ndarra
     ds2_fr = float(np.sum(fr_terms))
     nonclassical = 0.5 * float(np.sum(c))
     return BuresMetric(ds2=ds2_fr / 4.0 + nonclassical, ds2_fr=ds2_fr, nonclassical=nonclassical)
-
-
-@dataclass(frozen=True)
-class GenericDamping:
-    """Thermal damping of the ground-state transition weights.
-
-    ``d_factors[n]`` multiplies the zero-temperature weight of the
-    transition from the ground state to level ``n``; entry 0 is zero by
-    convention.  The weight arrays are None when no couplings were given.
-    """
-
-    d_factors: np.ndarray
-    w_zero: np.ndarray | None
-    w_thermal: np.ndarray | None
-    chi_f: float | None
-
-
-def damping_generic(energies, beta: float, couplings=None) -> GenericDamping:
-    """Temperature damping factors for transitions out of the ground state.
-
-    Parameters
-    ----------
-    energies
-        Eigenvalues in ascending order.
-    beta
-        Inverse temperature, >= 0.
-    couplings
-        Optional matrix elements ``<n|V|0>`` aligned with the energies; when
-        given, the zero-temperature weights ``2 |V_n0|**2 / gap**2``, their
-        damped versions, and the fidelity susceptibility are included.
-
-    Raises
-    ------
-    DegenerateSpectrumError
-        If the ground state is degenerate (first gap at or below 1e-10).
-    """
-    e = np.asarray(energies, dtype=float)
-    if e.ndim != 1 or e.size < 2:
-        raise ValueError("energies must be a 1-d array with at least 2 levels")
-    if np.any(np.diff(e) < 0.0):
-        raise ValueError("energies must be ascending")
-    gap = e[1] - e[0]
-    if gap <= _GAP_TOL:
-        raise DegenerateSpectrumError(f"ground state degenerate: first gap {gap:.3e}")
-    p = _gibbs_weights(e, beta)
-    d = np.zeros_like(e)
-    d[1:] = (p[0] - p[1:]) ** 2 / (p[0] + p[1:])
-    w_zero = None
-    w_thermal = None
-    chi_f = None
-    if couplings is not None:
-        v = np.asarray(couplings)
-        if v.shape != e.shape:
-            raise ValueError("couplings must align with energies")
-        deltas = e[1:] - e[0]
-        w_zero = np.zeros_like(e)
-        w_zero[1:] = 2.0 * np.abs(v[1:]) ** 2 / deltas**2
-        w_thermal = d * w_zero
-        chi_f = float(np.sum(w_zero))
-    return GenericDamping(d_factors=d, w_zero=w_zero, w_thermal=w_thermal, chi_f=chi_f)
-
-
-@dataclass(frozen=True)
-class PerturbationReport:
-    """Everything second order about one small quench ``H0 -> H0 + V``."""
-
-    c_table: np.ndarray
-    w_thermal: np.ndarray
-    d_factors: np.ndarray
-    chi_f: float
-    ds2: float
-    ds2_fr: float
-    nonclassical: float
-    lbar_perturbative: float
-
-
-def perturbation_report(H0, V, beta: float) -> PerturbationReport:
-    """Assemble the full second-order picture of a small quench.
-
-    Combines the transition coefficient table, the ground-state weights and
-    their damping, the Bures metric split, and the averaged echo.
-    """
-    s0, v_mat, c = _perturbation_pieces(H0, V, beta)
-    metric = _bures_metric(beta, s0, v_mat, c)
-    damping = damping_generic(s0.energies, beta, couplings=v_mat[:, 0])
-    return PerturbationReport(
-        c_table=c,
-        w_thermal=2.0 * c[:, 0],
-        d_factors=damping.d_factors,
-        chi_f=damping.chi_f,
-        ds2=metric.ds2,
-        ds2_fr=metric.ds2_fr,
-        nonclassical=metric.nonclassical,
-        lbar_perturbative=1.0 - float(np.sum(c)),
-    )
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,12 @@ with weights ``a_k``, so its stationary distribution is controlled by the
 weight spectrum alone: a couple of dominant weights produce a two-peaked or
 merged distribution, many comparable weights produce a Gaussian.  This
 module computes the weights, samples the exact log-echo at uniform random
-times, detects histogram peaks, and classifies the resulting shape.
-Sampling reads the log-echo from :func:`echo.echo_point`, so it shares the
-echo kernel's log-space chunks and its one thread pool.
+times, detects histogram peaks, and classifies the resulting shape by a
+fixed rule whose one option is the histogram's bin count.  It also gives
+the continuum spectral bells that the weights of a pure field quench and of
+a zero-field anisotropy quench approach for long chains.  Sampling reads
+the log-echo from :func:`echo.echo_point`, so it shares the echo kernel's
+log-space chunks and its one thread pool.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import numpy as np
 
 from .echo import echo_point
 from .model import ModeTable
-from .special import bessel_j0
 
 __all__ = [
     "Classification",
@@ -31,14 +33,13 @@ __all__ = [
     "bell_ising",
     "bell_width_aniso",
     "bell_width_ising",
-    "char_fn",
     "classify",
-    "damping",
     "histogram_peaks",
     "sample_logle",
     "weights",
 ]
 
+# the peak finder's and the classifier's rule; only the bin count is an option
 DEFAULT_BINS = 200
 DEFAULT_SMOOTH_WINDOW = 5
 DEFAULT_PROMINENCE = 0.05
@@ -178,58 +179,20 @@ def sample_logle(table: ModeTable, tau: float, n_samples: int, seed: int) -> Sam
     return SampleSet(tau=float(tau), seed=int(seed), times=times, z=z)
 
 
-def char_fn(spectrum: WeightSpectrum, lam) -> np.ndarray | float:
-    """Characteristic function of the centered log-echo.
-
-    A product of Bessel functions, one per mode: ``prod J0(|lam * a_k|)``.
-    Real, equal to 1 at ``lam = 0``, and bounded by 1 in magnitude.
-    """
-    lam_arr = np.asarray(lam, dtype=float)
-    scalar = lam_arr.ndim == 0
-    lam_arr = np.atleast_1d(lam_arr)
-    if np.any(~np.isfinite(lam_arr)):
-        raise ValueError("lambda grid must be finite")
-    vals = bessel_j0(np.abs(np.multiply.outer(lam_arr, spectrum.a)))
-    out = np.prod(np.atleast_2d(vals), axis=-1)
-    return float(out[0]) if scalar else out
-
-
-def _freedman_diaconis_bins(values: np.ndarray) -> int:
-    q75, q25 = np.percentile(values, [75.0, 25.0])
-    iqr = q75 - q25
-    if iqr <= 0.0:
-        return DEFAULT_BINS
-    width = 2.0 * iqr / values.size ** (1.0 / 3.0)
-    span = float(np.ptp(values))
-    if width <= 0.0 or span <= 0.0:
-        return DEFAULT_BINS
-    return int(min(max(math.ceil(span / width), 10), 1000))
-
-
-def histogram_peaks(
-    values,
-    bins: int | None = DEFAULT_BINS,
-    window: int = DEFAULT_SMOOTH_WINDOW,
-    prominence: float = DEFAULT_PROMINENCE,
-) -> np.ndarray:
+def histogram_peaks(values, bins: int = DEFAULT_BINS) -> np.ndarray:
     """Locations of prominent peaks of a smoothed histogram.
 
-    The histogram is smoothed with a moving average; a bin is a peak when it
-    is a local maximum whose prominence (height above the higher of the two
-    flanking valleys) reaches the stated fraction of the tallest smoothed
-    bin.
+    The histogram of ``bins`` equal bins is smoothed with a moving average
+    over ``DEFAULT_SMOOTH_WINDOW`` bins; a bin is a peak when it is a local
+    maximum whose prominence (height above the higher of the two flanking
+    valleys) reaches ``DEFAULT_PROMINENCE`` times the tallest smoothed bin.
 
     Parameters
     ----------
     values
         Samples; at least one required.
     bins
-        Bin count; None picks the Freedman-Diaconis count clipped to
-        ``[10, 1000]``.
-    window
-        Moving-average width in bins.
-    prominence
-        Minimum prominence as a fraction of the maximum smoothed count.
+        Bin count.
 
     Returns
     -------
@@ -241,10 +204,8 @@ def histogram_peaks(
         raise ValueError("histogram_peaks needs at least one sample")
     if np.ptp(values) == 0.0:
         return np.empty(0)
-    if bins is None:
-        bins = _freedman_diaconis_bins(values)
     hist, edges = np.histogram(values, bins=bins)
-    kernel = np.ones(window) / window
+    kernel = np.ones(DEFAULT_SMOOTH_WINDOW) / DEFAULT_SMOOTH_WINDOW
     sm = np.convolve(hist.astype(float), kernel, mode="same")
     top = sm.max()
     centers = 0.5 * (edges[:-1] + edges[1:])
@@ -266,7 +227,7 @@ def histogram_peaks(
             j += 1
         if j >= sm.size:
             right_min = sm[i:].min()
-        if sm[i] - max(left_min, right_min) >= prominence * top:
+        if sm[i] - max(left_min, right_min) >= DEFAULT_PROMINENCE * top:
             out.append(centers[i])
     return np.asarray(out)
 
@@ -274,21 +235,18 @@ def histogram_peaks(
 def classify(
     spectrum: WeightSpectrum,
     samples: SampleSet | None = None,
-    r_star: float = DEFAULT_DOMINANCE_THRESHOLD,
-    gap_factor: float = DEFAULT_GAP_FACTOR,
-    bins: int | None = DEFAULT_BINS,
-    window: int = DEFAULT_SMOOTH_WINDOW,
-    prominence: float = DEFAULT_PROMINENCE,
+    bins: int = DEFAULT_BINS,
 ) -> Classification:
     """Classify the stationary distribution of the log-echo.
 
     The weight rule: with ``r`` the share of the two largest weights, the
-    shape is Gaussian when ``r <= r_star``; otherwise it is DoublePeaked
-    when the two leading weights differ by more than ``gap_factor`` times
-    the spread of the remaining weights, and MergedSinglePeak when they are
-    that close.  When samples are supplied, the histogram peak count must
-    agree (2 for DoublePeaked, 1 otherwise); a disagreement downgrades the
-    verdict to Indeterminate.
+    shape is Gaussian when ``r <= DEFAULT_DOMINANCE_THRESHOLD`` (0.6);
+    otherwise it is DoublePeaked when the two leading weights differ by more
+    than ``DEFAULT_GAP_FACTOR`` (3) times the spread of the remaining
+    weights, and MergedSinglePeak when they are that close.  When samples
+    are supplied, the peak count of their ``bins``-bin histogram (see
+    :func:`histogram_peaks`) must agree (2 for DoublePeaked, 1 otherwise);
+    a disagreement downgrades the verdict to Indeterminate.
 
     A quench with all weights zero has no distribution at all; it is
     reported as Indeterminate with ``degenerate=True``.
@@ -300,7 +258,7 @@ def classify(
     if total <= 0.0 or a_sorted[0] == 0.0:
         count = None
         if samples is not None:
-            count = int(histogram_peaks(samples.z, bins, window, prominence).size)
+            count = int(histogram_peaks(samples.z, bins).size)
         return Classification(
             label=ShapeLabel.INDETERMINATE,
             dominance=0.0,
@@ -317,8 +275,8 @@ def classify(
     dominance = (a1 + a2) / total
     rest = a_sorted[2:]
     sigma_rest = math.sqrt(0.5 * float(np.sum(rest**2)))
-    if dominance > r_star:
-        if gap > gap_factor * sigma_rest:
+    if dominance > DEFAULT_DOMINANCE_THRESHOLD:
+        if gap > DEFAULT_GAP_FACTOR * sigma_rest:
             label = ShapeLabel.DOUBLE_PEAKED
         else:
             label = ShapeLabel.MERGED_SINGLE_PEAK
@@ -328,7 +286,7 @@ def classify(
     count = None
     positions: tuple[float, ...] = ()
     if samples is not None:
-        found = histogram_peaks(samples.z, bins, window, prominence)
+        found = histogram_peaks(samples.z, bins)
         positions = tuple(float(p) for p in found)
         count = int(found.size)
         expected = 2 if label is ShapeLabel.DOUBLE_PEAKED else 1
@@ -346,26 +304,11 @@ def classify(
     )
 
 
-def damping(omega, temperature: float, m: int = 1) -> np.ndarray | float:
-    """Thermal damping factor ``1 - cosh(omega / T)**-m``.
-
-    Descriptive form of the per-mode factors ``1 - cinv**m``; the exact
-    tables use the latter.  ``m`` must be 1 or 2; temperature positive.
-    """
-    if m not in (1, 2):
-        raise ValueError(f"m must be 1 or 2, got {m}")
-    if not (temperature > 0.0):
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    x = np.abs(np.asarray(omega, dtype=float)) / temperature
-    # 1 - sech(x) and 1 - sech(x)**2 without cancellation
-    out = np.tanh(x) * np.tanh(0.5 * x) if m == 1 else np.tanh(x) ** 2
-    return float(out) if out.ndim == 0 else out
-
-
 def bell_ising(omega, h0: float, dh: float) -> np.ndarray | float:
-    """Spectral bell of a transverse-field quench at fixed anisotropy.
+    """Spectral bell of a transverse-field quench at ``gamma0 = gamma1 = 1``.
 
-    Supported on ``[|1 - h0|, |1 + h0|]`` with zeros at both edges.
+    Supported on ``[|1 - h0|, |1 + h0|]``, the band of that dispersion,
+    with zeros at both edges.
 
     Raises
     ------

@@ -1,0 +1,224 @@
+"""Reference routes that only the tests use.
+
+None of these runs in any ``thermalecho`` command; they back acceptance
+criteria 07, 09 and 11 and the unit tests that pin them.  The Bessel
+function and the characteristic function built on it give the analytic
+log-echo distribution of a weak quench; the generic damping factors and the
+perturbation report are the dense, second-order picture of one small
+quench; ``elliptic_e`` is the checked scalar-or-array wrapper around the
+AGM loop that :mod:`thermalecho.averages` runs, so testing it tests that
+loop.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from thermalecho import oracle
+from thermalecho.special import _elliptic_ek
+from thermalecho.stats import WeightSpectrum
+
+_J0_SERIES_CUTOFF = 13.0
+_J0_ASYMPTOTIC_TERMS = 18
+
+
+def elliptic_e(m) -> np.ndarray | float:
+    """Complete elliptic integral of the second kind, parameter convention.
+
+    ``E(m) = integral_0^{pi/2} sqrt(1 - m sin(t)**2) dt`` from the library's
+    AGM loop, good to about 1e-14 over ``[0, 1)``.
+
+    Raises
+    ------
+    ValueError
+        If any entry of ``m`` lies outside ``[0, 1)``.
+    """
+    m_arr = np.asarray(m, dtype=float)
+    scalar = m_arr.ndim == 0
+    m_arr = np.atleast_1d(m_arr)
+    if np.any(~np.isfinite(m_arr)) or np.any(m_arr < 0.0) or np.any(m_arr >= 1.0):
+        raise ValueError("elliptic_e requires 0 <= m < 1")
+    out = _elliptic_ek(m_arr)[0]
+    return float(out[0]) if scalar else out
+
+
+def _j0_series(x: np.ndarray) -> np.ndarray:
+    # power series in q = x^2/4; at |x| <= 13 the largest term is ~1e4,
+    # so cancellation costs at most ~1e-12 absolute
+    q = 0.25 * x * x
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    for mm in range(1, 60):
+        term = term * (-q) / (mm * mm)
+        total = total + term
+        if np.all(np.abs(term) <= 1e-18):
+            break
+    return total
+
+
+def _j0_asymptotic(x: np.ndarray) -> np.ndarray:
+    # Hankel expansion: J0 = sqrt(2/(pi x)) (P cos(x - pi/4) - Q sin(x - pi/4));
+    # truncated before the divergent tail matters (terms ~ (m/x)^m, x > 13)
+    p = np.ones_like(x)
+    q = np.zeros_like(x)
+    am = np.ones_like(x)
+    for mm in range(1, _J0_ASYMPTOTIC_TERMS):
+        am = am * (-((2 * mm - 1) ** 2)) / (8.0 * mm * x)
+        contrib = am if (mm // 2) % 2 == 0 else -am
+        if mm % 2:
+            q = q + contrib
+        else:
+            p = p + contrib
+    chi = x - 0.25 * math.pi
+    return np.sqrt(2.0 / (math.pi * x)) * (p * np.cos(chi) - q * np.sin(chi))
+
+
+def bessel_j0(x) -> np.ndarray | float:
+    """Bessel function of the first kind of order zero, to about 1e-11.
+
+    Power series below ``|x| = 13``, Hankel asymptotics above; the two
+    branches agree to ~1e-12 at the crossover.  Any finite real argument.
+    """
+    x_arr = np.asarray(x, dtype=float)
+    scalar = x_arr.ndim == 0
+    x_arr = np.abs(np.atleast_1d(x_arr))
+    if np.any(~np.isfinite(x_arr)):
+        raise ValueError("bessel_j0 requires finite arguments")
+    out = np.empty_like(x_arr)
+    small = x_arr <= _J0_SERIES_CUTOFF
+    if np.any(small):
+        out[small] = _j0_series(x_arr[small])
+    if np.any(~small):
+        out[~small] = _j0_asymptotic(x_arr[~small])
+    return float(out[0]) if scalar else out
+
+
+def char_fn(spectrum: WeightSpectrum, lam) -> np.ndarray | float:
+    """Characteristic function of the centered log-echo.
+
+    A product of Bessel functions, one per mode: ``prod J0(|lam * a_k|)``.
+    Real, equal to 1 at ``lam = 0``, and bounded by 1 in magnitude.
+    """
+    lam_arr = np.asarray(lam, dtype=float)
+    scalar = lam_arr.ndim == 0
+    lam_arr = np.atleast_1d(lam_arr)
+    if np.any(~np.isfinite(lam_arr)):
+        raise ValueError("lambda grid must be finite")
+    vals = bessel_j0(np.abs(np.multiply.outer(lam_arr, spectrum.a)))
+    out = np.prod(np.atleast_2d(vals), axis=-1)
+    return float(out[0]) if scalar else out
+
+
+def damping(omega, temperature: float, m: int = 1) -> np.ndarray | float:
+    """Thermal damping factor ``1 - cosh(omega / T)**-m``.
+
+    Descriptive form of the per-mode factors ``1 - cinv**m``; the exact
+    tables use the latter.  ``m`` must be 1 or 2; temperature positive.
+    """
+    if m not in (1, 2):
+        raise ValueError(f"m must be 1 or 2, got {m}")
+    if not (temperature > 0.0):
+        raise ValueError(f"temperature must be positive, got {temperature}")
+    x = np.abs(np.asarray(omega, dtype=float)) / temperature
+    # 1 - sech(x) and 1 - sech(x)**2 without cancellation
+    out = np.tanh(x) * np.tanh(0.5 * x) if m == 1 else np.tanh(x) ** 2
+    return float(out) if out.ndim == 0 else out
+
+
+@dataclass(frozen=True)
+class GenericDamping:
+    """Thermal damping of the ground-state transition weights.
+
+    ``d_factors[n]`` multiplies the zero-temperature weight of the
+    transition from the ground state to level ``n``; entry 0 is zero by
+    convention.  The weight arrays are None when no couplings were given.
+    """
+
+    d_factors: np.ndarray
+    w_zero: np.ndarray | None
+    w_thermal: np.ndarray | None
+    chi_f: float | None
+
+
+def damping_generic(energies, beta: float, couplings=None) -> GenericDamping:
+    """Temperature damping factors for transitions out of the ground state.
+
+    Parameters
+    ----------
+    energies
+        Eigenvalues in ascending order.
+    beta
+        Inverse temperature, >= 0.
+    couplings
+        Optional matrix elements ``<n|V|0>`` aligned with the energies; when
+        given, the zero-temperature weights ``2 |V_n0|**2 / gap**2``, their
+        damped versions, and the fidelity susceptibility are included.
+
+    Raises
+    ------
+    DegenerateSpectrumError
+        If the ground state is degenerate (first gap at or below 1e-10).
+    """
+    e = np.asarray(energies, dtype=float)
+    if e.ndim != 1 or e.size < 2:
+        raise ValueError("energies must be a 1-d array with at least 2 levels")
+    if np.any(np.diff(e) < 0.0):
+        raise ValueError("energies must be ascending")
+    gap = e[1] - e[0]
+    if gap <= oracle._GAP_TOL:
+        raise oracle.DegenerateSpectrumError(f"ground state degenerate: first gap {gap:.3e}")
+    p = oracle._gibbs_weights(e, beta)
+    d = np.zeros_like(e)
+    d[1:] = (p[0] - p[1:]) ** 2 / (p[0] + p[1:])
+    w_zero = None
+    w_thermal = None
+    chi_f = None
+    if couplings is not None:
+        v = np.asarray(couplings)
+        if v.shape != e.shape:
+            raise ValueError("couplings must align with energies")
+        deltas = e[1:] - e[0]
+        w_zero = np.zeros_like(e)
+        w_zero[1:] = 2.0 * np.abs(v[1:]) ** 2 / deltas**2
+        w_thermal = d * w_zero
+        chi_f = float(np.sum(w_zero))
+    return GenericDamping(d_factors=d, w_zero=w_zero, w_thermal=w_thermal, chi_f=chi_f)
+
+
+@dataclass(frozen=True)
+class PerturbationReport:
+    """Everything second order about one small quench ``H0 -> H0 + V``."""
+
+    c_table: np.ndarray
+    w_thermal: np.ndarray
+    d_factors: np.ndarray
+    chi_f: float
+    ds2: float
+    ds2_fr: float
+    nonclassical: float
+    lbar_perturbative: float
+
+
+def perturbation_report(H0, V, beta: float) -> PerturbationReport:
+    """Assemble the full second-order picture of a small quench.
+
+    Combines the transition coefficient table, the ground-state weights and
+    their damping, the Bures metric split, and the averaged echo, all from
+    one diagonalisation of ``H0``.
+    """
+    s0, v_mat, c = oracle._perturbation_pieces(H0, V, beta)
+    metric = oracle._bures_metric(beta, s0, v_mat, c)
+    generic = damping_generic(s0.energies, beta, couplings=v_mat[:, 0])
+    return PerturbationReport(
+        c_table=c,
+        w_thermal=2.0 * c[:, 0],
+        d_factors=generic.d_factors,
+        chi_f=generic.chi_f,
+        ds2=metric.ds2,
+        ds2_fr=metric.ds2_fr,
+        nonclassical=metric.nonclassical,
+        lbar_perturbative=1.0 - float(np.sum(c)),
+    )

@@ -415,6 +415,19 @@ def test_weights_bell_columns(tmp_path, monkeypatch):
     assert summary["bell"]["width"] == pytest.approx(0.18232, abs=1e-4)
 
 
+@pytest.mark.parametrize("args, condition", [
+    (["--h0", "0.9", "--h1", "1.0", "--gamma0", "1", "--gamma1", "0.5", "--bell", "ising"],
+     "gamma0 = gamma1 = 1"),
+    (["--h0", "0", "--h1", "0.3", "--gamma0", "0.3", "--gamma1", "0.35", "--bell", "aniso"],
+     "h0 = h1 = 0"),
+], ids=["ising", "aniso"])
+def test_weights_bell_rejects_mixed_quench(args, condition, tmp_path, monkeypatch, capsys):
+    # each bell describes one single-parameter quench; a second change is an error
+    assert _run(["weights", *args], tmp_path, monkeypatch) == 1
+    assert condition in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_weights_second_order_flag(tmp_path, monkeypatch):
     args = ["weights", "--length", "12", "--gamma1", "0.2495", "--second-order"]
     assert _run(args, tmp_path, monkeypatch) == 0

@@ -15,10 +15,8 @@ from thermalecho.oracle import (
     InvalidStateError,
     bures_decomposition,
     build_quasifree,
-    damping_generic,
     exact_le,
     gibbs,
-    perturbation_report,
     perturbative_le,
     perturbative_le_average,
     q_function,
@@ -28,6 +26,7 @@ from thermalecho.oracle import (
     spectral,
     uhlmann,
 )
+from reference import damping_generic, perturbation_report
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])

