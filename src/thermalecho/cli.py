@@ -565,9 +565,16 @@ def cmd_distribution(cfg: RunConfig) -> int:
         [float(T) for T in cfg.temperatures] if cfg.temperatures else [None]
     )
     base = _base(cfg, "distribution")
+    # each rung's CSV files are named by its tag, so no two rungs may share one
+    rungs = [(temperature, _params_for(cfg, temperature)) for temperature in ladder]
+    tags = [_temperature_tag(temperature, params) for temperature, params in rungs]
+    for i, tag in enumerate(tags):
+        if tag in tags[:i]:
+            raise ValueError(
+                f"temperatures {ladder[tags.index(tag)]!r} and {ladder[i]!r} share the "
+                f"file tag {tag}; rungs must differ in their first 6 significant digits")
     entries = []
-    for temperature in ladder:
-        params = _params_for(cfg, temperature)
+    for (temperature, params), tag in zip(rungs, tags):
         table = mode_table(params)
         tau = cfg.tau_factor * params.length**2
         sample = stats.sample_logle(table, tau, cfg.samples, cfg.seed)
@@ -578,7 +585,6 @@ def cmd_distribution(cfg: RunConfig) -> int:
                 "warning: quench has zero variance; no distribution to classify",
                 file=sys.stderr,
             )
-        tag = _temperature_tag(temperature, params)
         hist, edges = np.histogram(sample.z, bins=cfg.bins)
         entry = {
             "temperature": temperature,
@@ -641,20 +647,16 @@ def cmd_weights(cfg: RunConfig) -> int:
     verdict = stats.classify(spectrum)
     summary["label"] = verdict.label.value
     summary["dominance"] = verdict.dominance
-    if cfg.bell == "ising":
-        dh = cfg.h1 - cfg.h0
-        bell = stats.bell_ising(table.lam0, cfg.h0, dh)
-        width = stats.bell_width_ising(cfg.h0, dh if dh != 0.0 else 1.0)
+    if cfg.bell is not None:
+        if cfg.bell == "ising":
+            bell = stats.bell_ising(table.lam0, cfg.h0, cfg.h1 - cfg.h0)
+            width = stats.bell_width_ising(cfg.h0)
+        else:
+            bell = stats.bell_aniso(table.lam0, cfg.gamma0, cfg.gamma1 - cfg.gamma0)
+            width = stats.bell_width_aniso(cfg.gamma0)
         header += ["bell", "bell_width"]
         columns += [bell, np.full_like(spectrum.k, width)]
-        summary["bell"] = {"kind": "ising", "width": width}
-    elif cfg.bell == "aniso":
-        dgamma = cfg.gamma1 - cfg.gamma0
-        bell = stats.bell_aniso(table.lam0, cfg.gamma0, dgamma)
-        width = stats.bell_width_aniso(cfg.gamma0, dgamma if dgamma != 0.0 else 1.0)
-        header += ["bell", "bell_width"]
-        columns += [bell, np.full_like(spectrum.k, width)]
-        summary["bell"] = {"kind": "aniso", "width": width}
+        summary["bell"] = {"kind": cfg.bell, "width": width}
     _write_table(cfg, "weights", header, columns, summary)
     return EXIT_OK
 

@@ -3,15 +3,16 @@
 The echo factorizes over momentum modes.  Every quantity here (the echo,
 the linear overlap echo and both bounds) is a product over modes of the
 same factors ``1 - (1 - cinv**2) * alpha * sin(lam1 t)**2``, so one private
-kernel evaluates them all, and :func:`echo_point` returns them all, with
-the log of the echo, from one pass over a table.  The kernel always works
-in log space, since products of many sub-unit factors underflow for long
-chains, and it walks the times in chunks of fixed byte size, so memory
-does not grow with the number of times.  When there is more than one chunk
-the chunks are spread over one thread pool of ``THERMALECHO_THREADS``
-workers (default: the CPU count); chunk boundaries do not depend on the
-thread count, so neither do the results.  Many short chains are evaluated
-as one stack of modes (:func:`echo_chains`) by the same factor arithmetic.
+kernel evaluates them all.  It takes a block of equal-length chains, one
+row of mode columns per chain and one column of times per chain: a single
+table is the one-chain block of :func:`echo_point`, and :func:`echo_chains`
+evaluates many chains as blocks of one length, so both give the same bits.
+The kernel always works in log space, since products of many sub-unit
+factors underflow for long chains, and it walks the times in chunks of
+fixed byte size, so memory does not grow with the number of times.  When
+there is more than one chunk the chunks are spread over one thread pool of
+``THERMALECHO_THREADS`` workers (default: the CPU count); chunk boundaries
+do not depend on the thread count, so neither do the results.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModeTable, QuenchParams, _stacked_columns
+from .model import ModeTable, QuenchParams, _beta, _columns, momenta
 
 __all__ = [
     "EchoPoint",
@@ -39,8 +40,8 @@ _CLAMP_SLACK = 1e-15
 # float64 scratch per (chunk x n_modes) buffer; the value only affects speed
 _CHUNK_BYTES = 4 << 20
 
-# modes per group of stacked chains: 64 KiB per column, so the group's
-# twenty-odd per-mode columns stay well inside one chunk
+# modes per block of equal-length chains: 64 KiB per column, so the block's
+# per-mode columns stay well inside one chunk
 _GROUP_MODES = _CHUNK_BYTES // (8 * 64)
 
 # worker count when THERMALECHO_THREADS is unset; looked up once, not per call
@@ -94,29 +95,24 @@ def _thread_count() -> int:
         raise ValueError(f"THERMALECHO_THREADS must be an integer, got {raw!r}") from None
 
 
-def _factor_consts(cinv: np.ndarray, one_minus_cinv2: np.ndarray, alpha: np.ndarray):
-    """Per-mode ``(cinv, coef, floor, lowest, norm)`` for :func:`_log_factors`."""
-    floor = cinv**2
-    return cinv, one_minus_cinv2 * alpha, floor, floor - _CLAMP_SLACK, 1.0 + cinv
-
-
-def _log_factors(a: np.ndarray, logs: np.ndarray, consts) -> None:
+def _log_factors(a: np.ndarray, logs: np.ndarray, coef, cinv) -> None:
     """Turn the phases ``a = t * lam1`` into per-mode log factors, in place.
 
-    The columns of ``a`` are modes, and each of ``consts`` (from
-    :func:`_factor_consts`) holds one value per column.  On return ``logs`` holds
-    ``log(arg)`` with ``arg = 1 - coef * sin(a)**2`` clamped to its analytic
-    floor ``cinv**2``, and ``a`` holds ``log((cinv + sqrt(arg)) / norm)``.
-    An excursion of ``arg`` below the floor beyond rounding dust means the
-    table is inconsistent and raises ``FloatingPointError``.  ``arg``
-    cannot exceed 1, since the term it subtracts is a product of squares.
+    The last axes of ``a`` are chains and modes, and ``coef = (1 - cinv**2)
+    * alpha`` and ``cinv`` hold one value per chain and mode.  On return
+    ``logs`` holds ``log(arg)`` with ``arg = 1 - coef * sin(a)**2`` clamped
+    to its analytic floor ``cinv**2``, and ``a`` holds ``log((cinv +
+    sqrt(arg)) / (1 + cinv))``.  An excursion of ``arg`` below the floor
+    beyond rounding dust means the table is inconsistent and raises
+    ``FloatingPointError``.  ``arg`` cannot exceed 1, since the term it
+    subtracts is a product of squares.
     """
-    cinv, coef, floor, lowest, norm = consts
+    floor = cinv**2
     np.sin(a, out=a)
     np.square(a, out=a)
     np.multiply(a, coef, out=a)
     np.subtract(1.0, a, out=a)
-    if not (a.min(axis=0) > lowest).all():
+    if not (a.min(axis=0) > floor - _CLAMP_SLACK).all():
         raise FloatingPointError(
             "echo factor fell below its floor cinv**2; the mode table is inconsistent"
         )
@@ -125,36 +121,41 @@ def _log_factors(a: np.ndarray, logs: np.ndarray, consts) -> None:
         np.log(a, out=logs)
         np.sqrt(a, out=a)
         np.add(a, cinv, out=a)
-        np.divide(a, norm, out=a)
+        np.divide(a, 1.0 + cinv, out=a)
         np.log(a, out=a)
 
 
-def _kernel(table: ModeTable, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-time ``(log_le, log_core)`` over a 1-D time array.
+def _kernel(lam1, alpha, cinv, one_minus_cinv2, t: np.ndarray):
+    """``(log_le, log_core, log_purity)`` of a block of equal-length chains.
 
-    ``log_core`` is the sum over modes of ``log(arg)`` and ``log_le`` twice
-    the sum of ``log((cinv + sqrt(arg)) / (1 + cinv))``; see
-    :func:`_log_factors`.
+    The columns are ``(chains, modes)`` arrays as :func:`model._columns`
+    builds them (one chain may pass its ``(modes,)`` table columns), and
+    ``t`` is ``(times, chains)``: column ``i`` holds the times of chain
+    ``i``.  ``log_core`` is the sum over a chain's modes of ``log(arg)`` and
+    ``log_le`` twice the sum of ``log((cinv + sqrt(arg)) / (1 + cinv))``
+    (see :func:`_log_factors`), both shaped like ``t``; ``log_purity`` is
+    ``-2`` times the sum of ``log1p(cinv)``, one per chain.
     """
-    n_modes = table.n_modes
-    rows = max(1, _CHUNK_BYTES // (8 * n_modes))
-    starts = range(0, t.size, rows)
+    n_times, n_chains = t.shape
+    n_modes = lam1.shape[-1]
+    rows = max(1, _CHUNK_BYTES // (8 * n_chains * n_modes))
+    starts = range(0, n_times, rows)
     n_workers = min(_thread_count(), len(starts))
-    consts = _factor_consts(table.cinv, table.one_minus_cinv2, table.alpha)
-    log_le = np.empty(t.size)
-    log_core = np.empty(t.size)
+    coef = one_minus_cinv2 * alpha
+    log_le = np.empty(t.shape)
+    log_core = np.empty(t.shape)
 
     def work(first: int) -> None:
-        arg = np.empty((min(rows, t.size), n_modes))
+        arg = np.empty((min(rows, n_times), n_chains, n_modes))
         logs = np.empty_like(arg)
         for start in starts[first::n_workers]:
-            stop = min(start + rows, t.size)
+            stop = min(start + rows, n_times)
             a = arg[: stop - start]
             b = logs[: stop - start]
-            np.multiply.outer(t[start:stop], table.lam1, out=a)
-            _log_factors(a, b, consts)
-            np.add.reduce(b, axis=1, out=log_core[start:stop])
-            np.add.reduce(a, axis=1, out=log_le[start:stop])
+            np.multiply(t[start:stop, :, None], lam1, out=a)
+            _log_factors(a, b, coef, cinv)
+            np.add.reduce(b, axis=-1, out=log_core[start:stop])
+            np.add.reduce(a, axis=-1, out=log_le[start:stop])
 
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
@@ -162,7 +163,7 @@ def _kernel(table: ModeTable, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     elif n_workers == 1:
         work(0)
     log_le *= 2.0
-    return log_le, log_core
+    return log_le, log_core, -2.0 * np.add.reduce(np.log1p(cinv), axis=-1)
 
 
 def effective_dimension(table: ModeTable) -> EffectiveDimension:
@@ -178,8 +179,9 @@ def effective_dimension(table: ModeTable) -> EffectiveDimension:
     return EffectiveDimension(d_eff=d_eff, purity=purity, log_purity=log_purity)
 
 
-def _point(t, log_le, log_core, purity, shaped=np.asarray) -> EchoPoint:
-    """Assemble an :class:`EchoPoint` from the kernel sums and the purity."""
+def _point(t, log_le, log_core, log_purity, shaped=np.asarray) -> EchoPoint:
+    """Assemble an :class:`EchoPoint` from the kernel sums."""
+    purity = np.exp(log_purity)
     core = np.exp(log_core)
     lef = purity * core
     return EchoPoint(
@@ -202,41 +204,28 @@ def echo_point(table: ModeTable, t) -> EchoPoint:
     t_arr = np.asarray(t, dtype=float)
     if not np.isfinite(t_arr).all():
         raise ValueError("times must be finite")
-    log_le, log_core = _kernel(table, t_arr.reshape(-1))
+    sums = _kernel(table.lam1, table.alpha, table.cinv, table.one_minus_cinv2,
+                   t_arr.reshape(-1, 1))
 
     def shaped(values: np.ndarray):
         out = values.reshape(t_arr.shape)
         return float(out) if t_arr.ndim == 0 else out
 
-    return _point(t_arr, log_le, log_core, effective_dimension(table).purity, shaped)
-
-
-def _chain_groups(counts):
-    """``(first, stop)`` runs of consecutive chains with at most ``_GROUP_MODES``
-    modes in all; a longer chain is a group of its own."""
-    first = total = 0
-    for i, n in enumerate(counts):
-        if total and total + n > _GROUP_MODES:
-            yield first, i
-            first, total = i, 0
-        total += n
-    if total:
-        yield first, len(counts)
+    return _point(t_arr, *sums, shaped)
 
 
 def echo_chains(chains: Sequence[QuenchParams], t) -> EchoPoint:
-    """Echo quantities of many chains, each at its own times, in one stacked pass.
+    """Echo quantities of many chains, each at its own times.
 
     ``t`` has shape ``(len(chains), n_times)``: row ``i`` holds the times of
     ``chains[i]``, and every field of the result has that shape.  Entry
-    ``[i, j]`` is ``echo_point(mode_table(chains[i]), t[i, j])`` up to the
-    order of the sums over modes, so the two agree to the last bits.
+    ``[i, j]`` is bit for bit ``echo_point(mode_table(chains[i]), t[i, j])``.
 
-    Consecutive chains are stacked into groups of at most about 8k modes,
-    whose per-mode arrays are built and evaluated at once and summed per
-    chain with ``np.add.reduceat``.  The scratch memory does not grow with
-    the number of chains, and the groups depend only on the chain lengths,
-    so the results do not depend on the thread count.
+    Chains of one length share blocks of at most ``_GROUP_MODES`` modes in
+    all, whose columns are built and evaluated at once by the one kernel.
+    The scratch memory does not grow with the number of chains, and neither
+    the blocks nor the kernel's time chunks depend on the thread count, so
+    neither do the results.
     """
     t_arr = np.asarray(t, dtype=float)
     if t_arr.ndim != 2 or t_arr.shape[0] != len(chains):
@@ -244,24 +233,21 @@ def echo_chains(chains: Sequence[QuenchParams], t) -> EchoPoint:
             f"times must have shape ({len(chains)}, n_times), got {t_arr.shape}")
     if not np.isfinite(t_arr).all():
         raise ValueError("times must be finite")
+    lengths = np.array([p.length for p in chains], dtype=int)
+    values = np.array([(p.h0, p.h1, p.gamma0, p.gamma1, _beta(p)) for p in chains],
+                      dtype=float).reshape(-1, 5)
     log_le = np.empty(t_arr.shape)
     log_core = np.empty(t_arr.shape)
     log_purity = np.empty(len(chains))
-    for first, stop in _chain_groups([p.length // 2 for p in chains]):
-        starts, cols = _stacked_columns(chains[first:stop])
-        consts = _factor_consts(cols["cinv"], cols["one_minus_cinv2"], cols["alpha"])
-        n_modes = cols["lam1"].size
-        owner = np.repeat(np.arange(stop - first), np.diff(starts, append=n_modes))
-        times = np.ascontiguousarray(t_arr[first:stop].T)
-        rows = max(1, _CHUNK_BYTES // (8 * n_modes))
-        for row in range(0, t_arr.shape[1], rows):
-            a = times[row : row + rows][:, owner]
-            np.multiply(a, cols["lam1"], out=a)
-            logs = np.empty_like(a)
-            _log_factors(a, logs, consts)
-            cells = (slice(first, stop), slice(row, row + rows))
-            log_core[cells] = np.add.reduceat(logs, starts, axis=1).T
-            log_le[cells] = np.add.reduceat(a, starts, axis=1).T
-        log_purity[first:stop] = -2.0 * np.add.reduceat(np.log1p(cols["cinv"]), starts)
-    log_le *= 2.0
-    return _point(t_arr, log_le, log_core, np.exp(log_purity)[:, None])
+    for length in np.unique(lengths).tolist():
+        k = momenta(length)
+        same = np.flatnonzero(lengths == length)
+        per_block = max(1, _GROUP_MODES // k.size)
+        for first in range(0, same.size, per_block):
+            block = same[first : first + per_block]
+            cols = _columns(k, *values[block].T[:, :, None])
+            sums = _kernel(cols["lam1"], cols["alpha"], cols["cinv"],
+                           cols["one_minus_cinv2"], t_arr[block].T)
+            log_le[block], log_core[block] = sums[0].T, sums[1].T
+            log_purity[block] = sums[2]
+    return _point(t_arr, log_le, log_core, log_purity[:, None])

@@ -75,12 +75,7 @@ def momenta(length: int) -> np.ndarray:
         raise ValueError(f"length must be an int, got {length!r}")
     if length < 2 or length % 2:
         raise ValueError(f"length must be even and >= 2, got {length}")
-    return _momenta(np.arange(length // 2), length)
-
-
-def _momenta(n, length) -> np.ndarray:
-    """Momentum ``(2n + 1) pi / L`` of mode ``n``; scalars or per-mode arrays."""
-    return (2.0 * n + 1.0) * math.pi / length
+    return (2.0 * np.arange(length // 2) + 1.0) * math.pi / length
 
 
 def _components(h, gamma, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -150,9 +145,10 @@ class ModeTable:
 def _columns(k: np.ndarray, h0, h1, gamma0, gamma1, beta) -> dict:
     """The per-mode arrays of a :class:`ModeTable`, keyed by field name.
 
-    Every argument is a scalar or an array over the modes in ``k``, so
-    consecutive chains can be built as one stack; ``beta = inf`` is the
-    ground state.
+    Each quench parameter is a scalar for one chain, or a ``(chains, 1)``
+    array that broadcasts against the momenta ``k`` of one chain length, so
+    a block of equal-length chains is built at once as ``(chains, modes)``
+    columns; ``beta = inf`` is the ground state.
     """
     lam0, theta0 = _components(h0, gamma0, k)
     lam1, theta1 = _components(h1, gamma1, k)
@@ -186,17 +182,3 @@ def mode_table(params: QuenchParams) -> ModeTable:
     return ModeTable(params=params, **_columns(
         k, params.h0, params.h1, params.gamma0, params.gamma1, _beta(params)))
 
-
-def _stacked_columns(chains) -> tuple[np.ndarray, dict]:
-    """Columns of consecutive chains, concatenated, and each chain's first row.
-
-    ``chains`` is a sequence of :class:`QuenchParams`; every value is the
-    same as in ``mode_table`` of that chain.
-    """
-    counts = np.array([p.length // 2 for p in chains], dtype=np.intp)
-    starts = np.cumsum(counts) - counts
-    values = np.array(
-        [(p.length, p.h0, p.h1, p.gamma0, p.gamma1, _beta(p)) for p in chains], dtype=float)
-    length, h0, h1, gamma0, gamma1, beta = np.repeat(values.T, counts, axis=1)
-    k = _momenta(np.arange(counts.sum()) - np.repeat(starts, counts), length)
-    return starts, _columns(k, h0, h1, gamma0, gamma1, beta)

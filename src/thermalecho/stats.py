@@ -74,7 +74,6 @@ class WeightSpectrum:
     damping: np.ndarray
     damping_f: np.ndarray
     second_order: bool
-    length: int
 
     @property
     def zbar(self) -> float:
@@ -146,7 +145,6 @@ def weights(table: ModeTable, use_second_order: bool = False) -> WeightSpectrum:
         damping=table.one_minus_cinv.copy(),
         damping_f=table.one_minus_cinv2.copy(),
         second_order=use_second_order,
-        length=table.length,
     )
 
 
@@ -218,15 +216,11 @@ def histogram_peaks(values, bins: int = DEFAULT_BINS) -> np.ndarray:
         while j >= 0 and sm[j] <= sm[i]:
             left_min = min(left_min, sm[j])
             j -= 1
-        if j < 0:
-            left_min = sm[: i + 1].min()
         j = i + 1
         right_min = sm[i]
         while j < sm.size and sm[j] <= sm[i]:
             right_min = min(right_min, sm[j])
             j += 1
-        if j >= sm.size:
-            right_min = sm[i:].min()
         if sm[i] - max(left_min, right_min) >= DEFAULT_PROMINENCE * top:
             out.append(centers[i])
     return np.asarray(out)
@@ -347,34 +341,27 @@ def bell_aniso(omega, gamma0: float, dgamma: float) -> np.ndarray | float:
     return float(out[0]) if scalar else out
 
 
-def _inflection_right_of_peak(f, lo: float, hi: float, n: int = 200001) -> float:
-    """Abscissa of the first inflection point right of the maximum of ``f``."""
-    w = np.linspace(lo, hi, n)[1:-1]
-    y = f(w)
-    d2 = np.gradient(np.gradient(y, w), w)
-    i_peak = int(np.argmax(y))
-    sign = np.sign(d2)
-    crossings = np.nonzero((sign[:-1] < 0) & (sign[1:] >= 0))[0]
-    crossings = crossings[crossings >= i_peak]
-    if crossings.size == 0:
+def _inflection_width(lo: float, hi: float) -> float:
+    """Inflection point right of the maximum of ``(w**2 - lo**2) * (hi**2 -
+    w**2) / w**4``, the shape of both bells on their band ``[lo, hi]``.
+
+    The second derivative vanishes at ``w**2 = 10 lo**2 hi**2 / (3 (lo**2 +
+    hi**2))``, which lies inside the band only when ``lo > 0`` and ``7 lo**2
+    < 3 hi**2``; for a small lower edge it is ``sqrt(10/3) * lo``.
+    """
+    if not (lo > 0.0 and 7.0 * lo**2 < 3.0 * hi**2):
         raise ValueError("no inflection point right of the peak")
-    i = int(crossings[0])
-    x0, x1 = w[i], w[i + 1]
-    y0, y1 = d2[i], d2[i + 1]
-    return float(x0 - y0 * (x1 - x0) / (y1 - y0))
+    return math.sqrt(10.0 * lo**2 * hi**2 / (3.0 * (lo**2 + hi**2)))
 
 
-def bell_width_ising(h0: float, dh: float = 1.0) -> float:
+def bell_width_ising(h0: float) -> float:
     """Width of the transverse-field bell, measured at the inflection point
     right of its maximum.  Close to ``1.8 * |1 - h0|`` near the critical
     field.  The quench amplitude only scales the bell, not the width."""
-    e_lo, e_hi = sorted((abs(1.0 - h0), abs(1.0 + h0)))
-    return _inflection_right_of_peak(lambda w: bell_ising(w, h0, dh), e_lo, e_hi)
+    return _inflection_width(*sorted((abs(1.0 - h0), abs(1.0 + h0))))
 
 
-def bell_width_aniso(gamma0: float, dgamma: float = 1.0) -> float:
+def bell_width_aniso(gamma0: float) -> float:
     """Width of the anisotropy bell at the inflection point right of the
     maximum; close to ``1.8 * |gamma0|`` for small ``gamma0``."""
-    return _inflection_right_of_peak(
-        lambda w: bell_aniso(w, gamma0, dgamma), abs(gamma0), 1.0
-    )
+    return _inflection_width(abs(gamma0), 1.0)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermalecho import cli, echo, model
+from thermalecho import cli, echo, model, stats
 from thermalecho.model import momenta
 
 
@@ -401,6 +401,32 @@ def test_distribution_ladder_files_and_labels(tmp_path, monkeypatch):
     assert labels == ["DoublePeaked", "Gaussian"]
     counts = [row for row in _data_rows(tmp_path / "distribution_T0.02_hist.csv")]
     assert sum(int(row[2]) for row in counts) == 100000
+
+
+@pytest.mark.parametrize("ladder, fmt", [
+    ("0.1000001,0.1000002", "csv"),
+    ("0.1,0.1", "csv"),
+    ("0.1,0.1", "json"),
+])
+def test_distribution_rejects_rungs_that_share_a_tag(ladder, fmt, tmp_path, monkeypatch,
+                                                     capsys):
+    # each rung's CSV files are named by T{temperature:g}, so these two rungs
+    # would both write distribution_T0.1_*.csv, the second over the first
+    calls = []
+    monkeypatch.setattr(stats, "sample_logle", lambda *args: calls.append(args))
+    args = ["distribution", "--length", "20", "--samples", "2000",
+            "--temperatures", ladder, "--format", fmt]
+    assert _run(args, tmp_path, monkeypatch) == 1
+    err = capsys.readouterr().err
+    first, second = ladder.split(",")
+    assert f"temperatures {first} and {second} share the file tag T0.1" in err
+    assert not calls and not list(tmp_path.iterdir())
+
+
+def test_distribution_checks_every_rung_before_sampling(tmp_path, monkeypatch):
+    args = ["distribution", "--length", "20", "--samples", "200", "--temperatures", "0.1,-1"]
+    assert _run(args, tmp_path, monkeypatch) == 1
+    assert not list(tmp_path.iterdir())
 
 
 def test_weights_bell_columns(tmp_path, monkeypatch):

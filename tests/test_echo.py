@@ -173,7 +173,7 @@ def _random_chains(rng, n_chains):
 def test_stacked_chains_match_per_chain_route():
     rng = np.random.default_rng(17)
     chains = _random_chains(rng, 400)
-    # 400 chains of 1 to 100 modes fill more than one group of stacked modes
+    # 400 chains, four of each length from 1 to 100 modes, cold ones included
     assert sum(p.length // 2 for p in chains) > 2 * echo._GROUP_MODES
     t = np.zeros((len(chains), 4))
     t[:, 1:] = rng.uniform(-20.0, 50.0, (len(chains), 3))
@@ -183,28 +183,44 @@ def test_stacked_chains_match_per_chain_route():
     assert np.array_equal(stacked.le, np.exp(stacked.log_le))
     for i, params in enumerate(chains):
         single = echo_point(mode_table(params), t[i])
-        for name in ("le", "lef", "lower", "upper"):
-            assert np.allclose(getattr(stacked, name)[i], getattr(single, name),
-                               rtol=0.0, atol=1e-15), (i, name)
+        for name in ("le", "log_le", "lef", "lower", "upper"):
+            assert np.array_equal(getattr(stacked, name)[i], getattr(single, name)), (i, name)
     for name in ("le", "lower", "upper"):
         assert (getattr(stacked, name)[:, 0] == 1.0).all(), name
 
 
 def test_stacked_groups_do_not_change_results(monkeypatch):
     rng = np.random.default_rng(23)
-    # one chain longer than a whole group, between chains that share one
+    # one chain longer than a whole block, between chains that share blocks
     chains = _random_chains(rng, 60)
     chains.insert(30, QuenchParams(length=2 * echo._GROUP_MODES + 4, **DECAY_QUENCH))
     t = rng.uniform(-20.0, 50.0, (len(chains), 5))
     whole = echo_chains(chains, t)
     single = echo_point(mode_table(chains[30]), t[30])
-    assert np.allclose(whole.le[30], single.le, rtol=1e-12, atol=0.0)
-    # tiny groups and one time per block walk every loop many times over
+    assert np.array_equal(whole.le[30], single.le)
+    # tiny blocks and one time per chunk walk every loop many times over
     monkeypatch.setattr(echo, "_GROUP_MODES", 40)
     monkeypatch.setattr(echo, "_CHUNK_BYTES", 8)
     split = echo_chains(chains, t)
-    for name in ("le", "lef", "lower", "upper"):
+    for name in ("le", "log_le", "lef", "lower", "upper"):
         assert np.array_equal(getattr(split, name), getattr(whole, name)), name
+
+
+def test_thread_count_leaves_chunked_blocks_unchanged(monkeypatch):
+    rng = np.random.default_rng(31)
+    # 100 chains of 10 modes and 100 of 100 modes: blocks of 100 x 10, 81 x 100
+    # and 19 x 100 modes, which chunks of 4000 values split into 4, 15 and 8
+    # chunks of the 15 times
+    chains = [QuenchParams(h0=h0, h1=h1, gamma0=1.0, gamma1=0.5, beta=beta, length=length)
+              for length in (20, 200) for h0, h1, beta in rng.uniform(0.1, 2.0, (100, 3))]
+    t = rng.uniform(-20.0, 50.0, (len(chains), 15))
+    monkeypatch.setattr(echo, "_CHUNK_BYTES", 8 * 4000)
+    runs = []
+    for threads in ("1", "3"):
+        monkeypatch.setenv("THERMALECHO_THREADS", threads)
+        runs.append(echo_chains(chains, t))
+    for name in ("le", "log_le", "lef", "lower", "upper"):
+        assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name)), name
 
 
 def test_stacked_chains_validate_times():

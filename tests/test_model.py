@@ -1,6 +1,5 @@
 """Mode table construction: momenta, dispersion, thermal ratios, rotation angles."""
 
-import dataclasses
 import math
 from typing import NamedTuple
 
@@ -15,7 +14,6 @@ from thermalecho import (
     mode_table,
     momenta,
 )
-from thermalecho import model
 
 
 class DegenerateModeError(ValueError):
@@ -152,25 +150,6 @@ def test_zero_temperature_table():
     assert gapless.lam0[0] == 0.0
     assert gapless.cinv[0] == 0.0
     assert gapless.one_minus_cinv[0] == gapless.one_minus_cinv2[0] == 1.0
-
-
-def test_stacked_columns_equal_mode_tables():
-    rng = np.random.default_rng(41)
-    chains = []
-    for length in range(2, 202, 2):
-        h0, h1 = rng.uniform(-2.0, 2.0, 2)
-        g0, g1 = rng.uniform(-1.5, 1.5, 2)
-        cold = bool(rng.random() < 0.2)
-        chains.append(QuenchParams(h0=h0, h1=h1, gamma0=g0, gamma1=g1, length=length,
-                                   beta=None if cold else rng.uniform(0.01, 50.0),
-                                   zero_temperature=cold))
-    starts, columns = model._stacked_columns(chains)
-    assert set(columns) == {f.name for f in dataclasses.fields(ModeTable)} - {"params"}
-    for first, params in zip(starts, chains):
-        table = mode_table(params)
-        rows = slice(first, first + table.n_modes)
-        for name, values in columns.items():
-            assert np.array_equal(values[rows], getattr(table, name)), name
 
 
 @given(fields, fields, couplings, couplings, betas)

@@ -25,6 +25,7 @@ from thermalecho import (
     sample_logle,
     weights,
 )
+import reference
 from reference import char_fn, damping
 
 fields = st.floats(-2.0, 2.0, allow_nan=False)
@@ -50,7 +51,6 @@ def _synthetic_spectrum(a):
         damping=np.ones(n),
         damping_f=np.ones(n),
         second_order=False,
-        length=2 * n,
     )
 
 
@@ -295,18 +295,53 @@ def test_bell_band_support():
 
 
 def test_bell_width_regressions():
-    assert bell_width_ising(0.9) == pytest.approx(0.18232183902312873, rel=1e-9)
-    assert bell_width_aniso(0.1) == pytest.approx(0.18166810563511937, rel=1e-9)
+    assert reference.bell_width_ising(0.9) == pytest.approx(0.18232183902312873, rel=1e-9)
+    assert reference.bell_width_aniso(0.1) == pytest.approx(0.18166810563511937, rel=1e-9)
     # the continuum inflection width scales like sqrt(10/3) times the band edge
-    for edge, width in ((0.1, bell_width_ising(0.9)), (0.05, bell_width_ising(0.95))):
+    for edge, width in ((0.1, reference.bell_width_ising(0.9)),
+                        (0.05, reference.bell_width_ising(0.95))):
         assert width / edge == pytest.approx(math.sqrt(10.0 / 3.0), rel=0.02)
 
 
 def test_bell_width_quench_amplitude_is_scale_free():
     # dh only scales the bell; the inflection finder reproduces the width to
     # within its interpolation rounding
-    assert bell_width_ising(0.9, 1.0) == pytest.approx(bell_width_ising(0.9, 0.2),
-                                                       rel=1e-6)
+    assert reference.bell_width_ising(0.9, 1.0) == pytest.approx(
+        reference.bell_width_ising(0.9, 0.2), rel=1e-6)
+
+
+@pytest.mark.parametrize("h0", [0.3, 0.5, 0.8, 0.9, 0.95, 0.99, -0.9, 1.5, 3.0])
+def test_closed_form_ising_width_matches_the_numeric_finder(h0):
+    assert bell_width_ising(h0) == pytest.approx(reference.bell_width_ising(h0), rel=1e-5)
+
+
+@pytest.mark.parametrize("gamma0", [0.05, 0.1, 0.25, 0.5, 0.65, -0.3])
+def test_closed_form_aniso_width_matches_the_numeric_finder(gamma0):
+    assert bell_width_aniso(gamma0) == pytest.approx(reference.bell_width_aniso(gamma0),
+                                                     rel=1e-5)
+
+
+def test_closed_form_width_small_edge_limit():
+    # the grid finder cannot resolve a band edge this close to zero; the
+    # closed form gives sqrt(10/3) * edge up to a relative edge**2 / 2
+    for edge in (1e-4, 1e-6):
+        assert bell_width_aniso(edge) == pytest.approx(math.sqrt(10.0 / 3.0) * edge,
+                                                       rel=1e-8)
+        assert bell_width_ising(1.0 - edge) / abs(1.0 - (1.0 - edge)) == pytest.approx(
+            math.sqrt(10.0 / 3.0), rel=1e-8)
+
+
+@pytest.mark.parametrize("width, edge", [
+    (bell_width_ising, 1.0),   # gapless band: no maximum inside it
+    (bell_width_ising, 0.0),   # the band collapses to a point
+    (bell_width_ising, 0.2),   # 7 * 0.8**2 > 3 * 1.2**2: inflection past the band
+    (bell_width_aniso, 0.0),
+    (bell_width_aniso, 0.66),
+    (bell_width_aniso, 1.2),
+])
+def test_closed_form_width_needs_an_inflection_inside_the_band(width, edge):
+    with pytest.raises(ValueError):
+        width(edge)
 
 
 def test_bell_rejects_bad_parameters():
