@@ -258,8 +258,12 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         raise ValueError(f"bins must be >= 1, got {cfg.bins}")
     if cfg.tpoints < 2:
         raise ValueError(f"tpoints must be >= 2, got {cfg.tpoints}")
-    if cfg.tau_factor <= 0:
-        raise ValueError(f"tau-factor must be positive, got {cfg.tau_factor}")
+    if not (cfg.tau_factor > 0 and math.isfinite(cfg.tau_factor)):
+        raise ValueError(f"tau-factor must be positive and finite, got {cfg.tau_factor}")
+    if not math.isfinite(cfg.tmax):
+        raise ValueError(f"tmax must be finite, got {cfg.tmax}")
+    if cfg.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {cfg.seed}")
     return cfg
 
 
@@ -573,11 +577,13 @@ def cmd_distribution(cfg: RunConfig) -> int:
             raise ValueError(
                 f"temperatures {ladder[tags.index(tag)]!r} and {ladder[i]!r} share the "
                 f"file tag {tag}; rungs must differ in their first 6 significant digits")
+    tables = [mode_table(params) for _, params in rungs]
+    # the rungs share one draw of times, so the sampler takes each sine once
+    ladder_sample = stats.sample_logle(tables, cfg.tau_factor * cfg.length**2,
+                                       cfg.samples, cfg.seed)
     entries = []
-    for (temperature, params), tag in zip(rungs, tags):
-        table = mode_table(params)
-        tau = cfg.tau_factor * params.length**2
-        sample = stats.sample_logle(table, tau, cfg.samples, cfg.seed)
+    for (temperature, params), tag, table, z in zip(rungs, tags, tables, ladder_sample.z):
+        sample = dataclasses.replace(ladder_sample, z=z)
         spectrum = stats.weights(table)
         verdict = stats.classify(spectrum, sample, bins=cfg.bins)
         if verdict.degenerate:

@@ -7,12 +7,16 @@ kernel evaluates them all.  It takes a block of equal-length chains, one
 row of mode columns per chain and one column of times per chain: a single
 table is the one-chain block of :func:`echo_point`, and :func:`echo_chains`
 evaluates many chains as blocks of one length, so both give the same bits.
-The kernel always works in log space, since products of many sub-unit
-factors underflow for long chains, and it walks the times in chunks of
-fixed byte size, so memory does not grow with the number of times.  When
-there is more than one chunk the chunks are spread over one thread pool of
-``THERMALECHO_THREADS`` workers (default: the CPU count); chunk boundaries
-do not depend on the thread count, so neither do the results.
+A block whose chains share their times and their post-quench frequencies
+``lam1`` (a temperature ladder) passes one time column and one ``lam1``
+row, and the kernel takes each sine once for all of them.  The kernel
+always works in log space, since products of many sub-unit factors
+underflow for long chains, and it walks the times in chunks of fixed byte
+size of (times x chains x modes) work, so memory does not grow with the
+number of times.  When there is more than one chunk the chunks are spread
+over one thread pool of ``THERMALECHO_THREADS`` workers (default: the CPU
+count); chunk boundaries do not depend on the thread count, so neither do
+the results.
 """
 
 from __future__ import annotations
@@ -90,27 +94,26 @@ def _thread_count() -> int:
     if not raw:
         return _CPU_COUNT
     try:
-        return max(1, int(raw))
+        count = int(raw)
     except ValueError:
-        raise ValueError(f"THERMALECHO_THREADS must be an integer, got {raw!r}") from None
+        count = 0  # rejected below, with the values under 1
+    if count < 1:
+        raise ValueError(f"THERMALECHO_THREADS must be an integer >= 1, got {raw!r}")
+    return count
 
 
-def _log_factors(a: np.ndarray, logs: np.ndarray, coef, cinv) -> None:
-    """Turn the phases ``a = t * lam1`` into per-mode log factors, in place.
+def _log_factors(a: np.ndarray, logs: np.ndarray, cinv) -> None:
+    """Turn ``a = coef * sin(t * lam1)**2`` into per-mode log factors, in place.
 
-    The last axes of ``a`` are chains and modes, and ``coef = (1 - cinv**2)
-    * alpha`` and ``cinv`` hold one value per chain and mode.  On return
-    ``logs`` holds ``log(arg)`` with ``arg = 1 - coef * sin(a)**2`` clamped
-    to its analytic floor ``cinv**2``, and ``a`` holds ``log((cinv +
-    sqrt(arg)) / (1 + cinv))``.  An excursion of ``arg`` below the floor
-    beyond rounding dust means the table is inconsistent and raises
-    ``FloatingPointError``.  ``arg`` cannot exceed 1, since the term it
-    subtracts is a product of squares.
+    The last axes of ``a`` are chains and modes, and ``cinv`` holds one
+    value per chain and mode.  On return ``logs`` holds ``log(arg)`` with
+    ``arg = 1 - a`` clamped to its analytic floor ``cinv**2``, and ``a``
+    holds ``log((cinv + sqrt(arg)) / (1 + cinv))``.  An excursion of ``arg``
+    below the floor beyond rounding dust means the table is inconsistent and
+    raises ``FloatingPointError``.  ``arg`` cannot exceed 1, since the term
+    it subtracts is a product of squares.
     """
     floor = cinv**2
-    np.sin(a, out=a)
-    np.square(a, out=a)
-    np.multiply(a, coef, out=a)
     np.subtract(1.0, a, out=a)
     if not (a.min(axis=0) > floor - _CLAMP_SLACK).all():
         raise FloatingPointError(
@@ -129,31 +132,44 @@ def _kernel(lam1, alpha, cinv, one_minus_cinv2, t: np.ndarray):
     """``(log_le, log_core, log_purity)`` of a block of equal-length chains.
 
     The columns are ``(chains, modes)`` arrays as :func:`model._columns`
-    builds them (one chain may pass its ``(modes,)`` table columns), and
-    ``t`` is ``(times, chains)``: column ``i`` holds the times of chain
-    ``i``.  ``log_core`` is the sum over a chain's modes of ``log(arg)`` and
+    builds them, or ``(modes,)`` rows that every chain of the block shares,
+    and ``t`` is ``(times, chains)``: column ``i`` holds the times of chain
+    ``i``, and a single column holds times that every chain shares.  The
+    phases ``t * lam1`` and their ``sin**2`` are taken at the broadcast
+    shape of the time columns and the ``lam1`` rows, so chains that share
+    both share each sine; only ``coef * sin**2`` onward, with ``coef = (1 -
+    cinv**2) * alpha``, runs at the full (times, chains, modes) shape.
+    ``log_core`` is the sum over a chain's modes of ``log(arg)`` and
     ``log_le`` twice the sum of ``log((cinv + sqrt(arg)) / (1 + cinv))``
-    (see :func:`_log_factors`), both shaped like ``t``; ``log_purity`` is
-    ``-2`` times the sum of ``log1p(cinv)``, one per chain.
+    (see :func:`_log_factors`), both ``(times, chains)`` with a single
+    column when nothing in the block differs between chains; ``log_purity``
+    is ``-2`` times the sum of ``log1p(cinv)``, one per chain or one shared.
     """
-    n_times, n_chains = t.shape
-    n_modes = lam1.shape[-1]
+    coef = one_minus_cinv2 * alpha
+    n_times = t.shape[0]
+    n_phases, n_modes = np.broadcast_shapes(t.shape[1:] + (1,), lam1.shape)
+    n_chains = np.broadcast_shapes((n_phases, n_modes), coef.shape, cinv.shape)[0]
     rows = max(1, _CHUNK_BYTES // (8 * n_chains * n_modes))
     starts = range(0, n_times, rows)
     n_workers = min(_thread_count(), len(starts))
-    coef = one_minus_cinv2 * alpha
-    log_le = np.empty(t.shape)
-    log_core = np.empty(t.shape)
+    log_le = np.empty((n_times, n_chains))
+    log_core = np.empty((n_times, n_chains))
 
     def work(first: int) -> None:
         arg = np.empty((min(rows, n_times), n_chains, n_modes))
         logs = np.empty_like(arg)
+        # the full-shape buffer takes the phases in place unless they are shared
+        phase = arg if n_phases == n_chains else np.empty((arg.shape[0], n_phases, n_modes))
         for start in starts[first::n_workers]:
             stop = min(start + rows, n_times)
             a = arg[: stop - start]
             b = logs[: stop - start]
-            np.multiply(t[start:stop, :, None], lam1, out=a)
-            _log_factors(a, b, coef, cinv)
+            s = phase[: stop - start]
+            np.multiply(t[start:stop, :, None], lam1, out=s)
+            np.sin(s, out=s)
+            np.square(s, out=s)
+            np.multiply(s, coef, out=a)
+            _log_factors(a, b, cinv)
             np.add.reduce(b, axis=-1, out=log_core[start:stop])
             np.add.reduce(a, axis=-1, out=log_le[start:stop])
 
@@ -214,30 +230,45 @@ def echo_point(table: ModeTable, t) -> EchoPoint:
     return _point(t_arr, *sums, shaped)
 
 
-def echo_chains(chains: Sequence[QuenchParams], t) -> EchoPoint:
-    """Echo quantities of many chains, each at its own times.
+def _shared(values: np.ndarray):
+    """One quench parameter of a block: a scalar when every chain has the
+    same bits (so ``-0.0`` and ``0.0``, whose angles differ, stay apart),
+    else a ``(chains, 1)`` column."""
+    bits = values.view(np.uint64)
+    return values[0] if (bits == bits[0]).all() else values[:, None]
 
-    ``t`` has shape ``(len(chains), n_times)``: row ``i`` holds the times of
-    ``chains[i]``, and every field of the result has that shape.  Entry
-    ``[i, j]`` is bit for bit ``echo_point(mode_table(chains[i]), t[i, j])``.
+
+def echo_chains(chains: Sequence[QuenchParams], t) -> EchoPoint:
+    """Echo quantities of many chains, at their own times or at shared ones.
+
+    ``t`` has shape ``(len(chains), n_times)``, where row ``i`` holds the
+    times of ``chains[i]``, or ``(n_times,)`` for times that every chain
+    shares.  Every field of the result has shape ``(len(chains), n_times)``,
+    and entry ``[i, j]`` is bit for bit ``echo_point(mode_table(chains[i]),
+    t[i, j])`` (``t[j]`` for shared times).
 
     Chains of one length share blocks of at most ``_GROUP_MODES`` modes in
     all, whose columns are built and evaluated at once by the one kernel.
-    The scratch memory does not grow with the number of chains, and neither
-    the blocks nor the kernel's time chunks depend on the thread count, so
+    A quench parameter that every chain of a block shares is built once, so
+    a block of shared times whose chains share ``h1`` and ``gamma1`` (a
+    temperature ladder) takes each sine once for all of its chains.  The
+    scratch memory does not grow with the number of chains, and neither the
+    blocks nor the kernel's time chunks depend on the thread count, so
     neither do the results.
     """
     t_arr = np.asarray(t, dtype=float)
-    if t_arr.ndim != 2 or t_arr.shape[0] != len(chains):
-        raise ValueError(
-            f"times must have shape ({len(chains)}, n_times), got {t_arr.shape}")
+    shared = t_arr.ndim == 1
+    if not shared and (t_arr.ndim != 2 or t_arr.shape[0] != len(chains)):
+        raise ValueError(f"times must have shape (n_times,) or ({len(chains)}, n_times), "
+                         f"got {t_arr.shape}")
     if not np.isfinite(t_arr).all():
         raise ValueError("times must be finite")
+    shape = (len(chains), t_arr.shape[-1])
     lengths = np.array([p.length for p in chains], dtype=int)
     values = np.array([(p.h0, p.h1, p.gamma0, p.gamma1, _beta(p)) for p in chains],
                       dtype=float).reshape(-1, 5)
-    log_le = np.empty(t_arr.shape)
-    log_core = np.empty(t_arr.shape)
+    log_le = np.empty(shape)
+    log_core = np.empty(shape)
     log_purity = np.empty(len(chains))
     for length in np.unique(lengths).tolist():
         k = momenta(length)
@@ -245,9 +276,9 @@ def echo_chains(chains: Sequence[QuenchParams], t) -> EchoPoint:
         per_block = max(1, _GROUP_MODES // k.size)
         for first in range(0, same.size, per_block):
             block = same[first : first + per_block]
-            cols = _columns(k, *values[block].T[:, :, None])
+            cols = _columns(k, *map(_shared, values[block].T))
             sums = _kernel(cols["lam1"], cols["alpha"], cols["cinv"],
-                           cols["one_minus_cinv2"], t_arr[block].T)
+                           cols["one_minus_cinv2"], t_arr[:, None] if shared else t_arr[block].T)
             log_le[block], log_core[block] = sums[0].T, sums[1].T
             log_purity[block] = sums[2]
-    return _point(t_arr, log_le, log_core, log_purity[:, None])
+    return _point(np.broadcast_to(t_arr, shape), log_le, log_core, log_purity[:, None])

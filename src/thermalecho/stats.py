@@ -9,19 +9,21 @@ times, detects histogram peaks, and classifies the resulting shape by a
 fixed rule whose one option is the histogram's bin count.  It also gives
 the continuum spectral bells that the weights of a pure field quench and of
 a zero-field anisotropy quench approach for long chains.  Sampling reads
-the log-echo from :func:`echo.echo_point`, so it shares the echo kernel's
-log-space chunks and its one thread pool.
+the log-echo from :func:`echo.echo_chains` at times that every table
+shares, so it shares the echo kernel's log-space chunks and its one thread
+pool, and a temperature ladder takes each sine once for all of its rungs.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .echo import echo_point
+from .echo import echo_chains
 from .model import ModeTable
 
 __all__ = [
@@ -88,7 +90,11 @@ class WeightSpectrum:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Log-echo sampled at uniform random times on ``[0, tau]``."""
+    """Log-echo sampled at uniform random times on ``[0, tau]``.
+
+    ``z`` is shaped like ``times`` for one table, and has a leading table
+    axis, ``(tables, n_samples)``, for a sequence of them.
+    """
 
     tau: float
     seed: int
@@ -148,17 +154,21 @@ def weights(table: ModeTable, use_second_order: bool = False) -> WeightSpectrum:
     )
 
 
-def sample_logle(table: ModeTable, tau: float, n_samples: int, seed: int) -> SampleSet:
+def sample_logle(table: ModeTable | Sequence[ModeTable], tau: float, n_samples: int,
+                 seed: int) -> SampleSet:
     """Sample the exact log-echo at uniform random times.
 
     Times are drawn sequentially from the seed before any parallel
     evaluation, so the same seed gives byte-identical samples under any
-    thread count.
+    thread count.  A sequence of tables, such as the rungs of a temperature
+    ladder, shares one draw of times: row ``i`` of ``z`` is bit for bit the
+    ``z`` of ``table[i]`` alone with the same seed and ``tau``.
 
     Parameters
     ----------
     table
-        Mode table of the quench.
+        Mode table of the quench, or a sequence of them; each is evaluated
+        from its quench parameters ``params``.
     tau
         Observation horizon; must be positive.  A horizon growing like
         ``length**2`` resolves the slowest beat between mode frequencies.
@@ -171,10 +181,12 @@ def sample_logle(table: ModeTable, tau: float, n_samples: int, seed: int) -> Sam
         raise ValueError(f"tau must be positive and finite, got {tau}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    single = isinstance(table, ModeTable)
+    tables = [table] if single else table
     rng = np.random.default_rng(seed)
     times = rng.uniform(0.0, tau, int(n_samples))
-    z = echo_point(table, times).log_le
-    return SampleSet(tau=float(tau), seed=int(seed), times=times, z=z)
+    z = echo_chains([entry.params for entry in tables], times).log_le
+    return SampleSet(tau=float(tau), seed=int(seed), times=times, z=z[0] if single else z)
 
 
 def histogram_peaks(values, bins: int = DEFAULT_BINS) -> np.ndarray:

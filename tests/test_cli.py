@@ -189,23 +189,29 @@ def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch, capsys):
     ts_args = ["timeseries", "--length", "2000", "--tpoints", "1600", "--tmax", "400"]
     assert 40000 > 3 * (echo._CHUNK_BYTES // (8 * 100))
     assert 1600 > 3 * (echo._CHUNK_BYTES // (8 * 1000))
+    # a ladder shares its sines over chunks of 3 rungs x 100 modes
+    ladder_args = dist_args + ["--temperatures", "0,0.3,2", "--output", "ladder"]
+    assert 40000 > 3 * (echo._CHUNK_BYTES // (8 * 3 * 100))
     json_args = dist_args + ["--format", "json", "--output", "distribution_json"]
     for threads, out in (("1", a), ("4", b)):
         monkeypatch.setenv("THERMALECHO_THREADS", threads)
         assert _run(dist_args, out, monkeypatch) == 0
         assert _run(json_args, out, monkeypatch) == 0
+        assert _run(ladder_args, out, monkeypatch) == 0
         assert _run(ts_args, out, monkeypatch) == 0
         _run_failing_scan(out, monkeypatch, capsys)
     names = sorted(p.name for p in a.iterdir())
     assert {"timeseries.csv", "distribution_json.json", "scan.csv",
             "scan_json.json"} <= set(names)
+    assert {"ladder.json", "ladder_T0_samples.csv", "ladder_T2_samples.csv"} <= set(names)
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def test_malformed_thread_count_exits_one(tmp_path, monkeypatch):
-    monkeypatch.setenv("THERMALECHO_THREADS", "abc")
-    assert _run(TS_ARGS, tmp_path, monkeypatch) == 1
+    for raw in ("abc", "0", "-2"):
+        monkeypatch.setenv("THERMALECHO_THREADS", raw)
+        assert _run(TS_ARGS, tmp_path, monkeypatch) == 1
 
 
 def test_config_file_merge_and_flag_override(tmp_path, monkeypatch):
@@ -260,6 +266,39 @@ def test_zero_temperature_flag(tmp_path, monkeypatch):
 )
 def test_validation_failures_exit_one(args, tmp_path, monkeypatch):
     assert _run(args, tmp_path, monkeypatch) == 1
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["scan", "--length", "8", "--tmax", "nan", "--sweep", "beta=1:2:2"],
+         "tmax must be finite, got nan"),
+        (["distribution", "--length", "8", "--tmax", "inf"], "tmax must be finite, got inf"),
+        (["distribution", "--length", "8", "--tau-factor", "nan"],
+         "tau-factor must be positive and finite, got nan"),
+        (["timeseries", "--length", "8", "--tau-factor", "inf"],
+         "tau-factor must be positive and finite, got inf"),
+        (["distribution", "--length", "8", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["verify", "--seed", "-3"], "seed must be >= 0, got -3"),
+    ],
+)
+def test_non_finite_or_negative_run_values_exit_one(args, message, tmp_path, monkeypatch,
+                                                     capsys):
+    # NaN and Infinity would be written into the config comment and the JSON
+    # files, which strict JSON does not allow
+    assert _run(args, tmp_path, monkeypatch) == 1
+    assert capsys.readouterr().err == f"thermalecho: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_non_finite_config_file_values_exit_one(tmp_path, monkeypatch, capsys):
+    cfg_file = tmp_path / "run.json"
+    for key, message in (("tmax", "tmax must be finite"),
+                         ("tau_factor", "tau-factor must be positive and finite")):
+        cfg_file.write_text(f'{{"{key}": Infinity}}')
+        assert _run(["weights", "--config", str(cfg_file)], tmp_path, monkeypatch) == 1
+        assert message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
 
 def test_unknown_config_key_exits_one(tmp_path, monkeypatch, capsys):

@@ -223,12 +223,48 @@ def test_thread_count_leaves_chunked_blocks_unchanged(monkeypatch):
         assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name)), name
 
 
+def test_shared_times_match_per_chain_times(monkeypatch):
+    rng = np.random.default_rng(41)
+    # random chains, a ladder that shares lam1, and two identical chains
+    ladder = [QuenchParams(length=40, **dict(DECAY_QUENCH, beta=beta))
+              for beta in (0.5, 3.0, 30.0, 3.0)]
+    cold = QuenchParams(length=40, **dict(DECAY_QUENCH, beta=None), zero_temperature=True)
+    chains = _random_chains(rng, 30) + ladder + [cold]
+    t = rng.uniform(-20.0, 50.0, 900)
+    # small chunks, so the ladder's shared sines span many of them
+    monkeypatch.setattr(echo, "_CHUNK_BYTES", 8 * 4000)
+    runs = []
+    for threads in ("1", "3"):
+        monkeypatch.setenv("THERMALECHO_THREADS", threads)
+        runs.append(echo_chains(chains, t))
+    rows = echo_chains(chains, np.tile(t, (len(chains), 1)))
+    for name in ("t", "le", "log_le", "lef", "lower", "upper"):
+        for shared in runs:
+            assert getattr(shared, name).shape == (len(chains), t.size), name
+            assert np.array_equal(getattr(shared, name), getattr(rows, name)), name
+    for i in range(30, len(chains)):
+        assert np.array_equal(runs[0].log_le[i], echo_point(mode_table(chains[i]), t).log_le)
+
+
+def test_signed_zero_parameters_stay_apart():
+    # at h0 = -2 the pre-quench angle is +pi or -pi by the sign of gamma0 = 0,
+    # which changes the echo's last bits, so the two chains share no columns
+    chains = [QuenchParams(h0=-2.0, h1=0.5, gamma0=g0, gamma1=1.0, beta=1.0, length=12)
+              for g0 in (0.0, -0.0)]
+    t = np.linspace(0.0, 10.0, 50)
+    stacked = echo_chains(chains, t)
+    for i, params in enumerate(chains):
+        assert np.array_equal(stacked.log_le[i], echo_point(mode_table(params), t).log_le)
+
+
 def test_stacked_chains_validate_times():
     chains = _random_chains(np.random.default_rng(5), 3)
     with pytest.raises(ValueError, match="shape"):
         echo_chains(chains, np.zeros((2, 4)))
-    with pytest.raises(ValueError, match="shape"):
-        echo_chains(chains, np.zeros(3))
+    # one row of times is shared by every chain; other shapes are not times
+    for bad in (np.zeros(()), np.zeros((3, 2, 1))):
+        with pytest.raises(ValueError, match="shape"):
+            echo_chains(chains, bad)
     with pytest.raises(ValueError, match="finite"):
         echo_chains(chains, np.full((3, 2), math.nan))
     empty = echo_chains([], np.zeros((0, 2)))
@@ -269,9 +305,10 @@ def test_range_guard_survives_optimized_mode():
 def test_thread_count_variable_must_be_an_integer(monkeypatch):
     table = _table()
     t = np.linspace(0.0, 4.0, 9)
-    monkeypatch.setenv("THERMALECHO_THREADS", "abc")
-    with pytest.raises(ValueError, match="THERMALECHO_THREADS"):
-        echo_point(table, t)
+    for raw in ("abc", "0", "-2"):
+        monkeypatch.setenv("THERMALECHO_THREADS", raw)
+        with pytest.raises(ValueError, match="THERMALECHO_THREADS"):
+            echo_point(table, t)
     monkeypatch.setenv("THERMALECHO_THREADS", "")
     assert echo._thread_count() == (os.cpu_count() or 1)
     monkeypatch.delenv("THERMALECHO_THREADS")

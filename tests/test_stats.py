@@ -25,6 +25,7 @@ from thermalecho import (
     sample_logle,
     weights,
 )
+from thermalecho import echo
 import reference
 from reference import char_fn, damping
 
@@ -118,6 +119,38 @@ def test_sampling_thread_count_invariance(monkeypatch):
     threaded = sample_logle(mode_table(params), 1000.0, 40_000, 7)
     assert np.array_equal(serial.z, threaded.z)
     assert np.array_equal(serial.times, threaded.times)
+
+
+# ladders of (quench, sample count, least number of kernel chunks)
+LADDERS = {
+    "ground_state_rung": (
+        [QuenchParams(**NEAR_CRITICAL, beta=None, length=30, zero_temperature=True)]
+        + [QuenchParams(**NEAR_CRITICAL, beta=beta, length=30) for beta in (20.0, 2.0, 0.5)],
+        3000, 1),
+    "mixed_h1": (
+        [_params(h1=h1, beta=beta, length=24) for h1, beta in ((0.7, 5.0), (1.2, 5.0), (1.2, 0.3))],
+        3000, 1),
+    "three_chunks": (
+        [QuenchParams(**NEAR_CRITICAL, beta=beta, length=40) for beta in (50.0, 10.0, 5.0, 1.0)],
+        20_000, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDERS))
+def test_ladder_rows_equal_single_table_samples(name, monkeypatch):
+    chains, n_samples, min_chunks = LADDERS[name]
+    tables = [mode_table(params) for params in chains]
+    rows = echo._CHUNK_BYTES // (8 * len(tables) * tables[0].n_modes)
+    assert math.ceil(n_samples / rows) >= min_chunks
+    for threads in ("1", "3"):
+        monkeypatch.setenv("THERMALECHO_THREADS", threads)
+        ladder = sample_logle(tables, 700.0, n_samples, 11)
+        assert ladder.z.shape == (len(tables), n_samples)
+        for table, z in zip(tables, ladder.z):
+            single = sample_logle(table, 700.0, n_samples, 11)
+            assert np.array_equal(single.times, ladder.times)
+            assert np.array_equal(single.z, z)
+            assert np.array_equal(echo_point(table, ladder.times).log_le, z)
 
 
 def test_sampling_rejects_bad_arguments():
