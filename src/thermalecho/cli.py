@@ -43,9 +43,9 @@ class RunConfig:
     """Resolved configuration of one CLI invocation.
 
     Exactly these field names are accepted in a JSON config file; CLI flags
-    override file values.  ``beta`` and ``temperature`` are alternatives
-    (``temperature = 0`` selects the ground state); at most one may be
-    given per layer.
+    override file values.  ``beta``, ``temperature`` (``0`` selects the
+    ground state) and a ``temperatures`` ladder are alternatives; at most
+    one may be given per layer.
     """
 
     length: int = 80
@@ -224,16 +224,23 @@ def _file_value(name: str, value):
     return value
 
 
-def _pick_thermal(cli: dict, file_vals: dict) -> tuple[float | None, float | None]:
-    """Resolve the beta/temperature alternative layer by layer."""
+def _pick_thermal(cli: dict, file_vals: dict) -> dict:
+    """Resolve the beta/temperature/ladder alternative layer by layer.
+
+    A ladder keeps the default beta in the config, which no rung uses.
+    """
+    picked = {"beta": _DEFAULT_BETA, "temperature": None, "temperatures": None}
     for layer_name, layer in (("command line", cli), ("config file", file_vals)):
-        beta = layer.get("beta")
-        temperature = layer.get("temperature")
-        if beta is not None and temperature is not None:
-            raise ValueError(f"give at most one of beta and temperature on the {layer_name}")
-        if beta is not None or temperature is not None:
-            return beta, temperature
-    return _DEFAULT_BETA, None
+        given = [name for name in picked if layer.get(name) is not None]
+        if len(given) > 1:
+            names = ", ".join(given[:-1]) + " and " + given[-1]
+            raise ValueError(f"give at most one of {names} on the {layer_name}")
+        if given:
+            if given[0] != "temperatures":
+                picked["beta"] = None
+            picked[given[0]] = layer[given[0]]
+            break
+    return picked
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
@@ -249,10 +256,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             cli_vals["temperatures"] = [float(x) for x in cli_vals["temperatures"].split(",")]
         except ValueError:
             raise ValueError("--temperatures must be a comma-separated list of numbers") from None
-    for name, value in {**file_vals, **cli_vals}.items():
-        if name not in ("beta", "temperature"):
-            merged[name] = value
-    merged["beta"], merged["temperature"] = _pick_thermal(cli_vals, file_vals)
+    merged.update({**file_vals, **cli_vals})
+    merged.update(_pick_thermal(cli_vals, file_vals))
     cfg = RunConfig(**merged)
     if cfg.bins < 1:
         raise ValueError(f"bins must be >= 1, got {cfg.bins}")
@@ -583,41 +588,40 @@ def cmd_distribution(cfg: RunConfig) -> int:
                                        cfg.samples, cfg.seed)
     entries = []
     for (temperature, params), tag, table, z in zip(rungs, tags, tables, ladder_sample.z):
-        sample = dataclasses.replace(ladder_sample, z=z)
         spectrum = stats.weights(table)
-        verdict = stats.classify(spectrum, sample, bins=cfg.bins)
+        hist, edges = np.histogram(z, bins=cfg.bins)
+        verdict = stats.classify(spectrum, (hist, edges))
         if verdict.degenerate:
             print(
                 "warning: quench has zero variance; no distribution to classify",
                 file=sys.stderr,
             )
-        hist, edges = np.histogram(sample.z, bins=cfg.bins)
         entry = {
             "temperature": temperature,
             "beta": params.beta,
             "zero_temperature": params.zero_temperature,
-            "tau": sample.tau,
-            "seed": sample.seed,
+            "tau": ladder_sample.tau,
+            "seed": ladder_sample.seed,
             "label": verdict.label.value,
             "dominance": verdict.dominance,
-            "kappa2": verdict.kappa2,
-            "zbar": verdict.zbar,
+            "kappa2": spectrum.kappa2,
+            "zbar": spectrum.zbar,
             "predicted_peaks": list(verdict.predicted_peaks),
             "histogram_peaks": list(verdict.histogram_peaks),
             "histogram_peak_count": verdict.histogram_peak_count,
             "degenerate": verdict.degenerate,
             "empirical": {
-                "mean_z": sample.z_mean,
-                "var_z": sample.z_var,
-                "mean_le": float(np.mean(np.exp(sample.z))),
+                "mean_z": float(np.mean(z)),
+                "var_z": float(np.var(z)),
+                "mean_le": float(np.mean(np.exp(z))),
             },
         }
         if cfg.format == "json":
-            entry["samples"] = {"t": sample.times.tolist(), "z": sample.z.tolist()}
+            entry["samples"] = {"t": ladder_sample.times.tolist(), "z": z.tolist()}
             entry["histogram"] = {"edges": edges.tolist(), "counts": hist.tolist()}
         else:
             _write_csv(
-                f"{base}_{tag}_samples.csv", cfg, ["t", "z"], [sample.times, sample.z],
+                f"{base}_{tag}_samples.csv", cfg, ["t", "z"], [ladder_sample.times, z],
             )
             _write_csv(
                 f"{base}_{tag}_hist.csv", cfg, ["bin_left", "bin_right", "count"],
@@ -643,8 +647,8 @@ def cmd_weights(cfg: RunConfig) -> int:
     table = mode_table(params)
     spectrum = stats.weights(table, use_second_order=cfg.second_order)
     header = ["k", "a", "a_f", "omega", "damping", "damping_f"]
-    columns = [spectrum.k, spectrum.a, spectrum.a_f, spectrum.omega,
-               spectrum.damping, spectrum.damping_f]
+    columns = [table.k, spectrum.a, spectrum.a_f, table.omega,
+               table.one_minus_cinv, table.one_minus_cinv2]
     summary: dict = {
         "zbar": spectrum.zbar,
         "kappa2": spectrum.kappa2,
@@ -661,7 +665,7 @@ def cmd_weights(cfg: RunConfig) -> int:
             bell = stats.bell_aniso(table.lam0, cfg.gamma0, cfg.gamma1 - cfg.gamma0)
             width = stats.bell_width_aniso(cfg.gamma0)
         header += ["bell", "bell_width"]
-        columns += [bell, np.full_like(spectrum.k, width)]
+        columns += [bell, np.full_like(table.k, width)]
         summary["bell"] = {"kind": cfg.bell, "width": width}
     _write_table(cfg, "weights", header, columns, summary)
     return EXIT_OK

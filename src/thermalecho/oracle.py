@@ -52,6 +52,8 @@ _DENSITY_NEG_TOL = 1e-8
 # float64 bytes per block of the kernel scan's grid; the value only affects
 # speed and memory, never the scan's results
 _SCAN_BLOCK_BYTES = 1 << 20
+# the qubit check runs every this-many-th trial through the spectral routine too
+_CROSS_CHECK_STRIDE = 997
 
 
 class DegenerateSpectrumError(ValueError):
@@ -420,9 +422,7 @@ def _bloch_state(v: np.ndarray) -> np.ndarray:
     )
 
 
-def qubit_inequality_check(
-    n_trials: int, seed: int, cross_check_stride: int = 997
-) -> QubitInequalityReport:
+def qubit_inequality_check(n_trials: int, seed: int) -> QubitInequalityReport:
     """Check the overlap-fidelity bound on random single-qubit states.
 
     Each trial draws a Bloch vector (uniform direction, uniform radius) and
@@ -430,7 +430,7 @@ def qubit_inequality_check(
     verifies ``Tr[U rho U^dag rho] / Tr[rho**2] <= F`` and compares the
     unnormalized slack against its closed form
     ``v**2 (1 - cos angle_between) (1 - v**2) / 4``.  The fidelity uses the
-    two-level closed form; every ``cross_check_stride``-th trial is also run
+    two-level closed form; every ``_CROSS_CHECK_STRIDE``-th trial is also run
     through the general spectral routine.
     """
     if n_trials < 1:
@@ -460,7 +460,7 @@ def qubit_inequality_check(
     closed = (v2 - dot) * (1.0 - v2) / 4.0
     dev = np.abs((purity * fid - overlap) - closed)
     max_route_dev = 0.0
-    for i in range(0, n_trials, max(1, int(cross_check_stride))):
+    for i in range(0, n_trials, _CROSS_CHECK_STRIDE):
         rho = _bloch_state(v[i])
         rho_t = _bloch_state(v_t[i])
         max_route_dev = max(max_route_dev, abs(uhlmann(rho, rho_t) - float(fid[i])))
@@ -516,9 +516,7 @@ class QFunctionScan:
     nv: int
 
 
-def q_function_scan(
-    x_max: float = 20.0, v_max: float = 2.0, nx: int = 1001, nv: int = 1001
-) -> QFunctionScan:
+def q_function_scan(*, x_max: float, v_max: float, nx: int, nv: int) -> QFunctionScan:
     """Scan the kernel over ``[0, x_max] x [0, v_max]``.
 
     Reports the grid minimum, the largest magnitude along the ``v = 0``
@@ -549,7 +547,7 @@ def q_function_scan(
     )
 
 
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """Gaussian Hermitian matrix with entries of typical size ``scale``."""
+def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Gaussian Hermitian matrix with entries of typical size 1."""
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return scale * 0.5 * (a + a.conj().T)
+    return 0.5 * (a + a.conj().T)

@@ -5,8 +5,9 @@ with weights ``a_k``, so its stationary distribution is controlled by the
 weight spectrum alone: a couple of dominant weights produce a two-peaked or
 merged distribution, many comparable weights produce a Gaussian.  This
 module computes the weights, samples the exact log-echo at uniform random
-times, detects histogram peaks, and classifies the resulting shape by a
-fixed rule whose one option is the histogram's bin count.  It also gives
+times, detects the peaks of a histogram, and classifies the shape by a
+fixed rule that checks its verdict against such a histogram, however it
+was binned: the caller bins once and writes the same counts.  It also gives
 the continuum spectral bells that the weights of a pure field quench and of
 a zero-field anisotropy quench approach for long chains.  Sampling reads
 the log-echo from :func:`echo.echo_chains` at times that every table
@@ -41,8 +42,7 @@ __all__ = [
     "weights",
 ]
 
-# the peak finder's and the classifier's rule; only the bin count is an option
-DEFAULT_BINS = 200
+# the peak finder's and the classifier's fixed rule
 DEFAULT_SMOOTH_WINDOW = 5
 DEFAULT_PROMINENCE = 0.05
 DEFAULT_DOMINANCE_THRESHOLD = 0.6
@@ -63,18 +63,14 @@ class WeightSpectrum:
     """Per-mode oscillation weights of the log-echo.
 
     ``a`` weights the log-echo itself and ``a_f`` the log of the linear
-    overlap echo; ``damping`` and ``damping_f`` are the thermal factors
-    ``1 - cinv`` and ``1 - cinv**2`` they contain.  With
+    overlap echo, per mode of the table they came from; they contain its
+    thermal factors ``one_minus_cinv`` and ``one_minus_cinv2``.  With
     ``second_order=False`` the angular part is ``sin(dtheta)**2`` (exact
     angles); with ``True`` it is ``dtheta**2`` (leading order).
     """
 
-    k: np.ndarray
     a: np.ndarray
     a_f: np.ndarray
-    omega: np.ndarray
-    damping: np.ndarray
-    damping_f: np.ndarray
     second_order: bool
 
     @property
@@ -101,14 +97,6 @@ class SampleSet:
     times: np.ndarray
     z: np.ndarray
 
-    @property
-    def z_mean(self) -> float:
-        return float(np.mean(self.z))
-
-    @property
-    def z_var(self) -> float:
-        return float(np.var(self.z))
-
 
 @dataclass(frozen=True)
 class Classification:
@@ -117,15 +105,13 @@ class Classification:
     ``dominance`` is the share of the two largest weights in the total,
     ``predicted_peaks`` the two mode locations implied by those weights
     (coinciding when they merge), and ``histogram_peak_count`` the number of
-    prominent histogram peaks when samples were supplied (None otherwise).
+    prominent histogram peaks when a histogram was supplied (None otherwise).
     ``degenerate`` marks a quench with zero variance, where no shape exists.
     """
 
     label: ShapeLabel
     dominance: float
     predicted_peaks: tuple[float, float]
-    kappa2: float
-    zbar: float
     histogram_peak_count: int | None
     histogram_peaks: tuple[float, ...]
     degenerate: bool
@@ -144,12 +130,8 @@ def weights(table: ModeTable, use_second_order: bool = False) -> WeightSpectrum:
     """
     amp = table.dtheta**2 if use_second_order else table.alpha
     return WeightSpectrum(
-        k=table.k.copy(),
         a=table.one_minus_cinv * amp / 2.0,
         a_f=table.one_minus_cinv2 * amp / 2.0,
-        omega=2.0 * table.lam1,
-        damping=table.one_minus_cinv.copy(),
-        damping_f=table.one_minus_cinv2.copy(),
         second_order=use_second_order,
     )
 
@@ -189,34 +171,33 @@ def sample_logle(table: ModeTable | Sequence[ModeTable], tau: float, n_samples: 
     return SampleSet(tau=float(tau), seed=int(seed), times=times, z=z[0] if single else z)
 
 
-def histogram_peaks(values, bins: int = DEFAULT_BINS) -> np.ndarray:
+def histogram_peaks(counts, edges) -> np.ndarray:
     """Locations of prominent peaks of a smoothed histogram.
 
-    The histogram of ``bins`` equal bins is smoothed with a moving average
-    over ``DEFAULT_SMOOTH_WINDOW`` bins; a bin is a peak when it is a local
+    The histogram is smoothed with a moving average over
+    ``DEFAULT_SMOOTH_WINDOW`` bins; a bin is a peak when it is a local
     maximum whose prominence (height above the higher of the two flanking
     valleys) reaches ``DEFAULT_PROMINENCE`` times the tallest smoothed bin.
 
     Parameters
     ----------
-    values
-        Samples; at least one required.
-    bins
-        Bin count.
+    counts, edges
+        The bin counts and the ``len(counts) + 1`` bin edges, as
+        ``np.histogram`` returns them.
 
     Returns
     -------
-    Bin-center positions of the accepted peaks, ascending.  Empty when the
-    samples are all identical.
+    Bin-center positions of the accepted peaks, ascending.  Empty when
+    fewer than two bins are occupied, as for identical samples.
     """
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("histogram_peaks needs at least one sample")
-    if np.ptp(values) == 0.0:
+    counts = np.asarray(counts, dtype=float)
+    edges = np.asarray(edges, dtype=float)
+    if edges.shape != (counts.size + 1,):
+        raise ValueError(f"a histogram of {counts.size} bins needs {counts.size + 1} edges")
+    if np.count_nonzero(counts) < 2:
         return np.empty(0)
-    hist, edges = np.histogram(values, bins=bins)
     kernel = np.ones(DEFAULT_SMOOTH_WINDOW) / DEFAULT_SMOOTH_WINDOW
-    sm = np.convolve(hist.astype(float), kernel, mode="same")
+    sm = np.convolve(counts, kernel, mode="same")
     top = sm.max()
     centers = 0.5 * (edges[:-1] + edges[1:])
     out = []
@@ -238,21 +219,18 @@ def histogram_peaks(values, bins: int = DEFAULT_BINS) -> np.ndarray:
     return np.asarray(out)
 
 
-def classify(
-    spectrum: WeightSpectrum,
-    samples: SampleSet | None = None,
-    bins: int = DEFAULT_BINS,
-) -> Classification:
+def classify(spectrum: WeightSpectrum, histogram=None) -> Classification:
     """Classify the stationary distribution of the log-echo.
 
     The weight rule: with ``r`` the share of the two largest weights, the
     shape is Gaussian when ``r <= DEFAULT_DOMINANCE_THRESHOLD`` (0.6);
     otherwise it is DoublePeaked when the two leading weights differ by more
     than ``DEFAULT_GAP_FACTOR`` (3) times the spread of the remaining
-    weights, and MergedSinglePeak when they are that close.  When samples
-    are supplied, the peak count of their ``bins``-bin histogram (see
-    :func:`histogram_peaks`) must agree (2 for DoublePeaked, 1 otherwise);
-    a disagreement downgrades the verdict to Indeterminate.
+    weights, and MergedSinglePeak when they are that close.  When a
+    histogram of the log-echo is supplied, as the ``(counts, edges)`` pair
+    of ``np.histogram``, its peak count (see :func:`histogram_peaks`) must
+    agree (2 for DoublePeaked, 1 otherwise); a disagreement downgrades the
+    verdict to Indeterminate.
 
     A quench with all weights zero has no distribution at all; it is
     reported as Indeterminate with ``degenerate=True``.
@@ -260,53 +238,38 @@ def classify(
     a_sorted = np.sort(spectrum.a)[::-1]
     total = float(np.sum(a_sorted))
     zbar = spectrum.zbar
-    kappa2 = spectrum.kappa2
-    if total <= 0.0 or a_sorted[0] == 0.0:
-        count = None
-        if samples is not None:
-            count = int(histogram_peaks(samples.z, bins).size)
-        return Classification(
-            label=ShapeLabel.INDETERMINATE,
-            dominance=0.0,
-            predicted_peaks=(zbar, zbar),
-            kappa2=kappa2,
-            zbar=zbar,
-            histogram_peak_count=count,
-            histogram_peaks=(),
-            degenerate=True,
-        )
-    a1 = float(a_sorted[0])
-    a2 = float(a_sorted[1]) if a_sorted.size > 1 else 0.0
-    gap = a1 - a2
-    dominance = (a1 + a2) / total
-    rest = a_sorted[2:]
-    sigma_rest = math.sqrt(0.5 * float(np.sum(rest**2)))
-    if dominance > DEFAULT_DOMINANCE_THRESHOLD:
-        if gap > DEFAULT_GAP_FACTOR * sigma_rest:
+    degenerate = bool(total <= 0.0 or a_sorted[0] == 0.0)
+    if degenerate:
+        # (zbar, zbar) keeps the sign of a zero zbar, which zbar + 0.0 loses
+        label, dominance, predicted = ShapeLabel.INDETERMINATE, 0.0, (zbar, zbar)
+    else:
+        a1 = float(a_sorted[0])
+        a2 = float(a_sorted[1]) if a_sorted.size > 1 else 0.0
+        gap = a1 - a2
+        dominance = (a1 + a2) / total
+        sigma_rest = math.sqrt(0.5 * float(np.sum(a_sorted[2:] ** 2)))
+        if dominance <= DEFAULT_DOMINANCE_THRESHOLD:
+            label = ShapeLabel.GAUSSIAN
+        elif gap > DEFAULT_GAP_FACTOR * sigma_rest:
             label = ShapeLabel.DOUBLE_PEAKED
         else:
             label = ShapeLabel.MERGED_SINGLE_PEAK
-    else:
-        label = ShapeLabel.GAUSSIAN
-    predicted = (zbar - gap, zbar + gap)
+        predicted = (zbar - gap, zbar + gap)
     count = None
     positions: tuple[float, ...] = ()
-    if samples is not None:
-        found = histogram_peaks(samples.z, bins)
+    if histogram is not None:
+        found = histogram_peaks(*histogram)
         positions = tuple(float(p) for p in found)
         count = int(found.size)
-        expected = 2 if label is ShapeLabel.DOUBLE_PEAKED else 1
-        if count != expected:
+        if count != (2 if label is ShapeLabel.DOUBLE_PEAKED else 1):
             label = ShapeLabel.INDETERMINATE
     return Classification(
         label=label,
         dominance=float(dominance),
         predicted_peaks=predicted,
-        kappa2=kappa2,
-        zbar=zbar,
         histogram_peak_count=count,
         histogram_peaks=positions,
-        degenerate=False,
+        degenerate=degenerate,
     )
 
 

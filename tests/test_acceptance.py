@@ -113,7 +113,7 @@ def test_criterion_05_near_critical_shape_crossover(pinned):
         spectrum = stats.weights(table)
         sample = stats.sample_logle(mode_table(params), mc["tau_factor"] * 50.0**2,
                                     mc["n_samples"], mc["seed"])
-        verdicts[temp] = stats.classify(spectrum, sample)
+        verdicts[temp] = stats.classify(spectrum, np.histogram(sample.z, bins=200))
         spectra[temp] = spectrum
     cold, hot = verdicts[0.02], verdicts[0.18]
     a_sorted = np.sort(spectra[0.02].a)[::-1]
@@ -143,7 +143,7 @@ def test_criterion_06_finite_size_peak_merging(pinned):
         spectrum = stats.weights(mode_table(params))
         sample = stats.sample_logle(mode_table(params), mc["tau_factor"] * length**2,
                                     mc["n_samples"], mc["seed"])
-        labels[length] = stats.classify(spectrum, sample).label
+        labels[length] = stats.classify(spectrum, np.histogram(sample.z, bins=200)).label
         top = np.sort(spectrum.a)[::-1][:2]
         splits[length] = abs(top[0] - top[1]) / top[0]
     _verdict(6, "finite_size_peak_merging", [

@@ -314,6 +314,42 @@ def test_conflicting_file_layer_exits_one(tmp_path, monkeypatch):
     assert _run(["timeseries", "--config", str(cfg_file)], tmp_path, monkeypatch) == 1
 
 
+
+@pytest.mark.parametrize("args, names", [
+    (["--beta", "5", "--temperatures", "0.1,0.2"], "beta and temperatures"),
+    (["--temperatures", "0.1", "--temperature", "0.5"], "temperature and temperatures"),
+])
+def test_ladder_and_single_temperature_flags_exit_one(args, names, tmp_path, monkeypatch,
+                                                      capsys):
+    # every rung runs at its ladder temperature, so a beta or temperature
+    # beside a ladder would be recorded in the config but never used
+    assert _run(["distribution", "--length", "10", "--samples", "100", *args],
+                tmp_path, monkeypatch) == 1
+    assert capsys.readouterr().err == (
+        f"thermalecho: give at most one of {names} on the command line\n")
+    assert not list(tmp_path.iterdir())
+
+
+def test_ladder_and_beta_in_one_config_file_exit_one(tmp_path, monkeypatch, capsys):
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"beta": 5.0, "temperatures": [0.1, 0.2]}))
+    args = ["distribution", "--length", "10", "--samples", "100", "--config", str(cfg_file)]
+    assert _run(args, tmp_path, monkeypatch) == 1
+    assert capsys.readouterr().err == (
+        "thermalecho: give at most one of beta and temperatures on the config file\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
+def test_cli_ladder_supersedes_file_beta(tmp_path, monkeypatch):
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"beta": 5.0}))
+    args = ["distribution", "--length", "10", "--samples", "100", "--config", str(cfg_file),
+            "--temperatures", "0.1,0.2"]
+    assert _run(args, tmp_path, monkeypatch) == 0
+    cfg = json.loads((tmp_path / "distribution.json").read_text())["config"]
+    assert cfg["temperatures"] == [0.1, 0.2]
+    assert cfg["beta"] == 10.0 and cfg["temperature"] is None
+
 def test_missing_config_exits_three(tmp_path, monkeypatch, capsys):
     code = _run(["timeseries", "--config", str(tmp_path / "nope.json")],
                 tmp_path, monkeypatch)
@@ -441,6 +477,25 @@ def test_distribution_ladder_files_and_labels(tmp_path, monkeypatch):
     counts = [row for row in _data_rows(tmp_path / "distribution_T0.02_hist.csv")]
     assert sum(int(row[2]) for row in counts) == 100000
 
+
+
+def test_distribution_peaks_are_centres_of_the_written_bins(tmp_path, monkeypatch):
+    args = ["distribution", "--length", "30", "--samples", "20000", "--temperatures", "0.02",
+            "--h0", "0.99", "--h1", "1.01", "--gamma0", "1", "--gamma1", "1", "--bins", "150"]
+    csv_dir, json_dir = tmp_path / "csv", tmp_path / "json"
+    csv_dir.mkdir(), json_dir.mkdir()
+    assert _run(args, csv_dir, monkeypatch) == 0
+    assert _run(args + ["--format", "json"], json_dir, monkeypatch) == 0
+    rows = np.array(_data_rows(csv_dir / "distribution_T0.02_hist.csv"), dtype=float)
+    entry = json.loads((json_dir / "distribution.json").read_text())["results"][0]
+    edges = np.array(entry["histogram"]["edges"])
+    assert np.array_equal(rows[:, 0], edges[:-1]) and np.array_equal(rows[:, 1], edges[1:])
+    centres = 0.5 * (edges[:-1] + edges[1:])
+    csv_entry = json.loads((csv_dir / "distribution.json").read_text())["results"][0]
+    for written in (csv_entry, entry):
+        peaks = written["histogram_peaks"]
+        assert len(peaks) == written["histogram_peak_count"] >= 1
+        assert set(peaks) <= set(centres.tolist())
 
 @pytest.mark.parametrize("ladder, fmt", [
     ("0.1000001,0.1000002", "csv"),

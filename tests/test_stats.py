@@ -43,16 +43,7 @@ def _params(h0=0.5, h1=0.5, g0=0.25, g1=0.1, beta=10.0, length=20, **kw):
 
 def _synthetic_spectrum(a):
     a = np.asarray(a, dtype=float)
-    n = len(a)
-    return WeightSpectrum(
-        k=np.linspace(0.1, 3.0, n),
-        a=a,
-        a_f=a.copy(),
-        omega=np.linspace(1.0, 2.0, n),
-        damping=np.ones(n),
-        damping_f=np.ones(n),
-        second_order=False,
-    )
+    return WeightSpectrum(a=a, a_f=a.copy(), second_order=False)
 
 
 @given(fields, fields, couplings, couplings, betas)
@@ -69,12 +60,8 @@ def test_weights_bounded_by_half(h0, h1, g0, g1, beta):
 def test_weights_damping_columns_match_thermal_ratios():
     beta = 3.0
     table = mode_table(_params(beta=beta))
-    spec = weights(table)
-    assert np.allclose(spec.damping, table.one_minus_cinv, rtol=0, atol=0)
-    assert np.allclose(spec.damping_f, table.one_minus_cinv2, rtol=0, atol=0)
-    assert np.allclose(spec.damping, damping(table.lam0, 1.0 / beta, m=1), atol=1e-13)
-    assert np.allclose(spec.damping_f, damping(table.lam0, 1.0 / beta, m=2), atol=1e-13)
-    assert np.allclose(spec.omega, 2.0 * table.lam1, atol=0)
+    assert np.allclose(table.one_minus_cinv, damping(table.lam0, 1.0 / beta, m=1), atol=1e-13)
+    assert np.allclose(table.one_minus_cinv2, damping(table.lam0, 1.0 / beta, m=2), atol=1e-13)
 
 
 def test_finite_temperature_suppresses_weights():
@@ -182,14 +169,14 @@ def test_histogram_peaks_on_synthetic_mixtures():
     rng = np.random.default_rng(314)
     bimodal = np.concatenate([rng.normal(-1.0, 0.22, 12_000),
                               rng.normal(1.0, 0.22, 11_000)])
-    locs = histogram_peaks(bimodal)
+    locs = histogram_peaks(*np.histogram(bimodal, bins=200))
     assert len(locs) == 2
     assert abs(locs[0] + 1.0) < 0.15 and abs(locs[1] - 1.0) < 0.15
 
     unimodal = rng.normal(0.3, 0.5, 20_000)
-    assert len(histogram_peaks(unimodal)) == 1
+    assert len(histogram_peaks(*np.histogram(unimodal, bins=200))) == 1
 
-    assert histogram_peaks(np.full(1000, 2.5)).size == 0
+    assert histogram_peaks(*np.histogram(np.full(1000, 2.5), bins=200)).size == 0
 
 
 def test_histogram_peaks_prominence_filter():
@@ -199,7 +186,7 @@ def test_histogram_peaks_prominence_filter():
         rng = np.random.default_rng(2718)
         values = np.concatenate([rng.normal(0.0, 0.3, 20_000),
                                  rng.normal(2.5, 0.1, minor)])
-        assert len(histogram_peaks(values)) == expected, minor
+        assert len(histogram_peaks(*np.histogram(values, bins=200))) == expected, minor
 
         # a filtered minor peak is still a local maximum of the histogram
         counts, edges = np.histogram(values, bins=200)
@@ -209,6 +196,17 @@ def test_histogram_peaks_prominence_filter():
         assert np.min(np.abs(mids[idx] - 2.5)) < 0.05, minor
 
 
+@pytest.mark.parametrize("bins", [1, 2, 200])
+def test_histogram_peaks_need_two_occupied_bins(bins):
+    # identical samples fill one bin, whatever the bin count
+    counts, edges = np.histogram(np.full(1000, -0.75), bins=bins)
+    assert np.count_nonzero(counts) == 1
+    assert histogram_peaks(counts, edges).size == 0
+    assert histogram_peaks(np.zeros(bins, dtype=int), edges).size == 0
+    with pytest.raises(ValueError):
+        histogram_peaks(counts, edges[:-1])
+
+
 @pytest.mark.parametrize("seed", [5, 17, 1234])
 def test_histogram_peaks_agree_with_scipy(seed):
     rng = np.random.default_rng(seed)
@@ -216,7 +214,7 @@ def test_histogram_peaks_agree_with_scipy(seed):
     values = np.concatenate([rng.normal(c, rng.uniform(0.15, 0.5), 8000)
                              for c in centers])
     bins, window, prom = 200, 5, 0.05
-    ours = histogram_peaks(values, bins=bins)
+    ours = histogram_peaks(*np.histogram(values, bins=bins))
 
     counts, edges = np.histogram(values, bins=bins)
     sm = np.convolve(counts.astype(float), np.ones(window) / window, mode="same")
@@ -257,7 +255,7 @@ def test_classify_histogram_contradiction_yields_indeterminate():
     rng = np.random.default_rng(1)
     z = rng.normal(spec.zbar, 0.05, 50_000)
     samples = SampleSet(tau=1e4, seed=1, times=np.linspace(0, 1e4, 50_000), z=z)
-    verdict = classify(spec, samples)
+    verdict = classify(spec, np.histogram(samples.z, bins=200))
     assert verdict.label is ShapeLabel.INDETERMINATE
     assert verdict.histogram_peak_count == 1
 
@@ -267,6 +265,19 @@ def test_classify_zero_quench_degenerate():
     verdict = classify(spec)
     assert verdict.degenerate
     assert verdict.label is ShapeLabel.INDETERMINATE
+
+
+def test_classify_zero_quench_histogram_keeps_signed_zbar():
+    table = mode_table(_params(h1=0.5, g1=0.25))
+    spec = weights(table)
+    sample = sample_logle(table, 1e3, 2000, 3)
+    verdict = classify(spec, np.histogram(sample.z, bins=200))
+    assert verdict.degenerate is True
+    assert verdict.label is ShapeLabel.INDETERMINATE
+    assert verdict.histogram_peak_count == 0 and verdict.histogram_peaks == ()
+    # the zero quench's mean is -0.0; zbar + 0.0 would turn it into 0.0
+    assert verdict.predicted_peaks == (spec.zbar, spec.zbar)
+    assert np.signbit(spec.zbar) and all(np.signbit(verdict.predicted_peaks))
 
 
 def test_near_critical_ladder_dominance_decreases():
