@@ -11,9 +11,11 @@ modes, provides an independent route to every headline number.
 Layout:
 
 - :mod:`thermalecho.model` builds the per-mode table from quench parameters.
-- :mod:`thermalecho.echo` evaluates echoes and bounds on time grids.
-- :mod:`thermalecho.averages` gives the infinite-time means and variance
-  from per-mode phase moments.
+- :mod:`thermalecho.echo` evaluates the echo, its log, the overlap echo
+  and both bounds on time grids, for one mode table or many chains.
+- :mod:`thermalecho.averages` gives a table's long-time statistics in one
+  pass: the initial purity, the infinite-time means and the variance, from
+  per-mode phase moments.
 - :mod:`thermalecho.stats` gives the per-mode weights and the continuum bells,
   and samples, histograms, and classifies the log-echo.
 - :mod:`thermalecho.oracle` is the dense cross-check plus qubit-level checks.
@@ -23,19 +25,8 @@ Layout:
 - :mod:`thermalecho.cli` is the command-line front end.
 """
 
-from .averages import (
-    avg_linearized,
-    avg_loschmidt,
-    smallquench_variance,
-    variance_le,
-)
-from .echo import (
-    EchoPoint,
-    EffectiveDimension,
-    echo_chains,
-    echo_point,
-    effective_dimension,
-)
+from .averages import LongTime, long_time
+from .echo import EchoPoint, echo_chains, echo_point
 from .model import (
     ModeTable,
     QuenchParams,
@@ -60,14 +51,12 @@ from .stats import (
 __all__ = [
     "Classification",
     "EchoPoint",
-    "EffectiveDimension",
+    "LongTime",
     "ModeTable",
     "QuenchParams",
     "SampleSet",
     "ShapeLabel",
     "WeightSpectrum",
-    "avg_linearized",
-    "avg_loschmidt",
     "bell_aniso",
     "bell_ising",
     "bell_width_aniso",
@@ -75,13 +64,11 @@ __all__ = [
     "classify",
     "echo_chains",
     "echo_point",
-    "effective_dimension",
     "histogram_peaks",
+    "long_time",
     "mode_table",
     "momenta",
     "sample_logle",
-    "smallquench_variance",
-    "variance_le",
     "weights",
 ]
 

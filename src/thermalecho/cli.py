@@ -543,16 +543,7 @@ def cmd_timeseries(cfg: RunConfig) -> int:
     table = mode_table(params)
     t = np.linspace(0.0, cfg.tmax, cfg.tpoints)
     pt = echo.echo_point(table, t)
-    dim = echo.effective_dimension(table)
-    summary = {
-        "d_eff": dim.d_eff,
-        "purity": dim.purity,
-        "log_purity": dim.log_purity,
-        "mean_le": averages.avg_loschmidt(table),
-        "mean_lef": averages.avg_linearized(table),
-        "smallquench_var": averages.smallquench_variance(table),
-        "var_le": averages.variance_le(table),
-    }
+    summary = dataclasses.asdict(averages.long_time(table))
     _write_table(
         cfg, "timeseries", ["t", "le", "lef", "lower", "upper"],
         [t, pt.le, pt.lef, pt.lower, pt.upper],
@@ -720,17 +711,17 @@ def cmd_scan(cfg: RunConfig) -> int:
             point_cfg.beta, point_cfg.temperature = None, overrides["temperature"]
         params = _params_for(point_cfg)
         table = mode_table(params)
-        dim = echo.effective_dimension(table)
         spectrum = stats.weights(table)
         verdict = stats.classify(spectrum)
+        longtime = averages.long_time(table)
         rows.append(
             list(point)
             + [
-                dim.d_eff,
-                dim.purity,
-                averages.avg_loschmidt(table),
-                averages.avg_linearized(table),
-                averages.variance_le(table),
+                longtime.d_eff,
+                longtime.purity,
+                longtime.mean_le,
+                longtime.mean_lef,
+                longtime.var_le,
                 spectrum.kappa2,
                 verdict.dominance,
                 verdict.label.value,

@@ -21,6 +21,7 @@ the results.
 
 from __future__ import annotations
 
+import math
 import os
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -30,13 +31,7 @@ import numpy as np
 
 from .model import ModeTable, QuenchParams, _beta, _columns, momenta
 
-__all__ = [
-    "EchoPoint",
-    "EffectiveDimension",
-    "echo_chains",
-    "echo_point",
-    "effective_dimension",
-]
+__all__ = ["EchoPoint", "echo_chains", "echo_point"]
 
 # the clamped quantity may dip below its analytic floor only by rounding dust
 _CLAMP_SLACK = 1e-15
@@ -50,20 +45,6 @@ _GROUP_MODES = _CHUNK_BYTES // (8 * 64)
 
 # worker count when THERMALECHO_THREADS is unset; looked up once, not per call
 _CPU_COUNT = os.cpu_count() or 1
-
-
-@dataclass(frozen=True)
-class EffectiveDimension:
-    """Purity of the initial Gibbs state and the dimension it corresponds to.
-
-    ``d_eff`` is ``1 / purity``, the number of states an equally mixed state
-    with the same purity would occupy.  ``log_purity`` is kept alongside
-    because ``d_eff`` itself overflows for long chains at high temperature.
-    """
-
-    d_eff: float
-    purity: float
-    log_purity: float
 
 
 @dataclass(frozen=True)
@@ -145,6 +126,12 @@ def _kernel(lam1, alpha, cinv, one_minus_cinv2, t: np.ndarray):
     column when nothing in the block differs between chains; ``log_purity``
     is ``-2`` times the sum of ``log1p(cinv)``, one per chain or one shared.
     """
+    # an infinite phase would turn its sine, and every factor after it, into nan
+    t_peak = float(np.abs(t).max()) if t.size else 0.0
+    lam1_peak = float(np.abs(lam1).max())
+    if not math.isfinite(t_peak * lam1_peak):
+        raise ValueError(f"the phase t * lam1 overflows: max |t| = {t_peak:g} times "
+                         f"max lam1 = {lam1_peak:g} exceeds the float64 range")
     coef = one_minus_cinv2 * alpha
     n_times = t.shape[0]
     n_phases, n_modes = np.broadcast_shapes(t.shape[1:] + (1,), lam1.shape)
@@ -180,19 +167,6 @@ def _kernel(lam1, alpha, cinv, one_minus_cinv2, t: np.ndarray):
         work(0)
     log_le *= 2.0
     return log_le, log_core, -2.0 * np.add.reduce(np.log1p(cinv), axis=-1)
-
-
-def effective_dimension(table: ModeTable) -> EffectiveDimension:
-    """Purity of the initial Gibbs state and the effective dimension ``1 / purity``.
-
-    The purity factorizes as ``prod (1 + cinv)**-2`` over modes; both it and
-    its log are returned since either end can overflow or underflow alone.
-    """
-    log_purity = -2.0 * float(np.sum(np.log1p(table.cinv)))
-    purity = float(np.exp(log_purity))
-    with np.errstate(over="ignore"):
-        d_eff = float(np.exp(-log_purity))
-    return EffectiveDimension(d_eff=d_eff, purity=purity, log_purity=log_purity)
 
 
 def _point(t, log_le, log_core, log_purity, shaped=np.asarray) -> EchoPoint:

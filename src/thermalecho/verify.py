@@ -44,11 +44,11 @@ def oracle_equivalence(*, seed, lengths, n_param_sets, n_times, field_range,
             dense = oracle.exact_le(ham0, ham1, beta, times)
             le_err = np.max(np.abs(pt.le - dense.le))
             lef_err = np.max(np.abs(pt.lef - dense.lef))
-            dims = echo.effective_dimension(table)
-            purity_err = abs(dims.purity - dense.purity)
-            avg_err = abs(averages.avg_linearized(table) - dense.dephased_purity)
+            longtime = averages.long_time(table)
+            purity_err = abs(longtime.purity - dense.purity)
+            avg_err = abs(longtime.mean_lef - dense.dephased_purity)
             worst = max(worst, float(le_err), float(lef_err), purity_err, avg_err)
-            worst_d_eff = max(worst_d_eff, abs(dims.d_eff - 1.0 / dense.purity))
+            worst_d_eff = max(worst_d_eff, abs(longtime.d_eff - 1.0 / dense.purity))
     return {
         "passed": worst < max_abs_residual and worst_d_eff < max_abs_residual,
         "worst_abs_error": worst,

@@ -81,7 +81,7 @@ def test_criterion_03_short_time_decay_and_monte_carlo(pinned):
     le_draws = np.exp(sample.z)
     mc_mean = float(le_draws.mean())
     stderr = float(le_draws.std(ddof=1) / np.sqrt(le_draws.size))
-    analytic = averages.avg_loschmidt(table)
+    analytic = averages.long_time(table).mean_le
     elapsed = time.perf_counter() - start
     _verdict(3, "short_time_decay_and_monte_carlo", [
         (r2 > 0.999, f"quadratic fit R^2 {r2:.6f} !> 0.999"),
@@ -217,7 +217,7 @@ def test_criterion_10_variance_series(pinned):
     params = QuenchParams(h0=0.5, h1=0.5, gamma0=0.25, gamma1=0.1,
                           beta=10.0, length=80)
     table = mode_table(params)
-    analytic = averages.variance_le(table)
+    analytic = averages.long_time(table).var_le
     sample = stats.sample_logle(mode_table(params), mc["tau_factor"] * 80.0**2,
                                 mc["n_samples"], mc["seed"])
     empirical = float(np.exp(sample.z).var(ddof=1))
@@ -226,13 +226,14 @@ def test_criterion_10_variance_series(pinned):
                          beta=10.0, length=80)
     small_table = mode_table(small)
     assert np.max(np.abs(small_table.dtheta)) < 0.01
-    moment_var = averages.variance_le(small_table)
-    closed_var = averages.smallquench_variance(small_table)
+    small_stat = averages.long_time(small_table)
+    moment_var = small_stat.var_le
+    closed_var = small_stat.smallquench_var
 
     betas = np.linspace(10.0, 1.0, 10)
     variances = [
-        averages.variance_le(mode_table(QuenchParams(
-            h0=0.5, h1=0.5, gamma0=0.25, gamma1=0.1, beta=b, length=80)))
+        averages.long_time(mode_table(QuenchParams(
+            h0=0.5, h1=0.5, gamma0=0.25, gamma1=0.1, beta=b, length=80))).var_le
         for b in betas
     ]
     monotone = all(b <= a * (1.0 + 1e-12) for a, b in zip(variances, variances[1:]))

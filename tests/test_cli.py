@@ -1,15 +1,17 @@
 """Command-line behavior: outputs, determinism, config merging, exit codes."""
 
+import dataclasses
 import json
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermalecho import cli, echo, model, stats
+from thermalecho import averages, cli, echo, model, stats
 from thermalecho.model import momenta
 
 
@@ -84,6 +86,67 @@ def test_timeseries_outputs(tmp_path, monkeypatch):
     assert {"d_eff", "purity", "mean_le", "mean_lef", "var_le",
             "smallquench_var"} <= set(summary)
     assert 0.0 < summary["mean_le"] <= 1.0
+
+
+@pytest.mark.parametrize("args", [
+    TS_ARGS,
+    HOT_TS_ARGS,
+    ["timeseries", "--length", "24", "--tpoints", "3", "--temperature", "0"],
+], ids=["csv", "hot", "zero-temperature"])
+def test_timeseries_summary_is_long_time(args, tmp_path, monkeypatch):
+    assert _run(args, tmp_path, monkeypatch) == 0
+    payload = json.loads((tmp_path / "timeseries.json").read_text())
+    table = model.mode_table(cli._params_for(cli.RunConfig(**payload["config"])))
+    want = {name: cli._json_cell(value)
+            for name, value in dataclasses.asdict(averages.long_time(table)).items()}
+    assert payload["summary"] == want
+
+
+def test_scan_columns_are_long_time_fields(tmp_path, monkeypatch):
+    args = ["scan", "--length", "12", "--sweep", "beta=1:5:3", "--sweep", "h1=0.4:0.6:2",
+            "--format", "json"]
+    assert _run(args, tmp_path, monkeypatch) == 0
+    payload = json.loads((tmp_path / "scan.json").read_text())
+    cfg = cli.RunConfig(**payload["config"])
+    names = ["d_eff", "purity", "mean_le", "mean_lef", "var_le"]
+    assert len(payload["rows"]) == 6
+    for row in payload["rows"]:
+        point = dict(zip(payload["columns"], row))
+        params = cli._params_for(dataclasses.replace(cfg, beta=point["beta"], h1=point["h1"]))
+        stat = averages.long_time(model.mode_table(params))
+        assert [point[name] for name in names] == [
+            cli._json_cell(getattr(stat, name)) for name in names]
+
+
+def test_phase_moments_are_taken_once_per_table(tmp_path, monkeypatch):
+    calls = []
+    original = averages._mean_factors
+
+    def counted(table):
+        calls.append(table.n_modes)
+        return original(table)
+
+    monkeypatch.setattr(averages, "_mean_factors", counted)
+    assert _run(TS_ARGS, tmp_path, monkeypatch) == 0
+    assert calls == [12]
+    calls.clear()
+    args = ["scan", "--length", "12", "--sweep", "beta=1:5:3", "--sweep", "h1=0.4:0.6:2"]
+    assert _run(args, tmp_path, monkeypatch) == 0
+    assert calls == [6] * 6
+
+
+def test_overflowing_phase_exits_one_naming_it(tmp_path, monkeypatch, capsys):
+    # a finite --tmax whose phase t * lam1 overflows used to reach the
+    # kernel, warn from numpy and be blamed on the mode table
+    args = ["timeseries", "--length", "8", "--tmax", "1.7e308", "--tpoints", "3"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run(args, tmp_path, monkeypatch) == 1
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("thermalecho: the phase t * lam1 overflows: max |t| = 1.7e+308 ")
+    assert err.endswith(" exceeds the float64 range\n")
+    assert not list(tmp_path.iterdir())
 
 
 def test_float_cells_round_trip(tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from thermalecho import (
     QuenchParams,
     echo_chains,
     echo_point,
-    effective_dimension,
+    long_time,
     mode_table,
 )
 import thermalecho
@@ -45,7 +46,7 @@ def test_unit_echo_at_time_zero():
 
 def test_linearized_at_zero_equals_purity():
     table = _table(length=30, beta=2.0)
-    dim = effective_dimension(table)
+    dim = long_time(table)
     assert echo_point(table, 0.0).lef == pytest.approx(dim.purity, rel=1e-13)
 
 
@@ -97,21 +98,40 @@ def test_rejects_non_finite_time():
         echo_point(table, np.array([1.0, math.inf]))
 
 
+def test_rejects_times_whose_phase_overflows():
+    # t * lam1 overflows to inf and sin(inf) is nan; such a time is rejected
+    # before any factor is formed, on both routes, and nothing warns
+    table = _table()
+    huge = float(np.finfo(float).max)
+    assert math.isinf(huge * float(np.max(table.lam1)))
+    chains = [QuenchParams(**DECAY_QUENCH, length=20)] * 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"the phase t \* lam1 overflows"):
+            echo_point(table, np.array([0.0, -huge]))
+        with pytest.raises(ValueError, match=r"the phase t \* lam1 overflows"):
+            echo_chains(chains, np.array([1.0, huge]))
+        # a phase that stays finite, however large, is evaluated
+        t = 0.5 * huge / float(np.max(table.lam1))
+        assert math.isfinite(echo_point(table, t).le)
+        assert math.isfinite(echo_chains(chains, [t]).le[1, 0])
+
+
 def test_lower_bound_is_scaled_linearized():
     table = _table(length=40, beta=2.0)
     t = np.linspace(0.0, 10.0, 41)
-    dim = effective_dimension(table)
+    dim = long_time(table)
     pt = echo_point(table, t)
     assert np.allclose(pt.lower, pt.lef * dim.d_eff, rtol=1e-10)
 
 
 def test_effective_dimension_limits():
     hot = _table(length=10, beta=1e-8)
-    dim = effective_dimension(hot)
+    dim = long_time(hot)
     assert dim.d_eff == pytest.approx(2.0**10, rel=1e-6)
     cold = mode_table(QuenchParams(h0=0.5, h1=0.5, gamma0=0.25, gamma1=0.1,
                                    beta=None, length=10, zero_temperature=True))
-    dim0 = effective_dimension(cold)
+    dim0 = long_time(cold)
     assert dim0.d_eff == pytest.approx(1.0, rel=1e-14)
     assert dim0.purity == pytest.approx(1.0, rel=1e-14)
 
@@ -119,7 +139,7 @@ def test_effective_dimension_limits():
 def test_deep_lattice_underflow_handled():
     # log-purity is about -0.65 per site here, so 1600 sites underflow float64
     table = _table(length=1600, beta=0.5)
-    dim = effective_dimension(table)
+    dim = long_time(table)
     assert dim.purity == 0.0
     assert math.isinf(dim.d_eff)
     assert math.isfinite(dim.log_purity)
@@ -148,7 +168,7 @@ def test_echo_point_bundles_consistently():
     assert pt.t == 2.25
     assert pt.le == pytest.approx(math.exp(pt.log_le), rel=1e-15)
     assert pt.lower <= pt.le <= pt.upper
-    assert pt.lef == pytest.approx(pt.lower * effective_dimension(table).purity, rel=1e-14)
+    assert pt.lef == pytest.approx(pt.lower * long_time(table).purity, rel=1e-14)
     t = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
     grid = echo_point(table, t)
     # the echo is the exponential of the log-echo, bit for bit
@@ -346,7 +366,7 @@ def test_bound_sandwich(h0, h1, g0, g1, beta, t, length):
     pt = echo_point(table, t)
     assert pt.lower - 1e-12 <= pt.le <= pt.upper + 1e-12
     assert 0.0 <= pt.le <= 1.0 + 1e-12
-    assert pt.lef <= effective_dimension(table).purity + 1e-12
+    assert pt.lef <= long_time(table).purity + 1e-12
 
 
 @given(fields, fields, couplings, couplings, times)

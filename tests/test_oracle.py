@@ -148,8 +148,9 @@ def test_site_chain_echo_at_length_ten():
                                     beta=beta, length=10))
     dense = exact_le(build_quasifree(h0, g0, 10), build_quasifree(h1, g1, 10), beta, t)
     assert abs(echo.echo_point(table, t).le - dense.le) < 1e-9
-    assert abs(averages.avg_linearized(table) - dense.dephased_purity) < 1e-9
-    assert abs(echo.effective_dimension(table).purity - dense.purity) < 1e-9
+    stat = averages.long_time(table)
+    assert abs(stat.mean_lef - dense.dephased_purity) < 1e-9
+    assert abs(stat.purity - dense.purity) < 1e-9
 
 
 def test_chain_builder_rejects_bad_sizes():

@@ -1,6 +1,8 @@
 """Fresh-interpreter checks: the ``scripts/`` drivers at tiny sizes, and the
 runtime package's imports; and the README's library example, run as written."""
 
+import ast
+import importlib.util
 import os
 import pathlib
 import re
@@ -64,3 +66,31 @@ def test_readme_library_example_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
     assert capsys.readouterr().out.strip()
+
+
+def test_benchmark_imports_resolve():
+    # perfbench's output checks import names from the package; a removed or
+    # renamed one would make every check of its workload raise ImportError
+    found = []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+                pairs = []
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+                pairs = [(node.module, alias.name) for alias in node.names]
+            else:
+                continue
+            for module in modules:
+                if module.split(".")[0] == "thermalecho":
+                    importlib.import_module(module)
+                    found.append(f"{path.name}:{node.lineno} {module}")
+            for module, name in pairs:
+                if module.split(".")[0] != "thermalecho":
+                    continue
+                owner = importlib.import_module(module)
+                assert hasattr(owner, name) or importlib.util.find_spec(f"{module}.{name}"), (
+                    f"perfbench/{path.name}:{node.lineno} imports {name} from {module}, "
+                    f"which has no such name")
+    assert any("thermalecho.averages" in entry for entry in found)
