@@ -18,10 +18,11 @@ Layout:
   per-mode phase moments.
 - :mod:`thermalecho.stats` gives the per-mode weights and the continuum bells,
   and samples, histograms, and classifies the log-echo.
-- :mod:`thermalecho.oracle` is the dense cross-check plus qubit-level checks.
+- :mod:`thermalecho.oracle` holds the dense reference routes and the
+  bound-slack kernel.
 - :mod:`thermalecho.special` holds the elliptic-integral loop of the averages.
-- :mod:`thermalecho.verify` holds the verification suites shared by
-  ``thermalecho verify`` and the acceptance gate.
+- :mod:`thermalecho.verify` holds every check, as the verification suites
+  shared by ``thermalecho verify`` and the acceptance gate.
 - :mod:`thermalecho.cli` is the command-line front end.
 """
 

@@ -36,6 +36,10 @@ _MIDPOINT_MAX_M = 0.5
 # nodes on [0, pi/2) suffice.  f is analytic in a strip of half-width
 # acosh(1/sqrt(m)) >= 0.88, so the rule is exact to rounding.
 _MIDPOINT_NODES = 32
+# logs of the smallest normal and the largest float64: the variance's direct
+# product exp(2 s1) * expm1(S) is kept only while both factors stay in range
+_LOG_TINY = math.log(np.finfo(float).tiny)
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -49,8 +53,11 @@ class LongTime:
     ``mean_le`` and ``var_le`` are the infinite-time mean and variance of
     the echo, and ``mean_lef`` is that of the linear overlap echo, which is
     the purity of the dephased state: ``purity * prod (1 - (1 - cinv**2) *
-    alpha / 2)``.  ``smallquench_var`` is the leading small-rotation
-    variance, quartic in the angle differences.
+    alpha / 2)``.  ``smallquench_var`` is the small-rotation term only: the
+    leading variance, quartic in the angle differences, which holds for
+    small quenches and is no bound elsewhere (a strong quench can put it
+    far above 1/4, the largest variance of a quantity in [0, 1]).
+    ``var_le`` is the variance at any quench strength.
     """
 
     d_eff: float
@@ -140,8 +147,11 @@ def long_time(table: ModeTable) -> LongTime:
     The phase averages ``<f>`` and the centred moments ``v`` are taken once.
     The averaged square and the squared average of the echo are both
     exponentially small in the chain length, so the variance is taken as
-    ``exp(2 s1) * expm1(sum log1p(v / <f>**2))``, where ``s1 = sum log <f>``
-    is also the log of ``mean_le``.
+    ``exp(2 s1) * expm1(S)`` with ``S = sum log1p(v / <f>**2)``, where
+    ``s1 = sum log <f>`` is also the log of ``mean_le``.  Where ``exp(2 s1)``
+    would underflow or ``expm1(S)`` overflow, the product is taken in log
+    space instead, as ``exp(2 s1 + S + log(-expm1(-S)))``, which is finite
+    or an underflowed 0.
     """
     log_purity = -2.0 * float(np.sum(np.log1p(table.cinv)))
     purity = float(np.exp(log_purity))
@@ -149,7 +159,11 @@ def long_time(table: ModeTable) -> LongTime:
         d_eff = float(np.exp(-log_purity))
     mean = _mean_factors(table)
     s1 = float(np.sum(np.log(mean)))
-    v = _centred(table, mean)
+    spread = np.sum(np.log1p(_centred(table, mean) / mean**2))
+    if 2.0 * s1 < _LOG_TINY or spread > _LOG_MAX:
+        var_le = np.exp(2.0 * s1 + spread + np.log(-np.expm1(-spread)))
+    else:
+        var_le = np.exp(2.0 * s1) * np.expm1(spread)
     core = np.exp(np.sum(np.log(1.0 - table.one_minus_cinv2 * table.alpha / 2.0)))
     return LongTime(
         d_eff=d_eff,
@@ -158,7 +172,7 @@ def long_time(table: ModeTable) -> LongTime:
         mean_le=float(np.exp(s1)),
         mean_lef=float(purity * core),
         smallquench_var=float(0.125 * np.sum(table.one_minus_cinv**2 * table.dtheta**4)),
-        var_le=float(np.exp(2.0 * s1) * np.expm1(np.sum(np.log1p(v / mean**2)))),
+        var_le=float(var_le),
     )
 
 

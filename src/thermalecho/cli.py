@@ -42,10 +42,10 @@ _COMMANDS = ("timeseries", "distribution", "weights", "scan", "verify")
 class RunConfig:
     """Resolved configuration of one CLI invocation.
 
-    Exactly these field names are accepted in a JSON config file; CLI flags
-    override file values.  ``beta``, ``temperature`` (``0`` selects the
-    ground state) and a ``temperatures`` ladder are alternatives; at most
-    one may be given per layer.
+    A JSON config file may hold those of these field names that the
+    subcommand takes as options; CLI flags override file values.  ``beta``,
+    ``temperature`` (``0`` selects the ground state) and a ``temperatures``
+    ladder are alternatives; at most one may be given per layer.
     """
 
     length: int = 80
@@ -245,6 +245,11 @@ def _pick_thermal(cli: dict, file_vals: dict) -> dict:
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     file_vals = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    # the subcommand's parser leaves a default in ``args`` for each option it
+    # takes, so a file key without one would be recorded but never used
+    unused = sorted(set(file_vals) - set(vars(args)))
+    if unused:
+        raise ValueError(f"config keys not taken by {args.command}: {unused}")
     merged = dataclasses.asdict(RunConfig())
     cli_vals = {
         name: getattr(args, name)

@@ -1,5 +1,9 @@
 """Dense exact-diagonalization reference for small chains.
 
+This module holds reference routes only: the dense Hamiltonians and Gibbs
+states, the Uhlmann fidelity, the dense echo, the perturbative and Bures
+routes and the bound-slack kernel :func:`q_function`.  The checks that
+compare them with the product formulas live in :mod:`thermalecho.verify`.
 Everything here works on explicit matrices in the Fock space, kept
 deliberately simple and capped at dimension 4096: the point is to verify
 the product formulas and the perturbative identities on small instances,
@@ -26,8 +30,6 @@ __all__ = [
     "DegenerateSpectrumError",
     "ExactEcho",
     "InvalidStateError",
-    "QFunctionScan",
-    "QubitInequalityReport",
     "SpectralData",
     "build_quasifree",
     "bures_decomposition",
@@ -36,8 +38,6 @@ __all__ = [
     "perturbative_le",
     "perturbative_le_average",
     "q_function",
-    "q_function_scan",
-    "qubit_inequality_check",
     "random_hermitian",
     "spectral",
     "uhlmann",
@@ -49,11 +49,6 @@ _HERMITIAN_TOL = 1e-12
 _DENSITY_HERMITIAN_TOL = 1e-10
 _DENSITY_TRACE_TOL = 1e-8
 _DENSITY_NEG_TOL = 1e-8
-# float64 bytes per block of the kernel scan's grid; the value only affects
-# speed and memory, never the scan's results
-_SCAN_BLOCK_BYTES = 1 << 20
-# the qubit check runs every this-many-th trial through the spectral routine too
-_CROSS_CHECK_STRIDE = 997
 
 
 class DegenerateSpectrumError(ValueError):
@@ -396,84 +391,6 @@ def _bures_metric(beta: float, s: SpectralData, dh_mat: np.ndarray, c: np.ndarra
     return BuresMetric(ds2=ds2_fr / 4.0 + nonclassical, ds2_fr=ds2_fr, nonclassical=nonclassical)
 
 
-@dataclass(frozen=True)
-class QubitInequalityReport:
-    """Outcome of the random single-qubit bound sweep.
-
-    ``violations`` counts trials where the rescaled overlap exceeded the
-    fidelity by more than 1e-12.  ``max_closed_form_dev`` is the largest
-    deviation between the measured bound slack and its closed form, and
-    ``max_route_dev`` the largest disagreement between the two-level closed
-    form of the fidelity and the general spectral routine on the checked
-    subsample.
-    """
-
-    n_trials: int
-    seed: int
-    violations: int
-    min_slack: float
-    max_closed_form_dev: float
-    max_route_dev: float
-
-
-def _bloch_state(v: np.ndarray) -> np.ndarray:
-    return 0.5 * np.array(
-        [[1.0 + v[2], v[0] - 1j * v[1]], [v[0] + 1j * v[1], 1.0 - v[2]]]
-    )
-
-
-def qubit_inequality_check(n_trials: int, seed: int) -> QubitInequalityReport:
-    """Check the overlap-fidelity bound on random single-qubit states.
-
-    Each trial draws a Bloch vector (uniform direction, uniform radius) and
-    a random rotation (uniform axis, angle uniform on ``[0, pi]``), then
-    verifies ``Tr[U rho U^dag rho] / Tr[rho**2] <= F`` and compares the
-    unnormalized slack against its closed form
-    ``v**2 (1 - cos angle_between) (1 - v**2) / 4``.  The fidelity uses the
-    two-level closed form; every ``_CROSS_CHECK_STRIDE``-th trial is also run
-    through the general spectral routine.
-    """
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    rng = np.random.default_rng(seed)
-    direction = rng.normal(size=(n_trials, 3))
-    direction /= np.linalg.norm(direction, axis=1)[:, None]
-    radius = rng.uniform(0.0, 1.0, n_trials)
-    v = direction * radius[:, None]
-    axis = rng.normal(size=(n_trials, 3))
-    axis /= np.linalg.norm(axis, axis=1)[:, None]
-    angle = rng.uniform(0.0, math.pi, n_trials)
-    cos_a = np.cos(angle)[:, None]
-    sin_a = np.sin(angle)[:, None]
-    v_t = (
-        v * cos_a
-        + np.cross(axis, v) * sin_a
-        + axis * np.sum(axis * v, axis=1)[:, None] * (1.0 - cos_a)
-    )
-    v2 = np.sum(v * v, axis=1)
-    dot = np.sum(v * v_t, axis=1)
-    purity = 0.5 * (1.0 + v2)
-    overlap = 0.5 * (1.0 + dot)
-    # two-level fidelity: Tr[rho sigma] + 2 sqrt(det rho det sigma)
-    fid = overlap + 0.5 * (1.0 - v2)
-    slack = fid - overlap / purity
-    closed = (v2 - dot) * (1.0 - v2) / 4.0
-    dev = np.abs((purity * fid - overlap) - closed)
-    max_route_dev = 0.0
-    for i in range(0, n_trials, _CROSS_CHECK_STRIDE):
-        rho = _bloch_state(v[i])
-        rho_t = _bloch_state(v_t[i])
-        max_route_dev = max(max_route_dev, abs(uhlmann(rho, rho_t) - float(fid[i])))
-    return QubitInequalityReport(
-        n_trials=int(n_trials),
-        seed=int(seed),
-        violations=int(np.sum(slack < -1e-12)),
-        min_slack=float(np.min(slack)),
-        max_closed_form_dev=float(np.max(dev)),
-        max_route_dev=float(max_route_dev),
-    )
-
-
 def q_function(x, v) -> np.ndarray | float:
     """Bound-slack kernel of the two-sided echo bounds, per mode.
 
@@ -501,50 +418,6 @@ def q_function(x, v) -> np.ndarray | float:
     delta = u / (1.0 + root)
     out = 2.0 * delta * q1 * (2.0 * s * q1 + 2.0 * q1 + s / (1.0 + c))
     return float(out.reshape(-1)[0]) if scalar else out
-
-
-@dataclass(frozen=True)
-class QFunctionScan:
-    """Grid scan of the bound-slack kernel."""
-
-    min_value: float
-    max_abs_at_v_zero: float
-    max_v_curvature: float
-    x_max: float
-    v_max: float
-    nx: int
-    nv: int
-
-
-def q_function_scan(*, x_max: float, v_max: float, nx: int, nv: int) -> QFunctionScan:
-    """Scan the kernel over ``[0, x_max] x [0, v_max]``.
-
-    Reports the grid minimum, the largest magnitude along the ``v = 0``
-    edge (zero analytically), and the largest second difference in ``v``
-    (nonpositive when the kernel is concave in ``v``).
-    """
-    if not (0.0 < v_max <= 2.0):
-        raise ValueError(f"v_max must lie in (0, 2], got {v_max}")
-    x = np.linspace(0.0, float(x_max), int(nx))
-    v = np.linspace(0.0, float(v_max), int(nv))
-    # whole x rows per block: each row's curvature needs only that row, so
-    # the per-block extrema reduce to exactly the whole-grid ones
-    rows = max(1, _SCAN_BLOCK_BYTES // (8 * v.size))
-    extrema = []
-    for start in range(0, x.size, rows):
-        grid = q_function(x[start : start + rows, None], v[None, :])
-        curvature = grid[:, 2:] - 2.0 * grid[:, 1:-1] + grid[:, :-2]
-        extrema.append((grid.min(), np.max(np.abs(grid[:, 0])), curvature.max()))
-    lowest, edge, bend = np.array(extrema).T
-    return QFunctionScan(
-        min_value=float(lowest.min()),
-        max_abs_at_v_zero=float(edge.max()),
-        max_v_curvature=float(bend.max()),
-        x_max=float(x_max),
-        v_max=float(v_max),
-        nx=int(nx),
-        nv=int(nv),
-    )
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:

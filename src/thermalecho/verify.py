@@ -1,11 +1,15 @@
 """Verification suites: the product formulas and the bounds, checked on given data.
 
-Each suite takes its data (seed, counts, ranges, tolerances) as keyword
-arguments named like the keys of ``tests/fixtures/oracle_seeds.json`` and
-returns a JSON-ready report whose ``passed`` entry is the verdict.
+Every check of the package lives here, written out in its suite.  Each
+suite takes its data (seed, counts, ranges, tolerances) as keyword
+arguments named like the keys of ``tests/fixtures/oracle_seeds.json``,
+draws and computes what it checks, and builds its JSON-ready report
+directly: plain ints, floats and lists, with the verdict in ``passed``.
 ``thermalecho verify`` and the acceptance gate run the same suites on their
-own data.  Other layers are called through their module attributes
-(``echo.echo_chains``), so a tracer that rebinds those sees every call.
+own data.  The other layers supply only the quantities and reference
+routes, called through their module attributes (``echo.echo_chains``,
+``oracle.uhlmann``, ``oracle.q_function``), so a tracer that rebinds those
+sees every call.
 """
 
 from __future__ import annotations
@@ -18,6 +22,12 @@ from . import averages, echo, model, oracle
 
 __all__ = ["bound_suite", "bures_relation", "oracle_equivalence",
            "perturbation_scaling", "q_function_scan", "qubit_inequality"]
+
+# the qubit suite runs every this-many-th trial through the spectral routine too
+_CROSS_CHECK_STRIDE = 997
+# float64 bytes per block of the kernel scan's grid; the value only affects
+# speed and memory, never the scan's results
+_SCAN_BLOCK_BYTES = 1 << 20
 
 
 def oracle_equivalence(*, seed, lengths, n_param_sets, n_times, field_range,
@@ -92,32 +102,101 @@ def bound_suite(*, seed, n_trials, max_length, field_range, anisotropy_range, be
     }
 
 
+def _bloch_state(v: np.ndarray) -> np.ndarray:
+    return 0.5 * np.array(
+        [[1.0 + v[2], v[0] - 1j * v[1]], [v[0] + 1j * v[1], 1.0 - v[2]]]
+    )
+
+
 def qubit_inequality(*, seed, n_trials, slack_floor, closed_form_tolerance,
                      route_tolerance) -> dict:
-    """The overlap-fidelity inequality on random qubit states and rotations."""
-    report = oracle.qubit_inequality_check(n_trials, seed)
+    """The overlap-fidelity inequality on random qubit states and rotations.
+
+    Each trial draws a Bloch vector (uniform direction, uniform radius) and
+    a random rotation (uniform axis, angle uniform on ``[0, pi]``), then
+    checks ``Tr[U rho U^dag rho] / Tr[rho**2] <= F``: ``violations`` counts
+    the trials whose slack falls below -1e-12.  ``max_closed_form_dev`` is
+    the largest deviation of the unnormalized slack from its closed form
+    ``v**2 (1 - cos angle_between) (1 - v**2) / 4``.  The fidelity uses the
+    two-level closed form; every ``_CROSS_CHECK_STRIDE``-th trial is also run
+    through the general spectral routine, and ``max_route_dev`` is the
+    largest disagreement of the two.
+    """
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    rng = np.random.default_rng(seed)
+    direction = rng.normal(size=(n_trials, 3))
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    radius = rng.uniform(0.0, 1.0, n_trials)
+    v = direction * radius[:, None]
+    axis = rng.normal(size=(n_trials, 3))
+    axis /= np.linalg.norm(axis, axis=1)[:, None]
+    angle = rng.uniform(0.0, math.pi, n_trials)
+    cos_a = np.cos(angle)[:, None]
+    sin_a = np.sin(angle)[:, None]
+    v_t = (
+        v * cos_a
+        + np.cross(axis, v) * sin_a
+        + axis * np.sum(axis * v, axis=1)[:, None] * (1.0 - cos_a)
+    )
+    v2 = np.sum(v * v, axis=1)
+    dot = np.sum(v * v_t, axis=1)
+    purity = 0.5 * (1.0 + v2)
+    overlap = 0.5 * (1.0 + dot)
+    # two-level fidelity: Tr[rho sigma] + 2 sqrt(det rho det sigma)
+    fid = overlap + 0.5 * (1.0 - v2)
+    slack = fid - overlap / purity
+    closed = (v2 - dot) * (1.0 - v2) / 4.0
+    violations = int(np.sum(slack < -1e-12))
+    min_slack = float(np.min(slack))
+    max_closed_form_dev = float(np.max(np.abs((purity * fid - overlap) - closed)))
+    max_route_dev = 0.0
+    for i in range(0, n_trials, _CROSS_CHECK_STRIDE):
+        fidelity = oracle.uhlmann(_bloch_state(v[i]), _bloch_state(v_t[i]))
+        max_route_dev = max(max_route_dev, abs(fidelity - float(fid[i])))
     return {
-        "passed": report.violations == 0
-        and report.min_slack >= slack_floor
-        and report.max_closed_form_dev < closed_form_tolerance
-        and report.max_route_dev < route_tolerance,
-        "violations": report.violations,
-        "min_slack": report.min_slack,
-        "max_closed_form_dev": report.max_closed_form_dev,
-        "max_route_dev": report.max_route_dev,
+        "passed": violations == 0
+        and min_slack >= slack_floor
+        and max_closed_form_dev < closed_form_tolerance
+        and max_route_dev < route_tolerance,
+        "violations": violations,
+        "min_slack": min_slack,
+        "max_closed_form_dev": max_closed_form_dev,
+        "max_route_dev": max_route_dev,
     }
 
 
 def q_function_scan(*, x_max, v_max, nx, nv) -> dict:
-    """The bound-slack kernel is non-negative, zero at v = 0 and concave in v."""
-    scan = oracle.q_function_scan(x_max=x_max, v_max=v_max, nx=nx, nv=nv)
+    """The bound-slack kernel is non-negative, zero at v = 0 and concave in v.
+
+    Scans ``oracle.q_function`` over ``[0, x_max] x [0, v_max]`` and reports
+    the grid minimum, the largest magnitude along the ``v = 0`` edge (zero
+    analytically) and the largest second difference in ``v`` (nonpositive
+    when the kernel is concave in ``v``).
+    """
+    if not (0.0 < v_max <= 2.0):
+        raise ValueError(f"v_max must lie in (0, 2], got {v_max}")
+    x = np.linspace(0.0, float(x_max), int(nx))
+    v = np.linspace(0.0, float(v_max), int(nv))
+    # whole x rows per block: each row's curvature needs only that row, so
+    # the per-block extrema reduce to exactly the whole-grid ones
+    rows = max(1, _SCAN_BLOCK_BYTES // (8 * v.size))
+    extrema = []
+    for start in range(0, x.size, rows):
+        grid = oracle.q_function(x[start : start + rows, None], v[None, :])
+        curvature = grid[:, 2:] - 2.0 * grid[:, 1:-1] + grid[:, :-2]
+        extrema.append((grid.min(), np.max(np.abs(grid[:, 0])), curvature.max()))
+    lowest, edge, bend = np.array(extrema).T
+    min_value = float(lowest.min())
+    max_abs_at_v_zero = float(edge.max())
+    max_v_curvature = float(bend.max())
     return {
-        "passed": scan.min_value >= -1e-12
-        and scan.max_abs_at_v_zero <= 1e-11
-        and scan.max_v_curvature <= 1e-10,
-        "min_value": scan.min_value,
-        "max_abs_at_v_zero": scan.max_abs_at_v_zero,
-        "max_v_curvature": scan.max_v_curvature,
+        "passed": min_value >= -1e-12
+        and max_abs_at_v_zero <= 1e-11
+        and max_v_curvature <= 1e-10,
+        "min_value": min_value,
+        "max_abs_at_v_zero": max_abs_at_v_zero,
+        "max_v_curvature": max_v_curvature,
     }
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -362,6 +363,21 @@ def test_variance_matches_longdouble_reference_at_strong_points(h0, h1, beta, le
     table = _table(h0=h0, h1=h1, g0=1.0, g1=1.0, beta=beta, length=length)
     assert float(np.max(-table.b)) > 0.9
     _assert_variance_matches_reference(table)
+
+
+@pytest.mark.parametrize("length", [2000, 2600, 20000])
+def test_variance_where_its_factors_leave_the_float_range(length):
+    # h 0.2 -> 3 at beta 10: exp(2 s1) underflows beyond L = 2400 and
+    # expm1(S) overflows beyond L = 12400, where the direct product gave
+    # 0.0 and then 0 * inf = nan; the longdouble reference holds both
+    table = _table(h0=0.2, h1=3.0, g0=1.0, g1=1.0, beta=10.0, length=length)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        var = long_time(table).var_le
+    want = _variance_reference(table)
+    assert want > 0.0
+    assert var == pytest.approx(float(want), rel=1e-12, abs=0.0)
+    assert (var > 0.0) == (length < 20000)
 
 
 @pytest.mark.parametrize("beta", [None, 60.0])

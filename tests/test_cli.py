@@ -371,6 +371,25 @@ def test_unknown_config_key_exits_one(tmp_path, monkeypatch, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, values, unused", [
+    ("timeseries", {"temperatures": [0.1, 0.2]}, ["temperatures"]),
+    ("timeseries", {"inject_failure": True, "sweep": []}, ["inject_failure", "sweep"]),
+    ("distribution", {"bell": "ising"}, ["bell"]),
+    ("weights", {"sweep": ["h1=0.1:0.2:2"]}, ["sweep"]),
+    ("scan", {"second_order": True, "sweep": ["h1=0.1:0.2:2"]}, ["second_order"]),
+])
+def test_config_keys_the_subcommand_does_not_take_exit_one(command, values, unused, tmp_path,
+                                                            monkeypatch, capsys):
+    # the key would be recorded in the run's config but never used
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps(values))
+    assert _run([command, "--length", "8", "--config", str(cfg_file)],
+                tmp_path, monkeypatch) == 1
+    assert capsys.readouterr().err == (
+        f"thermalecho: config keys not taken by {command}: {unused}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
 def test_conflicting_file_layer_exits_one(tmp_path, monkeypatch):
     cfg_file = tmp_path / "bad.json"
     cfg_file.write_text(json.dumps({"beta": 2.0, "temperature": 0.1}))

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from thermalecho import QuenchParams, averages, echo, mode_table, oracle
+from thermalecho import QuenchParams, averages, echo, mode_table, oracle, verify
 from thermalecho.oracle import (
     DIM_CAP,
     BuresMetric,
@@ -20,8 +20,6 @@ from thermalecho.oracle import (
     perturbative_le,
     perturbative_le_average,
     q_function,
-    q_function_scan,
-    qubit_inequality_check,
     random_hermitian,
     spectral,
     uhlmann,
@@ -692,9 +690,12 @@ def test_generic_damping_rejects_bad_spectra():
 
 def test_qubit_inequality_sweep(pinned):
     cfg = pinned["qubit_inequality"]
-    report = qubit_inequality_check(cfg["n_trials"], cfg["seed"])
-    assert report.n_trials == cfg["n_trials"]
-    assert report.seed == cfg["seed"]
+    report = verify.qubit_inequality(**cfg)
+    assert set(report) == {"passed", "violations", "min_slack", "max_closed_form_dev",
+                           "max_route_dev"}
+    assert report["passed"] is True and report["violations"] == 0
+    with pytest.raises(ValueError, match="n_trials"):
+        verify.qubit_inequality(**{**cfg, "n_trials": 0})
 
 
 def test_qubit_inequality_edge_cases():
@@ -741,19 +742,65 @@ def test_q_function_domain_errors():
 
 
 def test_q_function_scan_summary():
-    scan = q_function_scan(x_max=20.0, v_max=2.0, nx=201, nv=201)
-    assert scan.min_value >= -1e-12
-    assert scan.max_abs_at_v_zero <= 1e-11
-    assert scan.max_v_curvature <= 1e-10
-    assert scan.nx == 201 and scan.nv == 201
+    scan = verify.q_function_scan(x_max=20.0, v_max=2.0, nx=201, nv=201)
+    assert scan["min_value"] >= -1e-12
+    assert scan["max_abs_at_v_zero"] <= 1e-11
+    assert scan["max_v_curvature"] <= 1e-10
+    assert scan["passed"] is True
+    with pytest.raises(ValueError, match="v_max"):
+        verify.q_function_scan(x_max=20.0, v_max=2.5, nx=201, nv=201)
 
 
 @pytest.mark.parametrize("block_bytes", [1, 8 * 33 * 3, 8 * 33 * 7])
 def test_q_function_scan_blocks_do_not_change_results(block_bytes, monkeypatch):
     # one row, three rows and seven rows per block, the last block ragged
-    whole = q_function_scan(x_max=25.0, v_max=1.5, nx=50, nv=33)
-    monkeypatch.setattr(oracle, "_SCAN_BLOCK_BYTES", block_bytes)
-    assert q_function_scan(x_max=25.0, v_max=1.5, nx=50, nv=33) == whole
+    whole = verify.q_function_scan(x_max=25.0, v_max=1.5, nx=50, nv=33)
+    monkeypatch.setattr(verify, "_SCAN_BLOCK_BYTES", block_bytes)
+    assert verify.q_function_scan(x_max=25.0, v_max=1.5, nx=50, nv=33) == whole
+
+
+# every suite of verify.__all__ at a small size; a new suite needs an entry
+_SMALL_SUITE_DATA = {
+    "oracle_equivalence": {
+        "seed": 1, "lengths": (2, 4), "n_param_sets": 1, "n_times": 2,
+        "field_range": (-2.0, 2.0), "anisotropy_range": (-1.5, 1.5),
+        "beta_range": (0.1, 8.0), "time_range": (0.0, 20.0), "max_abs_residual": 1e-9,
+    },
+    "bound_suite": {
+        "seed": 2, "n_trials": 20, "max_length": 20, "field_range": (-2.0, 2.0),
+        "anisotropy_range": (-1.5, 1.5), "beta_range": (0.1, 8.0),
+        "time_range": (-20.0, 50.0), "slack_floor": -1e-12, "t0_tolerance": 1e-12,
+    },
+    "qubit_inequality": {
+        "seed": 3, "n_trials": 2000, "slack_floor": -1e-12,
+        "closed_form_tolerance": 1e-12, "route_tolerance": 1e-10,
+    },
+    "q_function_scan": {"x_max": 20.0, "v_max": 2.0, "nx": 40, "nv": 30},
+    "perturbation_scaling": {
+        "seed": 4, "dim": 8, "beta": 1.0, "times": (0.7, 1.3, 2.6), "base_scale": 1e-3,
+        "halvings": 2, "ratio_low": 5.6, "ratio_high": 10.4,
+    },
+    "bures_relation": {"seed": 5, "dim": 4, "beta": 1.0, "scale": 1e-3, "max_residual": 1e-8},
+}
+
+
+def _plain_json(value) -> bool:
+    """Whether ``value`` is built only of Python's own JSON types."""
+    if isinstance(value, dict):
+        return all(type(k) is str and _plain_json(v) for k, v in value.items())
+    if isinstance(value, list):
+        return all(map(_plain_json, value))
+    return type(value) in (bool, int, float, str, type(None))
+
+
+def test_every_suite_reports_plain_json_types():
+    # a numpy.bool_ verdict makes json.dumps raise, and a numpy float slips
+    # through it unnoticed, so the types are checked one by one
+    assert set(_SMALL_SUITE_DATA) == set(verify.__all__)
+    for name, data in _SMALL_SUITE_DATA.items():
+        report = getattr(verify, name)(**data)
+        assert type(report["passed"]) is bool, name
+        assert _plain_json(report), (name, report)
 
 
 def test_random_hermitian_is_seeded_and_hermitian():
