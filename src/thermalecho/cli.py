@@ -35,9 +35,6 @@ EXIT_VALIDATION = 1
 EXIT_VERIFICATION = 2
 EXIT_IO = 3
 
-_COMMANDS = ("timeseries", "distribution", "weights", "scan", "verify")
-
-
 @dataclass
 class RunConfig:
     """Resolved configuration of one CLI invocation.
@@ -45,7 +42,10 @@ class RunConfig:
     A JSON config file may hold those of these field names that the
     subcommand takes as options; CLI flags override file values.  ``beta``,
     ``temperature`` (``0`` selects the ground state) and a ``temperatures``
-    ladder are alternatives; at most one may be given per layer.
+    ladder are alternatives; at most one may be given per layer.  The
+    ground state is ``beta = inf`` in :class:`QuenchParams`; the JSON files
+    keep their keys for it, ``"beta": null`` with ``"zero_temperature":
+    true`` in each ``distribution`` entry.
     """
 
     length: int = 80
@@ -277,26 +277,30 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _params_for(cfg: RunConfig, temperature: float | None = None) -> QuenchParams:
-    """Quench parameters at the configured or an explicitly given temperature."""
-    if temperature is None:
-        temperature = cfg.temperature
-        beta = cfg.beta
-    else:
-        beta = None
+def _beta_of(beta: float | None, temperature: float | None) -> float:
+    """The inverse temperature a user gave as ``beta`` or, if not None, ``temperature``.
+
+    Temperature 0 is the ground state, ``inf``; a given ``beta``, and one
+    that ``1 / temperature`` overflows to, must be finite, so that no
+    config comment or JSON file holds ``Infinity``.
+    """
     if temperature is not None:
         if temperature < 0.0 or not math.isfinite(temperature):
             raise ValueError(f"temperature must be >= 0 and finite, got {temperature}")
         if temperature == 0.0:
-            return QuenchParams(
-                h0=cfg.h0, h1=cfg.h1, gamma0=cfg.gamma0, gamma1=cfg.gamma1,
-                beta=None, length=cfg.length, zero_temperature=True,
-            )
+            return math.inf
         beta = 1.0 / temperature
-    return QuenchParams(
-        h0=cfg.h0, h1=cfg.h1, gamma0=cfg.gamma0, gamma1=cfg.gamma1,
-        beta=beta, length=cfg.length,
-    )
+    if not (beta > 0.0 and math.isfinite(beta)):
+        raise ValueError(f"beta must be positive and finite, got {beta}")
+    return beta
+
+
+def _params_for(cfg: RunConfig, beta: float | None = None) -> QuenchParams:
+    """The configured quench at ``beta``, by default the configured one."""
+    if beta is None:
+        beta = _beta_of(cfg.beta, cfg.temperature)
+    return QuenchParams(h0=cfg.h0, h1=cfg.h1, gamma0=cfg.gamma0, gamma1=cfg.gamma1,
+                        beta=beta, length=cfg.length)
 
 
 def _config_json(cfg: RunConfig) -> str:
@@ -560,7 +564,7 @@ def cmd_timeseries(cfg: RunConfig) -> int:
 def _temperature_tag(temperature: float | None, params: QuenchParams) -> str:
     if temperature is not None:
         return f"T{temperature:g}"
-    if params.zero_temperature:
+    if params.beta == math.inf:
         return "T0"
     return f"beta{params.beta:g}"
 
@@ -571,7 +575,9 @@ def cmd_distribution(cfg: RunConfig) -> int:
     )
     base = _base(cfg, "distribution")
     # each rung's CSV files are named by its tag, so no two rungs may share one
-    rungs = [(temperature, _params_for(cfg, temperature)) for temperature in ladder]
+    rungs = [(temperature, _params_for(cfg, None if temperature is None
+                                       else _beta_of(None, temperature)))
+             for temperature in ladder]
     tags = [_temperature_tag(temperature, params) for temperature, params in rungs]
     for i, tag in enumerate(tags):
         if tag in tags[:i]:
@@ -594,8 +600,9 @@ def cmd_distribution(cfg: RunConfig) -> int:
             )
         entry = {
             "temperature": temperature,
-            "beta": params.beta,
-            "zero_temperature": params.zero_temperature,
+            # strict JSON has no Infinity: the ground state is null, flagged
+            "beta": None if params.beta == math.inf else params.beta,
+            "zero_temperature": params.beta == math.inf,
             "tau": ladder_sample.tau,
             "seed": ladder_sample.seed,
             "label": verdict.label.value,
@@ -682,6 +689,8 @@ def _parse_sweep(spec: str) -> tuple[str, list]:
         raise ValueError(f"cannot sweep {name!r}; choose from {_SWEEPABLE}")
     if count < 1:
         raise ValueError(f"sweep count must be >= 1 in {spec!r}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"sweep start and stop must be finite in {spec!r}")
     values = np.linspace(start, stop, count)
     if name == "length":
         out = []
@@ -704,17 +713,14 @@ def cmd_scan(cfg: RunConfig) -> int:
     header = names + [
         "d_eff", "purity", "mean_le", "mean_lef", "var_le", "kappa2", "dominance", "label",
     ]
+    thermal = {"beta", "temperature"} & set(names)
     rows = []
     for point in itertools.product(*(vals for _, vals in axes)):
-        overrides = dict(zip(names, point))
-        point_cfg = dataclasses.replace(cfg, **{
-            k: v for k, v in overrides.items() if k not in ("beta", "temperature")
-        })
-        if "beta" in overrides:
-            point_cfg.beta, point_cfg.temperature = overrides["beta"], None
-        if "temperature" in overrides:
-            point_cfg.beta, point_cfg.temperature = None, overrides["temperature"]
-        params = _params_for(point_cfg)
+        swept = dict(zip(names, point))
+        # a swept temperature wins over a swept beta, which wins over the config
+        beta = (_beta_of(swept.pop("beta", None), swept.pop("temperature", None))
+                if thermal else None)
+        params = _params_for(dataclasses.replace(cfg, **swept), beta)
         table = mode_table(params)
         spectrum = stats.weights(table)
         verdict = stats.classify(spectrum)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModeTable, QuenchParams, _beta, _columns, momenta
+from .model import ModeTable, QuenchParams, _columns, momenta
 
 __all__ = ["EchoPoint", "echo_chains", "echo_point"]
 
@@ -239,7 +239,7 @@ def echo_chains(chains: Sequence[QuenchParams], t) -> EchoPoint:
         raise ValueError("times must be finite")
     shape = (len(chains), t_arr.shape[-1])
     lengths = np.array([p.length for p in chains], dtype=int)
-    values = np.array([(p.h0, p.h1, p.gamma0, p.gamma1, _beta(p)) for p in chains],
+    values = np.array([(p.h0, p.h1, p.gamma0, p.gamma1, p.beta) for p in chains],
                       dtype=float).reshape(-1, 5)
     log_le = np.empty(shape)
     log_core = np.empty(shape)

@@ -22,10 +22,6 @@ __all__ = [
     "momenta",
 ]
 
-# beta*lambda beyond this would overflow cosh; all code paths below use
-# exp(-x)/tanh forms that stay finite for arbitrarily large arguments.
-OVERFLOW_GUARD = 350.0
-
 
 @dataclass(frozen=True, slots=True)
 class QuenchParams:
@@ -34,17 +30,15 @@ class QuenchParams:
     The pre-quench Hamiltonian has field ``h0`` and anisotropy ``gamma0``,
     the post-quench one ``h1`` and ``gamma1``.  The initial state is the
     Gibbs state of the pre-quench Hamiltonian at inverse temperature
-    ``beta``; the ground state is selected with ``zero_temperature=True``
-    (in which case ``beta`` must be omitted).
+    ``beta`` in ``(0, inf]``; ``beta = math.inf`` is the ground state.
     """
 
     h0: float
     h1: float
     gamma0: float
     gamma1: float
-    beta: float | None
+    beta: float
     length: int
-    zero_temperature: bool = False
 
     def __post_init__(self) -> None:
         for name in ("h0", "h1", "gamma0", "gamma1"):
@@ -55,14 +49,8 @@ class QuenchParams:
             raise ValueError(f"length must be an int, got {self.length!r}")
         if self.length < 2 or self.length % 2:
             raise ValueError(f"length must be even and >= 2, got {self.length}")
-        if self.zero_temperature:
-            if self.beta is not None:
-                raise ValueError("beta must be None when zero_temperature is set")
-        else:
-            if self.beta is None:
-                raise ValueError("beta is required unless zero_temperature is set")
-            if not math.isfinite(self.beta) or self.beta <= 0.0:
-                raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        if self.beta is None or not self.beta > 0.0:
+            raise ValueError(f"beta must be positive (inf is the ground state), got {self.beta}")
 
 
 def momenta(length: int) -> np.ndarray:
@@ -166,10 +154,6 @@ def _columns(k: np.ndarray, h0, h1, gamma0, gamma1, beta) -> dict:
     )
 
 
-def _beta(params: QuenchParams) -> float:
-    return math.inf if params.zero_temperature else params.beta
-
-
 def mode_table(params: QuenchParams) -> ModeTable:
     """Build the full per-mode table for a quench.
 
@@ -180,5 +164,5 @@ def mode_table(params: QuenchParams) -> ModeTable:
     """
     k = momenta(params.length)
     return ModeTable(params=params, **_columns(
-        k, params.h0, params.h1, params.gamma0, params.gamma1, _beta(params)))
+        k, params.h0, params.h1, params.gamma0, params.gamma1, params.beta))
 

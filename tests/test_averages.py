@@ -24,9 +24,9 @@ class SeriesConvergenceError(ArithmeticError):
     """The reference series did not settle within ``_SERIES_MAX_TERMS`` terms."""
 
 
-def _table(h0=0.5, h1=0.5, g0=0.25, g1=0.1, beta=10.0, length=40, **kw):
+def _table(h0=0.5, h1=0.5, g0=0.25, g1=0.1, beta=10.0, length=40):
     return mode_table(QuenchParams(h0=h0, h1=h1, gamma0=g0, gamma1=g1,
-                                   beta=beta, length=length, **kw))
+                                   beta=beta, length=length))
 
 
 def _series_factors_reference(table):
@@ -181,8 +181,7 @@ def test_phase_moments_match_series_without_quench():
 
 
 def test_phase_moments_match_series_at_zero_temperature():
-    table = _table(h0=0.9, h1=1.1, g0=1.0, g1=0.6, beta=None, length=30,
-                   zero_temperature=True)
+    table = _table(h0=0.9, h1=1.1, g0=1.0, g1=0.6, beta=math.inf, length=30)
     assert np.all(table.cinv == 0.0)
     terms = _assert_moments_match_series(table)
     assert np.max(terms) <= 3
@@ -236,8 +235,7 @@ def test_series_overflows_term_budget_when_pushed():
 
 
 def test_zero_temperature_series_terminates():
-    table = _table(h0=0.0, h1=0.0, g0=1.0, g1=-1.0, beta=None, length=4,
-                   zero_temperature=True)
+    table = _table(h0=0.0, h1=0.0, g0=1.0, g1=-1.0, beta=math.inf, length=4)
     stat = long_time(table)
     assert avg_loschmidt_series(table) == pytest.approx(stat.mean_le, rel=1e-12)
     assert stat.var_le >= 0.0
@@ -272,8 +270,7 @@ def test_mean_echo_between_averaged_bounds(h0, h1, g0, g1, beta):
 
 
 def test_zero_temperature_means_coincide():
-    table = _table(h0=0.9, h1=1.1, g0=1.0, g1=1.0, beta=None, length=30,
-                   zero_temperature=True)
+    table = _table(h0=0.9, h1=1.1, g0=1.0, g1=1.0, beta=math.inf, length=30)
     dim = long_time(table)
     assert dim.d_eff == pytest.approx(1.0, rel=1e-14)
     assert dim.mean_le == pytest.approx(dim.mean_lef * dim.d_eff, rel=1e-12)
@@ -380,12 +377,11 @@ def test_variance_where_its_factors_leave_the_float_range(length):
     assert (var > 0.0) == (length < 20000)
 
 
-@pytest.mark.parametrize("beta", [None, 60.0])
+@pytest.mark.parametrize("beta", [math.inf, 60.0])
 def test_variance_at_unit_parameter(beta):
     # both modes of L=4 have m = 1.0 exactly; each factor is
     # ((1 + |cos|) / 2)**2 up to c ~ 1e-26, so the means are 1/2 and 3/8
-    table = _table(h0=0.0, h1=0.0, g0=1.0, g1=-1.0, beta=beta, length=4,
-                   zero_temperature=beta is None)
+    table = _table(h0=0.0, h1=0.0, g0=1.0, g1=-1.0, beta=beta, length=4)
     assert np.all(-table.b == 1.0)
     stat = long_time(table)
     assert stat.var_le == pytest.approx(5.0 / 64.0, rel=1e-15, abs=0.0)
@@ -410,7 +406,7 @@ def test_variance_matches_monte_carlo_at_strong_quench(pinned):
 def test_avg_loschmidt_view_is_the_long_time_mean():
     # a view kept for perfbench's ladder check, outside the public names
     for kw in (dict(), dict(h0=0.2, h1=3.0, g0=1.0, g1=1.0, beta=2.0, length=100),
-               dict(beta=None, zero_temperature=True)):
+               dict(beta=math.inf)):
         table = _table(**kw)
         assert averages.avg_loschmidt(table) == long_time(table).mean_le
     assert averages.__all__ == ["LongTime", "long_time"]

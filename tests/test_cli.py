@@ -343,6 +343,15 @@ def test_validation_failures_exit_one(args, tmp_path, monkeypatch):
          "tau-factor must be positive and finite, got inf"),
         (["distribution", "--length", "8", "--seed", "-1"], "seed must be >= 0, got -1"),
         (["verify", "--seed", "-3"], "seed must be >= 0, got -3"),
+        # QuenchParams takes beta = inf as the ground state; the CLI does not
+        (["timeseries", "--length", "8", "--beta", "inf"],
+         "beta must be positive and finite, got inf"),
+        (["weights", "--length", "8", "--temperature", "1e-310"],
+         "beta must be positive and finite, got inf"),
+        (["scan", "--length", "8", "--sweep", "beta=1:inf:2"],
+         "sweep start and stop must be finite in 'beta=1:inf:2'"),
+        (["scan", "--length", "8", "--sweep", "length=10:inf:2"],
+         "sweep start and stop must be finite in 'length=10:inf:2'"),
     ],
 )
 def test_non_finite_or_negative_run_values_exit_one(args, message, tmp_path, monkeypatch,
@@ -356,9 +365,11 @@ def test_non_finite_or_negative_run_values_exit_one(args, message, tmp_path, mon
 
 def test_non_finite_config_file_values_exit_one(tmp_path, monkeypatch, capsys):
     cfg_file = tmp_path / "run.json"
-    for key, message in (("tmax", "tmax must be finite"),
-                         ("tau_factor", "tau-factor must be positive and finite")):
-        cfg_file.write_text(f'{{"{key}": Infinity}}')
+    for text, message in (('{"tmax": Infinity}', "tmax must be finite"),
+                          ('{"tau_factor": Infinity}',
+                           "tau-factor must be positive and finite"),
+                          ('{"beta": 1e309}', "beta must be positive and finite, got inf")):
+        cfg_file.write_text(text)
         assert _run(["weights", "--config", str(cfg_file)], tmp_path, monkeypatch) == 1
         assert message in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["run.json"]

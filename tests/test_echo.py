@@ -130,7 +130,7 @@ def test_effective_dimension_limits():
     dim = long_time(hot)
     assert dim.d_eff == pytest.approx(2.0**10, rel=1e-6)
     cold = mode_table(QuenchParams(h0=0.5, h1=0.5, gamma0=0.25, gamma1=0.1,
-                                   beta=None, length=10, zero_temperature=True))
+                                   beta=math.inf, length=10))
     dim0 = long_time(cold)
     assert dim0.d_eff == pytest.approx(1.0, rel=1e-14)
     assert dim0.purity == pytest.approx(1.0, rel=1e-14)
@@ -185,8 +185,8 @@ def _random_chains(rng, n_chains):
         g0, g1 = rng.uniform(-1.5, 1.5, 2)
         cold = i % 5 == 0
         chains.append(QuenchParams(h0=h0, h1=h1, gamma0=g0, gamma1=g1,
-                                   beta=None if cold else rng.uniform(0.01, 50.0),
-                                   length=length, zero_temperature=cold))
+                                   beta=math.inf if cold else rng.uniform(0.01, 50.0),
+                                   length=length))
     return chains
 
 
@@ -248,7 +248,7 @@ def test_shared_times_match_per_chain_times(monkeypatch):
     # random chains, a ladder that shares lam1, and two identical chains
     ladder = [QuenchParams(length=40, **dict(DECAY_QUENCH, beta=beta))
               for beta in (0.5, 3.0, 30.0, 3.0)]
-    cold = QuenchParams(length=40, **dict(DECAY_QUENCH, beta=None), zero_temperature=True)
+    cold = QuenchParams(length=40, **dict(DECAY_QUENCH, beta=math.inf))
     chains = _random_chains(rng, 30) + ladder + [cold]
     t = rng.uniform(-20.0, 50.0, 900)
     # small chunks, so the ladder's shared sines span many of them
@@ -374,7 +374,7 @@ def test_bound_sandwich(h0, h1, g0, g1, beta, t, length):
 def test_zero_temperature_bound_collapse(h0, h1, g0, g1, t):
     # pure initial state: echo and linearized echo coincide, bounds pinch
     table = mode_table(QuenchParams(h0=h0, h1=h1, gamma0=g0, gamma1=g1,
-                                    beta=None, length=24, zero_temperature=True))
+                                    beta=math.inf, length=24))
     pt = echo_point(table, t)
     assert pt.le == pytest.approx(pt.lef, abs=1e-13)
     assert pt.lower == pytest.approx(pt.upper, abs=1e-13)

@@ -71,8 +71,8 @@ betas = st.floats(0.05, 60.0, allow_nan=False)
 lengths = st.integers(1, 40).map(lambda n: 2 * n)
 
 
-def _params(h0=0.5, h1=0.5, g0=0.25, g1=0.1, beta=10.0, length=20, **kw):
-    return QuenchParams(h0=h0, h1=h1, gamma0=g0, gamma1=g1, beta=beta, length=length, **kw)
+def _params(h0=0.5, h1=0.5, g0=0.25, g1=0.1, beta=10.0, length=20):
+    return QuenchParams(h0=h0, h1=h1, gamma0=g0, gamma1=g1, beta=beta, length=length)
 
 
 def test_momenta_are_odd_multiples():
@@ -138,15 +138,14 @@ def test_thermal_ratios_deep_cold():
 
 
 def test_zero_temperature_table():
-    params = _params(beta=None, zero_temperature=True)
+    params = _params(beta=math.inf)
     table = mode_table(params)
     assert np.all(table.cinv == 0.0)
     assert np.all(table.one_minus_cinv == 1.0)
     assert np.all(table.one_minus_cinv2 == 1.0)
     # a mode at exactly zero energy is still in its ground state
     gapless = mode_table(QuenchParams(h0=-math.cos(math.pi / 2), h1=0.5, gamma0=0.0,
-                                      gamma1=1.0, beta=None, length=2,
-                                      zero_temperature=True))
+                                      gamma1=1.0, beta=math.inf, length=2))
     assert gapless.lam0[0] == 0.0
     assert gapless.cinv[0] == 0.0
     assert gapless.one_minus_cinv[0] == gapless.one_minus_cinv2[0] == 1.0
@@ -199,7 +198,7 @@ def test_omega_is_twice_post_quench_energy():
         dict(length=True),
         dict(beta=0.0),
         dict(beta=-2.0),
-        dict(beta=math.inf),
+        dict(beta=math.nan),
         dict(beta=None),
         dict(h0=math.nan),
         dict(gamma1=math.inf),
@@ -208,11 +207,6 @@ def test_omega_is_twice_post_quench_energy():
 def test_invalid_params_rejected(kwargs):
     base = dict(h0=0.5, h1=0.5, gamma0=0.25, gamma1=0.1, beta=10.0, length=20)
     base.update(kwargs)
-    with pytest.raises((ValueError, TypeError)):
+    # the message names the parameter at fault
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
         QuenchParams(**base)
-
-
-def test_zero_temperature_excludes_beta():
-    with pytest.raises(ValueError):
-        QuenchParams(h0=0.5, h1=0.5, gamma0=0.25, gamma1=0.1,
-                     beta=4.0, length=20, zero_temperature=True)

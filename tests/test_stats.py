@@ -36,9 +36,8 @@ betas = st.floats(0.05, 40.0, allow_nan=False)
 NEAR_CRITICAL = dict(h0=0.99, h1=1.01, gamma0=1.0, gamma1=1.0)
 
 
-def _params(h0=0.5, h1=0.5, g0=0.25, g1=0.1, beta=10.0, length=20, **kw):
-    return QuenchParams(h0=h0, h1=h1, gamma0=g0, gamma1=g1, beta=beta,
-                        length=length, **kw)
+def _params(h0=0.5, h1=0.5, g0=0.25, g1=0.1, beta=10.0, length=20):
+    return QuenchParams(h0=h0, h1=h1, gamma0=g0, gamma1=g1, beta=beta, length=length)
 
 
 def _synthetic_spectrum(a):
@@ -66,7 +65,7 @@ def test_weights_damping_columns_match_thermal_ratios():
 
 def test_finite_temperature_suppresses_weights():
     warm = weights(mode_table(_params(beta=1.5)))
-    cold = weights(mode_table(_params(beta=None, zero_temperature=True)))
+    cold = weights(mode_table(_params(beta=math.inf)))
     assert np.all(warm.a <= cold.a + 1e-15)
     assert np.allclose(cold.a, np.sin(mode_table(_params()).dtheta) ** 2 / 2.0,
                        atol=1e-15)
@@ -111,7 +110,7 @@ def test_sampling_thread_count_invariance(monkeypatch):
 # ladders of (quench, sample count, least number of kernel chunks)
 LADDERS = {
     "ground_state_rung": (
-        [QuenchParams(**NEAR_CRITICAL, beta=None, length=30, zero_temperature=True)]
+        [QuenchParams(**NEAR_CRITICAL, beta=math.inf, length=30)]
         + [QuenchParams(**NEAR_CRITICAL, beta=beta, length=30) for beta in (20.0, 2.0, 0.5)],
         3000, 1),
     "mixed_h1": (
