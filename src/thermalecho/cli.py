@@ -694,8 +694,10 @@ def _parse_sweep(spec: str) -> tuple[str, list]:
     values = np.linspace(start, stop, count)
     if name == "length":
         out = []
-        for v in values:
-            iv = int(round(v))
+        for v in values.tolist():
+            if v != round(v):
+                raise ValueError(f"swept length {v!r} is not a whole number in {spec!r}")
+            iv = int(v)
             if iv % 2 or iv < 2:
                 raise ValueError(f"swept length {iv} is not an even number >= 2")
             out.append(iv)

@@ -71,20 +71,25 @@ def bound_suite(*, seed, n_trials, max_length, field_range, anisotropy_range, be
                 time_range, slack_floor, t0_tolerance, inject_failure=False) -> dict:
     """The two-sided bounds hold on random chains, and everything is 1 at t = 0.
 
-    ``inject_failure`` raises every lower bound slightly, so a working gate
-    must fail.
+    One ``np.random.default_rng(seed)`` draws, in this order and one array
+    each: the ``n_trials`` even lengths in ``[2, max_length]``, the fields
+    ``(h0, h1)``, the anisotropies ``(gamma0, gamma1)``, the inverse
+    temperatures and each chain's random time.  ``inject_failure`` raises
+    every lower bound slightly, so a working gate must fail.
     """
     rng = np.random.default_rng(seed)
-    chains = []
+    lengths = 2 * rng.integers(1, max_length // 2 + 1, size=n_trials)
+    fields = rng.uniform(*field_range, size=(n_trials, 2))
+    anisotropies = rng.uniform(*anisotropy_range, size=(n_trials, 2))
+    betas = rng.uniform(*beta_range, size=n_trials)
     times = np.zeros((n_trials, 2))
-    for trial in range(n_trials):
-        length = 2 * int(rng.integers(1, max_length // 2 + 1))
-        h0, h1 = rng.uniform(*field_range, size=2).tolist()
-        g0, g1 = rng.uniform(*anisotropy_range, size=2).tolist()
-        beta = rng.uniform(*beta_range)
-        times[trial, 0] = rng.uniform(*time_range)
-        chains.append(model.QuenchParams(
-            h0=h0, h1=h1, gamma0=g0, gamma1=g1, beta=beta, length=length))
+    times[:, 0] = rng.uniform(*time_range, size=n_trials)
+    # QuenchParams takes a Python int length only, hence the lists
+    chains = [
+        model.QuenchParams(h0=h0, h1=h1, gamma0=g0, gamma1=g1, beta=beta, length=length)
+        for length, (h0, h1), (g0, g1), beta in zip(
+            lengths.tolist(), fields.tolist(), anisotropies.tolist(), betas.tolist())
+    ]
     # one stacked pass covers every chain at both its random time and t = 0
     pt = echo.echo_chains(chains, times)
     lower = pt.lower[:, 0]

@@ -352,6 +352,9 @@ def test_validation_failures_exit_one(args, tmp_path, monkeypatch):
          "sweep start and stop must be finite in 'beta=1:inf:2'"),
         (["scan", "--length", "8", "--sweep", "length=10:inf:2"],
          "sweep start and stop must be finite in 'length=10:inf:2'"),
+        # the swept lengths are not rounded to L = 10 and 12
+        (["scan", "--length", "8", "--sweep", "length=9.6:12.4:2"],
+         "swept length 9.6 is not a whole number in 'length=9.6:12.4:2'"),
     ],
 )
 def test_non_finite_or_negative_run_values_exit_one(args, message, tmp_path, monkeypatch,
@@ -361,6 +364,12 @@ def test_non_finite_or_negative_run_values_exit_one(args, message, tmp_path, mon
     assert _run(args, tmp_path, monkeypatch) == 1
     assert capsys.readouterr().err == f"thermalecho: {message}\n"
     assert not list(tmp_path.iterdir())
+
+
+def test_whole_number_length_sweeps_stay_exact():
+    assert cli._parse_sweep("length=10:40:4") == ("length", [10, 20, 30, 40])
+    assert cli._parse_sweep("length=4:4000:2") == ("length", [4, 4000])
+    assert cli._parse_sweep("length=2:100:50")[1] == list(range(2, 101, 2))
 
 
 def test_non_finite_config_file_values_exit_one(tmp_path, monkeypatch, capsys):

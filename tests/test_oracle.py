@@ -803,6 +803,67 @@ def test_every_suite_reports_plain_json_types():
         assert _plain_json(report), (name, report)
 
 
+def _bound_suite_draws(monkeypatch, **overrides):
+    """The chains and times ``bound_suite`` hands to ``echo_chains``, and
+    the names of the ``Generator`` methods it called."""
+    data = {**_SMALL_SUITE_DATA["bound_suite"], **overrides}
+    seen, calls = [], []
+    real_chains, real_rng = verify.echo.echo_chains, verify.np.random.default_rng
+
+    def capturing_chains(chains, t):
+        seen.append((list(chains), np.array(t)))
+        return real_chains(chains, t)
+
+    class CountingRng:
+        def __init__(self, rng):
+            self._rng = rng
+
+        def __getattr__(self, name):
+            method = getattr(self._rng, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return method(*args, **kwargs)
+            return counted
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify.echo, "echo_chains", capturing_chains)
+        patch.setattr(verify.np.random, "default_rng",
+                      lambda *args: CountingRng(real_rng(*args)))
+        report = verify.bound_suite(**data)
+    assert report["passed"] is True
+    (chains, times), = seen
+    return data, chains, times, calls
+
+
+@pytest.mark.parametrize("n_trials", [1, 20])
+def test_bound_suite_draws_its_chains_in_bulk(n_trials, monkeypatch):
+    data, chains, times, calls = _bound_suite_draws(monkeypatch, n_trials=n_trials)
+    # one draw per quantity, where a draw per chain and quantity made 5 * n_trials
+    assert len(calls) == 5
+    assert len(chains) == n_trials and times.shape == (n_trials, 2)
+    for p in chains:
+        assert type(p.length) is int and p.length % 2 == 0
+        assert 2 <= p.length <= data["max_length"]
+        for value, (low, high) in ((p.h0, data["field_range"]), (p.h1, data["field_range"]),
+                                   (p.gamma0, data["anisotropy_range"]),
+                                   (p.gamma1, data["anisotropy_range"]),
+                                   (p.beta, data["beta_range"])):
+            assert low <= value <= high
+    low, high = data["time_range"]
+    assert np.all((low <= times[:, 0]) & (times[:, 0] <= high))
+    assert np.all(times[:, 1] == 0.0)
+
+
+def test_bound_suite_draws_are_seeded(monkeypatch):
+    _, chains, times, _ = _bound_suite_draws(monkeypatch)
+    _, again, again_times, _ = _bound_suite_draws(monkeypatch)
+    assert again == chains and np.array_equal(again_times, times)
+    _, other, _, _ = _bound_suite_draws(monkeypatch, seed=7)
+    assert other != chains
+    assert len({p.length for p in chains}) > 1
+
+
 def test_random_hermitian_is_seeded_and_hermitian():
     a = random_hermitian(5, np.random.default_rng(101))
     b = random_hermitian(5, np.random.default_rng(101))

@@ -1,8 +1,10 @@
 """Fresh-interpreter checks: the ``scripts/`` drivers at tiny sizes, and the
-runtime package's imports; and the README's library example, run as written."""
+runtime package's imports; the README's library example, run as written; and
+the committed ``BENCH_*.json`` benchmark records."""
 
 import ast
 import importlib.util
+import json
 import os
 import pathlib
 import re
@@ -94,3 +96,24 @@ def test_benchmark_imports_resolve():
                     f"perfbench/{path.name}:{node.lineno} imports {name} from {module}, "
                     f"which has no such name")
     assert any("thermalecho.averages" in entry for entry in found)
+
+
+def test_committed_bench_files_name_every_workload_and_metric():
+    # each BENCH_<n>.json holds the last JSON line of `perfbench/run.py
+    # --trace 0` per workload, for the parent commit and for the change
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = {w["name"] for w in spec["workloads"]}
+    metrics = {m["name"] for m in spec["end_to_end"]}
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        bench = json.loads(path.read_text(encoding="utf-8"))
+        assert isinstance(bench["seed"], int) and bench["seconds"] > 0, path.name
+        for side in ("parent", "change"):
+            runs = bench[side]["workloads"]
+            assert set(runs) == workloads, (path.name, side)
+            for name, run in runs.items():
+                assert run["correct"] is True, (path.name, side, name)
+                assert set(run["metrics"]) == metrics, (path.name, side, name)
+                for metric in run["metrics"].values():
+                    assert isinstance(metric["value"], (int, float)), (path.name, side, name)
