@@ -9,14 +9,16 @@ table is the one-chain block of :func:`echo_point`, and :func:`echo_chains`
 evaluates many chains as blocks of one length, so both give the same bits.
 A block whose chains share their times and their post-quench frequencies
 ``lam1`` (a temperature ladder) passes one time column and one ``lam1``
-row, and the kernel takes each sine once for all of them.  The kernel
-always works in log space, since products of many sub-unit factors
+row, and the kernel takes each sine once for all of them.  One column of
+evenly spaced times, such as a ``timeseries`` grid, takes its sines by
+angle addition, which agrees with ``np.sin`` to a few ulps of the phase,
+not bit for bit.  The kernel always works in log space, since products of many sub-unit factors
 underflow for long chains, and it walks the times in chunks of fixed byte
 size of (times x chains x modes) work, so memory does not grow with the
 number of times.  When there is more than one chunk the chunks are spread
 over one thread pool of ``THERMALECHO_THREADS`` workers (default: the CPU
-count); chunk boundaries do not depend on the thread count, so neither do
-the results.
+count); chunk and block boundaries do not depend on the thread count, so
+neither do the results.
 """
 
 from __future__ import annotations
@@ -45,6 +47,9 @@ _GROUP_MODES = _CHUNK_BYTES // (8 * 64)
 
 # worker count when THERMALECHO_THREADS is unset; looked up once, not per call
 _CPU_COUNT = os.cpu_count() or 1
+
+# times per angle-addition block; a grid of fewer than two blocks keeps np.sin
+_GRID_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -83,12 +88,12 @@ def _thread_count() -> int:
     return count
 
 
-def _log_factors(a: np.ndarray, logs: np.ndarray, cinv) -> None:
+def _log_factors(a: np.ndarray, logs: np.ndarray | None, cinv) -> None:
     """Turn ``a = coef * sin(t * lam1)**2`` into per-mode log factors, in place.
 
     The last axes of ``a`` are chains and modes, and ``cinv`` holds one
-    value per chain and mode.  On return ``logs`` holds ``log(arg)`` with
-    ``arg = 1 - a`` clamped to its analytic floor ``cinv**2``, and ``a``
+    value per chain and mode.  On return ``logs`` (if not None) holds
+    ``log(arg)`` with ``arg = 1 - a`` clamped to its floor ``cinv**2``, and ``a``
     holds ``log((cinv + sqrt(arg)) / (1 + cinv))``.  An excursion of ``arg``
     below the floor beyond rounding dust means the table is inconsistent and
     raises ``FloatingPointError``.  ``arg`` cannot exceed 1, since the term
@@ -102,14 +107,27 @@ def _log_factors(a: np.ndarray, logs: np.ndarray, cinv) -> None:
         )
     np.maximum(a, floor, out=a)
     with np.errstate(divide="ignore"):
-        np.log(a, out=logs)
+        if logs is not None:
+            np.log(a, out=logs)
         np.sqrt(a, out=a)
         np.add(a, cinv, out=a)
         np.divide(a, 1.0 + cinv, out=a)
         np.log(a, out=a)
 
 
-def _kernel(lam1, alpha, cinv, one_minus_cinv2, t: np.ndarray):
+def _grid_step(t: np.ndarray):
+    """The step of a single column ``t`` of at least ``2 * _GRID_BLOCK`` times
+    that miss ``t[0] + j * step`` by a few ulps at most, as ``np.linspace``
+    output does, else None."""
+    if t.shape[1] != 1 or t.shape[0] < 2 * _GRID_BLOCK:
+        return None
+    col = t[:, 0]
+    step = (col[-1] - col[0]) / (col.size - 1)
+    miss = np.abs(col - (np.arange(col.size) * step + col[0])).max()
+    return step if miss <= 4.0 * np.finfo(float).eps * max(abs(col[0]), abs(col[-1])) else None
+
+
+def _kernel(lam1, alpha, cinv, one_minus_cinv2, t: np.ndarray, core: bool = True):
     """``(log_le, log_core, log_purity)`` of a block of equal-length chains.
 
     The columns are ``(chains, modes)`` arrays as :func:`model._columns`
@@ -120,11 +138,15 @@ def _kernel(lam1, alpha, cinv, one_minus_cinv2, t: np.ndarray):
     shape of the time columns and the ``lam1`` rows, so chains that share
     both share each sine; only ``coef * sin**2`` onward, with ``coef = (1 -
     cinv**2) * alpha``, runs at the full (times, chains, modes) shape.
+    A grid (see :func:`_grid_step`) takes ``sqrt(coef) * sin`` by angle
+    addition instead, from ``np.sin`` and ``np.cos`` at the first time of each
+    block of ``_GRID_BLOCK`` rows and one table of the offsets in a block.
     ``log_core`` is the sum over a chain's modes of ``log(arg)`` and
     ``log_le`` twice the sum of ``log((cinv + sqrt(arg)) / (1 + cinv))``
     (see :func:`_log_factors`), both ``(times, chains)`` with a single
-    column when nothing in the block differs between chains; ``log_purity``
-    is ``-2`` times the sum of ``log1p(cinv)``, one per chain or one shared.
+    column when nothing in the block differs between chains; with ``core``
+    false ``log_core`` is None and never formed.  ``log_purity`` is ``-2``
+    times the sum of ``log1p(cinv)``, one per chain or one shared.
     """
     # an infinite phase would turn its sine, and every factor after it, into nan
     t_peak = float(np.abs(t).max()) if t.size else 0.0
@@ -137,13 +159,22 @@ def _kernel(lam1, alpha, cinv, one_minus_cinv2, t: np.ndarray):
     n_phases, n_modes = np.broadcast_shapes(t.shape[1:] + (1,), lam1.shape)
     n_chains = np.broadcast_shapes((n_phases, n_modes), coef.shape, cinv.shape)[0]
     rows = max(1, _CHUNK_BYTES // (8 * n_chains * n_modes))
+    span = n_times
+    step = _grid_step(t)
+    if step is not None:
+        # whole blocks per chunk, so neither the chunks nor the threads move a bit
+        rows = max(_GRID_BLOCK, rows - rows % _GRID_BLOCK)
+        span = -(-n_times // _GRID_BLOCK) * _GRID_BLOCK
+        offset = np.arange(_GRID_BLOCK)[:, None, None] * step * lam1
+        root = np.sqrt(coef)
+        cos_offset, sin_offset = root * np.cos(offset), root * np.sin(offset)
     starts = range(0, n_times, rows)
     n_workers = min(_thread_count(), len(starts))
     log_le = np.empty((n_times, n_chains))
-    log_core = np.empty((n_times, n_chains))
+    log_core = np.empty((n_times, n_chains)) if core else None
 
     def work(first: int) -> None:
-        arg = np.empty((min(rows, n_times), n_chains, n_modes))
+        arg = np.empty((min(rows, span), n_chains, n_modes))
         logs = np.empty_like(arg)
         # the full-shape buffer takes the phases in place unless they are shared
         phase = arg if n_phases == n_chains else np.empty((arg.shape[0], n_phases, n_modes))
@@ -151,13 +182,24 @@ def _kernel(lam1, alpha, cinv, one_minus_cinv2, t: np.ndarray):
             stop = min(start + rows, n_times)
             a = arg[: stop - start]
             b = logs[: stop - start]
-            s = phase[: stop - start]
-            np.multiply(t[start:stop, :, None], lam1, out=s)
-            np.sin(s, out=s)
-            np.square(s, out=s)
-            np.multiply(s, coef, out=a)
-            _log_factors(a, b, cinv)
-            np.add.reduce(b, axis=-1, out=log_core[start:stop])
+            if step is None:
+                s = phase[: stop - start]
+                np.multiply(t[start:stop, :, None], lam1, out=s)
+                np.sin(s, out=s)
+                np.square(s, out=s)
+                np.multiply(s, coef, out=a)
+            else:
+                head = t[start:stop:_GRID_BLOCK, :, None] * lam1
+                shape = (head.shape[0], _GRID_BLOCK, n_chains, n_modes)
+                s = arg[: shape[0] * _GRID_BLOCK].reshape(shape)
+                c = logs[: shape[0] * _GRID_BLOCK].reshape(shape)
+                np.multiply(np.sin(head)[:, None], cos_offset, out=s)
+                np.multiply(np.cos(head)[:, None], sin_offset, out=c)
+                np.add(s, c, out=s)
+                np.square(a, out=a)
+            _log_factors(a, b if core else None, cinv)
+            if core:
+                np.add.reduce(b, axis=-1, out=log_core[start:stop])
             np.add.reduce(a, axis=-1, out=log_le[start:stop])
 
     if n_workers > 1:
@@ -218,8 +260,9 @@ def echo_chains(chains: Sequence[QuenchParams], t) -> EchoPoint:
     ``t`` has shape ``(len(chains), n_times)``, where row ``i`` holds the
     times of ``chains[i]``, or ``(n_times,)`` for times that every chain
     shares.  Every field of the result has shape ``(len(chains), n_times)``,
-    and entry ``[i, j]`` is bit for bit ``echo_point(mode_table(chains[i]),
-    t[i, j])`` (``t[j]`` for shared times).
+    and row ``i`` is bit for bit ``echo_point(mode_table(chains[i]), t[i])``
+    (``t`` for shared times), except that a block of several chains takes a
+    grid row of their own times by ``np.sin``, to a few ulps of the phase.
 
     Chains of one length share blocks of at most ``_GROUP_MODES`` modes in
     all, whose columns are built and evaluated at once by the one kernel.
@@ -230,6 +273,13 @@ def echo_chains(chains: Sequence[QuenchParams], t) -> EchoPoint:
     blocks nor the kernel's time chunks depend on the thread count, so
     neither do the results.
     """
+    t_arr, *sums = _chain_sums(chains, t)
+    return _point(np.broadcast_to(t_arr, (len(chains), t_arr.shape[-1])), *sums)
+
+
+def _chain_sums(chains: Sequence[QuenchParams], t, core: bool = True):
+    """The times and the kernel sums of :func:`echo_chains`, before any echo
+    is formed; ``log_core`` is None unless ``core``."""
     t_arr = np.asarray(t, dtype=float)
     shared = t_arr.ndim == 1
     if not shared and (t_arr.ndim != 2 or t_arr.shape[0] != len(chains)):
@@ -242,7 +292,7 @@ def echo_chains(chains: Sequence[QuenchParams], t) -> EchoPoint:
     values = np.array([(p.h0, p.h1, p.gamma0, p.gamma1, p.beta) for p in chains],
                       dtype=float).reshape(-1, 5)
     log_le = np.empty(shape)
-    log_core = np.empty(shape)
+    log_core = np.empty(shape) if core else None
     log_purity = np.empty(len(chains))
     for length in np.unique(lengths).tolist():
         k = momenta(length)
@@ -251,8 +301,10 @@ def echo_chains(chains: Sequence[QuenchParams], t) -> EchoPoint:
         for first in range(0, same.size, per_block):
             block = same[first : first + per_block]
             cols = _columns(k, *map(_shared, values[block].T))
-            sums = _kernel(cols["lam1"], cols["alpha"], cols["cinv"],
-                           cols["one_minus_cinv2"], t_arr[:, None] if shared else t_arr[block].T)
-            log_le[block], log_core[block] = sums[0].T, sums[1].T
+            sums = _kernel(cols["lam1"], cols["alpha"], cols["cinv"], cols["one_minus_cinv2"],
+                           t_arr[:, None] if shared else t_arr[block].T, core)
+            log_le[block] = sums[0].T
+            if core:
+                log_core[block] = sums[1].T
             log_purity[block] = sums[2]
-    return _point(np.broadcast_to(t_arr, shape), log_le, log_core, log_purity[:, None])
+    return t_arr, log_le, log_core, log_purity[:, None]

@@ -10,9 +10,9 @@ fixed rule that checks its verdict against such a histogram, however it
 was binned: the caller bins once and writes the same counts.  It also gives
 the continuum spectral bells that the weights of a pure field quench and of
 a zero-field anisotropy quench approach for long chains.  Sampling reads
-the log-echo from :func:`echo.echo_chains` at times that every table
-shares, so it shares the echo kernel's log-space chunks and its one thread
-pool, and a temperature ladder takes each sine once for all of its rungs.
+the log-echo alone from the blocks of :func:`echo.echo_chains` at times
+that every table shares, so it shares the echo kernel's log-space chunks
+and its one thread pool, and a ladder takes each sine once for all rungs.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .echo import echo_chains
+from . import echo
 from .model import ModeTable
 
 __all__ = [
@@ -167,7 +167,7 @@ def sample_logle(table: ModeTable | Sequence[ModeTable], tau: float, n_samples: 
     tables = [table] if single else table
     rng = np.random.default_rng(seed)
     times = rng.uniform(0.0, tau, int(n_samples))
-    z = echo_chains([entry.params for entry in tables], times).log_le
+    z = echo._chain_sums([entry.params for entry in tables], times, core=False)[1]
     return SampleSet(tau=float(tau), seed=int(seed), times=times, z=z[0] if single else z)
 
 

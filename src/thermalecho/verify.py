@@ -77,6 +77,8 @@ def bound_suite(*, seed, n_trials, max_length, field_range, anisotropy_range, be
     temperatures and each chain's random time.  ``inject_failure`` raises
     every lower bound slightly, so a working gate must fail.
     """
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     rng = np.random.default_rng(seed)
     lengths = 2 * rng.integers(1, max_length // 2 + 1, size=n_trials)
     fields = rng.uniform(*field_range, size=(n_trials, 2))

@@ -266,6 +266,116 @@ def test_shared_times_match_per_chain_times(monkeypatch):
         assert np.array_equal(runs[0].log_le[i], echo_point(mode_table(chains[i]), t).log_le)
 
 
+def _grid(t) -> bool:
+    """Whether the kernel takes ``t``'s sines by angle addition."""
+    return echo._grid_step(np.asarray(t, dtype=float).reshape(-1, 1)) is not None
+
+
+def _sin_route(table, t):
+    """``echo_point`` of ``t`` in slices too short for the grid route."""
+    size = 2 * echo._GRID_BLOCK - 1
+    points = [echo_point(table, t[i : i + size]) for i in range(0, t.size, size)]
+    return {name: np.concatenate([getattr(p, name) for p in points])
+            for name in ("log_le", "lower")}
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is no wider than float64 here")
+@pytest.mark.parametrize("length, tmax, tpoints", [(2000, 500.0, 1001), (200, 1e5, 2001),
+                                                   (400, 1e6, 2001)])
+def test_grid_route_is_as_accurate_as_sin(length, tmax, tpoints):
+    # reference: every step after the float64 times in np.longdouble
+    table = _table(length=length)
+    t = np.linspace(0.0, tmax, tpoints)
+    assert _grid(t)
+    wide = np.longdouble
+    s2 = np.sin(np.multiply.outer(t.astype(wide), table.lam1.astype(wide))) ** 2
+    arg = 1 - table.one_minus_cinv2.astype(wide) * table.alpha.astype(wide) * s2
+    cinv = table.cinv.astype(wide)
+    exact = {"log_le": 2 * np.log((cinv + np.sqrt(arg)) / (1 + cinv)).sum(axis=-1),
+             "lower": np.log(arg).sum(axis=-1)}
+    grid = echo_point(table, t)
+    parts = _sin_route(table, t)
+    for name, log in (("log_le", lambda x: x), ("lower", np.log)):
+        grid_err = np.abs(log(getattr(grid, name)) - exact[name]).max()
+        sin_err = np.abs(log(parts[name]) - exact[name]).max()
+        assert grid_err <= 2.0 * sin_err, (name, float(grid_err), float(sin_err))
+
+
+@pytest.mark.parametrize("start, stop, tpoints", [(0.0, 500.0, 1001), (0.0, -40.0, 128),
+                                                  (-30.0, 90.0, 20001), (1e4, 1e4 + 7.0, 333),
+                                                  (25.0, 25.0, 200)])
+def test_linspace_takes_the_grid_route(start, stop, tpoints):
+    t = np.linspace(start, stop, tpoints)
+    assert _grid(t) and _grid(-t)
+    table = _table(length=30)
+    pt, parts = echo_point(table, t), _sin_route(table, t)
+    # one float64 ulp of the largest phase per mode, summed over the modes
+    phase_ulps = np.finfo(float).eps * np.abs(t).max() * table.lam1.max() * table.n_modes
+    assert np.abs(pt.log_le - parts["log_le"]).max() <= phase_ulps
+    assert np.abs(np.log(pt.lower) - np.log(parts["lower"])).max() <= phase_ulps
+
+
+def test_grid_route_unit_echo_and_even_in_time():
+    table = _table(length=200, beta=3.0)
+    t = np.linspace(0.0, 500.0, 1001)
+    assert _grid(t)
+    forward, backward = echo_point(table, t), echo_point(table, -t)
+    assert forward.le[0] == forward.lower[0] == forward.upper[0] == 1.0
+    assert forward.log_le[0] == 0.0
+    for name in ("le", "log_le", "lef", "lower", "upper"):
+        assert np.array_equal(getattr(forward, name), getattr(backward, name)), name
+
+
+def test_grid_route_chunks_and_threads_leave_bits_unchanged(monkeypatch):
+    table = _table(length=60, beta=2.0)
+    # 1001 rows: 15 whole blocks and a part, in chunks of one block and of 512 rows
+    t = np.linspace(-5.0, 400.0, 1001)
+    assert _grid(t)
+    whole = echo_point(table, t)
+    runs = []
+    for chunk_bytes in (8, 8 * 30 * 512):
+        monkeypatch.setattr(echo, "_CHUNK_BYTES", chunk_bytes)
+        for threads in ("1", "3"):
+            monkeypatch.setenv("THERMALECHO_THREADS", threads)
+            runs.append(echo_point(table, t))
+    for run in runs:
+        for name in ("le", "log_le", "lef", "lower", "upper"):
+            assert np.array_equal(getattr(run, name), getattr(whole, name)), name
+
+
+def test_shared_grid_times_match_echo_point(monkeypatch):
+    rng = np.random.default_rng(43)
+    ladder = [QuenchParams(length=40, **dict(DECAY_QUENCH, beta=beta))
+              for beta in (0.5, 3.0, 30.0, math.inf)]
+    chains = _random_chains(rng, 30) + ladder
+    t = np.linspace(0.0, 60.0, 300)
+    assert _grid(t)
+    monkeypatch.setattr(echo, "_CHUNK_BYTES", 8 * 4000)
+    stacked = echo_chains(chains, t)
+    for i, params in enumerate(chains):
+        single = echo_point(mode_table(params), t)
+        for name in ("le", "log_le", "lef", "lower", "upper"):
+            assert np.array_equal(getattr(stacked, name)[i], getattr(single, name)), (i, name)
+
+
+def test_short_and_jittered_grids_keep_np_sin():
+    table = _table(length=50, beta=2.0)
+    jitter = np.random.default_rng(47).uniform(-1e-9, 1e-9, 1001)
+    for t in (np.linspace(0.0, 25.0, 2 * echo._GRID_BLOCK - 1),
+              np.linspace(0.0, 25.0, 1001) + jitter):
+        assert not _grid(t)
+        # the np.sin formula, step for step as the kernel takes it
+        a = np.sin(np.multiply.outer(t, table.lam1))
+        a = np.square(a) * (table.one_minus_cinv2 * table.alpha)
+        arg = np.maximum(1.0 - a, table.cinv**2)
+        log_le = np.log((np.sqrt(arg) + table.cinv) / (1.0 + table.cinv))
+        pt = echo_point(table, t)
+        assert np.array_equal(pt.log_le, 2.0 * np.add.reduce(log_le, axis=-1))
+        assert np.array_equal(pt.lower, np.exp(np.add.reduce(np.log(arg), axis=-1)))
+    assert _grid(np.linspace(0.0, 25.0, 2 * echo._GRID_BLOCK))
+
+
 def test_signed_zero_parameters_stay_apart():
     # at h0 = -2 the pre-quench angle is +pi or -pi by the sign of gamma0 = 0,
     # which changes the echo's last bits, so the two chains share no columns

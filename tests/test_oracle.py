@@ -864,6 +864,13 @@ def test_bound_suite_draws_are_seeded(monkeypatch):
     assert len({p.length for p in chains}) > 1
 
 
+@pytest.mark.parametrize("n_trials", [0, -3])
+def test_bound_suite_needs_a_trial(n_trials):
+    # with no chain the worst slack was inf, which json.dumps writes as Infinity
+    with pytest.raises(ValueError, match="n_trials"):
+        verify.bound_suite(**{**_SMALL_SUITE_DATA["bound_suite"], "n_trials": n_trials})
+
+
 def test_random_hermitian_is_seeded_and_hermitian():
     a = random_hermitian(5, np.random.default_rng(101))
     b = random_hermitian(5, np.random.default_rng(101))

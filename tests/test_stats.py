@@ -139,6 +139,25 @@ def test_ladder_rows_equal_single_table_samples(name, monkeypatch):
             assert np.array_equal(echo_point(table, ladder.times).log_le, z)
 
 
+def test_sampler_forms_only_the_log_echo(monkeypatch):
+    # the log-echo is bit for bit the same without the echo, its bounds or log(arg)
+    tables = [mode_table(params) for params in LADDERS["mixed_h1"][0]]
+    expected = sample_logle(tables, 700.0, 3000, 5).z
+    real_log_factors = echo._log_factors
+
+    def log_factors(a, logs, cinv):
+        assert logs is None
+        real_log_factors(a, logs, cinv)
+
+    def no_point(*args):
+        raise AssertionError("the sampler formed the echo quantities")
+
+    monkeypatch.setattr(echo, "_log_factors", log_factors)
+    monkeypatch.setattr(echo, "_point", no_point)
+    assert np.array_equal(sample_logle(tables, 700.0, 3000, 5).z, expected)
+
+
+
 def test_sampling_rejects_bad_arguments():
     params = _params()
     with pytest.raises(ValueError):
