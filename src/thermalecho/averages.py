@@ -15,6 +15,12 @@ above it.  Either way every mode costs a fixed number of operations, over
 the whole domain ``0 <= m <= 1``.  :func:`long_time` takes these moments
 once per table and returns them with the initial purity, the three numbers
 the bound connects.
+
+All of that is elementwise per mode, and each sum runs over the modes of
+one chain.  So one private block route, :func:`_long_time_rows`, takes the
+statistics of many equal-length chains at once from their ``(chains,
+modes)`` columns, as ``scan`` does for its grid points, and
+:func:`long_time` is its one-chain view with the same bits.
 """
 
 from __future__ import annotations
@@ -69,21 +75,23 @@ class LongTime:
     var_le: float
 
 
-def _mean_factors(table: ModeTable) -> np.ndarray:
+def _mean_factors(m: np.ndarray, cinv: np.ndarray, one_minus_cinv: np.ndarray,
+                  alpha: np.ndarray) -> np.ndarray:
     """Per-mode phase average ``<f>``, the time average of each echo factor.
 
-    Each mode contributes ``1 - (1 - cinv) * alpha / 2 + g`` where ``g``
-    collects the square-root part of the factor through ``E(-b)``.  Modes
-    with ``b = 0`` or in the ground state contribute no ``g`` term.
+    ``m = (1 - cinv**2) * alpha`` is ``-b``, and every argument has the
+    shape of ``m``.  Each mode contributes ``1 - (1 - cinv) * alpha / 2 +
+    g`` where ``g`` collects the square-root part of the factor through
+    ``E(m)``.  Modes with ``m = 0`` or in the ground state contribute no
+    ``g`` term.
     """
-    b = table.b
-    pref = 2.0 * table.cinv / (1.0 + table.cinv) ** 2
-    g = np.zeros_like(b)
-    active = (pref > 0.0) & (b < 0.0)
+    pref = 2.0 * cinv / (1.0 + cinv) ** 2
+    g = np.zeros_like(m)
+    active = (pref > 0.0) & (m > 0.0)
     if np.any(active):
-        mb = -b[active]
+        mb = m[active]
         g[active] = pref[active] * ((2.0 / np.pi) * _elliptic_ek(mb)[0] + mb / 4.0 - 1.0)
-    return 1.0 - table.one_minus_cinv * table.alpha / 2.0 + g
+    return 1.0 - one_minus_cinv * alpha / 2.0 + g
 
 
 def _centred_midpoint(m: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -130,15 +138,56 @@ def _centred_closed_form(m: np.ndarray, c: np.ndarray, mean: np.ndarray) -> np.n
     return fourth / (1.0 + c) ** 4 - mean**2
 
 
-def _centred(table: ModeTable, mean: np.ndarray) -> np.ndarray:
-    """Per-mode centred moment ``v``, each mode on its branch of ``m = -b``."""
-    m = -table.b
-    c = table.cinv
+def _centred(m: np.ndarray, c: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Per-mode centred moment ``v``, each mode on its branch of ``m``;
+    ``c = cinv`` and ``mean = <f>`` have the shape of ``m``."""
     v = np.empty_like(m)
     weak = m <= _MIDPOINT_MAX_M
     v[weak] = _centred_midpoint(m[weak], c[weak])
     v[~weak] = _centred_closed_form(m[~weak], c[~weak], mean[~weak])
     return v
+
+
+# the mode columns that the long-time statistics read
+_COLUMNS = ("alpha", "cinv", "one_minus_cinv", "one_minus_cinv2", "dtheta")
+
+
+def _long_time_rows(columns) -> dict:
+    """Every :class:`LongTime` field of a block of equal-length chains.
+
+    ``columns`` maps the names in ``_COLUMNS`` to ``(chains, modes)`` arrays,
+    or to ``(modes,)`` rows that every chain shares, as
+    :func:`model._columns` builds them.  Each field comes back as an array of
+    one value per chain (one shared value when every column is a row), and
+    row ``i`` holds the bits of :func:`long_time` of chain ``i`` alone: the
+    per-mode work is elementwise and each sum runs over one chain's modes.
+    """
+    shape = np.broadcast_shapes((1, 1), *(np.shape(columns[name]) for name in _COLUMNS))
+    alpha, cinv, one_minus_cinv, one_minus_cinv2, dtheta = (
+        np.broadcast_to(columns[name], shape) for name in _COLUMNS)
+    log_purity = -2.0 * np.add.reduce(np.log1p(cinv), axis=-1)
+    with np.errstate(over="ignore"):
+        d_eff = np.exp(-log_purity)
+    m = one_minus_cinv2 * alpha
+    mean = _mean_factors(m, cinv, one_minus_cinv, alpha)
+    s1 = np.add.reduce(np.log(mean), axis=-1)
+    spread = np.add.reduce(np.log1p(_centred(m, cinv, mean) / mean**2), axis=-1)
+    var_le = np.empty_like(s1)
+    logs = (2.0 * s1 < _LOG_TINY) | (spread > _LOG_MAX)
+    s = spread[logs]
+    var_le[logs] = np.exp(2.0 * s1[logs] + s + np.log(-np.expm1(-s)))
+    var_le[~logs] = np.exp(2.0 * s1[~logs]) * np.expm1(spread[~logs])
+    purity = np.exp(log_purity)
+    core = np.exp(np.add.reduce(np.log(1.0 - m / 2.0), axis=-1))
+    return dict(
+        d_eff=d_eff,
+        purity=purity,
+        log_purity=log_purity,
+        mean_le=np.exp(s1),
+        mean_lef=purity * core,
+        smallquench_var=0.125 * np.add.reduce(one_minus_cinv**2 * dtheta**4, axis=-1),
+        var_le=var_le,
+    )
 
 
 def long_time(table: ModeTable) -> LongTime:
@@ -151,29 +200,11 @@ def long_time(table: ModeTable) -> LongTime:
     ``s1 = sum log <f>`` is also the log of ``mean_le``.  Where ``exp(2 s1)``
     would underflow or ``expm1(S)`` overflow, the product is taken in log
     space instead, as ``exp(2 s1 + S + log(-expm1(-S)))``, which is finite
-    or an underflowed 0.
+    or an underflowed 0.  This is the one-chain view of the block route
+    that ``scan`` runs on many chains at once.
     """
-    log_purity = -2.0 * float(np.sum(np.log1p(table.cinv)))
-    purity = float(np.exp(log_purity))
-    with np.errstate(over="ignore"):
-        d_eff = float(np.exp(-log_purity))
-    mean = _mean_factors(table)
-    s1 = float(np.sum(np.log(mean)))
-    spread = np.sum(np.log1p(_centred(table, mean) / mean**2))
-    if 2.0 * s1 < _LOG_TINY or spread > _LOG_MAX:
-        var_le = np.exp(2.0 * s1 + spread + np.log(-np.expm1(-spread)))
-    else:
-        var_le = np.exp(2.0 * s1) * np.expm1(spread)
-    core = np.exp(np.sum(np.log(1.0 - table.one_minus_cinv2 * table.alpha / 2.0)))
-    return LongTime(
-        d_eff=d_eff,
-        purity=purity,
-        log_purity=log_purity,
-        mean_le=float(np.exp(s1)),
-        mean_lef=float(purity * core),
-        smallquench_var=float(0.125 * np.sum(table.one_minus_cinv**2 * table.dtheta**4)),
-        var_le=float(var_le),
-    )
+    rows = _long_time_rows({name: getattr(table, name) for name in _COLUMNS})
+    return LongTime(**{name: float(values[0]) for name, values in rows.items()})
 
 
 # Not public: perfbench's ladder check imports this name, so it stays until

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import averages, echo, stats, verify
-from .model import QuenchParams, mode_table
+from . import averages, echo, model, stats
+from .model import ModeTable, QuenchParams, mode_table
 
 __all__ = ["DEFAULT_SEED", "RunConfig", "build_parser", "main"]
 
@@ -712,34 +712,34 @@ def cmd_scan(cfg: RunConfig) -> int:
     names = [name for name, _ in axes]
     if len(set(names)) != len(names):
         raise ValueError("sweep axes must be distinct")
-    header = names + [
-        "d_eff", "purity", "mean_le", "mean_lef", "var_le", "kappa2", "dominance", "label",
-    ]
+    stat_names = ("d_eff", "purity", "mean_le", "mean_lef", "var_le")
+    header = names + [*stat_names, "kappa2", "dominance", "label"]
     thermal = {"beta", "temperature"} & set(names)
-    rows = []
-    for point in itertools.product(*(vals for _, vals in axes)):
+    points = list(itertools.product(*(vals for _, vals in axes)))
+    chains = []
+    for point in points:
         swept = dict(zip(names, point))
         # a swept temperature wins over a swept beta, which wins over the config
         beta = (_beta_of(swept.pop("beta", None), swept.pop("temperature", None))
                 if thermal else None)
-        params = _params_for(dataclasses.replace(cfg, **swept), beta)
-        table = mode_table(params)
-        spectrum = stats.weights(table)
-        verdict = stats.classify(spectrum)
-        longtime = averages.long_time(table)
-        rows.append(
-            list(point)
-            + [
-                longtime.d_eff,
-                longtime.purity,
-                longtime.mean_le,
-                longtime.mean_lef,
-                longtime.var_le,
-                spectrum.kappa2,
-                verdict.dominance,
-                verdict.label.value,
-            ]
-        )
+        chains.append(_params_for(dataclasses.replace(cfg, **swept), beta))
+    # the long-time statistics per block of chains, the weights per row of it
+    values = np.empty((len(chains), len(stat_names) + 2))
+    labels = [""] * len(chains)
+    for block, columns in model._blocks(chains):
+        stat = averages._long_time_rows(columns)
+        for j, name in enumerate(stat_names):
+            values[block, j] = stat[name]
+        shape = (block.size, columns["k"].size)
+        views = {name: np.broadcast_to(col, shape) for name, col in columns.items()}
+        for row, i in enumerate(block.tolist()):
+            table = ModeTable(params=chains[i], **{name: v[row] for name, v in views.items()})
+            spectrum = stats.weights(table)
+            verdict = stats.classify(spectrum)
+            values[i, -2:] = spectrum.kappa2, verdict.dominance
+            labels[i] = verdict.label.value
+    rows = [list(point) + cells + [label]
+            for point, cells, label in zip(points, values.tolist(), labels)]
     base = _base(cfg, "scan")
     if cfg.format == "json":
         _write_json(
@@ -755,32 +755,33 @@ def cmd_scan(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-# what `verify` runs, in report order: the suite, the offset added to --seed
-# (None for the seedless kernel scan) and the suite's data
+# what `verify` runs, in report order: the name of the suite in `verify`,
+# the offset added to --seed (None for the seedless kernel scan) and the
+# suite's data; `verify` and the oracle are imported only when it runs
 _VERIFY_DATA = {
-    "oracle_equivalence": (verify.oracle_equivalence, 0, {
+    "oracle_equivalence": ("oracle_equivalence", 0, {
         "lengths": (2, 4, 6, 8), "n_param_sets": 3, "n_times": 5,
         "field_range": (-2.0, 2.0), "anisotropy_range": (-1.5, 1.5),
         "beta_range": (0.1, 8.0), "time_range": (0.0, 20.0),
         "max_abs_residual": 1e-9,
     }),
-    "bounds": (verify.bound_suite, 1, {
+    "bounds": ("bound_suite", 1, {
         "n_trials": 10_000, "max_length": 200,
         "field_range": (-2.0, 2.0), "anisotropy_range": (-1.5, 1.5),
         "beta_range": (0.01, 50.0), "time_range": (-20.0, 50.0),
         "slack_floor": -1e-12, "t0_tolerance": 1e-12,
     }),
-    "qubit_inequality": (verify.qubit_inequality, 2, {
+    "qubit_inequality": ("qubit_inequality", 2, {
         "n_trials": 100_000, "slack_floor": -1e-12,
         "closed_form_tolerance": 1e-12, "route_tolerance": 1e-10,
     }),
-    "q_function_scan": (verify.q_function_scan, None,
+    "q_function_scan": ("q_function_scan", None,
                         {"x_max": 20.0, "v_max": 2.0, "nx": 1000, "nv": 1000}),
-    "perturbation_scaling": (verify.perturbation_scaling, 3, {
+    "perturbation_scaling": ("perturbation_scaling", 3, {
         "dim": 8, "beta": 1.0, "times": (0.7, 1.3, 2.6), "base_scale": 1e-3,
         "halvings": 3, "ratio_low": 5.6, "ratio_high": 10.4,
     }),
-    "bures_relation": (verify.bures_relation, 4,
+    "bures_relation": ("bures_relation", 4,
                        {"dim": 8, "beta": 1.0, "scale": 1e-3, "max_residual": 1e-8}),
 }
 
@@ -790,12 +791,14 @@ _VERIFY_FLAGS = ("seed", "output", "inject_failure")
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    from . import verify
+
     results = {}
     for name, (suite, offset, data) in _VERIFY_DATA.items():
         kwargs = dict(data) if offset is None else {**data, "seed": cfg.seed + offset}
-        if suite is verify.bound_suite:
+        if suite == "bound_suite":
             kwargs["inject_failure"] = cfg.inject_failure
-        results[name] = outcome = suite(**kwargs)
+        results[name] = outcome = getattr(verify, suite)(**kwargs)
         print(f"{name}: {'pass' if outcome['passed'] else 'FAIL'}")
     all_passed = all(outcome["passed"] for outcome in results.values())
     base = _base(cfg, "verify")

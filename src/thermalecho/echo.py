@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModeTable, QuenchParams, _columns, momenta
+from .model import ModeTable, QuenchParams, _blocks
 
 __all__ = ["EchoPoint", "echo_chains", "echo_point"]
 
@@ -40,10 +40,6 @@ _CLAMP_SLACK = 1e-15
 
 # float64 scratch per (chunk x n_modes) buffer; the value only affects speed
 _CHUNK_BYTES = 4 << 20
-
-# modes per block of equal-length chains: 64 KiB per column, so the block's
-# per-mode columns stay well inside one chunk
-_GROUP_MODES = _CHUNK_BYTES // (8 * 64)
 
 # worker count when THERMALECHO_THREADS is unset; looked up once, not per call
 _CPU_COUNT = os.cpu_count() or 1
@@ -246,14 +242,6 @@ def echo_point(table: ModeTable, t) -> EchoPoint:
     return _point(t_arr, *sums, shaped)
 
 
-def _shared(values: np.ndarray):
-    """One quench parameter of a block: a scalar when every chain has the
-    same bits (so ``-0.0`` and ``0.0``, whose angles differ, stay apart),
-    else a ``(chains, 1)`` column."""
-    bits = values.view(np.uint64)
-    return values[0] if (bits == bits[0]).all() else values[:, None]
-
-
 def echo_chains(chains: Sequence[QuenchParams], t) -> EchoPoint:
     """Echo quantities of many chains, at their own times or at shared ones.
 
@@ -264,8 +252,9 @@ def echo_chains(chains: Sequence[QuenchParams], t) -> EchoPoint:
     (``t`` for shared times), except that a block of several chains takes a
     grid row of their own times by ``np.sin``, to a few ulps of the phase.
 
-    Chains of one length share blocks of at most ``_GROUP_MODES`` modes in
-    all, whose columns are built and evaluated at once by the one kernel.
+    Chains of one length share blocks of at most ``model._GROUP_MODES``
+    modes in all (see :func:`model._blocks`), whose columns are built and
+    evaluated at once by the one kernel.
     A quench parameter that every chain of a block shares is built once, so
     a block of shared times whose chains share ``h1`` and ``gamma1`` (a
     temperature ladder) takes each sine once for all of its chains.  The
@@ -288,23 +277,14 @@ def _chain_sums(chains: Sequence[QuenchParams], t, core: bool = True):
     if not np.isfinite(t_arr).all():
         raise ValueError("times must be finite")
     shape = (len(chains), t_arr.shape[-1])
-    lengths = np.array([p.length for p in chains], dtype=int)
-    values = np.array([(p.h0, p.h1, p.gamma0, p.gamma1, p.beta) for p in chains],
-                      dtype=float).reshape(-1, 5)
     log_le = np.empty(shape)
     log_core = np.empty(shape) if core else None
     log_purity = np.empty(len(chains))
-    for length in np.unique(lengths).tolist():
-        k = momenta(length)
-        same = np.flatnonzero(lengths == length)
-        per_block = max(1, _GROUP_MODES // k.size)
-        for first in range(0, same.size, per_block):
-            block = same[first : first + per_block]
-            cols = _columns(k, *map(_shared, values[block].T))
-            sums = _kernel(cols["lam1"], cols["alpha"], cols["cinv"], cols["one_minus_cinv2"],
-                           t_arr[:, None] if shared else t_arr[block].T, core)
-            log_le[block] = sums[0].T
-            if core:
-                log_core[block] = sums[1].T
-            log_purity[block] = sums[2]
+    for block, cols in _blocks(chains):
+        sums = _kernel(cols["lam1"], cols["alpha"], cols["cinv"], cols["one_minus_cinv2"],
+                       t_arr[:, None] if shared else t_arr[block].T, core)
+        log_le[block] = sums[0].T
+        if core:
+            log_core[block] = sums[1].T
+        log_purity[block] = sums[2]
     return t_arr, log_le, log_core, log_purity[:, None]

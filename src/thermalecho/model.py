@@ -6,11 +6,15 @@ after the quench, the rotation angle between the two quasiparticle bases,
 and thermal occupation ratios at the initial inverse temperature.  All
 thermal factors are evaluated through ``exp(-x)`` and ``tanh`` so that large
 ``beta * lambda`` never overflows and the zero-temperature limit is exact.
+Many chains of one length are built at once, as blocks of ``(chains,
+modes)`` columns of bounded size; the echo and the long-time statistics
+share that grouping.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +25,10 @@ __all__ = [
     "mode_table",
     "momenta",
 ]
+
+# modes per block of equal-length chains: 64 KiB per column, so a block's
+# per-mode columns stay small however many chains it holds
+_GROUP_MODES = 1 << 13
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,6 +71,11 @@ def momenta(length: int) -> np.ndarray:
         raise ValueError(f"length must be an int, got {length!r}")
     if length < 2 or length % 2:
         raise ValueError(f"length must be even and >= 2, got {length}")
+    return _momenta(length)
+
+
+def _momenta(length: int) -> np.ndarray:
+    """:func:`momenta` of a length that :class:`QuenchParams` has checked."""
     return (2.0 * np.arange(length // 2) + 1.0) * math.pi / length
 
 
@@ -166,3 +179,32 @@ def mode_table(params: QuenchParams) -> ModeTable:
     return ModeTable(params=params, **_columns(
         k, params.h0, params.h1, params.gamma0, params.gamma1, params.beta))
 
+
+def _shared(values: np.ndarray):
+    """One quench parameter of a block: a scalar when every chain has the
+    same bits (so ``-0.0`` and ``0.0``, whose angles differ, stay apart),
+    else a ``(chains, 1)`` column."""
+    bits = values.view(np.uint64)
+    return values[0] if (bits == bits[0]).all() else values[:, None]
+
+
+def _blocks(chains: Sequence[QuenchParams]):
+    """Yield ``(indices, columns)`` for blocks of equal-length chains.
+
+    Chains of one length share blocks of at most ``_GROUP_MODES`` modes in
+    all (a longer chain is a block of its own); ``indices`` are the
+    positions in ``chains`` of a block's chains, ascending, and ``columns``
+    are their :func:`_columns`, built at once.  A quench parameter that
+    every chain of the block shares is built once, so columns that depend
+    on shared parameters only are ``(modes,)`` rows.
+    """
+    lengths = np.array([p.length for p in chains], dtype=int)
+    values = np.array([(p.h0, p.h1, p.gamma0, p.gamma1, p.beta) for p in chains],
+                      dtype=float).reshape(-1, 5)
+    for length in np.unique(lengths).tolist():
+        k = _momenta(length)
+        same = np.flatnonzero(lengths == length)
+        per_block = max(1, _GROUP_MODES // k.size)
+        for first in range(0, same.size, per_block):
+            block = same[first : first + per_block]
+            yield block, _columns(k, *map(_shared, values[block].T))

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thermalecho import QuenchParams, long_time, mode_table
-from thermalecho import averages, oracle
+from thermalecho import averages, model, oracle
 
 fields = st.floats(-2.0, 2.0, allow_nan=False)
 couplings = st.floats(-1.5, 1.5, allow_nan=False)
@@ -137,8 +137,9 @@ def _assert_variance_matches_reference(table):
 
 def _phase_moments(table):
     """Per-mode phase mean ``<f>`` and centred moment ``v``, as :func:`long_time` takes them."""
-    mean = averages._mean_factors(table)
-    return mean, averages._centred(table, mean)
+    m = table.one_minus_cinv2 * table.alpha
+    mean = averages._mean_factors(m, table.cinv, table.one_minus_cinv, table.alpha)
+    return mean, averages._centred(m, table.cinv, mean)
 
 
 def _assert_moments_match_series(table):
@@ -410,3 +411,36 @@ def test_avg_loschmidt_view_is_the_long_time_mean():
         table = _table(**kw)
         assert averages.avg_loschmidt(table) == long_time(table).mean_le
     assert averages.__all__ == ["LongTime", "long_time"]
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def test_block_rows_keep_the_bits_of_one_table():
+    # one block of equal-length chains whose m = (1 - cinv**2) * alpha spans
+    # both branches: near 0 (a weak, warm quench), near 0.5, near and at 1
+    # (cold quenches), so a lone table's AGM loop stops before the block's
+    chains = [QuenchParams(h0=h0, h1=h1, gamma0=g0, gamma1=g1, beta=beta, length=36)
+              for h0, h1, g0, g1, beta in [
+                  (0.5, 0.5001, 1.0, 1.0, 2.0),
+                  (0.9, 1.1, 1.0, 1.0, 1.0),
+                  (0.2, 3.0, 1.0, 1.0, math.inf),
+                  (0.5, -0.5, 1.0, 0.2, math.inf),
+                  (0.0, 0.0, 1.0, -1.0, math.inf),
+                  (0.0, 0.0, 1.0, -1.0, 3.0),
+                  (0.5, 0.5, 0.25, 0.25, 1.0),
+              ]]
+    ((block, columns),) = model._blocks(chains)
+    assert block.tolist() == list(range(len(chains)))
+    m = columns["one_minus_cinv2"] * columns["alpha"]
+    assert m.shape == (len(chains), 18)
+    assert 0.0 < np.max(m[0]) < 1e-7 and not np.any(m[-1])
+    assert np.any((m > 0.4) & (m <= 0.5)) and np.any((m > 0.5) & (m < 0.6))
+    assert np.any(m == 1.0)
+    rows = averages._long_time_rows(columns)
+    for i, params in enumerate(chains):
+        ref = long_time(mode_table(params))
+        for name, values in rows.items():
+            assert values.shape == (len(chains),)
+            assert _bits(values[i]) == _bits(getattr(ref, name)), (i, name)

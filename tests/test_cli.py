@@ -1,9 +1,13 @@
 """Command-line behavior: outputs, determinism, config merging, exit codes."""
 
 import dataclasses
+import itertools
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -118,21 +122,68 @@ def test_scan_columns_are_long_time_fields(tmp_path, monkeypatch):
             cli._json_cell(getattr(stat, name)) for name in names]
 
 
+def _scan_reference_rows(cfg):
+    """The rows of ``scan``, one mode table and one long-time pass per point."""
+    axes = [cli._parse_sweep(spec) for spec in cfg.sweep]
+    names = [name for name, _ in axes]
+    rows = []
+    for point in itertools.product(*(values for _, values in axes)):
+        swept = dict(zip(names, point))
+        beta = (cli._beta_of(swept.pop("beta", None), swept.pop("temperature", None))
+                if {"beta", "temperature"} & set(names) else None)
+        table = model.mode_table(cli._params_for(dataclasses.replace(cfg, **swept), beta))
+        stat = averages.long_time(table)
+        spectrum = stats.weights(table)
+        verdict = stats.classify(spectrum)
+        rows.append([*point, stat.d_eff, stat.purity, stat.mean_le, stat.mean_lef,
+                     stat.var_le, spectrum.kappa2, verdict.dominance, verdict.label.value])
+    return [[cli._json_cell(value) for value in row] for row in rows]
+
+
+# several lengths, T = 0 and h1 = 0
+GRID_SCAN = ["--sweep", "length=10:40:4", "--sweep", "h1=0:1.4:3",
+             "--sweep", "temperature=0:1:3"]
+
+
+# blocks of 24 modes split the chains of each length; the last case is a
+# cold strong quench whose variance takes the log-space branch
+@pytest.mark.parametrize("args, group_modes", [
+    (GRID_SCAN, None),
+    (GRID_SCAN, 24),
+    (["--length", "2600", "--h0", "0.2", "--gamma0", "1", "--gamma1", "1",
+      "--beta", "10", "--sweep", "h1=2.5:3:3"], None),
+])
+def test_scan_matches_per_point_reference(tmp_path, monkeypatch, args, group_modes):
+    if group_modes is not None:
+        monkeypatch.setattr(model, "_GROUP_MODES", group_modes)
+    assert _run(["scan", *args, "--format", "json"], tmp_path, monkeypatch) == 0
+    payload = json.loads((tmp_path / "scan.json").read_text())
+    want = _scan_reference_rows(cli.RunConfig(**payload["config"]))
+    # repr keeps every bit of a float, and the sign of a zero
+    assert json.dumps(payload["rows"]) == json.dumps(want)
+    if "2600" in args:
+        point = dict(zip(payload["columns"], payload["rows"][-1]))
+        assert point["h1"] == 3.0
+        assert 2.0 * math.log(point["mean_le"]) < averages._LOG_TINY
+        assert point["var_le"] > 0.0
+
+
 def test_phase_moments_are_taken_once_per_table(tmp_path, monkeypatch):
     calls = []
     original = averages._mean_factors
 
-    def counted(table):
-        calls.append(table.n_modes)
-        return original(table)
+    def counted(m, *columns):
+        calls.append(m.shape)
+        return original(m, *columns)
 
     monkeypatch.setattr(averages, "_mean_factors", counted)
     assert _run(TS_ARGS, tmp_path, monkeypatch) == 0
-    assert calls == [12]
+    assert calls == [(1, 12)]
     calls.clear()
+    # the scan's six points take theirs in one block
     args = ["scan", "--length", "12", "--sweep", "beta=1:5:3", "--sweep", "h1=0.4:0.6:2"]
     assert _run(args, tmp_path, monkeypatch) == 0
-    assert calls == [6] * 6
+    assert calls == [(6, 6)]
 
 
 def test_overflowing_phase_exits_one_naming_it(tmp_path, monkeypatch, capsys):
@@ -718,6 +769,17 @@ def test_scan_temperature_axis(tmp_path, monkeypatch):
                       "MergedSinglePeak", "Gaussian"]
     dominance = [float(row[-2]) for row in rows]
     assert dominance == sorted(dominance, reverse=True)
+
+
+def test_cli_imports_verify_and_the_oracle_only_to_run_them():
+    script = ("import sys, thermalecho.cli\n"
+              "print([name for name in ('thermalecho.verify', 'thermalecho.oracle')\n"
+              "       if name in sys.modules])\n")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_verify_passes_and_reports(tmp_path, monkeypatch):

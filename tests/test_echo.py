@@ -20,7 +20,7 @@ from thermalecho import (
     mode_table,
 )
 import thermalecho
-from thermalecho import echo, oracle
+from thermalecho import echo, model, oracle
 
 DECAY_QUENCH = dict(h0=0.5, h1=0.5, gamma0=0.25, gamma1=0.1, beta=10.0)
 
@@ -194,7 +194,7 @@ def test_stacked_chains_match_per_chain_route():
     rng = np.random.default_rng(17)
     chains = _random_chains(rng, 400)
     # 400 chains, four of each length from 1 to 100 modes, cold ones included
-    assert sum(p.length // 2 for p in chains) > 2 * echo._GROUP_MODES
+    assert sum(p.length // 2 for p in chains) > 2 * model._GROUP_MODES
     t = np.zeros((len(chains), 4))
     t[:, 1:] = rng.uniform(-20.0, 50.0, (len(chains), 3))
     stacked = echo_chains(chains, t)
@@ -213,13 +213,13 @@ def test_stacked_groups_do_not_change_results(monkeypatch):
     rng = np.random.default_rng(23)
     # one chain longer than a whole block, between chains that share blocks
     chains = _random_chains(rng, 60)
-    chains.insert(30, QuenchParams(length=2 * echo._GROUP_MODES + 4, **DECAY_QUENCH))
+    chains.insert(30, QuenchParams(length=2 * model._GROUP_MODES + 4, **DECAY_QUENCH))
     t = rng.uniform(-20.0, 50.0, (len(chains), 5))
     whole = echo_chains(chains, t)
     single = echo_point(mode_table(chains[30]), t[30])
     assert np.array_equal(whole.le[30], single.le)
     # tiny blocks and one time per chunk walk every loop many times over
-    monkeypatch.setattr(echo, "_GROUP_MODES", 40)
+    monkeypatch.setattr(model, "_GROUP_MODES", 40)
     monkeypatch.setattr(echo, "_CHUNK_BYTES", 8)
     split = echo_chains(chains, t)
     for name in ("le", "log_le", "lef", "lower", "upper"):

@@ -117,3 +117,10 @@ def test_committed_bench_files_name_every_workload_and_metric():
                 assert set(run["metrics"]) == metrics, (path.name, side, name)
                 for metric in run["metrics"].values():
                     assert isinstance(metric["value"], (int, float)), (path.name, side, name)
+        # a claim names one workload and one end-to-end metric, and its
+        # workload has at least 10 runs on each side, as many for both
+        claim = bench["claim"]
+        assert claim["workload"] in workloads, path.name
+        assert claim["metric"] in metrics, path.name
+        runs = bench["wall_s_runs"][claim["workload"]]
+        assert len(runs["parent"]) == len(runs["change"]) >= 10, path.name
