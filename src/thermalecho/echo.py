@@ -84,6 +84,21 @@ def _thread_count() -> int:
     return count
 
 
+def _in_order(fn, items, n_workers: int):
+    """Yield ``fn(item)`` for each item, in order.
+
+    With more than one worker the items run on a pool of ``n_workers``
+    threads, and an exception is raised when its item's turn comes, after
+    the results before it; with one worker each item runs on the calling
+    thread when its result is asked for.
+    """
+    if n_workers > 1:
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            yield from pool.map(fn, items)
+    else:
+        yield from map(fn, items)
+
+
 def _log_factors(a: np.ndarray, logs: np.ndarray | None, cinv) -> None:
     """Turn ``a = coef * sin(t * lam1)**2`` into per-mode log factors, in place.
 
@@ -198,11 +213,7 @@ def _kernel(lam1, alpha, cinv, one_minus_cinv2, t: np.ndarray, core: bool = True
                 np.add.reduce(b, axis=-1, out=log_core[start:stop])
             np.add.reduce(a, axis=-1, out=log_le[start:stop])
 
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(work, range(n_workers)))
-    elif n_workers == 1:
-        work(0)
+    list(_in_order(work, range(n_workers), n_workers))
     log_le *= 2.0
     return log_le, log_core, -2.0 * np.add.reduce(np.log1p(cinv), axis=-1)
 

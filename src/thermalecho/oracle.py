@@ -409,14 +409,15 @@ def q_function(x, v) -> np.ndarray | float:
         raise ValueError("q_function requires finite |x| <= 300")
     if np.any(v_arr < 0.0) or np.any(v_arr > 2.0):
         raise ValueError("q_function requires 0 <= v <= 2")
-    x_arr, v_arr = np.broadcast_arrays(x_arr, v_arr)
+    # the factors of x alone are taken on x's own shape, before broadcasting
+    c = np.cosh(x_arr)
+    one_c = 1.0 + c
+    q1 = c / one_c
     u = 0.5 * v_arr * np.tanh(x_arr) ** 2
     root = np.sqrt(1.0 - u)
-    c = np.cosh(x_arr)
-    q1 = c / (1.0 + c)
     s = 2.0 * c * root
     delta = u / (1.0 + root)
-    out = 2.0 * delta * q1 * (2.0 * s * q1 + 2.0 * q1 + s / (1.0 + c))
+    out = 2.0 * delta * q1 * (2.0 * s * q1 + 2.0 * q1 + s / one_c)
     return float(out.reshape(-1)[0]) if scalar else out
 
 

@@ -1,6 +1,8 @@
 """Command-line behavior: outputs, determinism, config merging, exit codes."""
 
+import contextlib
 import dataclasses
+import io
 import itertools
 import json
 import math
@@ -303,9 +305,10 @@ def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch, capsys):
     ts_args = ["timeseries", "--length", "2000", "--tpoints", "1600", "--tmax", "400"]
     assert 40000 > 3 * (echo._CHUNK_BYTES // (8 * 100))
     assert 1600 > 3 * (echo._CHUNK_BYTES // (8 * 1000))
-    # a ladder shares its sines over chunks of 3 rungs x 100 modes
-    ladder_args = dist_args + ["--temperatures", "0,0.3,2", "--output", "ladder"]
-    assert 40000 > 3 * (echo._CHUNK_BYTES // (8 * 3 * 100))
+    # a ladder shares its sines over chunks of 5 rungs x 100 modes, and its
+    # five rungs run on at most 4 workers, so one worker runs two
+    ladder_args = dist_args + ["--temperatures", "0,0.1,0.3,0.7,2", "--output", "ladder"]
+    assert 40000 > 3 * (echo._CHUNK_BYTES // (8 * 5 * 100))
     json_args = dist_args + ["--format", "json", "--output", "distribution_json"]
     for threads, out in (("1", a), ("4", b)):
         monkeypatch.setenv("THERMALECHO_THREADS", threads)
@@ -320,6 +323,63 @@ def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch, capsys):
     assert {"ladder.json", "ladder_T0_samples.csv", "ladder_T2_samples.csv"} <= set(names)
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+LADDER_ARGS = ["distribution", "--length", "20", "--samples", "20000",
+               "--h0", "0.9", "--h1", "1.1", "--gamma0", "1", "--gamma1", "1",
+               "--temperatures", "0.05,0.1,0.2,0.4,0.8"]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_ladder_formats_each_time_block_once(threads, tmp_path, monkeypatch):
+    # the five samples files share their time column; its cells are made
+    # once per block, not once per rung
+    monkeypatch.setenv("THERMALECHO_THREADS", threads)
+    drawn, formatted = [], []
+    sample_logle, cells = stats.sample_logle, cli._cells
+
+    def drawing(*args):
+        drawn.append(sample_logle(*args))
+        return drawn[-1]
+
+    def formatting(column):
+        if np.shares_memory(column, drawn[0].times):
+            formatted.append(len(column))
+        return cells(column)
+
+    monkeypatch.setattr(stats, "sample_logle", drawing)
+    monkeypatch.setattr(cli, "_cells", formatting)
+    assert 20000 > cli._BLOCK_ROWS
+    assert _run(LADDER_ARGS, tmp_path, monkeypatch) == 0
+    assert formatted == [cli._BLOCK_ROWS, 20000 - cli._BLOCK_ROWS]
+    times = [row[0] for row in _data_rows(tmp_path / "distribution_T0.05_samples.csv")]
+    assert times == [f"{t:.17g}" for t in drawn[0].times]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_ladder_to_missing_directory_exits_three(threads, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("THERMALECHO_THREADS", threads)
+    args = LADDER_ARGS + ["--output", "no_such_dir/ladder"]
+    assert _run(args, tmp_path, monkeypatch) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("thermalecho: I/O error (no_such_dir/ladder_T0.05_samples.csv)")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_zero_variance_ladder_warns_before_each_rungs_files(threads, tmp_path, monkeypatch):
+    monkeypatch.setenv("THERMALECHO_THREADS", threads)
+    args = ["distribution", "--length", "10", "--samples", "50", "--h0", "0.5", "--h1", "0.5",
+            "--gamma0", "0.3", "--gamma1", "0.3", "--temperatures", "0.1,0.2,0.3,0.4"]
+    both = io.StringIO()
+    with contextlib.redirect_stdout(both), contextlib.redirect_stderr(both):
+        assert _run(args, tmp_path, monkeypatch) == 0
+    lines = []
+    for T in ("0.1", "0.2", "0.3", "0.4"):
+        lines += ["warning: quench has zero variance; no distribution to classify",
+                  f"wrote distribution_T{T}_samples.csv", f"wrote distribution_T{T}_hist.csv"]
+    assert both.getvalue().splitlines() == lines + ["wrote distribution.json"]
 
 
 def test_malformed_thread_count_exits_one(tmp_path, monkeypatch):
@@ -406,6 +466,14 @@ def test_validation_failures_exit_one(args, tmp_path, monkeypatch):
         # the swept lengths are not rounded to L = 10 and 12
         (["scan", "--length", "8", "--sweep", "length=9.6:12.4:2"],
          "swept length 9.6 is not a whole number in 'length=9.6:12.4:2'"),
+        # a scan names the first point that fails, or the config's own beta
+        (["scan", "--length", "8", "--beta", "-1", "--sweep", "h1=0.5:1.5:3"],
+         "beta must be positive and finite, got -1.0"),
+        (["scan", "--length", "8", "--sweep", "h1=0.5:1.5:2",
+          "--sweep", "temperature=1:-1:3"],
+         "temperature must be >= 0 and finite, got -1.0"),
+        (["scan", "--length", "8", "--h0", "nan", "--sweep", "h1=0.5:1.5:2"],
+         "h0 must be finite, got nan"),
     ],
 )
 def test_non_finite_or_negative_run_values_exit_one(args, message, tmp_path, monkeypatch,

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -430,6 +431,28 @@ def test_range_guard_survives_optimized_mode():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "raised"
+
+
+@pytest.mark.parametrize("n_workers", [1, 2, 5])
+def test_pool_yields_in_order_and_raises_at_the_failing_item(n_workers):
+    caller = threading.get_ident()
+    threads = []
+
+    def work(i):
+        threads.append(threading.get_ident())
+        if i == 3:
+            raise OSError("item 3")
+        return i * i
+
+    results = echo._in_order(work, range(6), n_workers)
+    assert [next(results) for _ in range(3)] == [0, 1, 4]
+    with pytest.raises(OSError, match="item 3"):
+        next(results)
+    if n_workers == 1:
+        # one worker runs each item on the calling thread, when it is asked for
+        assert threads == [caller] * 4
+    else:
+        assert caller not in threads
 
 
 def test_thread_count_variable_must_be_an_integer(monkeypatch):
