@@ -3,7 +3,7 @@
 Every run is reproducible: the resolved configuration (seed included) is
 embedded as a '#' comment in each CSV and echoed into each JSON file, CSV
 float cells are byte-identical to printf ``%.17g`` (vectorised in numpy for
-the fixed-notation band 1e-4 <= |x| < 1e17, printf elsewhere), and sampling
+1e-280 <= |x| < 1e280 in both notations, printf elsewhere), and sampling
 is seeded, so a rerun with the same inputs produces byte-identical files
 under any thread count.  ``THERMALECHO_THREADS`` sets the threads of the
 echo evaluation and of a temperature ladder's rungs, whose statistics and
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -321,11 +322,6 @@ def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return high, v - high
 
 
-# 10**k for k = 0..20, all exact doubles, and their Veltkamp halves
-_POW10 = np.array([float(10**k) for k in range(21)])
-_POW10_HI, _POW10_LO = _split(_POW10)
-
-
 def _packed(text: bytes) -> np.ndarray:
     """Up to 24 bytes as three uint64 words, byte j at bits 8j to 8j + 7."""
     return np.frombuffer(text.ljust(24, b"\0"), "<u8").astype(np.uint64)
@@ -362,80 +358,137 @@ _POINT = _layout_table(lambda e, neg: b"\0" * (neg + e + 1) + b"." if e >= 0
                        else b"\0" * neg + b"0." + b"0" * (-e - 1))
 _FRAC_MOVE = np.repeat([8 * max(1, 1 - e) for e in range(-4, 17)], 2).astype(np.uint64)
 
+# the digit route takes every double with 1e-280 <= |x| < 1e280 (beyond, the
+# Veltkamp split of |x| or of 10**(16 - E) can overflow); its decimal
+# exponents E, one wider on each side for a log10 miss or a carry
+_BAND = (1e-280, 1e280)
+_E_MIN, _E_MAX = -281, 280
+# where 10**(16 - E) is not a double, the product below is within 5e-15 of
+# exact; a cell this close to a rounding boundary goes to printf
+_MARGIN = 1e-9
+
+
+@functools.cache
+def _decimal_tables() -> tuple[np.ndarray, ...]:
+    """Per decimal exponent E (index ``E - _E_MIN``): ``hi``, its Veltkamp
+    halves and ``lo``, the margin, the layout index and the exponent suffix.
+
+    ``hi = RN(10**k)`` and ``lo = RN(10**k - hi)`` for k = 16 - E, both
+    from exact integers, so ``hi + lo`` is 10**k to a relative 2**-106;
+    ``lo`` is 0 for 0 <= k <= 22.  The margin is 0 in the fixed-notation
+    band E = -4..16, where 10**k is a double and the digits are exact.
+    Exponent notation is laid out as E = 0 (one digit, then the fraction),
+    and its suffix ("e-05", "e+17", "e-100") fills bytes 19 to 23 of the
+    cell; the NULs before it go with the padding.
+    """
+    exponents = range(_E_MIN, _E_MAX + 1)
+    hi, lo = [], []
+    for e in exponents:
+        num, den = 10 ** max(16 - e, 0), 10 ** max(e - 16, 0)
+        h = num / den
+        p, q = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * q - p * den) / (den * q))
+    hi, lo = np.array(hi), np.array(lo)
+    fixed = [-4 <= e <= 16 for e in exponents]
+    margin = np.where(fixed, 0.0, _MARGIN)
+    row = np.array([2 * (e + 4) if f else 8 for e, f in zip(exponents, fixed)])
+    suffix = b"".join(b"\0" * 8 if f else b"\0\0\0" + (b"e%+03d" % e).ljust(5, b"\0")
+                      for e, f in zip(exponents, fixed))
+    return (hi, *_split(hi), lo, margin, row,
+            np.frombuffer(suffix, "<u8").astype(np.uint64))
+
 
 def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``a * 10**(16 - e)`` exactly, as ``hi + lo`` (Dekker's two-product)."""
-    k = 16 - e
-    hi = a * _POW10[k]
-    a_hi, a_lo = _split(a)
-    p_hi, p_lo = _POW10_HI[k], _POW10_LO[k]
-    lo = a_lo * p_lo - (((hi - a_hi * p_hi) - a_lo * p_hi) - a_hi * p_lo)
-    return hi, lo
+    """``a * 10**(16 - e)`` as ``ph + t``: ``ph = RN(a * hi)`` and ``t`` the
+    rest, exact where ``lo`` is 0 and within 5e-15 elsewhere.
 
-
-def _fixed_cells(x: np.ndarray) -> np.ndarray:
-    """``'%.17g' % v`` for each v with ``1e-4 <= |v| < 1e17``, without printf.
-
-    Those are the doubles ``%.17g`` prints in fixed notation, with decimal
-    exponent E = floor(log10|v|) in [-4, 16].  The 17 significant digits are
-    D = round(|v| * 10**(16 - E)).  Since 10**k is exact for k <= 20, the
-    two-product gives that product exactly as hi + lo; hi >= 2**53 is an
-    even integer, so hi + rint(lo) rounds half to even, as dtoa does.  The
-    text is built in three little-endian uint64 words per cell with integer
-    operations only, and comes back as (n, 24) ASCII bytes, NUL-padded.
+    Dekker's two-product gives ``a * hi - ph`` exactly; ``t`` adds ``a * lo``.
     """
-    a = np.abs(x)
-    e = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.int64)
-    hi, lo = _scaled(a, e)
-    # log10 can miss by one next to a power of ten: test the exact product
-    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
-    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
-    miss = np.flatnonzero(below | above)
-    if miss.size:
-        e[miss] += above[miss].astype(np.int64) - below[miss]
-        hi[miss], lo[miss] = _scaled(a[miss], e[miss])
-    # no carry to 10**17: the largest double below each power of ten in the
-    # band lies more than eight units of its 17th digit below it
-    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    j = e - _E_MIN
+    hi, p_hi, p_lo, lo = (table.take(j) for table in _decimal_tables()[:4])
+    ph = a * hi
+    a_hi, a_lo = _split(a)
+    err = a_lo * p_lo - (((ph - a_hi * p_hi) - a_lo * p_hi) - a_hi * p_lo)
+    return ph, err + a * lo
 
+
+def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """E = floor(log10 a), the 17 significant digits D = round(a * 10**(16 - E)),
+    rounded half to even, and whether D is sure, for each a in the band.
+
+    With ``ph + t`` from :func:`_scaled` in [1e16, 1e17), ``ph`` >= 2**53 is
+    an even integer and D = ph + rint(t).  D is not sure where ``t`` lies
+    within the margin of a half or the product within it of 1e16 or 1e17.
+    """
+    e = np.floor(np.log10(a)).astype(np.int64)
+    ph, t = _scaled(a, e)
+    # log10 can miss by one next to a power of ten: test the product
+    miss = np.flatnonzero(((ph - 1e16) + t < 0) | ((ph - 1e17) + t >= 0))
+    if miss.size:
+        e[miss] += np.where(ph[miss] > 3e16, np.int64(1), np.int64(-1))
+        ph[miss], t[miss] = _scaled(a[miss], e[miss])
+    r = np.rint(t)
+    margin = _decimal_tables()[4].take(e - _E_MIN)
+    sure = ((np.abs(t - r) <= 0.5 - margin) & ((ph - 1e16) + t >= margin)
+            & ((1e17 - ph) - t >= margin))
+    digits = ph.astype(np.int64) + r.astype(np.int64)
+    # a product just below 1e17 rounds up to 10**17 = 10**16 * 10
+    carry = digits == np.int64(10**17)
+    digits[carry] = np.int64(10**16)
+    e += carry
+    return e, digits, sure
+
+
+def _text_cells(x: np.ndarray, e: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """``'%.17g' % v`` for each v with decimal exponent ``e`` and 17 digits
+    ``digits``, as (n, 24) ASCII bytes with NULs where no text is.
+
+    The text is built in three little-endian uint64 words per cell with
+    integer operations only.
+    """
     # D is a leading digit and four groups of four: g1 g2 g3 g4; a group
     # loses its trailing zeros when every group after it is zero
-    lead = digits // 10**16
-    tail = digits - lead * 10**16
-    upper = tail // 10**8
-    lower = tail - upper * 10**8
-    g1 = upper // 10**4
-    g2 = upper - g1 * 10**4
-    g3 = lower // 10**4
-    g4 = lower - g3 * 10**4
-    t1 = _GROUPS.take(g1 + 10**4 * ((g2 == 0) & (lower == 0)))
-    t2 = _GROUPS.take(g2 + 10**4 * (lower == 0))
-    t3 = _GROUPS.take(g3 + 10**4 * (g4 == 0))
-    t4 = _GROUPS.take(g4 + 10**4)
+    ten4, ten8, ten16 = np.int64(10**4), np.int64(10**8), np.int64(10**16)
+    lead = digits // ten16
+    tail = digits - lead * ten16
+    upper = tail // ten8
+    lower = tail - upper * ten8
+    g1 = upper // ten4
+    g2 = upper - g1 * ten4
+    g3 = lower // ten4
+    g4 = lower - g3 * ten4
+    t1 = _GROUPS.take(g1 + ten4 * ((g2 == 0) & (lower == 0)))
+    t2 = _GROUPS.take(g2 + ten4 * (lower == 0))
+    t3 = _GROUPS.take(g3 + ten4 * (g4 == 0))
+    t4 = _GROUPS.take(g4 + ten4)
     # the 17 digit bytes, one byte further right after a minus sign
+    u = np.uint64
     neg = np.signbit(x)
-    sign = neg.astype(np.uint64)
-    pad = sign << 3
-    down = 24 - pad
-    w0 = ((lead.astype(np.uint64) + ord("0")) << pad) | (t1 << (pad + 8)) | (t2 << (pad + 40))
-    w1 = (t2 >> down) | (t3 << (pad + 8)) | (t4 << (pad + 40))
+    sign = neg.astype(u)
+    pad = sign << u(3)
+    down = u(24) - pad
+    w0 = ((lead.astype(u) + u(ord("0"))) << pad) | (t1 << (pad + u(8))) | (t2 << (pad + u(40)))
+    w1 = (t2 >> down) | (t3 << (pad + u(8))) | (t4 << (pad + u(40)))
     w2 = t4 >> down
 
     # the integer part stays, NULs back to '0'; the fraction moves right
     # past the '.' (or the "0.000"), which goes when no fraction is left
-    i = 2 * e + 8 + neg
+    j = e - _E_MIN
+    row, suffix = _decimal_tables()[5:]
+    i = row.take(j) + neg
     m0, m1, m2 = _INT_BYTES[0].take(i), _INT_BYTES[1].take(i), _INT_BYTES[2].take(i)
     f0, f1, f2 = w0 & ~m0, w1 & ~m1, w2 & ~m2
-    point = (f0 | f1 | f2) != 0
+    point = (f0 | f1 | f2) != u(0)
     move = _FRAC_MOVE.take(i)
-    back = 64 - move
+    back = u(64) - move
     cells = np.empty((len(x), 3), np.uint64)
     cells[:, 0] = (((w0 | _ASCII_ZEROS) & m0) | (_POINT[0].take(i) * point) | (f0 << move)
-                   | (sign * ord("-")))
+                   | (sign * u(ord("-"))))
     cells[:, 1] = (((w1 | _ASCII_ZEROS) & m1) | (_POINT[1].take(i) * point) | (f1 << move)
                    | (f0 >> back))
     cells[:, 2] = (((w2 | _ASCII_ZEROS) & m2) | (_POINT[2].take(i) * point) | (f2 << move)
-                   | (f1 >> back))
+                   | (f1 >> back) | suffix.take(j))
     return cells.astype("<u8", copy=False).view(np.uint8)
 
 
@@ -451,11 +504,12 @@ def _printf_cells(values: list, fmt: str, width: int) -> np.ndarray:
 
 
 def _cells(column: np.ndarray) -> np.ndarray:
-    """The text of one column's cells, one row of NUL-padded bytes each.
+    """The text of one column's cells, one row of bytes each, NULs not text.
 
     Integers print with ``%d``, strings as they are (UTF-8), floats up to
-    float64 through :func:`_fixed_cells` where it applies, and everything
-    else with ``%.17g``.
+    float64 in the band 1e-280 <= |x| < 1e280 from :func:`_decimal` and
+    :func:`_text_cells`, and everything else, and the cells those leave
+    unsure, with ``%.17g``.
     """
     kind = column.dtype.kind
     if kind == "U":
@@ -470,12 +524,12 @@ def _cells(column: np.ndarray) -> np.ndarray:
         return _printf_cells(column.tolist(), ".17g", 24)
     x = column.astype(np.float64, copy=False)
     a = np.abs(x)
-    fixed = (a >= 1e-4) & (a < 1e17)
-    if fixed.all():
-        return _fixed_cells(x)
-    cells = np.empty((len(x), 24), np.uint8)
-    cells[fixed] = _fixed_cells(x[fixed])
-    cells[~fixed] = _printf_cells(x[~fixed].tolist(), ".17g", 24)
+    band = (a >= _BAND[0]) & (a < _BAND[1])
+    e, digits, sure = _decimal(np.where(band, a, 1.0))
+    cells = _text_cells(x, e, digits)
+    rest = np.flatnonzero(~(band & sure))
+    if rest.size:
+        cells[rest] = _printf_cells(x[rest].tolist(), ".17g", 24)
     return cells
 
 
@@ -514,9 +568,11 @@ def _save_csv(path: str, cfg: RunConfig, header: list[str], columns) -> None:
     Integer columns are written with ``%d``, string columns as they are
     (UTF-8, no NUL characters) and everything else as printf ``%.17g`` would
     write it, byte for byte, so ``nan``, ``inf`` and ``-inf`` are spelled
-    that way.  Float cells are vectorised in the fixed-notation band
-    1e-4 <= |x| < 1e17 (:func:`_fixed_cells`); the other cells of a column
-    go through one ``%`` operation per block.  Rows go out in blocks of
+    that way.  Float cells with 1e-280 <= |x| < 1e280 are vectorised, in
+    fixed and exponent notation (:func:`_decimal`, :func:`_text_cells`);
+    zero, subnormals, the rest of the range, non-finite values and the cells
+    within the margin of a rounding boundary go through one ``%`` operation
+    per block and column.  Rows go out in blocks of
     ``_BLOCK_ROWS``, which bounds memory for any row count.  A column that
     several files share may come as the ``(rows, width)`` cells that
     :func:`_column_cells` made of it, so it is formatted once.

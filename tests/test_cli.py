@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import fractions
 import io
 import itertools
 import json
@@ -256,6 +257,95 @@ def test_writer_matches_printf_on_a_million_floats(tmp_path, capsys):
 @settings(max_examples=500, deadline=None)
 def test_writer_matches_printf_on_any_float(x):
     assert cli._csv_rows([np.array([x])]).tobytes() == ("%.17g\n" % x).encode()
+
+
+def _printf_rows(floats) -> bytes:
+    return (("%.17g\n" * len(floats)) % tuple(float(v) for v in floats)).encode()
+
+
+def _exact_ties() -> list[float]:
+    """The doubles m * 2**j, odd m in [33, 63], whose exact decimal value has
+    18 significant digits ending in 5: ties of ``%.17g`` rounding."""
+    ties = []
+    for m, j in itertools.product(range(33, 64, 2), range(-1074, 972)):
+        # the significant digits of m * 2**j; for j < 0 those of m * 5**-j
+        digits = str(m * 2**j if j >= 0 else m * 5**-j).rstrip("0")
+        if len(digits) == 18 and digits.endswith("5"):
+            ties.append(math.ldexp(m, j))
+    return ties
+
+
+def test_exponent_cells_at_powers_of_ten_and_band_edges():
+    # every power of ten in the band and two doubles either side of it, so
+    # the largest double below each 10**E, whose digits may carry to 10**17,
+    # both signs; then the band edges and values outside it
+    powers = np.array([float(f"1e{n}") for n in range(-280, 280)])
+    steps = np.arange(-2, 3)
+    floats = (powers.view(np.int64)[:, None] + steps).ravel().view(np.float64)
+    # log10 misses next to a power of ten are redone, not sent to printf;
+    # only the exact doubles 1e17 to 1e22 go there, since their scaled
+    # product is 1e16 itself, within the error bound of the edge
+    sure = cli._decimal(floats)[2]
+    assert sorted(floats[~sure]) == [float(f"1e{n}") for n in range(17, 23)]
+    edges = [np.nextafter(edge, towards) for edge in (1e-280, 1e280)
+             for towards in (0.0, math.inf)]
+    special = [1e-280, 1e280, *edges, 5e-324, 2.2250738585072014e-308,
+               np.nextafter(2.2250738585072014e-308, 0.0), 0.0, -0.0,
+               math.inf, -math.inf, math.nan, 1.7976931348623157e308]
+    floats = np.concatenate([floats, -floats, special, np.negative(special)])
+    assert cli._csv_rows([floats]).tobytes() == _printf_rows(floats)
+
+
+def test_exponent_cells_at_exact_ties_take_printf():
+    ties = np.array(_exact_ties())
+    assert len(ties) == 27
+    assert "%.17g" % ties[0] == "3.9339065551757812e-06"
+    for floats in (ties, -ties):
+        assert cli._csv_rows([floats]).tobytes() == _printf_rows(floats)
+    # the error bound cannot round a tie, so every one goes to printf
+    assert not cli._decimal(ties)[2].any()
+
+
+def test_powers_of_ten_are_exact_double_doubles():
+    hi, p_hi, p_lo, lo = cli._decimal_tables()[:4]
+    for e in range(cli._E_MIN, cli._E_MAX + 1):
+        power = fractions.Fraction(10) ** (16 - e)
+        j = e - cli._E_MIN
+        assert hi[j] == float(power) and lo[j] == float(power - fractions.Fraction(hi[j])), e
+        assert p_hi[j] + p_lo[j] == hi[j], e
+    assert np.count_nonzero(lo == 0.0) == 23  # 10**0 to 10**22
+
+
+_EXPONENT_BAND = (st.floats(min_value=1e-280, max_value=1e-4, exclude_max=True)
+                  | st.floats(min_value=1e17, max_value=1e280, exclude_max=True))
+
+
+@given(_EXPONENT_BAND, st.booleans())
+@settings(max_examples=500, deadline=None)
+def test_writer_matches_printf_in_the_exponent_bands(x, negative):
+    x = -x if negative else x
+    assert cli._csv_rows([np.array([x])]).tobytes() == ("%.17g\n" % x).encode()
+
+
+def test_timeseries_exponent_cells_skip_printf(tmp_path, monkeypatch):
+    # timeseries-long's quench at 2001 points: le, lef and lower fall to
+    # about 1e-8 and below, so about 60% of the cells are in exponent notation
+    args = ["timeseries", "--length", "2000", "--h0", "0.5", "--h1", "0.5",
+            "--gamma0", "0.25", "--gamma1", "0.1", "--beta", "10",
+            "--tpoints", "2001", "--tmax", "500"]
+    printed, printf_cells = [], cli._printf_cells
+
+    def counting(values, fmt, width):
+        printed.extend(v for v in values if isinstance(v, float))
+        return printf_cells(values, fmt, width)
+
+    monkeypatch.setattr(cli, "_printf_cells", counting)
+    assert _run(args, tmp_path, monkeypatch) == 0
+    rows = _data_rows(tmp_path / "timeseries.csv")
+    assert len(rows) == 2001
+    assert sum("e-" in cell for row in rows for cell in row) > 5000
+    # only the t = 0 cell, 0, reaches printf
+    assert printed == [0.0]
 
 
 def test_writer_rejects_ragged_columns(tmp_path):

@@ -345,6 +345,27 @@ def test_grid_route_chunks_and_threads_leave_bits_unchanged(monkeypatch):
             assert np.array_equal(getattr(run, name), getattr(whole, name)), name
 
 
+@pytest.mark.parametrize("times", ["grid", "random"])
+def test_chunk_sizes_leave_bits_unchanged(times, monkeypatch):
+    # 999 modes: 4 MiB chunks hold 512 grid rows (524 random ones), the
+    # default 1 MiB chunks 128 (131), and the smallest chunk one grid block
+    table = _table(length=2000, beta=10.0)
+    rng = np.random.default_rng(53)
+    t = np.linspace(0.0, 500.0, 3001) if times == "grid" else rng.uniform(0.0, 5e4, 3001)
+    assert _grid(t) == (times == "grid")
+    sizes = (4 << 20, echo._CHUNK_BYTES, 8 * table.n_modes * echo._GRID_BLOCK)
+    monkeypatch.setattr(echo, "_CHUNK_BYTES", 8 * table.n_modes * t.size)
+    whole = echo_point(table, t)
+    for chunk_bytes in sizes:
+        assert chunk_bytes < 8 * table.n_modes * t.size // 5
+        monkeypatch.setattr(echo, "_CHUNK_BYTES", chunk_bytes)
+        for threads in ("1", "3"):
+            monkeypatch.setenv("THERMALECHO_THREADS", threads)
+            run = echo_point(table, t)
+            for name in ("le", "log_le", "lef", "lower", "upper"):
+                assert np.array_equal(getattr(run, name), getattr(whole, name)), name
+
+
 def test_shared_grid_times_match_echo_point(monkeypatch):
     rng = np.random.default_rng(43)
     ladder = [QuenchParams(length=40, **dict(DECAY_QUENCH, beta=beta))
