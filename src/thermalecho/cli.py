@@ -5,10 +5,12 @@ embedded as a '#' comment in each CSV and echoed into each JSON file, CSV
 float cells are byte-identical to printf ``%.17g`` (vectorised in numpy for
 1e-280 <= |x| < 1e280 in both notations, printf elsewhere), and sampling
 is seeded, so a rerun with the same inputs produces byte-identical files
-under any thread count.  ``THERMALECHO_THREADS`` sets the threads of the
-echo evaluation and of a temperature ladder's rungs, whose statistics and
-files are made on a pool and reported in rung order; neither the files nor
-the printed lines depend on it.
+under any thread count.  JSON is strict: non-finite numbers are null.
+``scan`` takes its statistics and shape verdicts in one pass per block of
+chains.  ``THERMALECHO_THREADS`` sets the threads of the echo evaluation
+and of a temperature ladder's rungs, whose statistics and files are made
+on a pool and reported in rung order; neither the files nor the printed
+lines depend on it.
 
 Exit codes: 0 success, 1 invalid input, 2 verification failure, 3 I/O error.
 """
@@ -18,16 +20,16 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import sys
+import types
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import averages, echo, model, stats
-from .model import ModeTable, QuenchParams, mode_table
+from .model import QuenchParams, mode_table
 
 __all__ = ["DEFAULT_SEED", "RunConfig", "build_parser", "main"]
 
@@ -588,44 +590,45 @@ def _save_csv(path: str, cfg: RunConfig, header: list[str], columns) -> None:
             fh.write(_csv_rows([a[start:start + _BLOCK_ROWS] for a in arrays]))
 
 
-def _write_csv(path: str, cfg: RunConfig, header: list[str], columns) -> None:
-    """:func:`_save_csv`, then say so on stdout."""
-    _save_csv(path, cfg, header, columns)
-    print(f"wrote {path}")
-
-
 def _write_json(path: str, payload: dict) -> None:
+    """Write strict JSON; a non-finite number raises before the file is opened."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     print(f"wrote {path}")
 
 
 def _write_table(cfg: RunConfig, command: str, header: list[str], columns,
-                 summary: dict) -> None:
-    """Write a table and its summary: one JSON file, or a CSV and a JSON sidecar."""
+                 summary: dict | None = None) -> None:
+    """Write equal-length numpy columns: one JSON file, or a CSV and, with a
+    summary, a JSON sidecar."""
     base = _base(cfg, command)
+    config = dataclasses.asdict(cfg)
+    tail = {} if summary is None else {"summary": summary}
     if cfg.format == "json":
-        _write_json(
-            base + ".json",
-            {
-                "config": dataclasses.asdict(cfg),
-                "columns": header,
-                "rows": np.column_stack(columns).tolist(),
-                "summary": summary,
-            },
-        )
-    else:
-        _write_csv(base + ".csv", cfg, header, columns)
-        _write_json(base + ".json", {"config": dataclasses.asdict(cfg), "summary": summary})
+        rows = list(zip(*map(_json_column, columns)))
+        _write_json(base + ".json", {"config": config, "columns": header, "rows": rows, **tail})
+        return
+    _save_csv(base + ".csv", cfg, header, columns)
+    print(f"wrote {base}.csv")
+    if tail:
+        _write_json(base + ".json", {"config": config, **tail})
+
+
+def _json_column(column: np.ndarray) -> list:
+    """A numpy column as strict JSON cells: strings as they are, numbers as
+    floats and non-finite numbers as null, converted at once."""
+    if column.dtype.kind == "U":
+        return column.tolist()
+    cells = column.astype(float, copy=False).tolist()
+    for i in np.flatnonzero(~np.isfinite(column)).tolist():
+        cells[i] = None
+    return cells
 
 
 def _json_cell(value):
-    """A number as strict JSON: strings as they are, non-finite numbers as null."""
-    if isinstance(value, str):
-        return value
-    value = float(value)
-    return value if math.isfinite(value) else None
+    """One value as :func:`_json_column` writes a cell."""
+    return _json_column(np.array([value]))[0]
 
 
 def _base(cfg: RunConfig, command: str) -> str:
@@ -701,13 +704,13 @@ def cmd_distribution(cfg: RunConfig) -> int:
             "histogram_peak_count": verdict.histogram_peak_count,
             "degenerate": verdict.degenerate,
             "empirical": {
-                "mean_z": float(np.mean(z)),
-                "var_z": float(np.var(z)),
-                "mean_le": float(np.mean(np.exp(z))),
+                "mean_z": _json_cell(np.mean(z)),
+                "var_z": _json_cell(np.var(z)),
+                "mean_le": _json_cell(np.mean(np.exp(z))),
             },
         }
         if cfg.format == "json":
-            entry["samples"] = {"t": times, "z": z.tolist()}
+            entry["samples"] = {"t": times, "z": _json_column(z)}
             entry["histogram"] = {"edges": edges.tolist(), "counts": hist.tolist()}
             return entry, []
         paths = [f"{base}_{tags[i]}_samples.csv", f"{base}_{tags[i]}_hist.csv"]
@@ -809,48 +812,29 @@ def cmd_scan(cfg: RunConfig) -> int:
     names = [name for name, _ in axes]
     if len(set(names)) != len(names):
         raise ValueError("sweep axes must be distinct")
-    stat_names = ("d_eff", "purity", "mean_le", "mean_lef", "var_le")
-    header = names + [*stat_names, "kappa2", "dominance", "label"]
+    found_names = ["d_eff", "purity", "mean_le", "mean_lef", "var_le", "kappa2", "dominance",
+                   "label"]
     thermal = {"beta", "temperature"} & set(names)
-    points = list(itertools.product(*(vals for _, vals in axes)))
+    # the grid's columns, one row per point in itertools.product order
+    grid = [g.ravel() for g in np.meshgrid(*(np.asarray(vals) for _, vals in axes),
+                                           indexing="ij")]
     quench = {name: getattr(cfg, name) for name in ("h0", "h1", "gamma0", "gamma1", "length")}
     config_beta = None if thermal else _beta_of(cfg.beta, cfg.temperature)
     chains = []
-    for point in points:
+    for point in zip(*(g.tolist() for g in grid)):
         swept = dict(zip(names, point))
         # a swept temperature wins over a swept beta, which wins over the config
         beta = (_beta_of(swept.pop("beta", None), swept.pop("temperature", None))
                 if thermal else config_beta)
         chains.append(QuenchParams(**{**quench, **swept}, beta=beta))
-    # the long-time statistics per block of chains, the weights per row of it
-    values = np.empty((len(chains), len(stat_names) + 2))
-    labels = [""] * len(chains)
+    # the long-time statistics and the shape verdicts, one pass per block of chains
+    found: dict[str, np.ndarray] = {}
     for block, columns in model._blocks(chains):
-        stat = averages._long_time_rows(columns)
-        for j, name in enumerate(stat_names):
-            values[block, j] = stat[name]
-        shape = (block.size, columns["k"].size)
-        views = {name: np.broadcast_to(col, shape) for name, col in columns.items()}
-        for row, i in enumerate(block.tolist()):
-            table = ModeTable(params=chains[i], **{name: v[row] for name, v in views.items()})
-            spectrum = stats.weights(table)
-            verdict = stats.classify(spectrum)
-            values[i, -2:] = spectrum.kappa2, verdict.dominance
-            labels[i] = verdict.label.value
-    rows = [list(point) + cells + [label]
-            for point, cells, label in zip(points, values.tolist(), labels)]
-    base = _base(cfg, "scan")
-    if cfg.format == "json":
-        _write_json(
-            base + ".json",
-            {
-                "config": dataclasses.asdict(cfg),
-                "columns": header,
-                "rows": [[_json_cell(v) for v in row] for row in rows],
-            },
-        )
-    else:
-        _write_csv(base + ".csv", cfg, header, list(zip(*rows)))
+        spectra = stats.weights(types.SimpleNamespace(**columns))
+        rows = {**averages._long_time_rows(columns), **stats._shape_rows(spectra.a)}
+        for name in found_names:
+            found.setdefault(name, np.empty(len(chains), rows[name].dtype))[block] = rows[name]
+    _write_table(cfg, "scan", names + found_names, grid + [found[name] for name in found_names])
     return EXIT_OK
 
 
@@ -897,7 +881,9 @@ def cmd_verify(cfg: RunConfig) -> int:
         kwargs = dict(data) if offset is None else {**data, "seed": cfg.seed + offset}
         if suite == "bound_suite":
             kwargs["inject_failure"] = cfg.inject_failure
-        results[name] = outcome = getattr(verify, suite)(**kwargs)
+        outcome = getattr(verify, suite)(**kwargs)
+        # strict JSON: a failing suite's non-finite numbers become null
+        results[name] = json.loads(json.dumps(outcome), parse_constant=lambda _: None)
         print(f"{name}: {'pass' if outcome['passed'] else 'FAIL'}")
     all_passed = all(outcome["passed"] for outcome in results.values())
     base = _base(cfg, "verify")

@@ -7,7 +7,8 @@ merged distribution, many comparable weights produce a Gaussian.  This
 module computes the weights, samples the exact log-echo at uniform random
 times, detects the peaks of a histogram, and classifies the shape by a
 fixed rule that checks its verdict against such a histogram, however it
-was binned: the caller bins once and writes the same counts.  It also gives
+was binned: the caller bins once and writes the same counts.  ``scan``
+runs the weight rule on a block of chains at once.  It also gives
 the continuum spectral bells that the weights of a pure field quench and of
 a zero-field anisotropy quench approach for long chains.  Sampling reads
 the log-echo alone from the blocks of :func:`echo.echo_chains` at times
@@ -219,6 +220,31 @@ def histogram_peaks(counts, edges) -> np.ndarray:
     return np.asarray(out)
 
 
+def _shape_rows(a: np.ndarray) -> dict:
+    """The weight rule of :func:`classify` on a ``(rows, modes)`` block of weights.
+
+    Returns ``kappa2``, the ``dominance`` (0 where ``degenerate``), the ``gap``
+    of the two largest weights, the ``degenerate`` flag and the ``label``
+    text, one per row; row ``i`` holds the bits of that row alone.
+    """
+    a = np.atleast_2d(a)
+    top = np.sort(a, axis=-1)[:, ::-1]
+    total = np.sum(top, axis=-1)
+    a1, a2 = top[:, 0], (top[:, 1] if a.shape[-1] > 1 else 0.0)
+    degenerate = (total <= 0.0) | (a1 == 0.0)
+    dominance = np.divide(a1 + a2, total, out=np.zeros_like(total), where=~degenerate)
+    gap = a1 - a2
+    sigma_rest = np.sqrt(0.5 * np.sum(top[:, 2:] ** 2, axis=-1))
+    # the first condition that holds picks the label
+    label = np.select(
+        [degenerate, dominance <= DEFAULT_DOMINANCE_THRESHOLD,
+         gap > DEFAULT_GAP_FACTOR * sigma_rest],
+        [ShapeLabel.INDETERMINATE.value, ShapeLabel.GAUSSIAN.value, ShapeLabel.DOUBLE_PEAKED.value],
+        ShapeLabel.MERGED_SINGLE_PEAK.value)
+    return dict(kappa2=0.5 * np.sum(a**2, axis=-1), dominance=dominance, gap=gap,
+                degenerate=degenerate, label=label)
+
+
 def classify(spectrum: WeightSpectrum, histogram=None) -> Classification:
     """Classify the stationary distribution of the log-echo.
 
@@ -233,28 +259,13 @@ def classify(spectrum: WeightSpectrum, histogram=None) -> Classification:
     verdict to Indeterminate.
 
     A quench with all weights zero has no distribution at all; it is
-    reported as Indeterminate with ``degenerate=True``.
+    reported as Indeterminate with ``degenerate=True``.  This is the
+    one-row view of the block rule that ``scan`` runs on many chains.
     """
-    a_sorted = np.sort(spectrum.a)[::-1]
-    total = float(np.sum(a_sorted))
-    zbar = spectrum.zbar
-    degenerate = bool(total <= 0.0 or a_sorted[0] == 0.0)
-    if degenerate:
-        # (zbar, zbar) keeps the sign of a zero zbar, which zbar + 0.0 loses
-        label, dominance, predicted = ShapeLabel.INDETERMINATE, 0.0, (zbar, zbar)
-    else:
-        a1 = float(a_sorted[0])
-        a2 = float(a_sorted[1]) if a_sorted.size > 1 else 0.0
-        gap = a1 - a2
-        dominance = (a1 + a2) / total
-        sigma_rest = math.sqrt(0.5 * float(np.sum(a_sorted[2:] ** 2)))
-        if dominance <= DEFAULT_DOMINANCE_THRESHOLD:
-            label = ShapeLabel.GAUSSIAN
-        elif gap > DEFAULT_GAP_FACTOR * sigma_rest:
-            label = ShapeLabel.DOUBLE_PEAKED
-        else:
-            label = ShapeLabel.MERGED_SINGLE_PEAK
-        predicted = (zbar - gap, zbar + gap)
+    rule = {name: values[0].item() for name, values in _shape_rows(spectrum.a).items()}
+    label, zbar, gap = ShapeLabel(rule["label"]), spectrum.zbar, rule["gap"]
+    # (zbar, zbar) keeps the sign of a zero zbar, which zbar + 0.0 loses
+    predicted = (zbar, zbar) if rule["degenerate"] else (zbar - gap, zbar + gap)
     count = None
     positions: tuple[float, ...] = ()
     if histogram is not None:
@@ -265,11 +276,11 @@ def classify(spectrum: WeightSpectrum, histogram=None) -> Classification:
             label = ShapeLabel.INDETERMINATE
     return Classification(
         label=label,
-        dominance=float(dominance),
+        dominance=rule["dominance"],
         predicted_peaks=predicted,
         histogram_peak_count=count,
         histogram_peaks=positions,
-        degenerate=degenerate,
+        degenerate=rule["degenerate"],
     )
 
 

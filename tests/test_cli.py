@@ -39,7 +39,7 @@ def _fmt(value) -> str:
 
 
 def _reference_csv(path, cfg, header, rows):
-    """Row-by-row reference route for ``cli._write_csv``."""
+    """Row-by-row reference route for ``cli._save_csv``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# config = {cli._config_json(cfg)}\n")
         fh.write(",".join(header) + "\n")
@@ -148,11 +148,18 @@ GRID_SCAN = ["--sweep", "length=10:40:4", "--sweep", "h1=0:1.4:3",
              "--sweep", "temperature=0:1:3"]
 
 
+# one mode at L = 2, whose second weight is 0, and a zero quench at h1 = 0.7,
+# whose rows are degenerate
+SMALL_SCAN = ["--h0", "0.7", "--gamma0", "0.3", "--gamma1", "0.3", "--sweep", "length=2:6:3",
+              "--sweep", "h1=0.7:1.3:2", "--sweep", "temperature=0:1:2"]
+
+
 # blocks of 24 modes split the chains of each length; the last case is a
 # cold strong quench whose variance takes the log-space branch
 @pytest.mark.parametrize("args, group_modes", [
     (GRID_SCAN, None),
     (GRID_SCAN, 24),
+    (SMALL_SCAN, None),
     (["--length", "2600", "--h0", "0.2", "--gamma0", "1", "--gamma1", "1",
       "--beta", "10", "--sweep", "h1=2.5:3:3"], None),
 ])
@@ -164,11 +171,40 @@ def test_scan_matches_per_point_reference(tmp_path, monkeypatch, args, group_mod
     want = _scan_reference_rows(cli.RunConfig(**payload["config"]))
     # repr keeps every bit of a float, and the sign of a zero
     assert json.dumps(payload["rows"]) == json.dumps(want)
+    if args is SMALL_SCAN:
+        labels = {tuple(row[:3]): row[-1] for row in payload["rows"]}
+        assert labels[2.0, 0.7, 1.0] == "Indeterminate"
+        assert labels[2.0, 1.3, 1.0] == "DoublePeaked"
     if "2600" in args:
         point = dict(zip(payload["columns"], payload["rows"][-1]))
         assert point["h1"] == 3.0
         assert 2.0 * math.log(point["mean_le"]) < averages._LOG_TINY
         assert point["var_le"] > 0.0
+
+
+def test_scan_takes_its_verdicts_per_block(tmp_path, monkeypatch):
+    calls = {"classify": 0, "_shape_rows": 0, "blocks": 0}
+    real_rows, real_blocks = stats._shape_rows, model._blocks
+
+    def counted_classify(*args, **kwargs):
+        calls["classify"] += 1
+
+    def counted_rows(a):
+        calls["_shape_rows"] += 1
+        return real_rows(a)
+
+    def counted_blocks(chains):
+        for block in real_blocks(chains):
+            calls["blocks"] += 1
+            yield block
+
+    monkeypatch.setattr(stats, "classify", counted_classify)
+    monkeypatch.setattr(stats, "_shape_rows", counted_rows)
+    monkeypatch.setattr(model, "_blocks", counted_blocks)
+    monkeypatch.setattr(model, "_GROUP_MODES", 24)
+    assert _run(["scan", *GRID_SCAN], tmp_path, monkeypatch) == 0
+    # four lengths, the longer ones in several blocks
+    assert calls["classify"] == 0 and calls["_shape_rows"] == calls["blocks"] > 4
 
 
 def test_phase_moments_are_taken_once_per_table(tmp_path, monkeypatch):
@@ -232,12 +268,13 @@ def test_writer_matches_per_cell_reference(n_rows, tmp_path, capsys):
     header = ["x", "count", "length", "label", "mixed"]
     columns = [floats, counts, lengths, labels, mixed]
     cfg = cli.RunConfig()
-    cli._write_csv(str(tmp_path / "columnar.csv"), cfg, header, columns)
+    cli._save_csv(str(tmp_path / "columnar.csv"), cfg, header, columns)
     _reference_csv(tmp_path / "reference.csv", cfg, header, zip(*columns))
     written = (tmp_path / "columnar.csv").read_bytes()
     assert written == (tmp_path / "reference.csv").read_bytes()
     assert len(written.splitlines()) == 2 + n_rows
-    assert capsys.readouterr().out == f"wrote {tmp_path / 'columnar.csv'}\n"
+    # the table writers, not the CSV writer, report the files they write
+    assert capsys.readouterr().out == ""
 
 
 def test_writer_matches_printf_on_a_million_floats(tmp_path, capsys):
@@ -247,7 +284,7 @@ def test_writer_matches_printf_on_a_million_floats(tmp_path, capsys):
     log_uniform = 10.0 ** rng.uniform(-6.0, 18.0, n) * rng.choice([-1.0, 1.0], n)
     floats = np.concatenate([bits, log_uniform])
     cfg = cli.RunConfig()
-    cli._write_csv(str(tmp_path / "floats.csv"), cfg, ["x"], [floats])
+    cli._save_csv(str(tmp_path / "floats.csv"), cfg, ["x"], [floats])
     want = (f"# config = {cli._config_json(cfg)}\nx\n"
             + ("%.17g\n" * floats.size) % tuple(floats.tolist()))
     assert (tmp_path / "floats.csv").read_bytes() == want.encode()
@@ -350,7 +387,7 @@ def test_timeseries_exponent_cells_skip_printf(tmp_path, monkeypatch):
 
 def test_writer_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValueError, match="equal length"):
-        cli._write_csv(str(tmp_path / "x.csv"), cli.RunConfig(), ["a", "b"],
+        cli._save_csv(str(tmp_path / "x.csv"), cli.RunConfig(), ["a", "b"],
                        [np.zeros(3), np.zeros(4)])
 
 
@@ -914,6 +951,35 @@ def test_json_is_strict(args, name, tmp_path, monkeypatch, capsys):
         summary = payload["summary"]
         assert summary["purity"] == 0.0 and summary["d_eff"] is None
         assert -3000.0 < summary["log_purity"] < -2000.0
+
+
+def test_verify_fails_on_nan_and_writes_strict_json(tmp_path, monkeypatch, capsys):
+    real = echo.echo_point
+
+    def nan_point(table, t):
+        pt = real(table, t)
+        return dataclasses.replace(pt, le=np.full_like(pt.le, math.nan))
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    monkeypatch.setattr(echo, "echo_point", nan_point)
+    assert _run(["verify"], tmp_path, monkeypatch) == 2
+    assert "oracle_equivalence: FAIL" in capsys.readouterr().out
+    payload = json.loads((tmp_path / "verify.json").read_text(), parse_constant=reject)
+    report = payload["suites"]["oracle_equivalence"]
+    assert payload["passed"] is False and report["passed"] is False
+    assert report["worst_abs_error"] is None
+    assert payload["suites"]["bounds"]["passed"] is True
+
+
+def test_write_json_refuses_non_finite_numbers(tmp_path, capsys):
+    path = tmp_path / "x.json"
+    for value in (math.nan, math.inf, [1.0, -math.inf]):
+        with pytest.raises(ValueError, match="JSON compliant"):
+            cli._write_json(str(path), {"ok": 1.0, "value": value})
+        assert not path.exists()
+    assert capsys.readouterr().out == ""
 
 
 def test_scan_temperature_axis(tmp_path, monkeypatch):

@@ -871,6 +871,43 @@ def test_bound_suite_needs_a_trial(n_trials):
         verify.bound_suite(**{**_SMALL_SUITE_DATA["bound_suite"], "n_trials": n_trials})
 
 
+def _nan_echo(monkeypatch):
+    """Make ``echo.echo_point`` return NaN echoes."""
+    real = echo.echo_point
+
+    def nan_point(table, t):
+        pt = real(table, t)
+        return dataclasses.replace(pt, le=np.full_like(pt.le, math.nan))
+
+    monkeypatch.setattr(echo, "echo_point", nan_point)
+
+
+@pytest.mark.parametrize("field, key", [
+    ("le", "worst_abs_error"),
+    ("mean_lef", "worst_abs_error"),
+    ("d_eff", "worst_d_eff_error"),
+])
+def test_oracle_equivalence_fails_on_nan(field, key, monkeypatch):
+    # Python's max drops a NaN that is not its first argument, so a NaN
+    # after the first chain used to leave the suite passing
+    if field == "le":
+        _nan_echo(monkeypatch)
+    else:
+        real = averages.long_time
+        monkeypatch.setattr(averages, "long_time", lambda table: dataclasses.replace(
+            real(table), **{field: math.nan}))
+    report = verify.oracle_equivalence(**_SMALL_SUITE_DATA["oracle_equivalence"])
+    assert report["passed"] is False
+    assert math.isnan(report[key])
+
+
+def test_qubit_inequality_fails_on_nan(monkeypatch):
+    monkeypatch.setattr(oracle, "uhlmann", lambda rho, sigma: math.nan)
+    report = verify.qubit_inequality(**_SMALL_SUITE_DATA["qubit_inequality"])
+    assert report["passed"] is False
+    assert math.isnan(report["max_route_dev"])
+
+
 def test_random_hermitian_is_seeded_and_hermitian():
     a = random_hermitian(5, np.random.default_rng(101))
     b = random_hermitian(5, np.random.default_rng(101))

@@ -1,6 +1,6 @@
 """Fresh-interpreter checks: the ``scripts/`` drivers at tiny sizes, and the
-runtime package's imports; the README's library example, run as written; and
-the committed ``BENCH_*.json`` benchmark records."""
+runtime package's imports; the README's library and command-line examples,
+run as written; and the committed ``BENCH_*.json`` benchmark records."""
 
 import ast
 import importlib.util
@@ -8,10 +8,13 @@ import json
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
 import pytest
+
+from thermalecho import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -68,6 +71,35 @@ def test_readme_library_example_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
     assert capsys.readouterr().out.strip()
+
+
+# the files the README's command-line examples write, by subcommand
+README_FILES = {
+    "timeseries": ["timeseries.csv", "timeseries.json"],
+    "distribution": ["distribution.json"]
+    + [f"distribution_T{T}_{kind}.csv" for T in LADDER for kind in ("samples", "hist")],
+    "weights": ["weights.csv", "weights.json"],
+    "scan": ["scan.csv"],
+    "verify": ["verify.json"],
+}
+
+
+def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.S | re.M)
+    # a command continues over lines that end in a backslash
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines
+                if line.startswith("thermalecho ")]
+    assert [argv[1] for argv in commands] == list(README_FILES)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        before = set(os.listdir(tmp_path))
+        assert cli.main(argv[1:]) == 0, argv
+        written = sorted(set(os.listdir(tmp_path)) - before)
+        assert written == sorted(README_FILES[argv[1]]), argv
+        out = capsys.readouterr().out
+        assert all(f"wrote {name}" in out for name in written), argv
 
 
 def test_benchmark_imports_resolve():

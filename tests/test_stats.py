@@ -25,7 +25,7 @@ from thermalecho import (
     sample_logle,
     weights,
 )
-from thermalecho import echo
+from thermalecho import echo, stats
 import reference
 from reference import char_fn, damping
 
@@ -283,6 +283,32 @@ def test_classify_zero_quench_degenerate():
     verdict = classify(spec)
     assert verdict.degenerate
     assert verdict.label is ShapeLabel.INDETERMINATE
+
+
+def test_block_rule_matches_classify_row_by_row():
+    # the classify tests' spectra, padded with zero weights to one block
+    spectra = {
+        ShapeLabel.DOUBLE_PEAKED: [0.4, 0.28] + [0.001] * 20,
+        ShapeLabel.MERGED_SINGLE_PEAK: [0.35, 0.345] + [0.01] * 20,
+        ShapeLabel.GAUSSIAN: [0.02] * 50,
+        ShapeLabel.INDETERMINATE: weights(mode_table(_params(h1=0.5, g1=0.25))).a,
+    }
+    rows = [np.pad(np.asarray(a, dtype=float), (0, 50 - len(a))) for a in spectra.values()]
+    # tied top weights merge
+    rows.append(np.pad([0.3, 0.3] + [0.01] * 10, (0, 38)))
+    want = [*spectra, ShapeLabel.MERGED_SINGLE_PEAK]
+    block = stats._shape_rows(np.stack(rows))
+    assert block["label"].tolist() == [label.value for label in want]
+    for i, a in enumerate(rows):
+        spec = _synthetic_spectrum(a)
+        verdict = classify(spec)
+        assert verdict.label.value == block["label"][i]
+        assert verdict.degenerate == block["degenerate"][i] == (i == 3)
+        assert verdict.dominance == block["dominance"][i]
+        assert spec.kappa2 == block["kappa2"][i]
+        gap = block["gap"][i]
+        assert verdict.predicted_peaks == ((spec.zbar, spec.zbar) if i == 3
+                                           else (spec.zbar - gap, spec.zbar + gap))
 
 
 def test_classify_zero_quench_histogram_keeps_signed_zbar():
