@@ -26,51 +26,32 @@ Layout:
 - :mod:`thermalecho.cli` is the command-line front end.
 """
 
-from .averages import LongTime, long_time
-from .echo import EchoPoint, echo_chains, echo_point
-from .model import (
-    ModeTable,
-    QuenchParams,
-    mode_table,
-    momenta,
-)
-from .stats import (
-    Classification,
-    SampleSet,
-    ShapeLabel,
-    WeightSpectrum,
-    bell_aniso,
-    bell_ising,
-    bell_width_aniso,
-    bell_width_ising,
-    classify,
-    histogram_peaks,
-    sample_logle,
-    weights,
-)
+import importlib
 
-__all__ = [
-    "Classification",
-    "EchoPoint",
-    "LongTime",
-    "ModeTable",
-    "QuenchParams",
-    "SampleSet",
-    "ShapeLabel",
-    "WeightSpectrum",
-    "bell_aniso",
-    "bell_ising",
-    "bell_width_aniso",
-    "bell_width_ising",
-    "classify",
-    "echo_chains",
-    "echo_point",
-    "histogram_peaks",
-    "long_time",
-    "mode_table",
-    "momenta",
-    "sample_logle",
-    "weights",
-]
+# the layer that holds each exported name; a layer is imported when one of its
+# names is first asked for, so ``import thermalecho`` loads none of them
+_HOMES = {name: home for home, names in (
+    ("averages", ("LongTime", "long_time")),
+    ("echo", ("EchoPoint", "echo_chains", "echo_point")),
+    ("model", ("ModeTable", "QuenchParams", "mode_table", "momenta")),
+    ("stats", ("Classification", "SampleSet", "ShapeLabel", "WeightSpectrum", "bell_aniso",
+               "bell_ising", "bell_width_aniso", "bell_width_ising", "classify",
+               "histogram_peaks", "sample_logle", "weights")),
+) for name in names}
+
+__all__ = sorted(_HOMES)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # looked up on every access, never stored here, so a name rebound in its
+    # home module is seen at once
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{home}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

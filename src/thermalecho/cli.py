@@ -10,7 +10,9 @@ under any thread count.  JSON is strict: non-finite numbers are null.
 chains.  ``THERMALECHO_THREADS`` sets the threads of the echo evaluation
 and of a temperature ladder's rungs, whose statistics and files are made
 on a pool and reported in rung order; neither the files nor the printed
-lines depend on it.
+lines depend on it.  Only ``model`` is imported with this module; each
+command imports the layers it runs when it runs.  Every configuration
+value is checked, also one that a ``scan`` axis overrides.
 
 Exit codes: 0 success, 1 invalid input, 2 verification failure, 3 I/O error.
 """
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import averages, echo, model, stats
+from . import model
 from .model import QuenchParams, mode_table
 
 __all__ = ["DEFAULT_SEED", "RunConfig", "build_parser", "main"]
@@ -314,7 +316,7 @@ def _params_for(cfg: RunConfig, beta: float | None = None) -> QuenchParams:
 
 
 def _config_json(cfg: RunConfig) -> str:
-    return json.dumps(dataclasses.asdict(cfg), sort_keys=True)
+    return json.dumps(dataclasses.asdict(cfg), sort_keys=True, allow_nan=False)
 
 
 def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -583,9 +585,9 @@ def _save_csv(path: str, cfg: RunConfig, header: list[str], columns) -> None:
     n_rows = len(arrays[0])
     if any((a.ndim != 1 and not _is_cells(a)) or len(a) != n_rows for a in arrays):
         raise ValueError("CSV columns must be 1-D and of equal length")
+    head = f"# config = {_config_json(cfg)}\n" + ",".join(header) + "\n"
     with open(path, "wb") as fh:
-        fh.write(f"# config = {_config_json(cfg)}\n".encode())
-        fh.write((",".join(header) + "\n").encode())
+        fh.write(head.encode())
         for start in range(0, n_rows, _BLOCK_ROWS):
             fh.write(_csv_rows([a[start:start + _BLOCK_ROWS] for a in arrays]))
 
@@ -636,6 +638,8 @@ def _base(cfg: RunConfig, command: str) -> str:
 
 
 def cmd_timeseries(cfg: RunConfig) -> int:
+    from . import averages, echo
+
     params = _params_for(cfg)
     table = mode_table(params)
     t = np.linspace(0.0, cfg.tmax, cfg.tpoints)
@@ -658,6 +662,8 @@ def _temperature_tag(temperature: float | None, params: QuenchParams) -> str:
 
 
 def cmd_distribution(cfg: RunConfig) -> int:
+    from . import echo, stats
+
     ladder: list[float | None] = (
         [float(T) for T in cfg.temperatures] if cfg.temperatures else [None]
     )
@@ -739,6 +745,8 @@ def cmd_distribution(cfg: RunConfig) -> int:
 
 
 def cmd_weights(cfg: RunConfig) -> int:
+    from . import stats
+
     # each bell is the continuum limit of one single-parameter quench only
     if cfg.bell == "ising" and not cfg.gamma0 == cfg.gamma1 == 1.0:
         raise ValueError("--bell ising needs a field quench at gamma0 = gamma1 = 1, "
@@ -806,6 +814,8 @@ def _parse_sweep(spec: str) -> tuple[str, list]:
 
 
 def cmd_scan(cfg: RunConfig) -> int:
+    from . import averages, stats
+
     if not cfg.sweep:
         raise ValueError("scan requires at least one --sweep axis")
     axes = [_parse_sweep(spec) for spec in cfg.sweep]
@@ -818,15 +828,15 @@ def cmd_scan(cfg: RunConfig) -> int:
     # the grid's columns, one row per point in itertools.product order
     grid = [g.ravel() for g in np.meshgrid(*(np.asarray(vals) for _, vals in axes),
                                            indexing="ij")]
-    quench = {name: getattr(cfg, name) for name in ("h0", "h1", "gamma0", "gamma1", "length")}
-    config_beta = None if thermal else _beta_of(cfg.beta, cfg.temperature)
+    # every config value is checked, also one that a swept axis overrides
+    config = dataclasses.asdict(_params_for(cfg))
     chains = []
     for point in zip(*(g.tolist() for g in grid)):
         swept = dict(zip(names, point))
-        # a swept temperature wins over a swept beta, which wins over the config
-        beta = (_beta_of(swept.pop("beta", None), swept.pop("temperature", None))
-                if thermal else config_beta)
-        chains.append(QuenchParams(**{**quench, **swept}, beta=beta))
+        if thermal:
+            # a swept temperature wins over a swept beta, which wins over the config
+            swept["beta"] = _beta_of(swept.pop("beta", None), swept.pop("temperature", None))
+        chains.append(QuenchParams(**{**config, **swept}))
     # the long-time statistics and the shape verdicts, one pass per block of chains
     found: dict[str, np.ndarray] = {}
     for block, columns in model._blocks(chains):
@@ -840,7 +850,7 @@ def cmd_scan(cfg: RunConfig) -> int:
 
 # what `verify` runs, in report order: the name of the suite in `verify`,
 # the offset added to --seed (None for the seedless kernel scan) and the
-# suite's data; `verify` and the oracle are imported only when it runs
+# suite's data
 _VERIFY_DATA = {
     "oracle_equivalence": ("oracle_equivalence", 0, {
         "lengths": (2, 4, 6, 8), "n_param_sets": 3, "n_times": 5,

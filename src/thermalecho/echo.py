@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,9 +95,11 @@ def _in_order(fn, items, n_workers: int):
     With more than one worker the items run on a pool of ``n_workers``
     threads, and an exception is raised when its item's turn comes, after
     the results before it; with one worker each item runs on the calling
-    thread when its result is asked for.
+    thread when its result is asked for, and no pool is imported.
     """
     if n_workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             yield from pool.map(fn, items)
     else:

@@ -99,8 +99,9 @@ def _stable_ratios(beta, lam: np.ndarray):
     x = np.where(np.isnan(x), np.inf, x)
     e = np.exp(-x)
     cinv = 2.0 * e / (1.0 + e * e)
-    one_m_cinv = np.tanh(x) * np.tanh(0.5 * x)
-    one_m_cinv2 = np.tanh(x) ** 2
+    tanh = np.tanh(x)
+    one_m_cinv = tanh * np.tanh(0.5 * x)
+    one_m_cinv2 = tanh**2
     return cinv, one_m_cinv, one_m_cinv2
 
 
@@ -201,7 +202,8 @@ def _blocks(chains: Sequence[QuenchParams]):
     lengths = np.array([p.length for p in chains], dtype=int)
     values = np.array([(p.h0, p.h1, p.gamma0, p.gamma1, p.beta) for p in chains],
                       dtype=float).reshape(-1, 5)
-    for length in np.unique(lengths).tolist():
+    # ascending, as np.unique would give them, without its numpy.ma import
+    for length in sorted(set(lengths.tolist())):
         k = _momenta(length)
         same = np.flatnonzero(lengths == length)
         per_block = max(1, _GROUP_MODES // k.size)

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import echo
 from .model import ModeTable
 
 __all__ = [
@@ -160,6 +159,8 @@ def sample_logle(table: ModeTable | Sequence[ModeTable], tau: float, n_samples: 
     seed
         Seed for the pseudorandom generator.
     """
+    from . import echo
+
     if not (tau > 0.0) or not math.isfinite(tau):
         raise ValueError(f"tau must be positive and finite, got {tau}")
     if n_samples < 1:

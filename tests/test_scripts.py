@@ -1,6 +1,6 @@
 """Fresh-interpreter checks: the ``scripts/`` drivers at tiny sizes, and the
-runtime package's imports; the README's library and command-line examples,
-run as written; and the committed ``BENCH_*.json`` benchmark records."""
+runtime package's imports and exports; the README's library and command-line
+examples, run as written; and the committed ``BENCH_*.json`` benchmark records."""
 
 import ast
 import importlib.util
@@ -14,6 +14,7 @@ import sys
 
 import pytest
 
+import thermalecho
 from thermalecho import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -63,6 +64,60 @@ def test_runtime_imports_need_only_numpy():
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+# what a fresh interpreter must not have imported after importing the CLI, and
+# after a small run of a command that needs none of these layers
+UNUSED_MODULES = {
+    "import": ([], ["thermalecho.averages", "thermalecho.echo", "thermalecho.stats",
+                    "thermalecho.special", "thermalecho.oracle", "thermalecho.verify",
+                    "concurrent.futures"]),
+    "scan": (["scan", "--length", "8", "--sweep", "h1=0.5:1.5:3"],
+             ["thermalecho.echo", "concurrent.futures"]),
+    "timeseries": (["timeseries", "--length", "8", "--tpoints", "5"], ["thermalecho.stats"]),
+}
+
+
+@pytest.mark.parametrize("run", sorted(UNUSED_MODULES))
+def test_commands_import_only_their_layers(run, tmp_path):
+    argv, unused = UNUSED_MODULES[run]
+    code = ("import json, sys\n"
+            "import numpy\n"
+            "numpy_only = set(sys.modules)\n"
+            "from thermalecho import cli\n"
+            "if sys.argv[1:]:\n"
+            "    assert cli.main(sys.argv[1:]) == 0\n"
+            "print(json.dumps(sorted(set(sys.modules) - numpy_only)))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    loaded = set(json.loads(result.stdout.splitlines()[-1]))
+    assert "thermalecho.cli" in loaded
+    assert sorted(loaded.intersection(unused)) == []
+    # numpy 1.x imports numpy.ma with numpy; 2.x on first use, as np.unique does
+    assert "numpy.ma" not in loaded
+
+
+def test_package_exports_resolve_to_their_layers(monkeypatch):
+    for name in thermalecho.__all__:
+        value = getattr(thermalecho, name)
+        home = sys.modules[value.__module__]
+        assert home.__name__.startswith("thermalecho.") and name in home.__all__, name
+        assert getattr(home, name) is value, name
+        # looked up on each access, never stored in the package
+        assert name not in vars(thermalecho), name
+    assert set(thermalecho.__all__) <= set(dir(thermalecho))
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        thermalecho.nothing
+    star: dict = {}
+    exec("from thermalecho import *", star)
+    assert all(star[name] is getattr(thermalecho, name) for name in thermalecho.__all__)
+    from thermalecho import echo, stats
+    assert (echo, stats) == (sys.modules["thermalecho.echo"], sys.modules["thermalecho.stats"])
+    # a name rebound in its layer, as a tracer does, is what the package gives
+    monkeypatch.setattr(echo, "echo_point", star)
+    assert thermalecho.echo_point is star
 
 
 def test_readme_library_example_runs(capsys):
