@@ -17,10 +17,11 @@ once per table and returns them with the initial purity, the three numbers
 the bound connects.
 
 All of that is elementwise per mode, and each sum runs over the modes of
-one chain.  So one private block route, :func:`_long_time_rows`, takes the
-statistics of many equal-length chains at once from their ``(chains,
-modes)`` columns, as ``scan`` does for its grid points, and
-:func:`long_time` is its one-chain view with the same bits.
+one chain.  So one private route, :func:`_long_time_rows`, takes the
+statistics of a :class:`model.ModeTable`, one chain's table or a block of
+many equal-length chains with ``(chains, modes)`` columns, as ``scan``
+builds for its grid points, and :func:`long_time` is its one-chain view
+with the same bits.
 """
 
 from __future__ import annotations
@@ -148,23 +149,18 @@ def _centred(m: np.ndarray, c: np.ndarray, mean: np.ndarray) -> np.ndarray:
     return v
 
 
-# the mode columns that the long-time statistics read
-_COLUMNS = ("alpha", "cinv", "one_minus_cinv", "one_minus_cinv2", "dtheta")
+def _long_time_rows(table: ModeTable) -> dict:
+    """Every :class:`LongTime` field of a table or a block of equal-length chains.
 
-
-def _long_time_rows(columns) -> dict:
-    """Every :class:`LongTime` field of a block of equal-length chains.
-
-    ``columns`` maps the names in ``_COLUMNS`` to ``(chains, modes)`` arrays,
-    or to ``(modes,)`` rows that every chain shares, as
-    :func:`model._columns` builds them.  Each field comes back as an array of
-    one value per chain (one shared value when every column is a row), and
-    row ``i`` holds the bits of :func:`long_time` of chain ``i`` alone: the
-    per-mode work is elementwise and each sum runs over one chain's modes.
+    The table's columns are ``(chains, modes)`` arrays, or ``(modes,)`` rows
+    that every chain shares (see :class:`model.ModeTable`).  Each field
+    comes back as an array of one value per chain (one shared value when
+    every column is a row), and row ``i`` holds the bits of
+    :func:`long_time` of chain ``i`` alone: the per-mode work is elementwise
+    and each sum runs over one chain's modes.
     """
-    shape = np.broadcast_shapes((1, 1), *(np.shape(columns[name]) for name in _COLUMNS))
-    alpha, cinv, one_minus_cinv, one_minus_cinv2, dtheta = (
-        np.broadcast_to(columns[name], shape) for name in _COLUMNS)
+    alpha, cinv, one_minus_cinv, one_minus_cinv2, dtheta = np.broadcast_arrays(*np.atleast_2d(
+        table.alpha, table.cinv, table.one_minus_cinv, table.one_minus_cinv2, table.dtheta))
     log_purity = -2.0 * np.add.reduce(np.log1p(cinv), axis=-1)
     with np.errstate(over="ignore"):
         d_eff = np.exp(-log_purity)
@@ -203,7 +199,7 @@ def long_time(table: ModeTable) -> LongTime:
     or an underflowed 0.  This is the one-chain view of the block route
     that ``scan`` runs on many chains at once.
     """
-    rows = _long_time_rows({name: getattr(table, name) for name in _COLUMNS})
+    rows = _long_time_rows(table)
     return LongTime(**{name: float(values[0]) for name, values in rows.items()})
 
 

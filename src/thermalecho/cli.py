@@ -6,8 +6,9 @@ float cells are byte-identical to printf ``%.17g`` (vectorised in numpy for
 1e-280 <= |x| < 1e280 in both notations, printf elsewhere), and sampling
 is seeded, so a rerun with the same inputs produces byte-identical files
 under any thread count.  JSON is strict: non-finite numbers are null.
-``scan`` takes its statistics and shape verdicts in one pass per block of
-chains.  ``THERMALECHO_THREADS`` sets the threads of the echo evaluation
+``scan`` and a ``distribution`` ladder build their mode columns once per
+block of chains (a ``ModeTable``), which every layer they call takes.
+``THERMALECHO_THREADS`` sets the threads of the echo evaluation
 and of a temperature ladder's rungs, whose statistics and files are made
 on a pool and reported in rung order; neither the files nor the printed
 lines depend on it.  Only ``model`` is imported with this module; each
@@ -25,7 +26,6 @@ import functools
 import json
 import math
 import sys
-import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -517,10 +517,10 @@ def _cells(column: np.ndarray) -> np.ndarray:
     """
     kind = column.dtype.kind
     if kind == "U":
-        cells = np.char.encode(column, "utf-8")
-        if b"\0" in b"".join(cells.tolist()):
+        cells = [cell.encode() for cell in column.tolist()]
+        if b"\0" in b"".join(cells):
             raise ValueError("CSV string cells may not contain NUL characters")
-        return cells.view(np.uint8).reshape(len(column), -1)
+        return np.array(cells, bytes).view(np.uint8).reshape(len(column), -1)
     if kind != "f" or column.dtype.itemsize > 8:
         # %d of a 64-bit integer is at most 20 characters, %.17g at most 24
         if kind in "iu":
@@ -678,10 +678,18 @@ def cmd_distribution(cfg: RunConfig) -> int:
             raise ValueError(
                 f"temperatures {ladder[tags.index(tag)]!r} and {ladder[i]!r} share the "
                 f"file tag {tag}; rungs must differ in their first 6 significant digits")
-    tables = [mode_table(params) for _, params in rungs]
-    # the rungs share one draw of times, so the sampler takes each sine once
-    ladder_sample = stats.sample_logle(tables, cfg.tau_factor * cfg.length**2,
-                                       cfg.samples, cfg.seed)
+    # the rungs share one length, so their blocks hold them in rung order
+    blocks = list(model._blocks([params for _, params in rungs]))
+    # and one draw of times, so the sampler takes each sine once per block
+    ladder_sample = stats.sample_logle([block for _, block in blocks],
+                                       cfg.tau_factor * cfg.length**2, cfg.samples, cfg.seed)
+    # each rung's weights are its row of its block's
+    spectra = []
+    for indices, block in blocks:
+        shape = (indices.size, block.n_modes)
+        weights = stats.weights(block)
+        spectra += [stats.WeightSpectrum(a, a_f, False) for a, a_f in
+                    zip(np.broadcast_to(weights.a, shape), np.broadcast_to(weights.a_f, shape))]
     # and every rung's file holds the same time column, formatted once
     if cfg.format == "json":
         times = ladder_sample.times.tolist()
@@ -690,8 +698,7 @@ def cmd_distribution(cfg: RunConfig) -> int:
 
     def rung(i: int) -> tuple[dict, list[str]]:
         """Rung ``i``'s entry and the files it wrote."""
-        (temperature, params), table, z = rungs[i], tables[i], ladder_sample.z[i]
-        spectrum = stats.weights(table)
+        (temperature, params), spectrum, z = rungs[i], spectra[i], ladder_sample.z[i]
         hist, edges = np.histogram(z, bins=cfg.bins)
         verdict = stats.classify(spectrum, (hist, edges))
         entry = {
@@ -839,11 +846,10 @@ def cmd_scan(cfg: RunConfig) -> int:
         chains.append(QuenchParams(**{**config, **swept}))
     # the long-time statistics and the shape verdicts, one pass per block of chains
     found: dict[str, np.ndarray] = {}
-    for block, columns in model._blocks(chains):
-        spectra = stats.weights(types.SimpleNamespace(**columns))
-        rows = {**averages._long_time_rows(columns), **stats._shape_rows(spectra.a)}
+    for indices, block in model._blocks(chains):
+        rows = {**averages._long_time_rows(block), **stats._shape_rows(stats.weights(block).a)}
         for name in found_names:
-            found.setdefault(name, np.empty(len(chains), rows[name].dtype))[block] = rows[name]
+            found.setdefault(name, np.empty(len(chains), rows[name].dtype))[indices] = rows[name]
     _write_table(cfg, "scan", names + found_names, grid + [found[name] for name in found_names])
     return EXIT_OK
 

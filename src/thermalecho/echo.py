@@ -3,10 +3,11 @@
 The echo factorizes over momentum modes.  Every quantity here (the echo,
 the linear overlap echo and both bounds) is a product over modes of the
 same factors ``1 - (1 - cinv**2) * alpha * sin(lam1 t)**2``, so one private
-kernel evaluates them all.  It takes a block of equal-length chains, one
-row of mode columns per chain and one column of times per chain: a single
-table is the one-chain block of :func:`echo_point`, and :func:`echo_chains`
-evaluates many chains as blocks of one length, so both give the same bits.
+kernel evaluates them all.  It takes a :class:`model.ModeTable`, one
+chain's table or a block of equal-length chains with one row of mode
+columns per chain, and one column of times per chain: :func:`echo_point`
+passes a single table, and :func:`echo_chains` the blocks of
+:func:`model._blocks`, so both give the same bits.
 A block whose chains share their times and their post-quench frequencies
 ``lam1`` (a temperature ladder) passes one time column and one ``lam1``
 row, and the kernel takes each sine once for all of them.  One column of
@@ -145,11 +146,11 @@ def _grid_step(t: np.ndarray):
     return step if miss <= 4.0 * np.finfo(float).eps * max(abs(col[0]), abs(col[-1])) else None
 
 
-def _kernel(lam1, alpha, cinv, one_minus_cinv2, t: np.ndarray, core: bool = True):
-    """``(log_le, log_core, log_purity)`` of a block of equal-length chains.
+def _kernel(table: ModeTable, t: np.ndarray, core: bool = True):
+    """``(log_le, log_core, log_purity)`` of a table or a block of equal-length chains.
 
-    The columns are ``(chains, modes)`` arrays as :func:`model._columns`
-    builds them, or ``(modes,)`` rows that every chain of the block shares,
+    The table's columns are ``(chains, modes)`` arrays, or ``(modes,)`` rows
+    that every chain of the block shares (see :class:`model.ModeTable`),
     and ``t`` is ``(times, chains)``: column ``i`` holds the times of chain
     ``i``, and a single column holds times that every chain shares.  The
     phases ``t * lam1`` and their ``sin**2`` are taken at the broadcast
@@ -166,13 +167,14 @@ def _kernel(lam1, alpha, cinv, one_minus_cinv2, t: np.ndarray, core: bool = True
     false ``log_core`` is None and never formed.  ``log_purity`` is ``-2``
     times the sum of ``log1p(cinv)``, one per chain or one shared.
     """
+    lam1, cinv = table.lam1, table.cinv
     # an infinite phase would turn its sine, and every factor after it, into nan
     t_peak = float(np.abs(t).max()) if t.size else 0.0
     lam1_peak = float(np.abs(lam1).max())
     if not math.isfinite(t_peak * lam1_peak):
         raise ValueError(f"the phase t * lam1 overflows: max |t| = {t_peak:g} times "
                          f"max lam1 = {lam1_peak:g} exceeds the float64 range")
-    coef = one_minus_cinv2 * alpha
+    coef = table.one_minus_cinv2 * table.alpha
     n_times = t.shape[0]
     n_phases, n_modes = np.broadcast_shapes(t.shape[1:] + (1,), lam1.shape)
     n_chains = np.broadcast_shapes((n_phases, n_modes), coef.shape, cinv.shape)[0]
@@ -250,8 +252,7 @@ def echo_point(table: ModeTable, t) -> EchoPoint:
     t_arr = np.asarray(t, dtype=float)
     if not np.isfinite(t_arr).all():
         raise ValueError("times must be finite")
-    sums = _kernel(table.lam1, table.alpha, table.cinv, table.one_minus_cinv2,
-                   t_arr.reshape(-1, 1))
+    sums = _kernel(table, t_arr.reshape(-1, 1))
 
     def shaped(values: np.ndarray):
         out = values.reshape(t_arr.shape)
@@ -280,13 +281,6 @@ def echo_chains(chains: Sequence[QuenchParams], t) -> EchoPoint:
     blocks nor the kernel's time chunks depend on the thread count, so
     neither do the results.
     """
-    t_arr, *sums = _chain_sums(chains, t)
-    return _point(np.broadcast_to(t_arr, (len(chains), t_arr.shape[-1])), *sums)
-
-
-def _chain_sums(chains: Sequence[QuenchParams], t, core: bool = True):
-    """The times and the kernel sums of :func:`echo_chains`, before any echo
-    is formed; ``log_core`` is None unless ``core``."""
     t_arr = np.asarray(t, dtype=float)
     shared = t_arr.ndim == 1
     if not shared and (t_arr.ndim != 2 or t_arr.shape[0] != len(chains)):
@@ -295,14 +289,8 @@ def _chain_sums(chains: Sequence[QuenchParams], t, core: bool = True):
     if not np.isfinite(t_arr).all():
         raise ValueError("times must be finite")
     shape = (len(chains), t_arr.shape[-1])
-    log_le = np.empty(shape)
-    log_core = np.empty(shape) if core else None
-    log_purity = np.empty(len(chains))
-    for block, cols in _blocks(chains):
-        sums = _kernel(cols["lam1"], cols["alpha"], cols["cinv"], cols["one_minus_cinv2"],
-                       t_arr[:, None] if shared else t_arr[block].T, core)
-        log_le[block] = sums[0].T
-        if core:
-            log_core[block] = sums[1].T
-        log_purity[block] = sums[2]
-    return t_arr, log_le, log_core, log_purity[:, None]
+    log_le, log_core, log_purity = np.empty(shape), np.empty(shape), np.empty(len(chains))
+    for indices, block in _blocks(chains):
+        sums = _kernel(block, t_arr[:, None] if shared else t_arr[indices].T)
+        log_le[indices], log_core[indices], log_purity[indices] = sums[0].T, sums[1].T, sums[2]
+    return _point(np.broadcast_to(t_arr, shape), log_le, log_core, log_purity[:, None])

@@ -6,9 +6,13 @@ after the quench, the rotation angle between the two quasiparticle bases,
 and thermal occupation ratios at the initial inverse temperature.  All
 thermal factors are evaluated through ``exp(-x)`` and ``tanh`` so that large
 ``beta * lambda`` never overflows and the zero-temperature limit is exact.
-Many chains of one length are built at once, as blocks of ``(chains,
-modes)`` columns of bounded size; the echo and the long-time statistics
-share that grouping.
+Many chains of one length are built at once, as blocks of bounded size:
+a block is a :class:`ModeTable` whose ``params`` is the tuple of its
+chains' quenches and whose columns are ``(chains, modes)`` arrays, or
+``(modes,)`` rows that every chain shares.  One table is the one-chain
+case.  Every layer reads a table's attributes, so the echo, the long-time
+statistics, the weights and the sampler take a block as they take one
+table.
 """
 
 from __future__ import annotations
@@ -71,11 +75,6 @@ def momenta(length: int) -> np.ndarray:
         raise ValueError(f"length must be an int, got {length!r}")
     if length < 2 or length % 2:
         raise ValueError(f"length must be even and >= 2, got {length}")
-    return _momenta(length)
-
-
-def _momenta(length: int) -> np.ndarray:
-    """:func:`momenta` of a length that :class:`QuenchParams` has checked."""
     return (2.0 * np.arange(length // 2) + 1.0) * math.pi / length
 
 
@@ -114,9 +113,15 @@ class ModeTable:
     cancellation.  ``dtheta`` is the Bogoliubov angle after the quench
     minus the one before, ``alpha = sin(dtheta)**2``, and ``omega = 2 *
     lam1`` is the oscillation frequency of the mode after the quench.
+
+    One chain's table has its :class:`QuenchParams` as ``params`` and
+    ``(modes,)`` columns.  A block of equal-length chains (see
+    :func:`_blocks`) has the tuple of their quenches, and ``(chains,
+    modes)`` columns whose row ``i`` has the bits of chain ``i``'s table,
+    or a ``(modes,)`` row, such as ``k``, where every chain has the same.
     """
 
-    params: QuenchParams
+    params: QuenchParams | tuple[QuenchParams, ...]
     k: np.ndarray
     lam0: np.ndarray
     lam1: np.ndarray
@@ -128,11 +133,15 @@ class ModeTable:
 
     @property
     def length(self) -> int:
-        return self.params.length
+        return 2 * self.k.size
 
     @property
     def n_modes(self) -> int:
         return self.k.size
+
+    @property
+    def n_chains(self) -> int:
+        return len(self.params) if isinstance(self.params, tuple) else 1
 
     @property
     def omega(self) -> np.ndarray:
@@ -144,8 +153,8 @@ class ModeTable:
         return -(self.one_minus_cinv2 * self.alpha)
 
 
-def _columns(k: np.ndarray, h0, h1, gamma0, gamma1, beta) -> dict:
-    """The per-mode arrays of a :class:`ModeTable`, keyed by field name.
+def _table(params, k: np.ndarray, h0, h1, gamma0, gamma1, beta) -> ModeTable:
+    """The :class:`ModeTable` of ``params`` on the momenta ``k``.
 
     Each quench parameter is a scalar for one chain, or a ``(chains, 1)``
     array that broadcasts against the momenta ``k`` of one chain length, so
@@ -155,17 +164,8 @@ def _columns(k: np.ndarray, h0, h1, gamma0, gamma1, beta) -> dict:
     lam0, theta0 = _components(h0, gamma0, k)
     lam1, theta1 = _components(h1, gamma1, k)
     dtheta = theta1 - theta0
-    cinv, one_m_cinv, one_m_cinv2 = _stable_ratios(beta, lam0)
-    return dict(
-        k=k,
-        lam0=lam0,
-        lam1=lam1,
-        dtheta=dtheta,
-        alpha=np.sin(dtheta) ** 2,
-        cinv=cinv,
-        one_minus_cinv=one_m_cinv,
-        one_minus_cinv2=one_m_cinv2,
-    )
+    return ModeTable(params, k, lam0, lam1, dtheta, np.sin(dtheta) ** 2,
+                     *_stable_ratios(beta, lam0))
 
 
 def mode_table(params: QuenchParams) -> ModeTable:
@@ -176,9 +176,8 @@ def mode_table(params: QuenchParams) -> ModeTable:
     ModeTable
         Arrays over the ``length / 2`` positive momenta.
     """
-    k = momenta(params.length)
-    return ModeTable(params=params, **_columns(
-        k, params.h0, params.h1, params.gamma0, params.gamma1, params.beta))
+    return _table(params, momenta(params.length), params.h0, params.h1, params.gamma0,
+                  params.gamma1, params.beta)
 
 
 def _shared(values: np.ndarray):
@@ -190,12 +189,12 @@ def _shared(values: np.ndarray):
 
 
 def _blocks(chains: Sequence[QuenchParams]):
-    """Yield ``(indices, columns)`` for blocks of equal-length chains.
+    """Yield ``(indices, block)`` for blocks of equal-length chains.
 
     Chains of one length share blocks of at most ``_GROUP_MODES`` modes in
     all (a longer chain is a block of its own); ``indices`` are the
-    positions in ``chains`` of a block's chains, ascending, and ``columns``
-    are their :func:`_columns`, built at once.  A quench parameter that
+    positions in ``chains`` of a block's chains, ascending, and ``block``
+    is their :class:`ModeTable`, built at once.  A quench parameter that
     every chain of the block shares is built once, so columns that depend
     on shared parameters only are ``(modes,)`` rows.
     """
@@ -204,9 +203,10 @@ def _blocks(chains: Sequence[QuenchParams]):
                       dtype=float).reshape(-1, 5)
     # ascending, as np.unique would give them, without its numpy.ma import
     for length in sorted(set(lengths.tolist())):
-        k = _momenta(length)
+        k = momenta(length)
         same = np.flatnonzero(lengths == length)
         per_block = max(1, _GROUP_MODES // k.size)
         for first in range(0, same.size, per_block):
             block = same[first : first + per_block]
-            yield block, _columns(k, *map(_shared, values[block].T))
+            yield block, _table(tuple(chains[i] for i in block.tolist()), k,
+                                *map(_shared, values[block].T))

@@ -7,13 +7,14 @@ merged distribution, many comparable weights produce a Gaussian.  This
 module computes the weights, samples the exact log-echo at uniform random
 times, detects the peaks of a histogram, and classifies the shape by a
 fixed rule that checks its verdict against such a histogram, however it
-was binned: the caller bins once and writes the same counts.  ``scan``
-runs the weight rule on a block of chains at once.  It also gives
-the continuum spectral bells that the weights of a pure field quench and of
-a zero-field anisotropy quench approach for long chains.  Sampling reads
-the log-echo alone from the blocks of :func:`echo.echo_chains` at times
-that every table shares, so it shares the echo kernel's log-space chunks
-and its one thread pool, and a ladder takes each sine once for all rungs.
+was binned: the caller bins once and writes the same counts.  The weights
+and the sampler take a ``ModeTable``, one chain's or a block of chains
+(one row each), and ``scan`` runs the weight rule on a block at once.  It
+also gives the continuum spectral bells that the weights of a pure field
+quench and of a zero-field anisotropy quench approach for long chains.
+Sampling reads the log-echo alone from the echo kernel at times that
+every chain shares, so it shares its log-space chunks and its one thread
+pool, and a block of ladder rungs takes each sine once for all of them.
 """
 
 from __future__ import annotations
@@ -88,8 +89,9 @@ class WeightSpectrum:
 class SampleSet:
     """Log-echo sampled at uniform random times on ``[0, tau]``.
 
-    ``z`` is shaped like ``times`` for one table, and has a leading table
-    axis, ``(tables, n_samples)``, for a sequence of them.
+    ``z`` is shaped like ``times`` for a table of one chain, and has a
+    leading chain axis, ``(chains, n_samples)``, for a sequence of tables
+    or a block.
     """
 
     tau: float
@@ -123,7 +125,8 @@ def weights(table: ModeTable, use_second_order: bool = False) -> WeightSpectrum:
     Parameters
     ----------
     table
-        Mode table of the quench.
+        Mode table of the quench.  A block gives a row of weights per chain,
+        or one row that all share; ``zbar`` and ``kappa2`` sum one chain's.
     use_second_order
         Replace ``sin(dtheta)**2`` by ``dtheta**2``, the leading-order form;
         only meaningful for small rotation angles.
@@ -143,14 +146,16 @@ def sample_logle(table: ModeTable | Sequence[ModeTable], tau: float, n_samples: 
     Times are drawn sequentially from the seed before any parallel
     evaluation, so the same seed gives byte-identical samples under any
     thread count.  A sequence of tables, such as the rungs of a temperature
-    ladder, shares one draw of times: row ``i`` of ``z`` is bit for bit the
-    ``z`` of ``table[i]`` alone with the same seed and ``tau``.
+    ladder, shares one draw of times, and each entry may be a block of
+    chains (see :class:`model.ModeTable`): ``z`` has one row per chain, in
+    the order of the entries and of each block's chains, and each row is
+    bit for bit the ``z`` of that chain's table alone with the same seed
+    and ``tau``.  A lone table of one chain gives a 1-D ``z``.
 
     Parameters
     ----------
     table
-        Mode table of the quench, or a sequence of them; each is evaluated
-        from its quench parameters ``params``.
+        Mode table of the quench, or a sequence of tables and blocks.
     tau
         Observation horizon; must be positive.  A horizon growing like
         ``length**2`` resolves the slowest beat between mode frequencies.
@@ -165,12 +170,15 @@ def sample_logle(table: ModeTable | Sequence[ModeTable], tau: float, n_samples: 
         raise ValueError(f"tau must be positive and finite, got {tau}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    single = isinstance(table, ModeTable)
-    tables = [table] if single else table
+    lone = isinstance(table, ModeTable)
+    tables = [table] if lone else table
     rng = np.random.default_rng(seed)
     times = rng.uniform(0.0, tau, int(n_samples))
-    z = echo._chain_sums([entry.params for entry in tables], times, core=False)[1]
-    return SampleSet(tau=float(tau), seed=int(seed), times=times, z=z[0] if single else z)
+    # a block's kernel gives one column per chain, or one that all of them share
+    z = np.concatenate([np.broadcast_to(echo._kernel(entry, times[:, None], core=False)[0].T,
+                                        (entry.n_chains, times.size)) for entry in tables])
+    return SampleSet(tau=float(tau), seed=int(seed), times=times,
+                     z=z[0] if lone and len(z) == 1 else z)
 
 
 def histogram_peaks(counts, edges) -> np.ndarray:

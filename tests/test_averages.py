@@ -417,10 +417,34 @@ def _bits(value) -> bytes:
     return np.float64(value).tobytes()
 
 
+# the mode columns of a table, each of which a block holds one row of per chain
+_MODE_COLUMNS = ("k", "lam0", "lam1", "dtheta", "alpha", "cinv", "one_minus_cinv",
+                 "one_minus_cinv2")
+
+
+def _assert_rows_are_tables(chains):
+    """Every column of each row of the one block of ``chains`` has the bits
+    of that chain's own table; returns the block."""
+    ((indices, block),) = model._blocks(chains)
+    assert indices.tolist() == list(range(len(chains)))
+    assert block.params == tuple(chains) and block.n_chains == len(chains)
+    assert block.length == chains[0].length and block.n_modes == chains[0].length // 2
+    for i, params in enumerate(chains):
+        ref = mode_table(params)
+        for name in _MODE_COLUMNS:
+            column = getattr(block, name)
+            assert column.shape in ((len(chains), ref.n_modes), (ref.n_modes,)), name
+            row = column[i] if column.ndim == 2 else column
+            assert row.tobytes() == getattr(ref, name).tobytes(), (i, name)
+    return block
+
+
 def test_block_rows_keep_the_bits_of_one_table():
     # one block of equal-length chains whose m = (1 - cinv**2) * alpha spans
     # both branches: near 0 (a weak, warm quench), near 0.5, near and at 1
-    # (cold quenches), so a lone table's AGM loop stops before the block's
+    # (cold quenches), so a lone table's AGM loop stops before the block's;
+    # ground-state rows sit next to warm ones, and a zero field or
+    # anisotropy of either sign next to the other
     chains = [QuenchParams(h0=h0, h1=h1, gamma0=g0, gamma1=g1, beta=beta, length=36)
               for h0, h1, g0, g1, beta in [
                   (0.5, 0.5001, 1.0, 1.0, 2.0),
@@ -428,19 +452,31 @@ def test_block_rows_keep_the_bits_of_one_table():
                   (0.2, 3.0, 1.0, 1.0, math.inf),
                   (0.5, -0.5, 1.0, 0.2, math.inf),
                   (0.0, 0.0, 1.0, -1.0, math.inf),
-                  (0.0, 0.0, 1.0, -1.0, 3.0),
+                  (-0.0, -0.0, 1.0, -1.0, 3.0),
+                  (0.0, -0.0, 1.0, -1.0, 3.0),
+                  (0.5, 0.5, 0.3, 0.0, 3.0),
+                  (0.5, 0.5, 0.3, -0.0, 3.0),
                   (0.5, 0.5, 0.25, 0.25, 1.0),
               ]]
-    ((block, columns),) = model._blocks(chains)
-    assert block.tolist() == list(range(len(chains)))
-    m = columns["one_minus_cinv2"] * columns["alpha"]
+    block = _assert_rows_are_tables(chains)
+    m = block.one_minus_cinv2 * block.alpha
     assert m.shape == (len(chains), 18)
     assert 0.0 < np.max(m[0]) < 1e-7 and not np.any(m[-1])
     assert np.any((m > 0.4) & (m <= 0.5)) and np.any((m > 0.5) & (m < 0.6))
     assert np.any(m == 1.0)
-    rows = averages._long_time_rows(columns)
-    for i, params in enumerate(chains):
-        ref = long_time(mode_table(params))
-        for name, values in rows.items():
-            assert values.shape == (len(chains),)
-            assert _bits(values[i]) == _bits(getattr(ref, name)), (i, name)
+    # the sign of a zero anisotropy reaches the angles, so -0.0 and 0.0 stay apart
+    assert not np.array_equal(block.dtheta[7], block.dtheta[8])
+    # a temperature ladder with a ground-state rung shares everything but
+    # beta, so lam1, lam0 and the angles are one row for every rung
+    ladder = [QuenchParams(h0=0.99, h1=1.01, gamma0=1.0, gamma1=1.0, beta=beta, length=30)
+              for beta in (math.inf, 50.0, 10.0, 2.0)]
+    ladder_block = _assert_rows_are_tables(ladder)
+    assert ladder_block.lam1.shape == ladder_block.dtheta.shape == (15,)
+    assert ladder_block.cinv.shape == (4, 15)
+    for group, table in ((chains, block), (ladder, ladder_block)):
+        rows = averages._long_time_rows(table)
+        for i, params in enumerate(group):
+            ref = long_time(mode_table(params))
+            for name, values in rows.items():
+                assert values.shape == (len(group),)
+                assert _bits(values[i]) == _bits(getattr(ref, name)), (i, name)

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermalecho import averages, cli, echo, model, stats
-from thermalecho.model import momenta
 
 
 def _run(args, tmp_path, monkeypatch):
@@ -767,19 +766,32 @@ def test_good_config_values_pass_the_checks(tmp_path, monkeypatch):
 
 
 def test_distribution_ladder_builds_each_table_once(tmp_path, monkeypatch):
-    # every mode_table call, whichever module's name it goes through, asks
-    # model.momenta for the table's momenta once
-    calls = []
+    # every mode table, one chain's or a block's, comes from model._table, so
+    # this counts each build of mode columns, the sampler's included
+    built = []
+    real_table = model._table
 
-    def counted(length):
-        calls.append(length)
-        return momenta(length)
+    def counted(params, *args):
+        built.append(params)
+        return real_table(params, *args)
 
-    monkeypatch.setattr(model, "momenta", counted)
+    monkeypatch.setattr(model, "_table", counted)
     args = ["distribution", "--length", "12", "--samples", "500",
             "--temperatures", "0.1,0.5,2"]
-    assert _run(args, tmp_path, monkeypatch) == 0
-    assert calls == [12, 12, 12]
+    one, two = tmp_path / "one", tmp_path / "two"
+    one.mkdir(), two.mkdir()
+    assert _run(args, one, monkeypatch) == 0
+    assert [len(params) for params in built] == [3]
+    # blocks of 12 modes hold two 6-mode rungs: the ladder spans two blocks,
+    # each built once, and writes the same bytes
+    built.clear()
+    monkeypatch.setattr(model, "_GROUP_MODES", 12)
+    assert _run(args, two, monkeypatch) == 0
+    assert [len(params) for params in built] == [2, 1]
+    names = sorted(path.name for path in one.iterdir())
+    assert names == sorted(path.name for path in two.iterdir()) and len(names) == 7
+    for name in names:
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name
 
 
 def test_unknown_command_exits_one(tmp_path, monkeypatch):

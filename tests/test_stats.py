@@ -25,7 +25,7 @@ from thermalecho import (
     sample_logle,
     weights,
 )
-from thermalecho import echo, stats
+from thermalecho import echo, model, stats
 import reference
 from reference import char_fn, damping
 
@@ -122,16 +122,29 @@ LADDERS = {
 }
 
 
+def _ladder_block(chains):
+    """The one block of a ladder's rungs, as ``distribution`` builds it."""
+    ((indices, block),) = model._blocks(chains)
+    assert indices.tolist() == list(range(len(chains)))
+    return block
+
+
 @pytest.mark.parametrize("name", sorted(LADDERS))
 def test_ladder_rows_equal_single_table_samples(name, monkeypatch):
     chains, n_samples, min_chunks = LADDERS[name]
     tables = [mode_table(params) for params in chains]
+    block = _ladder_block(chains)
+    # rungs that share h1 and gamma1 share one lam1 row, and so each sine
+    assert block.lam1.ndim == (2 if name == "mixed_h1" else 1)
     rows = echo._CHUNK_BYTES // (8 * len(tables) * tables[0].n_modes)
     assert math.ceil(n_samples / rows) >= min_chunks
     for threads in ("1", "3"):
         monkeypatch.setenv("THERMALECHO_THREADS", threads)
-        ladder = sample_logle(tables, 700.0, n_samples, 11)
+        ladder = sample_logle([block], 700.0, n_samples, 11)
         assert ladder.z.shape == (len(tables), n_samples)
+        # the same rows from the block alone and from a sequence of one-chain tables
+        assert np.array_equal(sample_logle(block, 700.0, n_samples, 11).z, ladder.z)
+        assert np.array_equal(sample_logle(tables, 700.0, n_samples, 11).z, ladder.z)
         for table, z in zip(tables, ladder.z):
             single = sample_logle(table, 700.0, n_samples, 11)
             assert np.array_equal(single.times, ladder.times)
@@ -139,10 +152,27 @@ def test_ladder_rows_equal_single_table_samples(name, monkeypatch):
             assert np.array_equal(echo_point(table, ladder.times).log_le, z)
 
 
+def test_sampler_takes_blocks_and_tables_in_one_sequence():
+    # a one-chain block gives one row, and a block whose chains are all
+    # alike one shared kernel column, which still fills a row per chain
+    chains = LADDERS["mixed_h1"][0]
+    twins = _ladder_block([chains[0], chains[0]])
+    assert twins.cinv.ndim == 1 and twins.n_chains == 2
+    sample = sample_logle([twins, mode_table(chains[1]), _ladder_block(chains[2:])],
+                          700.0, 500, 3)
+    assert sample.z.shape == (4, 500)
+    for params, z in zip([chains[0], *chains], sample.z):
+        assert np.array_equal(sample_logle(mode_table(params), 700.0, 500, 3).z, z)
+    # a lone block of one chain is one table
+    assert sample_logle(_ladder_block(chains[2:]), 700.0, 500, 3).z.shape == (500,)
+
+
 def test_sampler_forms_only_the_log_echo(monkeypatch):
-    # the log-echo is bit for bit the same without the echo, its bounds or log(arg)
-    tables = [mode_table(params) for params in LADDERS["mixed_h1"][0]]
-    expected = sample_logle(tables, 700.0, 3000, 5).z
+    # the log-echo is bit for bit the same without the echo, its bounds or
+    # log(arg), from the ladder's block (one shared lam1 row) and from its tables
+    chains = LADDERS["ground_state_rung"][0]
+    inputs = [[_ladder_block(chains)], [mode_table(params) for params in chains]]
+    expected = [sample_logle(tables, 700.0, 3000, 5).z for tables in inputs]
     real_log_factors = echo._log_factors
 
     def log_factors(a, logs, cinv):
@@ -154,8 +184,8 @@ def test_sampler_forms_only_the_log_echo(monkeypatch):
 
     monkeypatch.setattr(echo, "_log_factors", log_factors)
     monkeypatch.setattr(echo, "_point", no_point)
-    assert np.array_equal(sample_logle(tables, 700.0, 3000, 5).z, expected)
-
+    for tables, z in zip(inputs, expected):
+        assert np.array_equal(sample_logle(tables, 700.0, 3000, 5).z, z)
 
 
 def test_sampling_rejects_bad_arguments():
