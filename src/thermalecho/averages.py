@@ -17,11 +17,9 @@ once per table and returns them with the initial purity, the three numbers
 the bound connects.
 
 All of that is elementwise per mode, and each sum runs over the modes of
-one chain.  So one private route, :func:`_long_time_rows`, takes the
-statistics of a :class:`model.ModeTable`, one chain's table or a block of
-many equal-length chains with ``(chains, modes)`` columns, as ``scan``
-builds for its grid points, and :func:`long_time` is its one-chain view
-with the same bits.
+one chain.  So :func:`long_time` takes one chain's table or a block of
+equal-length chains (see :class:`model.ModeTable`), as ``scan`` builds for
+its grid points, and a block's statistics keep its chain axis.
 """
 
 from __future__ import annotations
@@ -51,7 +49,10 @@ _LOG_MAX = math.log(np.finfo(float).max)
 
 @dataclass(frozen=True)
 class LongTime:
-    """Long-time statistics of one mode table, as the ``timeseries`` summary writes them.
+    """Long-time statistics of a mode table, as the ``timeseries`` summary writes them.
+
+    Every field is a float for one chain's table, and a ``(chains,)`` array
+    for a block of chains.
 
     ``purity`` is that of the initial Gibbs state, ``prod (1 + cinv)**-2``,
     and ``d_eff = 1 / purity`` the number of states an equally mixed state
@@ -62,18 +63,18 @@ class LongTime:
     the purity of the dephased state: ``purity * prod (1 - (1 - cinv**2) *
     alpha / 2)``.  ``smallquench_var`` is the small-rotation term only: the
     leading variance, quartic in the angle differences, which holds for
-    small quenches and is no bound elsewhere (a strong quench can put it
-    far above 1/4, the largest variance of a quantity in [0, 1]).
+    small quenches and is no bound elsewhere: where it exceeds 1/4, the
+    largest variance of a quantity in [0, 1], it is NaN (null in JSON).
     ``var_le`` is the variance at any quench strength.
     """
 
-    d_eff: float
-    purity: float
-    log_purity: float
-    mean_le: float
-    mean_lef: float
-    smallquench_var: float
-    var_le: float
+    d_eff: float | np.ndarray
+    purity: float | np.ndarray
+    log_purity: float | np.ndarray
+    mean_le: float | np.ndarray
+    mean_lef: float | np.ndarray
+    smallquench_var: float | np.ndarray
+    var_le: float | np.ndarray
 
 
 def _mean_factors(m: np.ndarray, cinv: np.ndarray, one_minus_cinv: np.ndarray,
@@ -149,15 +150,19 @@ def _centred(m: np.ndarray, c: np.ndarray, mean: np.ndarray) -> np.ndarray:
     return v
 
 
-def _long_time_rows(table: ModeTable) -> dict:
-    """Every :class:`LongTime` field of a table or a block of equal-length chains.
+def long_time(table: ModeTable) -> LongTime:
+    """Initial purity, infinite-time means and variance of a mode table.
 
-    The table's columns are ``(chains, modes)`` arrays, or ``(modes,)`` rows
-    that every chain shares (see :class:`model.ModeTable`).  Each field
-    comes back as an array of one value per chain (one shared value when
-    every column is a row), and row ``i`` holds the bits of
-    :func:`long_time` of chain ``i`` alone: the per-mode work is elementwise
-    and each sum runs over one chain's modes.
+    The phase averages ``<f>`` and the centred moments ``v`` are taken once.
+    The averaged square and the squared average of the echo are both
+    exponentially small in the chain length, so the variance is taken as
+    ``exp(2 s1) * expm1(S)`` with ``S = sum log1p(v / <f>**2)``, where
+    ``s1 = sum log <f>`` is also the log of ``mean_le``.  Where ``exp(2 s1)``
+    would underflow or ``expm1(S)`` overflow, the product is taken in log
+    space instead, as ``exp(2 s1 + S + log(-expm1(-S)))``, which is finite
+    or an underflowed 0.  A block's value for chain ``i`` has the bits of
+    chain ``i``'s table alone: the per-mode work is elementwise and each
+    sum runs over one chain's modes.
     """
     alpha, cinv, one_minus_cinv, one_minus_cinv2, dtheta = np.broadcast_arrays(*np.atleast_2d(
         table.alpha, table.cinv, table.one_minus_cinv, table.one_minus_cinv2, table.dtheta))
@@ -175,32 +180,21 @@ def _long_time_rows(table: ModeTable) -> dict:
     var_le[~logs] = np.exp(2.0 * s1[~logs]) * np.expm1(spread[~logs])
     purity = np.exp(log_purity)
     core = np.exp(np.add.reduce(np.log(1.0 - m / 2.0), axis=-1))
-    return dict(
+    smallquench = 0.125 * np.add.reduce(one_minus_cinv**2 * dtheta**4, axis=-1)
+    fields = dict(
         d_eff=d_eff,
         purity=purity,
         log_purity=log_purity,
         mean_le=np.exp(s1),
         mean_lef=purity * core,
-        smallquench_var=0.125 * np.add.reduce(one_minus_cinv**2 * dtheta**4, axis=-1),
+        smallquench_var=np.where(smallquench > 0.25, np.nan, smallquench),
         var_le=var_le,
     )
-
-
-def long_time(table: ModeTable) -> LongTime:
-    """Initial purity, infinite-time means and variance of one mode table.
-
-    The phase averages ``<f>`` and the centred moments ``v`` are taken once.
-    The averaged square and the squared average of the echo are both
-    exponentially small in the chain length, so the variance is taken as
-    ``exp(2 s1) * expm1(S)`` with ``S = sum log1p(v / <f>**2)``, where
-    ``s1 = sum log <f>`` is also the log of ``mean_le``.  Where ``exp(2 s1)``
-    would underflow or ``expm1(S)`` overflow, the product is taken in log
-    space instead, as ``exp(2 s1 + S + log(-expm1(-S)))``, which is finite
-    or an underflowed 0.  This is the one-chain view of the block route
-    that ``scan`` runs on many chains at once.
-    """
-    rows = _long_time_rows(table)
-    return LongTime(**{name: float(values[0]) for name, values in rows.items()})
+    # columns that every chain shares give one value, which a block repeats
+    if isinstance(table.params, tuple):
+        return LongTime(**{name: np.broadcast_to(values, table.n_chains)
+                           for name, values in fields.items()})
+    return LongTime(**{name: float(values[0]) for name, values in fields.items()})
 
 
 # Not public: perfbench's ladder check imports this name, so it stays until

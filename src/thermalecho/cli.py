@@ -685,11 +685,9 @@ def cmd_distribution(cfg: RunConfig) -> int:
                                        cfg.tau_factor * cfg.length**2, cfg.samples, cfg.seed)
     # each rung's weights are its row of its block's
     spectra = []
-    for indices, block in blocks:
-        shape = (indices.size, block.n_modes)
+    for _, block in blocks:
         weights = stats.weights(block)
-        spectra += [stats.WeightSpectrum(a, a_f, False) for a, a_f in
-                    zip(np.broadcast_to(weights.a, shape), np.broadcast_to(weights.a_f, shape))]
+        spectra += [stats.WeightSpectrum(a, a_f, False) for a, a_f in zip(weights.a, weights.a_f)]
     # and every rung's file holds the same time column, formatted once
     if cfg.format == "json":
         times = ladder_sample.times.tolist()
@@ -847,7 +845,10 @@ def cmd_scan(cfg: RunConfig) -> int:
     # the long-time statistics and the shape verdicts, one pass per block of chains
     found: dict[str, np.ndarray] = {}
     for indices, block in model._blocks(chains):
-        rows = {**averages._long_time_rows(block), **stats._shape_rows(stats.weights(block).a)}
+        spectrum = stats.weights(block)
+        verdict = stats.classify(spectrum)
+        rows = {**vars(averages.long_time(block)), "kappa2": spectrum.kappa2,
+                "dominance": verdict.dominance, "label": verdict.label}
         for name in found_names:
             found.setdefault(name, np.empty(len(chains), rows[name].dtype))[indices] = rows[name]
     _write_table(cfg, "scan", names + found_names, grid + [found[name] for name in found_names])

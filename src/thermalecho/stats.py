@@ -7,11 +7,12 @@ merged distribution, many comparable weights produce a Gaussian.  This
 module computes the weights, samples the exact log-echo at uniform random
 times, detects the peaks of a histogram, and classifies the shape by a
 fixed rule that checks its verdict against such a histogram, however it
-was binned: the caller bins once and writes the same counts.  The weights
-and the sampler take a ``ModeTable``, one chain's or a block of chains
-(one row each), and ``scan`` runs the weight rule on a block at once.  It
-also gives the continuum spectral bells that the weights of a pure field
-quench and of a zero-field anisotropy quench approach for long chains.
+was binned: the caller bins once and writes the same counts.  The weights,
+the classifier and the sampler take one chain or a block of chains (see
+:class:`model.ModeTable`), and a block's results keep its chain axis, so
+``scan`` runs the weight rule once per block.  It also gives the continuum
+spectral bells that the weights of a pure field quench and of a zero-field
+anisotropy quench approach for long chains.
 Sampling reads the log-echo alone from the echo kernel at times that
 every chain shares, so it shares its log-space chunks and its one thread
 pool, and a block of ladder rungs takes each sine once for all of them.
@@ -67,7 +68,9 @@ class WeightSpectrum:
     overlap echo, per mode of the table they came from; they contain its
     thermal factors ``one_minus_cinv`` and ``one_minus_cinv2``.  With
     ``second_order=False`` the angular part is ``sin(dtheta)**2`` (exact
-    angles); with ``True`` it is ``dtheta**2`` (leading order).
+    angles); with ``True`` it is ``dtheta**2`` (leading order).  A block's
+    weights are ``(chains, modes)``, and ``zbar`` and ``kappa2`` sum each
+    chain's: a float for one chain, a ``(chains,)`` array for a block.
     """
 
     a: np.ndarray
@@ -75,14 +78,19 @@ class WeightSpectrum:
     second_order: bool
 
     @property
-    def zbar(self) -> float:
+    def zbar(self) -> float | np.ndarray:
         """Analytic mean of the centered log-echo, ``-sum(a)``."""
-        return float(-np.sum(self.a))
+        return _per_chain(-np.sum(self.a, axis=-1))
 
     @property
-    def kappa2(self) -> float:
+    def kappa2(self) -> float | np.ndarray:
         """Analytic variance of the log-echo, ``sum(a**2) / 2``."""
-        return float(0.5 * np.sum(self.a**2))
+        return _per_chain(0.5 * np.sum(self.a**2, axis=-1))
+
+
+def _per_chain(sums: np.ndarray) -> float | np.ndarray:
+    """One chain's sum as a float, a block's as its array."""
+    return sums if sums.ndim else float(sums)
 
 
 @dataclass(frozen=True)
@@ -109,14 +117,17 @@ class Classification:
     (coinciding when they merge), and ``histogram_peak_count`` the number of
     prominent histogram peaks when a histogram was supplied (None otherwise).
     ``degenerate`` marks a quench with zero variance, where no shape exists.
+    A block's verdict has one per chain: ``label`` holds the label texts,
+    and ``dominance``, ``predicted_peaks`` ``(chains, 2)`` and
+    ``degenerate`` are arrays.
     """
 
-    label: ShapeLabel
-    dominance: float
-    predicted_peaks: tuple[float, float]
+    label: ShapeLabel | np.ndarray
+    dominance: float | np.ndarray
+    predicted_peaks: tuple[float, float] | np.ndarray
     histogram_peak_count: int | None
     histogram_peaks: tuple[float, ...]
-    degenerate: bool
+    degenerate: bool | np.ndarray
 
 
 def weights(table: ModeTable, use_second_order: bool = False) -> WeightSpectrum:
@@ -126,17 +137,20 @@ def weights(table: ModeTable, use_second_order: bool = False) -> WeightSpectrum:
     ----------
     table
         Mode table of the quench.  A block gives a row of weights per chain,
-        or one row that all share; ``zbar`` and ``kappa2`` sum one chain's.
+        a read-only view where its chains share one row.
     use_second_order
         Replace ``sin(dtheta)**2`` by ``dtheta**2``, the leading-order form;
         only meaningful for small rotation angles.
     """
     amp = table.dtheta**2 if use_second_order else table.alpha
-    return WeightSpectrum(
-        a=table.one_minus_cinv * amp / 2.0,
-        a_f=table.one_minus_cinv2 * amp / 2.0,
-        second_order=use_second_order,
-    )
+    a = table.one_minus_cinv * amp / 2.0
+    a_f = table.one_minus_cinv2 * amp / 2.0
+    # the table, not the columns' shape, tells a block: one of identical
+    # chains has only shared rows
+    if isinstance(table.params, tuple):
+        shape = (table.n_chains, table.n_modes)
+        a, a_f = np.broadcast_to(a, shape), np.broadcast_to(a_f, shape)
+    return WeightSpectrum(a=a, a_f=a_f, second_order=use_second_order)
 
 
 def sample_logle(table: ModeTable | Sequence[ModeTable], tau: float, n_samples: int,
@@ -229,31 +243,6 @@ def histogram_peaks(counts, edges) -> np.ndarray:
     return np.asarray(out)
 
 
-def _shape_rows(a: np.ndarray) -> dict:
-    """The weight rule of :func:`classify` on a ``(rows, modes)`` block of weights.
-
-    Returns ``kappa2``, the ``dominance`` (0 where ``degenerate``), the ``gap``
-    of the two largest weights, the ``degenerate`` flag and the ``label``
-    text, one per row; row ``i`` holds the bits of that row alone.
-    """
-    a = np.atleast_2d(a)
-    top = np.sort(a, axis=-1)[:, ::-1]
-    total = np.sum(top, axis=-1)
-    a1, a2 = top[:, 0], (top[:, 1] if a.shape[-1] > 1 else 0.0)
-    degenerate = (total <= 0.0) | (a1 == 0.0)
-    dominance = np.divide(a1 + a2, total, out=np.zeros_like(total), where=~degenerate)
-    gap = a1 - a2
-    sigma_rest = np.sqrt(0.5 * np.sum(top[:, 2:] ** 2, axis=-1))
-    # the first condition that holds picks the label
-    label = np.select(
-        [degenerate, dominance <= DEFAULT_DOMINANCE_THRESHOLD,
-         gap > DEFAULT_GAP_FACTOR * sigma_rest],
-        [ShapeLabel.INDETERMINATE.value, ShapeLabel.GAUSSIAN.value, ShapeLabel.DOUBLE_PEAKED.value],
-        ShapeLabel.MERGED_SINGLE_PEAK.value)
-    return dict(kappa2=0.5 * np.sum(a**2, axis=-1), dominance=dominance, gap=gap,
-                degenerate=degenerate, label=label)
-
-
 def classify(spectrum: WeightSpectrum, histogram=None) -> Classification:
     """Classify the stationary distribution of the log-echo.
 
@@ -268,29 +257,43 @@ def classify(spectrum: WeightSpectrum, histogram=None) -> Classification:
     verdict to Indeterminate.
 
     A quench with all weights zero has no distribution at all; it is
-    reported as Indeterminate with ``degenerate=True``.  This is the
-    one-row view of the block rule that ``scan`` runs on many chains.
+    reported as Indeterminate with ``degenerate=True``.  A block's spectrum
+    gets one verdict per chain, each with the bits of that chain's own; a
+    histogram checks one chain only, so a block refuses one.
     """
-    rule = {name: values[0].item() for name, values in _shape_rows(spectrum.a).items()}
-    label, zbar, gap = ShapeLabel(rule["label"]), spectrum.zbar, rule["gap"]
+    block = spectrum.a.ndim > 1
+    if block and histogram is not None:
+        raise ValueError("a histogram checks one chain's verdict, not a block's")
+    top = np.sort(np.atleast_2d(spectrum.a), axis=-1)[:, ::-1]
+    total = np.sum(top, axis=-1)
+    a1, a2 = top[:, 0], (top[:, 1] if top.shape[-1] > 1 else 0.0)
+    degenerate = (total <= 0.0) | (a1 == 0.0)
+    dominance = np.divide(a1 + a2, total, out=np.zeros_like(total), where=~degenerate)
+    gap = a1 - a2
+    sigma_rest = np.sqrt(0.5 * np.sum(top[:, 2:] ** 2, axis=-1))
+    # the first condition that holds picks the label
+    label = np.select(
+        [degenerate, dominance <= DEFAULT_DOMINANCE_THRESHOLD,
+         gap > DEFAULT_GAP_FACTOR * sigma_rest],
+        [ShapeLabel.INDETERMINATE.value, ShapeLabel.GAUSSIAN.value, ShapeLabel.DOUBLE_PEAKED.value],
+        ShapeLabel.MERGED_SINGLE_PEAK.value)
+    zbar = np.atleast_1d(spectrum.zbar)
     # (zbar, zbar) keeps the sign of a zero zbar, which zbar + 0.0 loses
-    predicted = (zbar, zbar) if rule["degenerate"] else (zbar - gap, zbar + gap)
+    predicted = np.where(degenerate[:, None], zbar[:, None],
+                         np.stack([zbar - gap, zbar + gap], axis=-1))
+    if block:
+        return Classification(label, dominance, predicted, None, (), degenerate)
+    verdict = ShapeLabel(label[0])
     count = None
     positions: tuple[float, ...] = ()
     if histogram is not None:
         found = histogram_peaks(*histogram)
         positions = tuple(float(p) for p in found)
         count = int(found.size)
-        if count != (2 if label is ShapeLabel.DOUBLE_PEAKED else 1):
-            label = ShapeLabel.INDETERMINATE
-    return Classification(
-        label=label,
-        dominance=rule["dominance"],
-        predicted_peaks=predicted,
-        histogram_peak_count=count,
-        histogram_peaks=positions,
-        degenerate=rule["degenerate"],
-    )
+        if count != (2 if verdict is ShapeLabel.DOUBLE_PEAKED else 1):
+            verdict = ShapeLabel.INDETERMINATE
+    return Classification(verdict, float(dominance[0]), tuple(predicted[0].tolist()), count,
+                          positions, bool(degenerate[0]))
 
 
 def bell_ising(omega, h0: float, dh: float) -> np.ndarray | float:

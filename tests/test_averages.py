@@ -474,9 +474,47 @@ def test_block_rows_keep_the_bits_of_one_table():
     assert ladder_block.lam1.shape == ladder_block.dtheta.shape == (15,)
     assert ladder_block.cinv.shape == (4, 15)
     for group, table in ((chains, block), (ladder, ladder_block)):
-        rows = averages._long_time_rows(table)
-        for i, params in enumerate(group):
-            ref = long_time(mode_table(params))
-            for name, values in rows.items():
-                assert values.shape == (len(group),)
-                assert _bits(values[i]) == _bits(getattr(ref, name)), (i, name)
+        _assert_block_keeps_the_bits(group, table)
+
+
+def _assert_block_keeps_the_bits(chains, block):
+    """Every :class:`LongTime` field of ``block`` is a ``(chains,)`` array
+    whose value ``i`` has the bits of chain ``i``'s own table."""
+    stat = long_time(block)
+    for i, params in enumerate(chains):
+        ref = long_time(mode_table(params))
+        for name, values in vars(stat).items():
+            assert isinstance(values, np.ndarray) and values.shape == (len(chains),), name
+            assert isinstance(getattr(ref, name), float), name
+            assert _bits(values[i]) == _bits(getattr(ref, name)), (i, name)
+
+
+@pytest.mark.parametrize("n_chains", [1, 2, 3])
+def test_a_block_of_shared_rows_keeps_its_chain_axis(n_chains):
+    # one chain, or identical chains, share every column as one (modes,) row
+    chains = [QuenchParams(h0=0.5, h1=0.9, gamma0=1.0, gamma1=1.0, beta=2.0, length=8)] * n_chains
+    ((_, block),) = model._blocks(chains)
+    assert block.cinv.shape == block.alpha.shape == (4,)
+    _assert_block_keeps_the_bits(chains, block)
+
+
+# the README's strong quench, where the small-rotation term is far above 1/4
+STRONG = QuenchParams(h0=0.2, h1=3.0, gamma0=1.0, gamma1=1.0, beta=10.0, length=20000)
+
+
+def test_smallquench_variance_is_nan_above_a_quarter():
+    table = mode_table(STRONG)
+    term = 0.125 * np.sum(table.one_minus_cinv**2 * table.dtheta**4)
+    assert term == pytest.approx(15233.7096, rel=1e-8)
+    assert math.isnan(long_time(table).smallquench_var)
+    # the README's timeseries quench keeps its bits
+    table = mode_table(QuenchParams(h0=0.5, h1=0.5, gamma0=0.25, gamma1=0.1, beta=10.0,
+                                    length=80))
+    term = 0.125 * np.add.reduce(table.one_minus_cinv**2 * table.dtheta**4)
+    assert 0.0 < term <= 0.25
+    assert _bits(long_time(table).smallquench_var) == _bits(term)
+    # and a block writes NaN on its strong rows only
+    strong = dataclasses.replace(STRONG, length=2000)
+    ((_, block),) = model._blocks([strong, dataclasses.replace(strong, h1=0.2001)])
+    values = long_time(block).smallquench_var
+    assert math.isnan(values[0]) and 0.0 <= values[1] <= 0.25

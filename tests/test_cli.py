@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, determinism, config merging, exit codes."""
 
+import ast
 import contextlib
 import dataclasses
 import fractions
@@ -91,6 +92,18 @@ def test_timeseries_outputs(tmp_path, monkeypatch):
     assert 0.0 < summary["mean_le"] <= 1.0
 
 
+# the README's strong quench, whose small-rotation term is far above 1/4
+STRONG_TS_ARGS = ["timeseries", "--length", "20000", "--h0", "0.2", "--h1", "3", "--gamma0", "1",
+                  "--gamma1", "1", "--beta", "10", "--tpoints", "3"]
+
+
+def test_timeseries_writes_null_for_a_smallquench_term_above_a_quarter(tmp_path, monkeypatch):
+    assert _run(STRONG_TS_ARGS, tmp_path, monkeypatch) == 0
+    summary = json.loads((tmp_path / "timeseries.json").read_text())["summary"]
+    assert summary["smallquench_var"] is None
+    assert 0.0 < summary["purity"] < 1.0
+
+
 @pytest.mark.parametrize("args", [
     TS_ARGS,
     HOT_TS_ARGS,
@@ -139,6 +152,8 @@ def _scan_reference_rows(cfg):
     return [[cli._json_cell(value) for value in row] for row in rows]
 
 
+NEAR_CRITICAL_ARGS = ["--h0", "0.99", "--h1", "1.01", "--gamma0", "1", "--gamma1", "1"]
+
 # several lengths, T = 0 and h1 = 0
 GRID_SCAN = ["--sweep", "length=10:40:4", "--sweep", "h1=0:1.4:3",
              "--sweep", "temperature=0:1:3"]
@@ -158,6 +173,10 @@ SMALL_SCAN = ["--h0", "0.7", "--gamma0", "0.3", "--gamma1", "0.3", "--sweep", "l
     (SMALL_SCAN, None),
     (["--length", "2600", "--h0", "0.2", "--gamma0", "1", "--gamma1", "1",
       "--beta", "10", "--sweep", "h1=2.5:3:3"], None),
+    # one point, and twenty lengths of one point each: blocks of one chain,
+    # whose columns are all shared rows
+    (["--length", "50", *NEAR_CRITICAL_ARGS, "--sweep", "temperature=0.1:0.1:1"], None),
+    (["--sweep", "length=2:40:20"], None),
 ])
 def test_scan_matches_per_point_reference(tmp_path, monkeypatch, args, group_modes):
     if group_modes is not None:
@@ -179,15 +198,12 @@ def test_scan_matches_per_point_reference(tmp_path, monkeypatch, args, group_mod
 
 
 def test_scan_takes_its_verdicts_per_block(tmp_path, monkeypatch):
-    calls = {"classify": 0, "_shape_rows": 0, "blocks": 0}
-    real_rows, real_blocks = stats._shape_rows, model._blocks
+    calls = {"classify": 0, "blocks": 0}
+    real_classify, real_blocks = stats.classify, model._blocks
 
-    def counted_classify(*args, **kwargs):
+    def counted_classify(spectrum, histogram=None):
         calls["classify"] += 1
-
-    def counted_rows(a):
-        calls["_shape_rows"] += 1
-        return real_rows(a)
+        return real_classify(spectrum, histogram)
 
     def counted_blocks(chains):
         for block in real_blocks(chains):
@@ -195,12 +211,20 @@ def test_scan_takes_its_verdicts_per_block(tmp_path, monkeypatch):
             yield block
 
     monkeypatch.setattr(stats, "classify", counted_classify)
-    monkeypatch.setattr(stats, "_shape_rows", counted_rows)
     monkeypatch.setattr(model, "_blocks", counted_blocks)
     monkeypatch.setattr(model, "_GROUP_MODES", 24)
     assert _run(["scan", *GRID_SCAN], tmp_path, monkeypatch) == 0
     # four lengths, the longer ones in several blocks
-    assert calls["classify"] == 0 and calls["_shape_rows"] == calls["blocks"] > 4
+    assert calls["classify"] == calls["blocks"] > 4
+
+
+def test_commands_reach_no_private_statistic_route():
+    # the statistics have one public route each, which takes a block too
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    private = [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id in ("averages", "stats") and node.attr.startswith("_")]
+    assert private == []
 
 
 def test_phase_moments_are_taken_once_per_table(tmp_path, monkeypatch):

@@ -25,8 +25,11 @@ from thermalecho import echo, model, oracle
 
 DECAY_QUENCH = dict(h0=0.5, h1=0.5, gamma0=0.25, gamma1=0.1, beta=10.0)
 
-fields = st.floats(-2.0, 2.0, allow_nan=False)
-couplings = st.floats(-1.5, 1.5, allow_nan=False)
+# the strata where the formulas change (a zero field or anisotropy, the
+# critical field, the Ising coupling) are drawn as well as the bulk
+STRATA = st.sampled_from([-1.0, 0.0, 1.0])
+fields = STRATA | st.floats(-2.0, 2.0, allow_nan=False)
+couplings = STRATA | st.floats(-1.5, 1.5, allow_nan=False)
 betas = st.floats(0.05, 40.0, allow_nan=False)
 times = st.floats(-30.0, 30.0, allow_nan=False)
 

@@ -327,18 +327,53 @@ def test_block_rule_matches_classify_row_by_row():
     # tied top weights merge
     rows.append(np.pad([0.3, 0.3] + [0.01] * 10, (0, 38)))
     want = [*spectra, ShapeLabel.MERGED_SINGLE_PEAK]
-    block = stats._shape_rows(np.stack(rows))
-    assert block["label"].tolist() == [label.value for label in want]
+    stacked = _synthetic_spectrum(np.stack(rows))
+    block = classify(stacked)
+    assert block.label.tolist() == [label.value for label in want]
+    assert block.predicted_peaks.shape == (5, 2)
+    assert block.histogram_peak_count is None and block.histogram_peaks == ()
     for i, a in enumerate(rows):
         spec = _synthetic_spectrum(a)
         verdict = classify(spec)
-        assert verdict.label.value == block["label"][i]
-        assert verdict.degenerate == block["degenerate"][i] == (i == 3)
-        assert verdict.dominance == block["dominance"][i]
-        assert spec.kappa2 == block["kappa2"][i]
-        gap = block["gap"][i]
+        assert verdict.label.value == block.label[i]
+        assert verdict.degenerate is bool(block.degenerate[i]) is (i == 3)
+        assert verdict.dominance == block.dominance[i]
+        assert spec.kappa2 == stacked.kappa2[i] and spec.zbar == stacked.zbar[i]
+        assert verdict.predicted_peaks == tuple(block.predicted_peaks[i].tolist())
+        top = np.sort(a)[::-1]
+        gap = top[0] - top[1]
         assert verdict.predicted_peaks == ((spec.zbar, spec.zbar) if i == 3
                                            else (spec.zbar - gap, spec.zbar + gap))
+
+
+def test_classify_refuses_a_histogram_for_a_block():
+    spec = _synthetic_spectrum(np.full((2, 10), 0.02))
+    with pytest.raises(ValueError, match="histogram"):
+        classify(spec, np.histogram(np.zeros(10), bins=5))
+
+
+# h1 across the critical field: one block of three chains that differ in h1
+BLOCK_SUMS = [_params(h0=0.5, h1=h1, g0=1.0, g1=1.0, beta=2.0, length=8) for h1 in (0.7, 0.9, 1.3)]
+
+
+@pytest.mark.parametrize("chains", [BLOCK_SUMS, BLOCK_SUMS[:1], [BLOCK_SUMS[1]] * 2],
+                         ids=["three", "one", "identical"])
+def test_block_sums_are_per_chain(chains):
+    ((_, block),) = model._blocks(chains)
+    spectrum = weights(block)
+    assert spectrum.a.shape == spectrum.a_f.shape == (len(chains), 4)
+    assert spectrum.zbar.shape == spectrum.kappa2.shape == (len(chains),)
+    verdict = classify(spectrum)
+    for i, params in enumerate(chains):
+        ref = weights(mode_table(params))
+        assert isinstance(ref.zbar, float) and isinstance(ref.kappa2, float)
+        assert np.array_equal(spectrum.a[i], ref.a) and np.array_equal(spectrum.a_f[i], ref.a_f)
+        assert np.float64(spectrum.zbar[i]).tobytes() == np.float64(ref.zbar).tobytes()
+        assert np.float64(spectrum.kappa2[i]).tobytes() == np.float64(ref.kappa2).tobytes()
+        # a block of one chain still gets one label text per chain
+        assert verdict.label[i] == classify(ref).label.value
+    if chains is BLOCK_SUMS:
+        assert spectrum.kappa2 == pytest.approx([2.98e-4, 6.58e-3, 3.117e-2], rel=2e-3)
 
 
 def test_classify_zero_quench_histogram_keeps_signed_zbar():
