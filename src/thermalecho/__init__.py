@@ -12,7 +12,7 @@ Layout:
 
 - :mod:`thermalecho.model` builds the per-mode table from quench parameters.
 - :mod:`thermalecho.echo` evaluates the echo, its log, the overlap echo
-  and both bounds on time grids, for one mode table or many chains.
+  and both bounds on time grids, for one mode table or a block of chains.
 - :mod:`thermalecho.averages` gives a table's long-time statistics in one
   pass: the initial purity, the infinite-time means and the variance, from
   per-mode phase moments.
@@ -32,7 +32,7 @@ import importlib
 # names is first asked for, so ``import thermalecho`` loads none of them
 _HOMES = {name: home for home, names in (
     ("averages", ("LongTime", "long_time")),
-    ("echo", ("EchoPoint", "echo_chains", "echo_point")),
+    ("echo", ("EchoPoint", "echo_point")),
     ("model", ("ModeTable", "QuenchParams", "mode_table", "momenta")),
     ("stats", ("Classification", "SampleSet", "ShapeLabel", "WeightSpectrum", "bell_aniso",
                "bell_ising", "bell_width_aniso", "bell_width_ising", "classify",

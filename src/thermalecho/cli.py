@@ -276,6 +276,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     merged.update({**file_vals, **cli_vals})
     merged.update(_pick_thermal(cli_vals, file_vals))
     cfg = RunConfig(**merged)
+    if cfg.temperatures == []:
+        raise ValueError("temperatures must list at least one temperature")
     if cfg.bins < 1:
         raise ValueError(f"bins must be >= 1, got {cfg.bins}")
     if cfg.tpoints < 2:

@@ -4,10 +4,10 @@ The echo factorizes over momentum modes.  Every quantity here (the echo,
 the linear overlap echo and both bounds) is a product over modes of the
 same factors ``1 - (1 - cinv**2) * alpha * sin(lam1 t)**2``, so one private
 kernel evaluates them all.  It takes a :class:`model.ModeTable`, one
-chain's table or a block of equal-length chains with one row of mode
-columns per chain, and one column of times per chain: :func:`echo_point`
-passes a single table, and :func:`echo_chains` the blocks of
-:func:`model._blocks`, so both give the same bits.
+chain's table or a block of equal-length chains (see
+:func:`model._blocks`) with one row of mode columns per chain, and one
+column of times per chain, so :func:`echo_point` of a block gives each
+chain the bits of its table alone.
 A block whose chains share their times and their post-quench frequencies
 ``lam1`` (a temperature ladder) passes one time column and one ``lam1``
 row, and the kernel takes each sine once for all of them.  One column of
@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModeTable, QuenchParams, _blocks
+from .model import ModeTable
 
-__all__ = ["EchoPoint", "echo_chains", "echo_point"]
+__all__ = ["EchoPoint", "echo_point"]
 
 # the clamped quantity may dip below its analytic floor only by rounding dust
 _CLAMP_SLACK = 1e-15
@@ -65,8 +64,9 @@ class EchoPoint:
     0.0 for long chains (``-inf`` only where the ground-state echo is
     exactly 0).  ``lef`` is the linear overlap echo ``Tr[rho(t) rho]``, at
     most ``le``.  ``lower = d_eff * lef`` and ``upper = lef + 1 - purity``
-    bound the echo from both sides.  Fields are floats for a scalar time and
-    arrays shaped like the times otherwise.
+    bound the echo from both sides.  Fields are floats for a scalar time,
+    arrays shaped like the times otherwise, and ``(chains, n_times)`` for a
+    block of chains.
     """
 
     t: float | np.ndarray
@@ -227,70 +227,43 @@ def _kernel(table: ModeTable, t: np.ndarray, core: bool = True):
     return log_le, log_core, -2.0 * np.add.reduce(np.log1p(cinv), axis=-1)
 
 
-def _point(t, log_le, log_core, log_purity, shaped=np.asarray) -> EchoPoint:
-    """Assemble an :class:`EchoPoint` from the kernel sums."""
-    purity = np.exp(log_purity)
-    core = np.exp(log_core)
-    lef = purity * core
-    return EchoPoint(
-        t=shaped(t),
-        le=shaped(np.exp(log_le)),
-        log_le=shaped(log_le),
-        lef=shaped(lef),
-        lower=shaped(core),
-        upper=shaped(lef + (1.0 - purity)),
-    )
-
-
 def echo_point(table: ModeTable, t) -> EchoPoint:
     """Echo, its log, the linear overlap echo and both bounds from one kernel pass.
 
     ``t`` is a time, negative values allowed, or an array of them; it must
-    be finite.  A scalar gives Python floats and an array gives arrays
-    shaped like it; see :class:`EchoPoint`.
+    be finite.  For one chain's table a scalar gives Python floats and an
+    array gives arrays shaped like it.  For a block of chains (see
+    :func:`model._blocks`) ``t`` is ``(n_times,)``, times that every chain
+    shares, or ``(chains, n_times)``, row ``i`` the times of chain ``i``,
+    and every field is ``(chains, n_times)``, also when the chains are
+    identical (``t`` and ``log_le`` as read-only views).  Row ``i`` is bit
+    for bit ``echo_point(mode_table(table.params[i]), t[i])`` (``t`` for
+    shared times), except that a block of several chains takes a grid row
+    of their own times by ``np.sin``, to a few ulps of the phase.  See
+    :class:`EchoPoint`.
     """
     t_arr = np.asarray(t, dtype=float)
+    n_chains = table.n_chains
+    block = isinstance(table.params, tuple)
+    if block and (t_arr.ndim not in (1, 2) or t_arr.ndim == 2 and t_arr.shape[0] != n_chains):
+        raise ValueError(f"times of a block of {n_chains} chains must have shape (n_times,) "
+                         f"or ({n_chains}, n_times), got {t_arr.shape}")
     if not np.isfinite(t_arr).all():
         raise ValueError("times must be finite")
-    sums = _kernel(table, t_arr.reshape(-1, 1))
-
-    def shaped(values: np.ndarray):
-        out = values.reshape(t_arr.shape)
-        return float(out) if t_arr.ndim == 0 else out
-
-    return _point(t_arr, *sums, shaped)
-
-
-def echo_chains(chains: Sequence[QuenchParams], t) -> EchoPoint:
-    """Echo quantities of many chains, at their own times or at shared ones.
-
-    ``t`` has shape ``(len(chains), n_times)``, where row ``i`` holds the
-    times of ``chains[i]``, or ``(n_times,)`` for times that every chain
-    shares.  Every field of the result has shape ``(len(chains), n_times)``,
-    and row ``i`` is bit for bit ``echo_point(mode_table(chains[i]), t[i])``
-    (``t`` for shared times), except that a block of several chains takes a
-    grid row of their own times by ``np.sin``, to a few ulps of the phase.
-
-    Chains of one length share blocks of at most ``model._GROUP_MODES``
-    modes in all (see :func:`model._blocks`), whose columns are built and
-    evaluated at once by the one kernel.
-    A quench parameter that every chain of a block shares is built once, so
-    a block of shared times whose chains share ``h1`` and ``gamma1`` (a
-    temperature ladder) takes each sine once for all of its chains.  The
-    scratch memory does not grow with the number of chains, and neither the
-    blocks nor the kernel's time chunks depend on the thread count, so
-    neither do the results.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    shared = t_arr.ndim == 1
-    if not shared and (t_arr.ndim != 2 or t_arr.shape[0] != len(chains)):
-        raise ValueError(f"times must have shape (n_times,) or ({len(chains)}, n_times), "
-                         f"got {t_arr.shape}")
-    if not np.isfinite(t_arr).all():
-        raise ValueError("times must be finite")
-    shape = (len(chains), t_arr.shape[-1])
-    log_le, log_core, log_purity = np.empty(shape), np.empty(shape), np.empty(len(chains))
-    for indices, block in _blocks(chains):
-        sums = _kernel(block, t_arr[:, None] if shared else t_arr[indices].T)
-        log_le[indices], log_core[indices], log_purity[indices] = sums[0].T, sums[1].T, sums[2]
-    return _point(np.broadcast_to(t_arr, shape), log_le, log_core, log_purity[:, None])
+    log_le, log_core, log_purity = _kernel(
+        table, t_arr.T if t_arr.ndim == 2 and block else t_arr.reshape(-1, 1))
+    if block:
+        # a column that every chain shares is repeated, so a block keeps its chain axis
+        shape = (n_chains, t_arr.shape[-1])
+        t_arr, log_le, log_core = (np.broadcast_to(x, shape) for x in (t_arr, log_le.T, log_core.T))
+        log_purity = np.reshape(log_purity, (-1, 1))
+    else:
+        log_le, log_core = log_le.reshape(t_arr.shape), log_core.reshape(t_arr.shape)
+    purity = np.exp(log_purity)
+    core = np.exp(log_core)
+    lef = purity * core
+    fields = dict(t=t_arr, le=np.exp(log_le), log_le=log_le, lef=lef, lower=core,
+                  upper=lef + (1.0 - purity))
+    if t_arr.ndim == 0:
+        fields = {name: float(value) for name, value in fields.items()}
+    return EchoPoint(**fields)

@@ -221,7 +221,10 @@ def histogram_peaks(counts, edges) -> np.ndarray:
     if np.count_nonzero(counts) < 2:
         return np.empty(0)
     kernel = np.ones(DEFAULT_SMOOTH_WINDOW) / DEFAULT_SMOOTH_WINDOW
-    sm = np.convolve(counts, kernel, mode="same")
+    # centred and zero-padded; mode="same" gives the kernel's length, not the
+    # bins', when there are fewer bins than the window
+    half = DEFAULT_SMOOTH_WINDOW // 2
+    sm = np.convolve(counts, kernel, "full")[half : half + counts.size]
     top = sm.max()
     centers = 0.5 * (edges[:-1] + edges[1:])
     out = []

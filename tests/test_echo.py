@@ -4,9 +4,11 @@ import math
 import os
 import pathlib
 import subprocess
+import re
 import sys
 import threading
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from hypothesis import strategies as st
 
 from thermalecho import (
     QuenchParams,
-    echo_chains,
     echo_point,
     long_time,
     mode_table,
@@ -24,6 +25,7 @@ import thermalecho
 from thermalecho import echo, model, oracle
 
 DECAY_QUENCH = dict(h0=0.5, h1=0.5, gamma0=0.25, gamma1=0.1, beta=10.0)
+FIELDS = ("t", "le", "log_le", "lef", "lower", "upper")
 
 # the strata where the formulas change (a zero field or anisotropy, the
 # critical field, the Ising coupling) are drawn as well as the bulk
@@ -104,21 +106,21 @@ def test_rejects_non_finite_time():
 
 def test_rejects_times_whose_phase_overflows():
     # t * lam1 overflows to inf and sin(inf) is nan; such a time is rejected
-    # before any factor is formed, on both routes, and nothing warns
+    # before any factor is formed, for a table and a block, and nothing warns
     table = _table()
     huge = float(np.finfo(float).max)
     assert math.isinf(huge * float(np.max(table.lam1)))
-    chains = [QuenchParams(**DECAY_QUENCH, length=20)] * 2
+    ((_, block),) = model._blocks([QuenchParams(**DECAY_QUENCH, length=20)] * 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"the phase t \* lam1 overflows"):
             echo_point(table, np.array([0.0, -huge]))
         with pytest.raises(ValueError, match=r"the phase t \* lam1 overflows"):
-            echo_chains(chains, np.array([1.0, huge]))
+            echo_point(block, np.array([1.0, huge]))
         # a phase that stays finite, however large, is evaluated
         t = 0.5 * huge / float(np.max(table.lam1))
         assert math.isfinite(echo_point(table, t).le)
-        assert math.isfinite(echo_chains(chains, [t]).le[1, 0])
+        assert math.isfinite(echo_point(block, [t]).le[1, 0])
 
 
 def test_lower_bound_is_scaled_linearized():
@@ -194,6 +196,20 @@ def _random_chains(rng, n_chains):
     return chains
 
 
+def _stacked(chains, t):
+    """``echo_point`` of each block ``model._blocks`` makes of ``chains``, with
+    every field put back in the order of ``chains``; ``t`` is ``(n_times,)``,
+    shared, or ``(len(chains), n_times)``, one row per chain."""
+    t = np.asarray(t, dtype=float)
+    fields = {name: np.empty((len(chains), t.shape[-1])) for name in FIELDS}
+    for indices, block in model._blocks(chains):
+        pt = echo_point(block, t if t.ndim == 1 else t[indices])
+        for name, values in fields.items():
+            assert getattr(pt, name).shape == (indices.size, t.shape[-1]), name
+            values[indices] = getattr(pt, name)
+    return SimpleNamespace(**fields)
+
+
 def test_stacked_chains_match_per_chain_route():
     rng = np.random.default_rng(17)
     chains = _random_chains(rng, 400)
@@ -201,9 +217,7 @@ def test_stacked_chains_match_per_chain_route():
     assert sum(p.length // 2 for p in chains) > 2 * model._GROUP_MODES
     t = np.zeros((len(chains), 4))
     t[:, 1:] = rng.uniform(-20.0, 50.0, (len(chains), 3))
-    stacked = echo_chains(chains, t)
-    for name in ("t", "le", "log_le", "lef", "lower", "upper"):
-        assert getattr(stacked, name).shape == t.shape
+    stacked = _stacked(chains, t)
     assert np.array_equal(stacked.le, np.exp(stacked.log_le))
     for i, params in enumerate(chains):
         single = echo_point(mode_table(params), t[i])
@@ -219,13 +233,13 @@ def test_stacked_groups_do_not_change_results(monkeypatch):
     chains = _random_chains(rng, 60)
     chains.insert(30, QuenchParams(length=2 * model._GROUP_MODES + 4, **DECAY_QUENCH))
     t = rng.uniform(-20.0, 50.0, (len(chains), 5))
-    whole = echo_chains(chains, t)
+    whole = _stacked(chains, t)
     single = echo_point(mode_table(chains[30]), t[30])
     assert np.array_equal(whole.le[30], single.le)
     # tiny blocks and one time per chunk walk every loop many times over
     monkeypatch.setattr(model, "_GROUP_MODES", 40)
     monkeypatch.setattr(echo, "_CHUNK_BYTES", 8)
-    split = echo_chains(chains, t)
+    split = _stacked(chains, t)
     for name in ("le", "log_le", "lef", "lower", "upper"):
         assert np.array_equal(getattr(split, name), getattr(whole, name)), name
 
@@ -242,7 +256,7 @@ def test_thread_count_leaves_chunked_blocks_unchanged(monkeypatch):
     runs = []
     for threads in ("1", "3"):
         monkeypatch.setenv("THERMALECHO_THREADS", threads)
-        runs.append(echo_chains(chains, t))
+        runs.append(_stacked(chains, t))
     for name in ("le", "log_le", "lef", "lower", "upper"):
         assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name)), name
 
@@ -260,11 +274,10 @@ def test_shared_times_match_per_chain_times(monkeypatch):
     runs = []
     for threads in ("1", "3"):
         monkeypatch.setenv("THERMALECHO_THREADS", threads)
-        runs.append(echo_chains(chains, t))
-    rows = echo_chains(chains, np.tile(t, (len(chains), 1)))
-    for name in ("t", "le", "log_le", "lef", "lower", "upper"):
+        runs.append(_stacked(chains, t))
+    rows = _stacked(chains, np.tile(t, (len(chains), 1)))
+    for name in FIELDS:
         for shared in runs:
-            assert getattr(shared, name).shape == (len(chains), t.size), name
             assert np.array_equal(getattr(shared, name), getattr(rows, name)), name
     for i in range(30, len(chains)):
         assert np.array_equal(runs[0].log_le[i], echo_point(mode_table(chains[i]), t).log_le)
@@ -377,11 +390,23 @@ def test_shared_grid_times_match_echo_point(monkeypatch):
     t = np.linspace(0.0, 60.0, 300)
     assert _grid(t)
     monkeypatch.setattr(echo, "_CHUNK_BYTES", 8 * 4000)
-    stacked = echo_chains(chains, t)
+    stacked = _stacked(chains, t)
+    rows = _stacked(chains, np.tile(t, (len(chains), 1)))
     for i, params in enumerate(chains):
         single = echo_point(mode_table(params), t)
         for name in ("le", "log_le", "lef", "lower", "upper"):
             assert np.array_equal(getattr(stacked, name)[i], getattr(single, name)), (i, name)
+    # a grid row of a chain's own times: a block of one chain keeps angle
+    # addition, and the block of five chains of length 40 takes np.sin
+    for indices, block in model._blocks(chains):
+        for i in indices.tolist():
+            single = echo_point(mode_table(chains[i]), t)
+            if indices.size == 1:
+                assert np.array_equal(rows.log_le[i], single.log_le), i
+            else:
+                phase_ulps = np.finfo(float).eps * t.max() * block.lam1.max() * block.n_modes
+                assert np.abs(rows.log_le[i] - single.log_le).max() <= phase_ulps, i
+    assert max(indices.size for indices, _ in model._blocks(chains)) == 5
 
 
 def test_short_and_jittered_grids_keep_np_sin():
@@ -407,34 +432,38 @@ def test_signed_zero_parameters_stay_apart():
     chains = [QuenchParams(h0=-2.0, h1=0.5, gamma0=g0, gamma1=1.0, beta=1.0, length=12)
               for g0 in (0.0, -0.0)]
     t = np.linspace(0.0, 10.0, 50)
-    stacked = echo_chains(chains, t)
+    ((_, block),) = model._blocks(chains)
+    stacked = echo_point(block, t)
     for i, params in enumerate(chains):
         assert np.array_equal(stacked.log_le[i], echo_point(mode_table(params), t).log_le)
 
 
 def test_stacked_chains_validate_times():
-    chains = _random_chains(np.random.default_rng(5), 3)
-    with pytest.raises(ValueError, match="shape"):
-        echo_chains(chains, np.zeros((2, 4)))
+    chains = [QuenchParams(length=20, **dict(DECAY_QUENCH, beta=beta)) for beta in (1, 2, 3)]
+    ((_, block),) = model._blocks(chains)
     # one row of times is shared by every chain; other shapes are not times
-    for bad in (np.zeros(()), np.zeros((3, 2, 1))):
-        with pytest.raises(ValueError, match="shape"):
-            echo_chains(chains, bad)
+    for bad in (np.zeros((2, 4)), np.zeros(()), np.zeros((3, 2, 1))):
+        with pytest.raises(ValueError, match=re.escape(f"got {bad.shape}")):
+            echo_point(block, bad)
     with pytest.raises(ValueError, match="finite"):
-        echo_chains(chains, np.full((3, 2), math.nan))
-    empty = echo_chains([], np.zeros((0, 2)))
-    assert empty.le.shape == empty.upper.shape == (0, 2)
+        echo_point(block, np.full((3, 2), math.nan))
+    for t in (np.zeros((3, 0)), np.zeros(0)):
+        empty = echo_point(block, t)
+        assert empty.le.shape == empty.upper.shape == (3, 0)
 
 
 def test_floor_guard_raises_on_both_routes(monkeypatch):
-    chains = _random_chains(np.random.default_rng(3), 4)
-    t = np.linspace(0.0, 5.0, 8).reshape(4, 2)
+    # a hot, a warm and a cold chain: a table and a block of the three
+    chains = [QuenchParams(length=20, **dict(DECAY_QUENCH, beta=beta))
+              for beta in (0.5, 3.0, math.inf)]
+    ((_, block),) = model._blocks(chains)
+    t = np.linspace(0.0, 5.0, 6).reshape(3, 2)
     # a negative slack puts every factor below the guard's threshold
     monkeypatch.setattr(echo, "_CLAMP_SLACK", -0.5)
     with pytest.raises(FloatingPointError):
-        echo_point(mode_table(chains[1]), t[1])
+        echo_point(mode_table(chains[0]), t[0])
     with pytest.raises(FloatingPointError):
-        echo_chains(chains, t)
+        echo_point(block, t)
 
 
 def test_range_guard_survives_optimized_mode():

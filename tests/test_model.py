@@ -11,9 +11,15 @@ from hypothesis import strategies as st
 from thermalecho import (
     ModeTable,
     QuenchParams,
+    classify,
+    echo_point,
+    long_time,
     mode_table,
     momenta,
+    sample_logle,
+    weights,
 )
+from thermalecho import model
 
 
 class DegenerateModeError(ValueError):
@@ -210,3 +216,34 @@ def test_invalid_params_rejected(kwargs):
     # the message names the parameter at fault
     with pytest.raises(ValueError, match=next(iter(kwargs))):
         QuenchParams(**base)
+
+
+def _chain_rows(layer: str, block: ModeTable) -> list:
+    """The arrays of ``layer``'s result on ``block`` that hold one row per chain."""
+    if layer == "echo_point":
+        pt = echo_point(block, np.linspace(0.0, 1.0, 5))
+        return [pt.t, pt.le, pt.log_le, pt.lef, pt.lower, pt.upper]
+    if layer == "long_time":
+        return list(vars(long_time(block)).values())
+    if layer == "weights":
+        spectrum = weights(block)
+        return [spectrum.a, spectrum.a_f]
+    if layer == "classify":
+        verdict = classify(weights(block))
+        return [verdict.label, verdict.dominance, verdict.predicted_peaks, verdict.degenerate]
+    return [sample_logle(block, 10.0, 7, seed=3).z]
+
+
+@pytest.mark.parametrize("layer", ["echo_point", "long_time", "weights", "classify",
+                                   "sample_logle"])
+@pytest.mark.parametrize("identical", [False, True])
+def test_blocks_keep_their_chain_axis(layer, identical):
+    # a block of identical chains has only shared (modes,) rows, and its
+    # results still have one row per chain
+    betas = (2.0, 2.0, 2.0) if identical else (0.5, 2.0, math.inf)
+    chains = [QuenchParams(h0=0.5, h1=0.9, gamma0=1.0, gamma1=1.0, beta=beta, length=8)
+              for beta in betas]
+    ((_, block),) = model._blocks(chains)
+    assert (block.cinv.ndim == 1) == identical
+    for values in _chain_rows(layer, block):
+        assert np.shape(values)[0] == 3

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from thermalecho import QuenchParams, averages, echo, mode_table, oracle, verify
+from thermalecho import QuenchParams, averages, echo, mode_table, model, oracle, verify
 from thermalecho.oracle import (
     DIM_CAP,
     BuresMetric,
@@ -804,15 +804,22 @@ def test_every_suite_reports_plain_json_types():
 
 
 def _bound_suite_draws(monkeypatch, **overrides):
-    """The chains and times ``bound_suite`` hands to ``echo_chains``, and
-    the names of the ``Generator`` methods it called."""
+    """The chains and times ``bound_suite`` hands to ``echo_point``, put back
+    together from each block's ``params`` and its rows of times in the order
+    the suite drew them, and the names of the ``Generator`` methods it called."""
     data = {**_SMALL_SUITE_DATA["bound_suite"], **overrides}
     seen, calls = [], []
-    real_chains, real_rng = verify.echo.echo_chains, verify.np.random.default_rng
+    real_point, real_blocks = verify.echo.echo_point, verify.model._blocks
+    real_rng = verify.np.random.default_rng
 
-    def capturing_chains(chains, t):
-        seen.append((list(chains), np.array(t)))
-        return real_chains(chains, t)
+    def capturing_blocks(chains):
+        for indices, block in real_blocks(chains):
+            seen.append([indices])
+            yield indices, block
+
+    def capturing_point(block, t):
+        seen[-1] += [block.params, np.array(t)]
+        return real_point(block, t)
 
     class CountingRng:
         def __init__(self, rng):
@@ -827,12 +834,19 @@ def _bound_suite_draws(monkeypatch, **overrides):
             return counted
 
     with monkeypatch.context() as patch:
-        patch.setattr(verify.echo, "echo_chains", capturing_chains)
+        patch.setattr(verify.echo, "echo_point", capturing_point)
+        patch.setattr(verify.model, "_blocks", capturing_blocks)
         patch.setattr(verify.np.random, "default_rng",
                       lambda *args: CountingRng(real_rng(*args)))
         report = verify.bound_suite(**data)
     assert report["passed"] is True
-    (chains, times), = seen
+    indices = np.concatenate([entry[0] for entry in seen])
+    assert sorted(indices.tolist()) == list(range(data["n_trials"]))
+    chains, times = [None] * indices.size, np.empty((indices.size, 2))
+    for block_indices, params, block_times in seen:
+        times[block_indices] = block_times
+        for i, p in zip(block_indices.tolist(), params):
+            chains[i] = p
     return data, chains, times, calls
 
 
@@ -899,6 +913,29 @@ def test_oracle_equivalence_fails_on_nan(field, key, monkeypatch):
     report = verify.oracle_equivalence(**_SMALL_SUITE_DATA["oracle_equivalence"])
     assert report["passed"] is False
     assert math.isnan(report[key])
+
+
+@pytest.mark.parametrize("nan_block", [0, 1, -1])
+def test_bound_suite_fails_on_nan_in_any_block(nan_block, monkeypatch):
+    # the suite takes its extrema block by block; a NaN in the first, a middle
+    # or the last block must reach the report
+    data = _SMALL_SUITE_DATA["bound_suite"]
+    n_blocks = sum(1 for _ in model._blocks(_bound_suite_draws(monkeypatch)[1]))
+    assert n_blocks > 2
+    real, calls = echo.echo_point, []
+
+    def nan_point(table, t):
+        pt = real(table, t)
+        calls.append(None)
+        if len(calls) - 1 != nan_block % n_blocks:
+            return pt
+        return dataclasses.replace(pt, le=np.full_like(pt.le, math.nan))
+
+    monkeypatch.setattr(echo, "echo_point", nan_point)
+    report = verify.bound_suite(**data)
+    assert len(calls) == n_blocks
+    assert report["passed"] is False
+    assert math.isnan(report["worst_slack"]) and math.isnan(report["worst_t0_deviation"])
 
 
 def test_qubit_inequality_fails_on_nan(monkeypatch):

@@ -183,7 +183,7 @@ def test_sampler_forms_only_the_log_echo(monkeypatch):
         raise AssertionError("the sampler formed the echo quantities")
 
     monkeypatch.setattr(echo, "_log_factors", log_factors)
-    monkeypatch.setattr(echo, "_point", no_point)
+    monkeypatch.setattr(echo, "echo_point", no_point)
     for tables, z in zip(inputs, expected):
         assert np.array_equal(sample_logle(tables, 700.0, 3000, 5).z, z)
 
@@ -253,6 +253,30 @@ def test_histogram_peaks_need_two_occupied_bins(bins):
     assert histogram_peaks(np.zeros(bins, dtype=int), edges).size == 0
     with pytest.raises(ValueError):
         histogram_peaks(counts, edges[:-1])
+
+
+@pytest.mark.parametrize("counts, peaks", [([3, 5], []), ([1, 9, 1], []),
+                                           ([1, 9, 1, 1], [1.5]), ([9, 1, 1, 9], [1.5]),
+                                           ([0, 4, 0, 0], [])])
+def test_histogram_peaks_below_five_bins_use_the_centred_window(counts, peaks):
+    # the window over bins i - 2 to i + 2, zero outside: [1, 9, 1] smooths to
+    # a flat 11/5 and [1, 9, 1, 1] to [11, 12, 12, 11] / 5, a peak at bin 1
+    edges = np.arange(len(counts) + 1.0)
+    assert histogram_peaks(counts, edges).tolist() == peaks
+
+
+@pytest.mark.parametrize("bins", [5, 6, 9, 200])
+def test_histogram_peaks_from_five_bins_keep_the_same_window(bins, monkeypatch):
+    # from 5 bins on, the centred window is the slice mode="same" takes
+    rng = np.random.default_rng(bins)
+    counts, edges = np.histogram(np.concatenate([rng.normal(-1.0, 0.3, 500),
+                                                 rng.normal(1.0, 0.3, 400)]), bins=bins)
+    ours = histogram_peaks(counts, edges)
+    assert ours.size >= 1
+    # the former smoothing, mode="same", padded so that the slice takes it whole
+    same = np.convolve(counts.astype(float), np.ones(5) / 5, mode="same")
+    monkeypatch.setattr(stats.np, "convolve", lambda *args, **kwargs: np.pad(same, 2))
+    assert np.array_equal(histogram_peaks(counts, edges), ours)
 
 
 @pytest.mark.parametrize("seed", [5, 17, 1234])
