@@ -13,7 +13,11 @@ A block whose chains share their times and their post-quench frequencies
 row, and the kernel takes each sine once for all of them.  One column of
 evenly spaced times, such as a ``timeseries`` grid, takes its sines by
 angle addition, which agrees with ``np.sin`` to a few ulps of the phase,
-not bit for bit.  The kernel always works in log space, since products of
+not bit for bit.  Every other time column (the sampler's random times, a
+block's per-chain times, and short or unevenly spaced arrays) takes the
+direct route, ``sin**2`` of each phase as ``tan**2 / (1 + tan**2)``, which
+is as accurate as ``np.sin(phase)**2`` and faster, since numpy vectorises
+``tan``.  The kernel always works in log space, since products of
 many sub-unit factors underflow for long chains, and it walks the times in
 chunks of (times x chains x modes) work of a fixed byte size, 1 MiB per
 buffer, so memory does not grow with the number of times and a worker's
@@ -49,7 +53,8 @@ _CHUNK_BYTES = 1 << 20
 # worker count when THERMALECHO_THREADS is unset; looked up once, not per call
 _CPU_COUNT = os.cpu_count() or 1
 
-# times per angle-addition block; a grid of fewer than two blocks keeps np.sin
+# times per angle-addition block; a grid of fewer than two blocks takes the
+# direct route's tangents instead
 _GRID_BLOCK = 64
 
 
@@ -134,6 +139,24 @@ def _log_factors(a: np.ndarray, logs: np.ndarray | None, cinv) -> None:
         np.log(a, out=a)
 
 
+def _sin_squared(s: np.ndarray, scratch: np.ndarray) -> None:
+    """Turn phases ``s`` into ``sin(s)**2``, in place, as ``tan**2 / (1 + tan**2)``.
+
+    numpy vectorises float64 ``tan`` but not ``sin``: on a 2-core AVX-512
+    Xeon VM with numpy 2.4, ``np.sin`` took 21 ns and ``np.tan`` 6.5 ns per
+    phase for phases up to 5e5.  The quotient is within 5e-16 of the exact
+    ``sin**2``, relative, where ``np.sin(s)**2`` is within 3.3e-16, for
+    phases up to 1e300; it is 0 at a phase of +-0, never leaves [0, 1], and
+    stays finite at the double nearest an odd multiple of pi/2, where
+    ``tan`` is about -2e18.
+    ``scratch`` is a buffer of the shape of ``s`` for ``1 + tan**2``.
+    """
+    np.tan(s, out=s)
+    np.square(s, out=s)
+    np.add(s, 1.0, out=scratch)
+    np.divide(s, scratch, out=s)
+
+
 def _grid_step(t: np.ndarray):
     """The step of a single column ``t`` of at least ``2 * _GRID_BLOCK`` times
     that miss ``t[0] + j * step`` by a few ulps at most, as ``np.linspace``
@@ -157,9 +180,13 @@ def _kernel(table: ModeTable, t: np.ndarray, core: bool = True):
     shape of the time columns and the ``lam1`` rows, so chains that share
     both share each sine; only ``coef * sin**2`` onward, with ``coef = (1 -
     cinv**2) * alpha``, runs at the full (times, chains, modes) shape.
-    A grid (see :func:`_grid_step`) takes ``sqrt(coef) * sin`` by angle
-    addition instead, from ``np.sin`` and ``np.cos`` at the first time of each
-    block of ``_GRID_BLOCK`` rows and one table of the offsets in a block.
+    This direct route takes ``sin**2`` from the tangent (see
+    :func:`_sin_squared`); it serves every time column but a grid: random
+    times, per-chain columns, and short or unevenly spaced ones.  A grid
+    (see :func:`_grid_step`), a single column of evenly spaced times, takes
+    ``sqrt(coef) * sin`` by angle addition instead, from ``np.sin`` and
+    ``np.cos`` at the first time of each block of ``_GRID_BLOCK`` rows and
+    one table of the offsets in a block.
     ``log_core`` is the sum over a chain's modes of ``log(arg)`` and
     ``log_le`` twice the sum of ``log((cinv + sqrt(arg)) / (1 + cinv))``
     (see :func:`_log_factors`), both ``(times, chains)`` with a single
@@ -198,6 +225,8 @@ def _kernel(table: ModeTable, t: np.ndarray, core: bool = True):
         logs = np.empty_like(arg)
         # the full-shape buffer takes the phases in place unless they are shared
         phase = arg if n_phases == n_chains else np.empty((arg.shape[0], n_phases, n_modes))
+        # 1 + tan**2 goes to the head of the logs buffer, free until _log_factors
+        denom = logs.reshape(-1)[: phase.size].reshape(phase.shape)
         for start in starts[first::n_workers]:
             stop = min(start + rows, n_times)
             a = arg[: stop - start]
@@ -205,8 +234,7 @@ def _kernel(table: ModeTable, t: np.ndarray, core: bool = True):
             if step is None:
                 s = phase[: stop - start]
                 np.multiply(t[start:stop, :, None], lam1, out=s)
-                np.sin(s, out=s)
-                np.square(s, out=s)
+                _sin_squared(s, denom[: stop - start])
                 np.multiply(s, coef, out=a)
             else:
                 head = t[start:stop:_GRID_BLOCK, :, None] * lam1
@@ -239,7 +267,10 @@ def echo_point(table: ModeTable, t) -> EchoPoint:
     identical (``t`` and ``log_le`` as read-only views).  Row ``i`` is bit
     for bit ``echo_point(mode_table(table.params[i]), t[i])`` (``t`` for
     shared times), except that a block of several chains takes a grid row
-    of their own times by ``np.sin``, to a few ulps of the phase.  See
+    of their own times by the direct route, to a few ulps of the phase.
+    Evenly spaced times (at least ``2 * _GRID_BLOCK`` of them, shared or of
+    one chain) take their sines by angle addition; all others, such as the
+    sampler's random times, take ``sin**2`` from ``np.tan``.  See
     :class:`EchoPoint`.
     """
     t_arr = np.asarray(t, dtype=float)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermalecho import averages, cli, echo, model, stats
+from thermalecho import _csvfile, averages, cli, echo, model, stats
 
 
 def _run(args, tmp_path, monkeypatch):
@@ -36,9 +36,9 @@ def _fmt(value) -> str:
 
 
 def _reference_csv(path, cfg, header, rows):
-    """Row-by-row reference route for ``cli._save_csv``."""
+    """Row-by-row reference route for ``_csvfile._save_csv``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# config = {cli._config_json(cfg)}\n")
+        fh.write(f"# config = {_csvfile._config_json(cfg)}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
@@ -266,7 +266,7 @@ def test_float_cells_round_trip(tmp_path, monkeypatch):
             assert f"{float(cell):.17g}" == cell
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, cli._BLOCK_ROWS + 7])
+@pytest.mark.parametrize("n_rows", [0, 1, _csvfile._BLOCK_ROWS + 7])
 def test_writer_matches_per_cell_reference(n_rows, tmp_path, capsys):
     rng = np.random.default_rng(n_rows)
     special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300,
@@ -277,7 +277,7 @@ def test_writer_matches_per_cell_reference(n_rows, tmp_path, capsys):
                np.nextafter(2.2250738585072014e-308, 0.0), -0.0]
     floats = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
     # the special values at both ends and across the first block boundary
-    for at in (0, cli._BLOCK_ROWS - 3, n_rows - len(special)):
+    for at in (0, _csvfile._BLOCK_ROWS - 3, n_rows - len(special)):
         if 0 <= at <= n_rows - len(special):
             floats[at:at + len(special)] = special
     counts = rng.integers(-2**62, 2**62, n_rows)  # int64
@@ -288,7 +288,7 @@ def test_writer_matches_per_cell_reference(n_rows, tmp_path, capsys):
     header = ["x", "count", "length", "label", "mixed"]
     columns = [floats, counts, lengths, labels, mixed]
     cfg = cli.RunConfig()
-    cli._save_csv(str(tmp_path / "columnar.csv"), cfg, header, columns)
+    _csvfile._save_csv(str(tmp_path / "columnar.csv"), cfg, header, columns)
     _reference_csv(tmp_path / "reference.csv", cfg, header, zip(*columns))
     written = (tmp_path / "columnar.csv").read_bytes()
     assert written == (tmp_path / "reference.csv").read_bytes()
@@ -304,8 +304,8 @@ def test_writer_matches_printf_on_a_million_floats(tmp_path, capsys):
     log_uniform = 10.0 ** rng.uniform(-6.0, 18.0, n) * rng.choice([-1.0, 1.0], n)
     floats = np.concatenate([bits, log_uniform])
     cfg = cli.RunConfig()
-    cli._save_csv(str(tmp_path / "floats.csv"), cfg, ["x"], [floats])
-    want = (f"# config = {cli._config_json(cfg)}\nx\n"
+    _csvfile._save_csv(str(tmp_path / "floats.csv"), cfg, ["x"], [floats])
+    want = (f"# config = {_csvfile._config_json(cfg)}\nx\n"
             + ("%.17g\n" * floats.size) % tuple(floats.tolist()))
     assert (tmp_path / "floats.csv").read_bytes() == want.encode()
 
@@ -313,7 +313,7 @@ def test_writer_matches_printf_on_a_million_floats(tmp_path, capsys):
 @given(st.floats())
 @settings(max_examples=500, deadline=None)
 def test_writer_matches_printf_on_any_float(x):
-    assert cli._csv_rows([np.array([x])]).tobytes() == ("%.17g\n" % x).encode()
+    assert _csvfile._csv_rows([np.array([x])]).tobytes() == ("%.17g\n" % x).encode()
 
 
 def _printf_rows(floats) -> bytes:
@@ -342,7 +342,7 @@ def test_exponent_cells_at_powers_of_ten_and_band_edges():
     # log10 misses next to a power of ten are redone, not sent to printf;
     # only the exact doubles 1e17 to 1e22 go there, since their scaled
     # product is 1e16 itself, within the error bound of the edge
-    sure = cli._decimal(floats)[2]
+    sure = _csvfile._decimal(floats)[2]
     assert sorted(floats[~sure]) == [float(f"1e{n}") for n in range(17, 23)]
     edges = [np.nextafter(edge, towards) for edge in (1e-280, 1e280)
              for towards in (0.0, math.inf)]
@@ -350,7 +350,7 @@ def test_exponent_cells_at_powers_of_ten_and_band_edges():
                np.nextafter(2.2250738585072014e-308, 0.0), 0.0, -0.0,
                math.inf, -math.inf, math.nan, 1.7976931348623157e308]
     floats = np.concatenate([floats, -floats, special, np.negative(special)])
-    assert cli._csv_rows([floats]).tobytes() == _printf_rows(floats)
+    assert _csvfile._csv_rows([floats]).tobytes() == _printf_rows(floats)
 
 
 def test_exponent_cells_at_exact_ties_take_printf():
@@ -358,16 +358,16 @@ def test_exponent_cells_at_exact_ties_take_printf():
     assert len(ties) == 27
     assert "%.17g" % ties[0] == "3.9339065551757812e-06"
     for floats in (ties, -ties):
-        assert cli._csv_rows([floats]).tobytes() == _printf_rows(floats)
+        assert _csvfile._csv_rows([floats]).tobytes() == _printf_rows(floats)
     # the error bound cannot round a tie, so every one goes to printf
-    assert not cli._decimal(ties)[2].any()
+    assert not _csvfile._decimal(ties)[2].any()
 
 
 def test_powers_of_ten_are_exact_double_doubles():
-    hi, p_hi, p_lo, lo = cli._decimal_tables()[:4]
-    for e in range(cli._E_MIN, cli._E_MAX + 1):
+    hi, p_hi, p_lo, lo = _csvfile._decimal_tables()[:4]
+    for e in range(_csvfile._E_MIN, _csvfile._E_MAX + 1):
         power = fractions.Fraction(10) ** (16 - e)
-        j = e - cli._E_MIN
+        j = e - _csvfile._E_MIN
         assert hi[j] == float(power) and lo[j] == float(power - fractions.Fraction(hi[j])), e
         assert p_hi[j] + p_lo[j] == hi[j], e
     assert np.count_nonzero(lo == 0.0) == 23  # 10**0 to 10**22
@@ -381,7 +381,7 @@ _EXPONENT_BAND = (st.floats(min_value=1e-280, max_value=1e-4, exclude_max=True)
 @settings(max_examples=500, deadline=None)
 def test_writer_matches_printf_in_the_exponent_bands(x, negative):
     x = -x if negative else x
-    assert cli._csv_rows([np.array([x])]).tobytes() == ("%.17g\n" % x).encode()
+    assert _csvfile._csv_rows([np.array([x])]).tobytes() == ("%.17g\n" % x).encode()
 
 
 def test_timeseries_exponent_cells_skip_printf(tmp_path, monkeypatch):
@@ -390,13 +390,13 @@ def test_timeseries_exponent_cells_skip_printf(tmp_path, monkeypatch):
     args = ["timeseries", "--length", "2000", "--h0", "0.5", "--h1", "0.5",
             "--gamma0", "0.25", "--gamma1", "0.1", "--beta", "10",
             "--tpoints", "2001", "--tmax", "500"]
-    printed, printf_cells = [], cli._printf_cells
+    printed, printf_cells = [], _csvfile._printf_cells
 
     def counting(values, fmt, width):
         printed.extend(v for v in values if isinstance(v, float))
         return printf_cells(values, fmt, width)
 
-    monkeypatch.setattr(cli, "_printf_cells", counting)
+    monkeypatch.setattr(_csvfile, "_printf_cells", counting)
     assert _run(args, tmp_path, monkeypatch) == 0
     rows = _data_rows(tmp_path / "timeseries.csv")
     assert len(rows) == 2001
@@ -407,7 +407,7 @@ def test_timeseries_exponent_cells_skip_printf(tmp_path, monkeypatch):
 
 def test_writer_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValueError, match="equal length"):
-        cli._save_csv(str(tmp_path / "x.csv"), cli.RunConfig(), ["a", "b"],
+        _csvfile._save_csv(str(tmp_path / "x.csv"), cli.RunConfig(), ["a", "b"],
                        [np.zeros(3), np.zeros(4)])
 
 
@@ -483,7 +483,7 @@ def test_ladder_formats_each_time_block_once(threads, tmp_path, monkeypatch):
     # once per block, not once per rung
     monkeypatch.setenv("THERMALECHO_THREADS", threads)
     drawn, formatted = [], []
-    sample_logle, cells = stats.sample_logle, cli._cells
+    sample_logle, cells = stats.sample_logle, _csvfile._cells
 
     def drawing(*args):
         drawn.append(sample_logle(*args))
@@ -495,10 +495,10 @@ def test_ladder_formats_each_time_block_once(threads, tmp_path, monkeypatch):
         return cells(column)
 
     monkeypatch.setattr(stats, "sample_logle", drawing)
-    monkeypatch.setattr(cli, "_cells", formatting)
-    assert 20000 > cli._BLOCK_ROWS
+    monkeypatch.setattr(_csvfile, "_cells", formatting)
+    assert 20000 > _csvfile._BLOCK_ROWS
     assert _run(LADDER_ARGS, tmp_path, monkeypatch) == 0
-    assert formatted == [cli._BLOCK_ROWS, 20000 - cli._BLOCK_ROWS]
+    assert formatted == [_csvfile._BLOCK_ROWS, 20000 - _csvfile._BLOCK_ROWS]
     times = [row[0] for row in _data_rows(tmp_path / "distribution_T0.05_samples.csv")]
     assert times == [f"{t:.17g}" for t in drawn[0].times]
 
@@ -1033,7 +1033,7 @@ def test_verify_fails_on_nan_and_writes_strict_json(tmp_path, monkeypatch, capsy
 def test_config_comment_refuses_non_finite_values(tmp_path):
     path = tmp_path / "x.csv"
     with pytest.raises(ValueError, match="JSON compliant"):
-        cli._save_csv(str(path), cli.RunConfig(tmax=math.inf), ["a"], [np.zeros(2)])
+        _csvfile._save_csv(str(path), cli.RunConfig(tmax=math.inf), ["a"], [np.zeros(2)])
     assert not path.exists()
 
 

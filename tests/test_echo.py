@@ -288,7 +288,7 @@ def _grid(t) -> bool:
     return echo._grid_step(np.asarray(t, dtype=float).reshape(-1, 1)) is not None
 
 
-def _sin_route(table, t):
+def _direct_route(table, t):
     """``echo_point`` of ``t`` in slices too short for the grid route."""
     size = 2 * echo._GRID_BLOCK - 1
     points = [echo_point(table, t[i : i + size]) for i in range(0, t.size, size)]
@@ -296,27 +296,81 @@ def _sin_route(table, t):
             for name in ("log_le", "lower")}
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
-                    reason="np.longdouble is no wider than float64 here")
-@pytest.mark.parametrize("length, tmax, tpoints", [(2000, 500.0, 1001), (200, 1e5, 2001),
-                                                   (400, 1e6, 2001)])
-def test_grid_route_is_as_accurate_as_sin(length, tmax, tpoints):
-    # reference: every step after the float64 times in np.longdouble
-    table = _table(length=length)
-    t = np.linspace(0.0, tmax, tpoints)
-    assert _grid(t)
+def _tan_sin2(phase):
+    """sin**2 as the direct route takes it, step for step."""
+    s = np.square(np.tan(phase))
+    return s / (s + 1.0)
+
+
+def _direct_formula(table, t, sin2):
+    """``(log_le, lower)`` at times ``t`` by the direct route's steps, with
+    ``sin2`` for sin**2 of the phases."""
+    a = sin2(np.multiply.outer(t, table.lam1)) * (table.one_minus_cinv2 * table.alpha)
+    arg = np.maximum(1.0 - a, table.cinv**2)
+    log_le = np.log((np.sqrt(arg) + table.cinv) / (1.0 + table.cinv))
+    return 2.0 * np.add.reduce(log_le, axis=-1), np.exp(np.add.reduce(np.log(arg), axis=-1))
+
+
+WIDE = np.finfo(np.longdouble).eps < np.finfo(float).eps
+NOT_WIDE = "np.longdouble is no wider than float64 here"
+
+
+def _wide(table, t):
+    """``log_le`` and the log of ``lower`` with every step after the float64
+    times in np.longdouble."""
     wide = np.longdouble
     s2 = np.sin(np.multiply.outer(t.astype(wide), table.lam1.astype(wide))) ** 2
     arg = 1 - table.one_minus_cinv2.astype(wide) * table.alpha.astype(wide) * s2
     cinv = table.cinv.astype(wide)
-    exact = {"log_le": 2 * np.log((cinv + np.sqrt(arg)) / (1 + cinv)).sum(axis=-1),
-             "lower": np.log(arg).sum(axis=-1)}
+    return {"log_le": 2 * np.log((cinv + np.sqrt(arg)) / (1 + cinv)).sum(axis=-1),
+            "lower": np.log(arg).sum(axis=-1)}
+
+
+# (length, tmax, tpoints) of the tables the accuracy tests compare on
+ACCURACY_GRIDS = [(2000, 500.0, 1001), (200, 1e5, 2001), (400, 1e6, 2001)]
+
+
+@pytest.mark.skipif(not WIDE, reason=NOT_WIDE)
+@pytest.mark.parametrize("length, tmax, tpoints", ACCURACY_GRIDS)
+def test_grid_route_is_as_accurate_as_sin(length, tmax, tpoints):
+    table = _table(length=length)
+    t = np.linspace(0.0, tmax, tpoints)
+    assert _grid(t)
+    exact = _wide(table, t)
     grid = echo_point(table, t)
-    parts = _sin_route(table, t)
+    parts = _direct_route(table, t)
     for name, log in (("log_le", lambda x: x), ("lower", np.log)):
         grid_err = np.abs(log(getattr(grid, name)) - exact[name]).max()
         sin_err = np.abs(log(parts[name]) - exact[name]).max()
         assert grid_err <= 2.0 * sin_err, (name, float(grid_err), float(sin_err))
+
+
+@pytest.mark.skipif(not WIDE, reason=NOT_WIDE)
+def test_direct_route_sin_squared_is_as_accurate_as_np_sin():
+    rng = np.random.default_rng(59)
+    # magnitudes from 1e-150, where sin**2 is still a normal double, to 1e300
+    signs = rng.choice([-1.0, 1.0], 100_000)
+    for phase in (rng.uniform(-1e6, 1e6, 200_000), signs * 10.0 ** rng.uniform(-150, 300, 100_000)):
+        s2 = phase.copy()
+        echo._sin_squared(s2, np.empty_like(s2))
+        assert ((s2 >= 0.0) & (s2 <= 1.0)).all()
+        exact = np.sin(phase.astype(np.longdouble)) ** 2
+        assert np.abs(s2 / exact - 1).max() <= 1e-15
+    # a phase of +-0 gives 0, and the double nearest an odd multiple of pi/2
+    # a finite sin**2, though its tangent is about -2.1e18
+    edge = np.array([0.0, -0.0, math.ldexp(6381956970095103, 797)])
+    assert -3e18 < np.tan(edge[2]) < -1e18
+    s2 = edge.copy()
+    echo._sin_squared(s2, np.empty_like(s2))
+    assert s2[0] == s2[1] == 0.0 and np.isfinite(s2[2]) and 0.0 <= s2[2] <= 1.0
+    # and the echo it gives is as close to the long-double one as np.sin's
+    for length, tmax, tpoints in ACCURACY_GRIDS:
+        table = _table(length=length)
+        t = np.linspace(0.0, tmax, tpoints)
+        exact = _wide(table, t)["log_le"]
+        direct_err = np.abs(_direct_route(table, t)["log_le"] - exact).max()
+        sin_err = np.abs(_direct_formula(table, t, lambda p: np.square(np.sin(p)))[0] - exact).max()
+        assert direct_err <= 2.0 * sin_err, (length, float(direct_err), float(sin_err))
 
 
 @pytest.mark.parametrize("start, stop, tpoints", [(0.0, 500.0, 1001), (0.0, -40.0, 128),
@@ -326,7 +380,7 @@ def test_linspace_takes_the_grid_route(start, stop, tpoints):
     t = np.linspace(start, stop, tpoints)
     assert _grid(t) and _grid(-t)
     table = _table(length=30)
-    pt, parts = echo_point(table, t), _sin_route(table, t)
+    pt, parts = echo_point(table, t), _direct_route(table, t)
     # one float64 ulp of the largest phase per mode, summed over the modes
     phase_ulps = np.finfo(float).eps * np.abs(t).max() * table.lam1.max() * table.n_modes
     assert np.abs(pt.log_le - parts["log_le"]).max() <= phase_ulps
@@ -397,32 +451,32 @@ def test_shared_grid_times_match_echo_point(monkeypatch):
         for name in ("le", "log_le", "lef", "lower", "upper"):
             assert np.array_equal(getattr(stacked, name)[i], getattr(single, name)), (i, name)
     # a grid row of a chain's own times: a block of one chain keeps angle
-    # addition, and the block of five chains of length 40 takes np.sin
+    # addition, and the block of five chains of length 40 takes the direct
+    # route, bit for bit as the chain's own table does on short slices and
+    # within a float64 ulp of the largest phase per mode of the long-double echo
     for indices, block in model._blocks(chains):
         for i in indices.tolist():
-            single = echo_point(mode_table(chains[i]), t)
+            table = mode_table(chains[i])
             if indices.size == 1:
-                assert np.array_equal(rows.log_le[i], single.log_le), i
+                assert np.array_equal(rows.log_le[i], echo_point(table, t).log_le), i
             else:
-                phase_ulps = np.finfo(float).eps * t.max() * block.lam1.max() * block.n_modes
-                assert np.abs(rows.log_le[i] - single.log_le).max() <= phase_ulps, i
+                assert np.array_equal(rows.log_le[i], _direct_route(table, t)["log_le"]), i
+                if WIDE:
+                    phase_ulps = np.finfo(float).eps * t.max() * block.lam1.max() * block.n_modes
+                    assert np.abs(rows.log_le[i] - _wide(table, t)["log_le"]).max() <= phase_ulps, i
     assert max(indices.size for indices, _ in model._blocks(chains)) == 5
 
 
-def test_short_and_jittered_grids_keep_np_sin():
+def test_short_and_jittered_grids_take_the_direct_route():
     table = _table(length=50, beta=2.0)
     jitter = np.random.default_rng(47).uniform(-1e-9, 1e-9, 1001)
     for t in (np.linspace(0.0, 25.0, 2 * echo._GRID_BLOCK - 1),
               np.linspace(0.0, 25.0, 1001) + jitter):
         assert not _grid(t)
-        # the np.sin formula, step for step as the kernel takes it
-        a = np.sin(np.multiply.outer(t, table.lam1))
-        a = np.square(a) * (table.one_minus_cinv2 * table.alpha)
-        arg = np.maximum(1.0 - a, table.cinv**2)
-        log_le = np.log((np.sqrt(arg) + table.cinv) / (1.0 + table.cinv))
+        log_le, lower = _direct_formula(table, t, _tan_sin2)
         pt = echo_point(table, t)
-        assert np.array_equal(pt.log_le, 2.0 * np.add.reduce(log_le, axis=-1))
-        assert np.array_equal(pt.lower, np.exp(np.add.reduce(np.log(arg), axis=-1)))
+        assert np.array_equal(pt.log_le, log_le)
+        assert np.array_equal(pt.lower, lower)
     assert _grid(np.linspace(0.0, 25.0, 2 * echo._GRID_BLOCK))
 
 

@@ -14,7 +14,7 @@ import sys
 
 from thermalecho import cli
 
-LAYERS = ("model", "echo", "averages", "stats", "special", "oracle", "verify", "cli")
+LAYERS = ("model", "echo", "averages", "stats", "special", "oracle", "verify", "cli", "_csvfile")
 
 NEAR_CRITICAL = ["--h0", "0.99", "--h1", "1.01", "--gamma0", "1", "--gamma1", "1"]
 
@@ -38,8 +38,8 @@ CONFIG = {"length": 8, "h0": 0.9, "beta": None, "temperature": 0.5, "tpoints": 1
 
 # functions that no command needs to enter, each with its reason
 EXEMPT = {
-    # the CSV formatter's lookup tables, built once when the CLI is imported
-    "cli._packed", "cli._group_table", "cli._layout_table",
+    # the CSV writer's lookup tables, built once when it is imported
+    "_csvfile._packed", "_csvfile._group_table", "_csvfile._layout_table",
     # not public: perfbench's ladder check imports it
     "averages.avg_loschmidt",
 }

@@ -71,10 +71,14 @@ def test_runtime_imports_need_only_numpy():
 UNUSED_MODULES = {
     "import": ([], ["thermalecho.averages", "thermalecho.echo", "thermalecho.stats",
                     "thermalecho.special", "thermalecho.oracle", "thermalecho.verify",
-                    "concurrent.futures"]),
+                    "thermalecho._csvfile", "concurrent.futures"]),
     "scan": (["scan", "--length", "8", "--sweep", "h1=0.5:1.5:3"],
              ["thermalecho.echo", "concurrent.futures", "numpy.char"]),
     "timeseries": (["timeseries", "--length", "8", "--tpoints", "5"], ["thermalecho.stats"]),
+    # runs that write no CSV never load the CSV writer
+    "timeseries-json": (["timeseries", "--length", "8", "--tpoints", "5", "--format", "json"],
+                        ["thermalecho.stats", "thermalecho._csvfile"]),
+    "verify": (["verify"], ["thermalecho._csvfile"]),
 }
 
 
