@@ -12,25 +12,30 @@ A block whose chains share their times and their post-quench frequencies
 ``lam1`` (a temperature ladder) passes one time column and one ``lam1``
 row, and the kernel takes each sine once for all of them.  One column of
 evenly spaced times, such as a ``timeseries`` grid, takes its sines by
-angle addition, which agrees with ``np.sin`` to a few ulps of the phase,
-not bit for bit.  Every other time column (the sampler's random times, a
-block's per-chain times, and short or unevenly spaced arrays) takes the
-direct route, ``sin**2`` of each phase as ``tan**2 / (1 + tan**2)``, which
-is as accurate as ``np.sin(phase)**2`` and faster, since numpy vectorises
-``tan``.  The kernel always works in log space, since products of
-many sub-unit factors underflow for long chains, and it walks the times in
-chunks of (times x chains x modes) work of a fixed byte size, 1 MiB per
-buffer, so memory does not grow with the number of times and a worker's
-buffers stay in its core's L2 cache.  When there is more than one chunk the chunks are spread
-over one thread pool of ``THERMALECHO_THREADS`` workers (default: the CPU
-count); chunk and block boundaries do not depend on the thread count, so
-neither do the results.
+angle addition, from the sine and cosine of each block's first phase and
+of a table of offsets, both taken from one ``np.tan`` of the half phase;
+it agrees with ``np.sin`` to a few ulps of the phase, not bit for bit.
+Every other time column (the sampler's random times, a block's per-chain
+times, and short or unevenly spaced arrays) takes the direct route,
+``sin**2`` of each phase as ``tan**2 / (1 + tan**2)``, which is as
+accurate as ``np.sin(phase)**2`` and faster, since numpy vectorises
+``tan``.  The kernel checks a table against the factors' floor once,
+before any chunk, and always works in log space, since products of many
+sub-unit factors underflow for long chains.  It walks the times in chunks
+of (times x chains x modes) work of a fixed byte size, 1 MiB per buffer,
+so memory does not grow with the number of times and a worker's buffers
+stay in its core's L2 cache.  When there is more than one chunk they run
+on ``THERMALECHO_THREADS`` plain threads (default: the CPUs the process may
+run on), each of which claims the next chunk when it finishes one; chunk
+and block boundaries do not depend on the thread count or on which thread
+takes a chunk, so neither do the results.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +55,11 @@ _CLAMP_SLACK = 1e-15
 # samples of 25 modes took 143, 132 and 151 ms
 _CHUNK_BYTES = 1 << 20
 
-# worker count when THERMALECHO_THREADS is unset; looked up once, not per call
-_CPU_COUNT = os.cpu_count() or 1
+# worker count when THERMALECHO_THREADS is unset: the CPUs this process may
+# run on (a cpuset or taskset may allow fewer than the host has), looked up
+# once, not per call
+_CPU_COUNT = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
 
 # times per angle-addition block; a grid of fewer than two blocks takes the
 # direct route's tangents instead
@@ -98,18 +106,57 @@ def _thread_count() -> int:
 def _in_order(fn, items, n_workers: int):
     """Yield ``fn(item)`` for each item, in order.
 
-    With more than one worker the items run on a pool of ``n_workers``
-    threads, and an exception is raised when its item's turn comes, after
-    the results before it; with one worker each item runs on the calling
-    thread when its result is asked for, and no pool is imported.
+    With more than one worker the items run on ``n_workers`` plain threads,
+    and each worker claims the next unclaimed item from one shared, locked
+    counter when it finishes one, so a worker that is held up holds back no
+    share of the others' work.  An exception is raised when its item's turn
+    comes, after the results before it.  When the caller stops early, by
+    an exception or by closing the generator, no further item is claimed
+    and every worker is joined before control returns.  With one worker
+    each item runs on the calling thread when its result is asked for, and
+    no thread is started.
     """
-    if n_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            yield from pool.map(fn, items)
-    else:
+    if n_workers <= 1:
         yield from map(fn, items)
+        return
+    items = list(items)
+    finished = [threading.Event() for _ in items]
+    outcome: list = [None] * len(items)
+    lock = threading.Lock()
+    claimed = 0
+
+    def claim():
+        nonlocal claimed
+        with lock:
+            if claimed == len(items):
+                return None
+            claimed += 1
+            return claimed - 1
+
+    def run() -> None:
+        while (i := claim()) is not None:
+            try:
+                outcome[i] = (fn(items[i]), None)
+            except BaseException as exc:  # raised again on the calling thread, at item i
+                outcome[i] = (None, exc)
+            finished[i].set()
+
+    workers = [threading.Thread(target=run) for _ in range(min(n_workers, len(items)))]
+    for worker in workers:
+        worker.start()
+    try:
+        for i, done in enumerate(finished):
+            done.wait()
+            result, exc = outcome[i]
+            outcome[i] = None
+            if exc is not None:
+                raise exc
+            yield result
+    finally:
+        with lock:
+            claimed = len(items)
+        for worker in workers:
+            worker.join()
 
 
 def _log_factors(a: np.ndarray, logs: np.ndarray | None, cinv) -> None:
@@ -118,17 +165,13 @@ def _log_factors(a: np.ndarray, logs: np.ndarray | None, cinv) -> None:
     The last axes of ``a`` are chains and modes, and ``cinv`` holds one
     value per chain and mode.  On return ``logs`` (if not None) holds
     ``log(arg)`` with ``arg = 1 - a`` clamped to its floor ``cinv**2``, and ``a``
-    holds ``log((cinv + sqrt(arg)) / (1 + cinv))``.  An excursion of ``arg``
-    below the floor beyond rounding dust means the table is inconsistent and
-    raises ``FloatingPointError``.  ``arg`` cannot exceed 1, since the term
-    it subtracts is a product of squares.
+    holds ``log((cinv + sqrt(arg)) / (1 + cinv))``.  ``arg`` cannot exceed
+    1, since the term it subtracts is a product of squares; the clamp only
+    removes rounding dust, since :func:`_kernel` has checked the table
+    against the floor before any chunk.
     """
     floor = cinv**2
     np.subtract(1.0, a, out=a)
-    if not (a.min(axis=0) > floor - _CLAMP_SLACK).all():
-        raise FloatingPointError(
-            "echo factor fell below its floor cinv**2; the mode table is inconsistent"
-        )
     np.maximum(a, floor, out=a)
     with np.errstate(divide="ignore"):
         if logs is not None:
@@ -155,6 +198,29 @@ def _sin_squared(s: np.ndarray, scratch: np.ndarray) -> None:
     np.square(s, out=s)
     np.add(s, 1.0, out=scratch)
     np.divide(s, scratch, out=s)
+
+
+def _sin_cos(phase: np.ndarray):
+    """``(sin(phase), cos(phase))`` from one ``np.tan`` of the half phase.
+
+    With ``tau = tan(phase / 2)`` they are ``2 tau / (1 + tau**2)`` and ``(1
+    - tau**2) / (1 + tau**2)``; numpy vectorises float64 ``tan`` but not
+    ``sin`` or ``cos`` (see :func:`_sin_squared`).  Both stay in [-1, 1],
+    are within a few eps of ``np.sin`` and ``np.cos`` for phases up to
+    1e300, give exactly ``(+-0, 1)`` at a phase of +-0, are odd and even in
+    the phase bit for bit, and stay finite where the half phase is the
+    double nearest an odd multiple of pi/2 and ``tau`` is about -2e18.
+    ``phase`` is overwritten: it becomes the returned sine.
+    """
+    np.multiply(phase, 0.5, out=phase)
+    np.tan(phase, out=phase)
+    cos = np.square(phase)
+    denom = cos + 1.0
+    np.subtract(1.0, cos, out=cos)
+    np.divide(cos, denom, out=cos)
+    np.multiply(phase, 2.0, out=phase)
+    np.divide(phase, denom, out=phase)
+    return phase, cos
 
 
 def _grid_step(t: np.ndarray):
@@ -184,9 +250,15 @@ def _kernel(table: ModeTable, t: np.ndarray, core: bool = True):
     :func:`_sin_squared`); it serves every time column but a grid: random
     times, per-chain columns, and short or unevenly spaced ones.  A grid
     (see :func:`_grid_step`), a single column of evenly spaced times, takes
-    ``sqrt(coef) * sin`` by angle addition instead, from ``np.sin`` and
-    ``np.cos`` at the first time of each block of ``_GRID_BLOCK`` rows and
-    one table of the offsets in a block.
+    ``sqrt(coef) * sin`` by angle addition instead, from the sine and
+    cosine (see :func:`_sin_cos`) at the first time of each block of
+    ``_GRID_BLOCK`` rows and of one table of the offsets in a block.
+    Before any chunk the table is checked against the floor of ``arg``
+    (see :func:`_log_factors`): ``1 - coef``, the least ``arg`` at any
+    time, must not fall below ``cinv**2`` by more than ``_CLAMP_SLACK``,
+    else ``FloatingPointError`` is raised, also where no time reaches it.
+    The chunks run through :func:`_in_order`, each worker with buffers of
+    its own.
     ``log_core`` is the sum over a chain's modes of ``log(arg)`` and
     ``log_le`` twice the sum of ``log((cinv + sqrt(arg)) / (1 + cinv))``
     (see :func:`_log_factors`), both ``(times, chains)`` with a single
@@ -202,6 +274,12 @@ def _kernel(table: ModeTable, t: np.ndarray, core: bool = True):
         raise ValueError(f"the phase t * lam1 overflows: max |t| = {t_peak:g} times "
                          f"max lam1 = {lam1_peak:g} exceeds the float64 range")
     coef = table.one_minus_cinv2 * table.alpha
+    # arg = 1 - coef * sin**2 is least where sin**2 = 1, so one check of the
+    # table bounds every chunk's arg from below; a nan fails it too
+    if not ((1.0 - coef) > cinv**2 - _CLAMP_SLACK).all():
+        raise FloatingPointError(
+            "echo factor fell below its floor cinv**2; the mode table is inconsistent"
+        )
     n_times = t.shape[0]
     n_phases, n_modes = np.broadcast_shapes(t.shape[1:] + (1,), lam1.shape)
     n_chains = np.broadcast_shapes((n_phases, n_modes), coef.shape, cinv.shape)[0]
@@ -212,45 +290,52 @@ def _kernel(table: ModeTable, t: np.ndarray, core: bool = True):
         # whole blocks per chunk, so neither the chunks nor the threads move a bit
         rows = max(_GRID_BLOCK, rows - rows % _GRID_BLOCK)
         span = -(-n_times // _GRID_BLOCK) * _GRID_BLOCK
-        offset = np.arange(_GRID_BLOCK)[:, None, None] * step * lam1
+        sin, cos = _sin_cos(np.arange(_GRID_BLOCK)[:, None, None] * step * lam1)
         root = np.sqrt(coef)
-        cos_offset, sin_offset = root * np.cos(offset), root * np.sin(offset)
+        cos_offset, sin_offset = root * cos, root * sin
     starts = range(0, n_times, rows)
-    n_workers = min(_thread_count(), len(starts))
     log_le = np.empty((n_times, n_chains))
     log_core = np.empty((n_times, n_chains)) if core else None
+    # each thread's chunk buffers, made for its first chunk
+    own = threading.local()
 
-    def work(first: int) -> None:
-        arg = np.empty((min(rows, span), n_chains, n_modes))
-        logs = np.empty_like(arg)
-        # the full-shape buffer takes the phases in place unless they are shared
-        phase = arg if n_phases == n_chains else np.empty((arg.shape[0], n_phases, n_modes))
-        # 1 + tan**2 goes to the head of the logs buffer, free until _log_factors
-        denom = logs.reshape(-1)[: phase.size].reshape(phase.shape)
-        for start in starts[first::n_workers]:
-            stop = min(start + rows, n_times)
-            a = arg[: stop - start]
-            b = logs[: stop - start]
-            if step is None:
-                s = phase[: stop - start]
-                np.multiply(t[start:stop, :, None], lam1, out=s)
-                _sin_squared(s, denom[: stop - start])
-                np.multiply(s, coef, out=a)
-            else:
-                head = t[start:stop:_GRID_BLOCK, :, None] * lam1
-                shape = (head.shape[0], _GRID_BLOCK, n_chains, n_modes)
-                s = arg[: shape[0] * _GRID_BLOCK].reshape(shape)
-                c = logs[: shape[0] * _GRID_BLOCK].reshape(shape)
-                np.multiply(np.sin(head)[:, None], cos_offset, out=s)
-                np.multiply(np.cos(head)[:, None], sin_offset, out=c)
-                np.add(s, c, out=s)
-                np.square(a, out=a)
-            _log_factors(a, b if core else None, cinv)
-            if core:
-                np.add.reduce(b, axis=-1, out=log_core[start:stop])
-            np.add.reduce(a, axis=-1, out=log_le[start:stop])
+    def buffers():
+        if not hasattr(own, "buffers"):
+            arg = np.empty((min(rows, span), n_chains, n_modes))
+            logs = np.empty_like(arg)
+            # the full-shape buffer takes the phases in place unless they are shared
+            phase = arg if n_phases == n_chains else np.empty((arg.shape[0], n_phases, n_modes))
+            # 1 + tan**2 goes to the head of the logs buffer, free until _log_factors
+            denom = logs.reshape(-1)[: phase.size].reshape(phase.shape)
+            own.buffers = arg, logs, phase, denom
+        return own.buffers
 
-    list(_in_order(work, range(n_workers), n_workers))
+    def work(start: int) -> None:
+        arg, logs, phase, denom = buffers()
+        stop = min(start + rows, n_times)
+        a = arg[: stop - start]
+        b = logs[: stop - start]
+        if step is None:
+            s = phase[: stop - start]
+            np.multiply(t[start:stop, :, None], lam1, out=s)
+            _sin_squared(s, denom[: stop - start])
+            np.multiply(s, coef, out=a)
+        else:
+            sin_head, cos_head = _sin_cos(t[start:stop:_GRID_BLOCK, :, None] * lam1)
+            shape = (sin_head.shape[0], _GRID_BLOCK, n_chains, n_modes)
+            s = arg[: shape[0] * _GRID_BLOCK].reshape(shape)
+            c = logs[: shape[0] * _GRID_BLOCK].reshape(shape)
+            np.multiply(sin_head[:, None], cos_offset, out=s)
+            np.multiply(cos_head[:, None], sin_offset, out=c)
+            np.add(s, c, out=s)
+            np.square(a, out=a)
+        _log_factors(a, b if core else None, cinv)
+        if core:
+            np.add.reduce(b, axis=-1, out=log_core[start:stop])
+        np.add.reduce(a, axis=-1, out=log_le[start:stop])
+
+    for _ in _in_order(work, starts, min(_thread_count(), len(starts))):
+        pass
     log_le *= 2.0
     return log_le, log_core, -2.0 * np.add.reduce(np.log1p(cinv), axis=-1)
 

@@ -1,5 +1,6 @@
 """Echo time series: unit values, bounds, log-space route, dense-oracle parity."""
 
+import dataclasses
 import math
 import os
 import pathlib
@@ -7,6 +8,7 @@ import subprocess
 import re
 import sys
 import threading
+import time
 import warnings
 from types import SimpleNamespace
 
@@ -373,6 +375,29 @@ def test_direct_route_sin_squared_is_as_accurate_as_np_sin():
         assert direct_err <= 2.0 * sin_err, (length, float(direct_err), float(sin_err))
 
 
+def test_grid_sines_and_cosines_from_one_tangent():
+    rng = np.random.default_rng(61)
+    eps = np.finfo(float).eps
+    # half of the last phase is the double nearest an odd multiple of pi/2,
+    # where the tangent is about -2.1e18
+    edge = math.ldexp(6381956970095103, 797)
+    assert -3e18 < np.tan(edge) < -1e18
+    signs = rng.choice([-1.0, 1.0], 100_000)
+    for phase in (np.array([0.0, -0.0, 2.0 * edge, -2.0 * edge]),
+                  rng.uniform(-1e6, 1e6, 200_000), signs * 10.0 ** rng.uniform(-150, 300, 100_000)):
+        sin, cos = echo._sin_cos(phase.copy())
+        assert ((np.abs(sin) <= 1.0) & (np.abs(cos) <= 1.0)).all()
+        assert np.abs(sin**2 + cos**2 - 1.0).max() <= 4.0 * eps
+        assert np.abs(sin - np.sin(phase)).max() <= 4.0 * eps
+        assert np.abs(cos - np.cos(phase)).max() <= 4.0 * eps
+        # odd and even in the phase, bit for bit, so a grid and its negation agree
+        neg_sin, neg_cos = echo._sin_cos(-phase)
+        assert np.array_equal(neg_sin, -sin) and np.array_equal(neg_cos, cos)
+    sin, cos = echo._sin_cos(np.array([0.0, -0.0]))
+    assert np.array_equal(np.signbit(sin), [False, True]) and (sin == 0.0).all()
+    assert (cos == 1.0).all()
+
+
 @pytest.mark.parametrize("start, stop, tpoints", [(0.0, 500.0, 1001), (0.0, -40.0, 128),
                                                   (-30.0, 90.0, 20001), (1e4, 1e4 + 7.0, 333),
                                                   (25.0, 25.0, 200)])
@@ -520,6 +545,36 @@ def test_floor_guard_raises_on_both_routes(monkeypatch):
         echo_point(block, t)
 
 
+def test_floor_guard_checks_the_whole_table():
+    # at t = 0 every factor's arg is 1, so only a check of the table itself,
+    # not of a chunk's factors, sees that tripled weights reach below the floor
+    table = mode_table(QuenchParams(h0=0.5, h1=-0.5, gamma0=1.0, gamma1=1.0,
+                                    beta=2.0, length=20))
+    assert echo_point(table, 0.0).le == 1.0
+    bad = dataclasses.replace(table, alpha=3.0 * table.alpha)
+    with pytest.raises(FloatingPointError, match="floor"):
+        echo_point(bad, 0.0)
+    # a block in which one chain out of three is inconsistent raises too
+    chains = [QuenchParams(length=20, **dict(DECAY_QUENCH, beta=beta))
+              for beta in (0.5, 3.0, math.inf)]
+    ((_, block),) = model._blocks(chains)
+    assert block.alpha.shape == (block.n_modes,)
+    assert (echo_point(block, [0.0]).le == 1.0).all()
+    alpha = np.tile(block.alpha, (3, 1))
+    alpha[1] = 1.5
+    with pytest.raises(FloatingPointError, match="floor"):
+        echo_point(dataclasses.replace(block, alpha=alpha), [0.0])
+
+
+@given(fields, fields, couplings, couplings, betas | st.just(math.inf),
+       st.integers(1, 50).map(lambda n: 2 * n))
+@settings(max_examples=200, deadline=None)
+def test_floor_guard_passes_every_built_table(h0, h1, g0, g1, beta, length):
+    table = mode_table(QuenchParams(h0=h0, h1=h1, gamma0=g0, gamma1=g1,
+                                    beta=beta, length=length))
+    assert echo_point(table, 0.0).le == 1.0
+
+
 def test_range_guard_survives_optimized_mode():
     # the guard must raise, not clip, even with asserts stripped by -O
     script = (
@@ -562,6 +617,87 @@ def test_pool_yields_in_order_and_raises_at_the_failing_item(n_workers):
         assert caller not in threads
 
 
+def test_pool_workers_claim_the_next_item():
+    # item 0 holds one of two workers until item 2 has run, so the other
+    # worker must take items 1 and 2 in turn
+    third = threading.Event()
+
+    def work(i):
+        if i == 2:
+            third.set()
+        return third.wait(10.0) if i == 0 else i
+
+    assert list(echo._in_order(work, range(4), 2)) == [True, 1, 2, 3]
+
+
+def test_pool_claims_each_item_once_under_stress():
+    # more workers than cores and a short switch interval: a claim lost or
+    # made twice would run an item twice or never
+    ran = []
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = list(echo._in_order(lambda i: ran.append(i) or i, range(3000), 8))
+    finally:
+        sys.setswitchinterval(previous)
+    assert results == list(range(3000))
+    assert sorted(ran) == list(range(3000))
+
+
+def test_pool_closed_early_joins_its_workers():
+    before = threading.enumerate()
+    ran = []
+
+    def work(i):
+        ran.append(i)
+        time.sleep(0.01)
+        return i
+
+    results = echo._in_order(work, range(50), 3)
+    assert next(results) == 0
+    results.close()
+    # no item is claimed after the close, and every worker has been joined
+    assert threading.enumerate() == before
+    assert len(ran) < 50
+
+
+def test_kernel_workers_claim_chunks(monkeypatch):
+    table = _table(length=60, beta=2.0)
+    t = np.linspace(-5.0, 400.0, 1001)
+    assert _grid(t)
+    # one grid block per chunk: 16 chunks
+    monkeypatch.setattr(echo, "_CHUNK_BYTES", 8)
+    n_chunks = -(-t.size // echo._GRID_BLOCK)
+    monkeypatch.setenv("THERMALECHO_THREADS", "1")
+    inline = echo_point(table, t)
+    real_log_factors = echo._log_factors
+    lock = threading.Lock()
+    callers = []
+    others_done = threading.Event()
+    waited = []
+
+    def log_factors(a, logs, cinv):
+        # the first worker here waits until the other has done every other
+        # chunk, which only a worker that claims chunks as it goes can do
+        with lock:
+            callers.append(threading.get_ident())
+            first = len(callers) == 1
+        if first:
+            waited.append(others_done.wait(10.0))
+        real_log_factors(a, logs, cinv)
+        with lock:
+            if callers.count(callers[0]) == 1 and len(callers) == n_chunks:
+                others_done.set()
+
+    monkeypatch.setattr(echo, "_log_factors", log_factors)
+    monkeypatch.setenv("THERMALECHO_THREADS", "2")
+    pooled = echo_point(table, t)
+    assert waited == [True]
+    assert len(callers) == n_chunks and len(set(callers)) == 2
+    for name in FIELDS:
+        assert np.array_equal(getattr(pooled, name), getattr(inline, name)), name
+
+
 def test_thread_count_variable_must_be_an_integer(monkeypatch):
     table = _table()
     t = np.linspace(0.0, 4.0, 9)
@@ -569,12 +705,44 @@ def test_thread_count_variable_must_be_an_integer(monkeypatch):
         monkeypatch.setenv("THERMALECHO_THREADS", raw)
         with pytest.raises(ValueError, match="THERMALECHO_THREADS"):
             echo_point(table, t)
+    # unset or empty: the CPUs this process may run on, not all the host's
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
     monkeypatch.setenv("THERMALECHO_THREADS", "")
-    assert echo._thread_count() == (os.cpu_count() or 1)
+    assert echo._thread_count() == usable
     monkeypatch.delenv("THERMALECHO_THREADS")
-    assert echo._thread_count() == (os.cpu_count() or 1)
+    assert echo._thread_count() == usable
     monkeypatch.setenv("THERMALECHO_THREADS", "3")
     assert echo._thread_count() == 3
+
+
+def test_one_usable_cpu_runs_the_kernel_inline():
+    # a process allowed one CPU (a cpuset or taskset) evaluates every chunk
+    # on the calling thread when THERMALECHO_THREADS is unset
+    script = (
+        "import os, threading\n"
+        "os.sched_getaffinity = lambda pid: {0}\n"
+        "import numpy as np\n"
+        "from thermalecho import QuenchParams, echo, mode_table\n"
+        "callers = []\n"
+        "real_log_factors = echo._log_factors\n"
+        "def log_factors(*args):\n"
+        "    callers.append(threading.get_ident())\n"
+        "    real_log_factors(*args)\n"
+        "echo._log_factors = log_factors\n"
+        "table = mode_table(QuenchParams(h0=0.5, h1=0.5, gamma0=0.25, gamma1=0.1,"
+        " beta=10.0, length=2000))\n"
+        "echo.echo_point(table, np.linspace(0.0, 500.0, 400))\n"
+        "print(echo._CPU_COUNT, len(callers), set(callers) == {threading.get_ident()},"
+        " threading.active_count())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(thermalecho.__file__).parents[1]))
+    env.pop("THERMALECHO_THREADS", None)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    # 400 grid times of 999 modes are 4 chunks of 128 rows
+    assert done.stdout.split() == ["1", "4", "True", "1"]
 
 
 def test_dense_oracle_round_trip(pinned):

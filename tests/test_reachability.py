@@ -21,6 +21,8 @@ NEAR_CRITICAL = ["--h0", "0.99", "--h1", "1.01", "--gamma0", "1", "--gamma1", "1
 COMMANDS = [
     ["timeseries", "--length", "8", "--tpoints", "11"],
     ["timeseries", "--length", "8", "--tpoints", "11", "--temperature", "0"],
+    # 128 evenly spaced times, the fewest that take the grid route
+    ["timeseries", "--length", "8", "--tpoints", "128"],
     ["distribution", "--length", "8", *NEAR_CRITICAL, "--temperatures", "0,0.1",
      "--samples", "2000"],
     ["weights", "--length", "8", "--h0", "0.9", "--h1", "1.0", "--gamma0", "1",

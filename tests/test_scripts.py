@@ -79,7 +79,16 @@ UNUSED_MODULES = {
     "timeseries-json": (["timeseries", "--length", "8", "--tpoints", "5", "--format", "json"],
                         ["thermalecho.stats", "thermalecho._csvfile"]),
     "verify": (["verify"], ["thermalecho._csvfile"]),
+    # the thread pool runs on plain threads: a grid of 4 kernel chunks and a
+    # ladder of 2 rungs, each on 2 workers
+    "timeseries-pooled": (["timeseries", "--length", "2000", "--tpoints", "400"],
+                          ["concurrent.futures", "logging"]),
+    "distribution-pooled": (["distribution", "--length", "8", "--samples", "1000",
+                             "--temperatures", "0.1,0.2"], ["concurrent.futures", "logging"]),
 }
+
+# runs whose child has THERMALECHO_THREADS=2, so that it starts a pool
+POOLED = {"timeseries-pooled", "distribution-pooled"}
 
 
 @pytest.mark.parametrize("run", sorted(UNUSED_MODULES))
@@ -93,6 +102,8 @@ def test_commands_import_only_their_layers(run, tmp_path):
             "    assert cli.main(sys.argv[1:]) == 0\n"
             "print(json.dumps(sorted(set(sys.modules) - numpy_only)))\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    if run in POOLED:
+        env["THERMALECHO_THREADS"] = "2"
     result = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
