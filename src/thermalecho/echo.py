@@ -12,9 +12,9 @@ A block whose chains share their times and their post-quench frequencies
 ``lam1`` (a temperature ladder) passes one time column and one ``lam1``
 row, and the kernel takes each sine once for all of them.  One column of
 evenly spaced times, such as a ``timeseries`` grid, takes its sines by
-angle addition, from the sine and cosine of each block's first phase and
-of a table of offsets, both taken from one ``np.tan`` of the half phase;
-it agrees with ``np.sin`` to a few ulps of the phase, not bit for bit.
+angle addition, from ``np.sin`` and ``np.cos`` of each block's first
+phase and of a table of offsets; it agrees with ``np.sin`` to a few ulps
+of the phase, not bit for bit.
 Every other time column (the sampler's random times, a block's per-chain
 times, and short or unevenly spaced arrays) takes the direct route,
 ``sin**2`` of each phase as ``tan**2 / (1 + tan**2)``, which is as
@@ -28,7 +28,11 @@ stay in its core's L2 cache.  When there is more than one chunk they run
 on ``THERMALECHO_THREADS`` plain threads (default: the CPUs the process may
 run on), each of which claims the next chunk when it finishes one; chunk
 and block boundaries do not depend on the thread count or on which thread
-takes a chunk, so neither do the results.
+takes a chunk, so neither do the results.  Each thread first pins itself
+to one of the process's CPUs, in turn, and the calling thread stays as it
+was: new threads start on the CPU of the thread that made them, and in a
+young process Linux left them there, taking turns on one CPU, through a
+whole 0.2 to 0.3 s kernel pass (a 20001-time grid of 999 modes, 2 CPUs).
 """
 
 from __future__ import annotations
@@ -55,11 +59,13 @@ _CLAMP_SLACK = 1e-15
 # samples of 25 modes took 143, 132 and 151 ms
 _CHUNK_BYTES = 1 << 20
 
-# worker count when THERMALECHO_THREADS is unset: the CPUs this process may
-# run on (a cpuset or taskset may allow fewer than the host has), looked up
-# once, not per call
-_CPU_COUNT = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-              else os.cpu_count() or 1)
+# the CPUs this process may run on (a cpuset or taskset may allow fewer
+# than the host has), in order, looked up once at import: the pool's
+# workers pin themselves to them in turn (see _in_order), and their count is
+# the worker count when THERMALECHO_THREADS is unset.  Empty where os cannot
+# tell, and then the count is os.cpu_count()
+_CPUS = tuple(sorted(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else ()
+_CPU_COUNT = len(_CPUS) or os.cpu_count() or 1
 
 # times per angle-addition block; a grid of fewer than two blocks takes the
 # direct route's tangents instead
@@ -109,10 +115,20 @@ def _in_order(fn, items, n_workers: int):
     With more than one worker the items run on ``n_workers`` plain threads,
     and each worker claims the next unclaimed item from one shared, locked
     counter when it finishes one, so a worker that is held up holds back no
-    share of the others' work.  An exception is raised when its item's turn
-    comes, after the results before it.  When the caller stops early, by
-    an exception or by closing the generator, no further item is claimed
-    and every worker is joined before control returns.  With one worker
+    share of the others' work.  Before its first claim, worker ``k`` pins
+    itself to CPU ``_CPUS[k % len(_CPUS)]`` with ``os.sched_setaffinity(0,
+    ...)``, which on Linux acts on the calling thread alone: new threads
+    start on the CPU of the thread that made them, and in a young process
+    Linux left both workers there through a whole 0.2 to 0.3 s kernel pass
+    while the other CPU sat idle.  Where ``os`` has no
+    ``sched_setaffinity``, or it raises ``OSError`` (say, for a CPU taken
+    from the process's cpuset since import), the worker runs unpinned.
+    Pinning moves no item and no result, and since workers claim their
+    items, one whose CPU is busy just claims fewer.  The calling thread is
+    never pinned.  An exception is raised when its item's turn comes, after
+    the results before it.  When the caller stops early, by an exception
+    or by closing the generator, no further item is claimed and every
+    worker is joined before control returns.  With one worker
     each item runs on the calling thread when its result is asked for, and
     no thread is started.
     """
@@ -133,7 +149,13 @@ def _in_order(fn, items, n_workers: int):
             claimed += 1
             return claimed - 1
 
-    def run() -> None:
+    def run(worker: int) -> None:
+        setaffinity = getattr(os, "sched_setaffinity", None)
+        if setaffinity is not None and _CPUS:
+            try:
+                setaffinity(0, {_CPUS[worker % len(_CPUS)]})
+            except OSError:
+                pass
         while (i := claim()) is not None:
             try:
                 outcome[i] = (fn(items[i]), None)
@@ -141,7 +163,8 @@ def _in_order(fn, items, n_workers: int):
                 outcome[i] = (None, exc)
             finished[i].set()
 
-    workers = [threading.Thread(target=run) for _ in range(min(n_workers, len(items)))]
+    workers = [threading.Thread(target=run, args=(k,))
+               for k in range(min(n_workers, len(items)))]
     for worker in workers:
         worker.start()
     try:
@@ -200,29 +223,6 @@ def _sin_squared(s: np.ndarray, scratch: np.ndarray) -> None:
     np.divide(s, scratch, out=s)
 
 
-def _sin_cos(phase: np.ndarray):
-    """``(sin(phase), cos(phase))`` from one ``np.tan`` of the half phase.
-
-    With ``tau = tan(phase / 2)`` they are ``2 tau / (1 + tau**2)`` and ``(1
-    - tau**2) / (1 + tau**2)``; numpy vectorises float64 ``tan`` but not
-    ``sin`` or ``cos`` (see :func:`_sin_squared`).  Both stay in [-1, 1],
-    are within a few eps of ``np.sin`` and ``np.cos`` for phases up to
-    1e300, give exactly ``(+-0, 1)`` at a phase of +-0, are odd and even in
-    the phase bit for bit, and stay finite where the half phase is the
-    double nearest an odd multiple of pi/2 and ``tau`` is about -2e18.
-    ``phase`` is overwritten: it becomes the returned sine.
-    """
-    np.multiply(phase, 0.5, out=phase)
-    np.tan(phase, out=phase)
-    cos = np.square(phase)
-    denom = cos + 1.0
-    np.subtract(1.0, cos, out=cos)
-    np.divide(cos, denom, out=cos)
-    np.multiply(phase, 2.0, out=phase)
-    np.divide(phase, denom, out=phase)
-    return phase, cos
-
-
 def _grid_step(t: np.ndarray):
     """The step of a single column ``t`` of at least ``2 * _GRID_BLOCK`` times
     that miss ``t[0] + j * step`` by a few ulps at most, as ``np.linspace``
@@ -250,9 +250,9 @@ def _kernel(table: ModeTable, t: np.ndarray, core: bool = True):
     :func:`_sin_squared`); it serves every time column but a grid: random
     times, per-chain columns, and short or unevenly spaced ones.  A grid
     (see :func:`_grid_step`), a single column of evenly spaced times, takes
-    ``sqrt(coef) * sin`` by angle addition instead, from the sine and
-    cosine (see :func:`_sin_cos`) at the first time of each block of
-    ``_GRID_BLOCK`` rows and of one table of the offsets in a block.
+    ``sqrt(coef) * sin`` by angle addition instead, from ``np.sin`` and
+    ``np.cos`` at the first time of each block of ``_GRID_BLOCK`` rows and
+    of one table of the offsets in a block.
     Before any chunk the table is checked against the floor of ``arg``
     (see :func:`_log_factors`): ``1 - coef``, the least ``arg`` at any
     time, must not fall below ``cinv**2`` by more than ``_CLAMP_SLACK``,
@@ -290,9 +290,9 @@ def _kernel(table: ModeTable, t: np.ndarray, core: bool = True):
         # whole blocks per chunk, so neither the chunks nor the threads move a bit
         rows = max(_GRID_BLOCK, rows - rows % _GRID_BLOCK)
         span = -(-n_times // _GRID_BLOCK) * _GRID_BLOCK
-        sin, cos = _sin_cos(np.arange(_GRID_BLOCK)[:, None, None] * step * lam1)
+        offset = np.arange(_GRID_BLOCK)[:, None, None] * step * lam1
         root = np.sqrt(coef)
-        cos_offset, sin_offset = root * cos, root * sin
+        cos_offset, sin_offset = root * np.cos(offset), root * np.sin(offset)
     starts = range(0, n_times, rows)
     log_le = np.empty((n_times, n_chains))
     log_core = np.empty((n_times, n_chains)) if core else None
@@ -321,12 +321,12 @@ def _kernel(table: ModeTable, t: np.ndarray, core: bool = True):
             _sin_squared(s, denom[: stop - start])
             np.multiply(s, coef, out=a)
         else:
-            sin_head, cos_head = _sin_cos(t[start:stop:_GRID_BLOCK, :, None] * lam1)
-            shape = (sin_head.shape[0], _GRID_BLOCK, n_chains, n_modes)
+            head = t[start:stop:_GRID_BLOCK, :, None] * lam1
+            shape = (head.shape[0], _GRID_BLOCK, n_chains, n_modes)
             s = arg[: shape[0] * _GRID_BLOCK].reshape(shape)
             c = logs[: shape[0] * _GRID_BLOCK].reshape(shape)
-            np.multiply(sin_head[:, None], cos_offset, out=s)
-            np.multiply(cos_head[:, None], sin_offset, out=c)
+            np.multiply(np.sin(head)[:, None], cos_offset, out=s)
+            np.multiply(np.cos(head)[:, None], sin_offset, out=c)
             np.add(s, c, out=s)
             np.square(a, out=a)
         _log_factors(a, b if core else None, cinv)

@@ -1,6 +1,7 @@
 """Echo time series: unit values, bounds, log-space route, dense-oracle parity."""
 
 import dataclasses
+import json
 import math
 import os
 import pathlib
@@ -375,27 +376,45 @@ def test_direct_route_sin_squared_is_as_accurate_as_np_sin():
         assert direct_err <= 2.0 * sin_err, (length, float(direct_err), float(sin_err))
 
 
-def test_grid_sines_and_cosines_from_one_tangent():
-    rng = np.random.default_rng(61)
-    eps = np.finfo(float).eps
-    # half of the last phase is the double nearest an odd multiple of pi/2,
-    # where the tangent is about -2.1e18
-    edge = math.ldexp(6381956970095103, 797)
-    assert -3e18 < np.tan(edge) < -1e18
-    signs = rng.choice([-1.0, 1.0], 100_000)
-    for phase in (np.array([0.0, -0.0, 2.0 * edge, -2.0 * edge]),
-                  rng.uniform(-1e6, 1e6, 200_000), signs * 10.0 ** rng.uniform(-150, 300, 100_000)):
-        sin, cos = echo._sin_cos(phase.copy())
-        assert ((np.abs(sin) <= 1.0) & (np.abs(cos) <= 1.0)).all()
-        assert np.abs(sin**2 + cos**2 - 1.0).max() <= 4.0 * eps
-        assert np.abs(sin - np.sin(phase)).max() <= 4.0 * eps
-        assert np.abs(cos - np.cos(phase)).max() <= 4.0 * eps
-        # odd and even in the phase, bit for bit, so a grid and its negation agree
-        neg_sin, neg_cos = echo._sin_cos(-phase)
-        assert np.array_equal(neg_sin, -sin) and np.array_equal(neg_cos, cos)
-    sin, cos = echo._sin_cos(np.array([0.0, -0.0]))
-    assert np.array_equal(np.signbit(sin), [False, True]) and (sin == 0.0).all()
-    assert (cos == 1.0).all()
+def _rounded_grid(table, t):
+    """``log_le`` by the grid route's steps, with each head's and offset's
+    sine and cosine taken in np.longdouble and rounded once to float64."""
+    step = echo._grid_step(t.reshape(-1, 1))
+    assert step is not None
+
+    def rounded(f, phase):
+        return f(phase.astype(np.longdouble)).astype(float)
+
+    root = np.sqrt(table.one_minus_cinv2 * table.alpha)
+    offset = np.arange(echo._GRID_BLOCK)[:, None] * step * table.lam1
+    head = t[:: echo._GRID_BLOCK, None] * table.lam1
+    s = (rounded(np.sin, head)[:, None] * (root * rounded(np.cos, offset))
+         + rounded(np.cos, head)[:, None] * (root * rounded(np.sin, offset)))
+    arg = np.maximum(1.0 - np.square(s).reshape(-1, table.n_modes)[: t.size], table.cinv**2)
+    return 2.0 * np.add.reduce(np.log((np.sqrt(arg) + table.cinv) / (1.0 + table.cinv)), axis=-1)
+
+
+@pytest.mark.skipif(not WIDE, reason=NOT_WIDE)
+def test_grid_route_loses_nothing_in_its_sines():
+    # 150 seeded random quenches on 256-point grids.  Where one mode's factor
+    # comes near its floor, an error in a sine is magnified 1/arg times: the
+    # grid route's worst log_le error (tables 45, 51, 107 and 114 of this
+    # seed) was 2.2, 4.3, 2.6 and 2.2 times that of correctly rounded sines
+    # and cosines when both came from one tangent of the half phase; from
+    # np.sin and np.cos it matches it on every table
+    rng = np.random.default_rng(1)
+    for _ in range(150):
+        length = 2 * int(rng.integers(10, 300))
+        h0, h1 = rng.uniform(-2.0, 2.0, 2)
+        g0, g1 = rng.uniform(-1.5, 1.5, 2)
+        beta = 10.0 ** rng.uniform(math.log10(0.03), math.log10(30.0))
+        t = np.linspace(0.0, 10.0 ** rng.uniform(1.0, 4.0), 256)
+        table = mode_table(QuenchParams(h0=h0, h1=h1, gamma0=g0, gamma1=g1,
+                                        beta=beta, length=length))
+        exact = _wide(table, t)["log_le"]
+        grid_err = np.abs(echo_point(table, t).log_le - exact).max()
+        rounded_err = np.abs(_rounded_grid(table, t) - exact).max()
+        assert grid_err <= 1.5 * rounded_err, (length, beta, float(grid_err), float(rounded_err))
 
 
 @pytest.mark.parametrize("start, stop, tpoints", [(0.0, 500.0, 1001), (0.0, -40.0, 128),
@@ -743,6 +762,117 @@ def test_one_usable_cpu_runs_the_kernel_inline():
     assert done.returncode == 0, done.stderr
     # 400 grid times of 999 modes are 4 chunks of 128 rows
     assert done.stdout.split() == ["1", "4", "True", "1"]
+
+
+MANY_CPUS = pytest.mark.skipif(len(echo._CPUS) < 2, reason="fewer than 2 usable CPUs")
+
+
+def _worker_masks(n_workers):
+    """The CPU mask of each of ``n_workers`` pool workers, one item each."""
+    # no worker can claim a second item before every worker holds one
+    all_in = threading.Barrier(n_workers, timeout=10.0)
+
+    def mask(_):
+        all_in.wait()
+        return os.sched_getaffinity(0)
+
+    return list(echo._in_order(mask, range(n_workers), n_workers))
+
+
+@MANY_CPUS
+def test_pool_workers_pin_one_cpu_each_in_turn():
+    cpus = echo._CPUS
+    assert cpus == tuple(sorted(os.sched_getaffinity(0)))
+    for n_workers in (2, len(cpus), len(cpus) + 1):
+        masks = _worker_masks(n_workers)
+        assert all(len(mask) == 1 and mask <= set(cpus) for mask in masks), masks
+        pinned = sorted(cpu for mask in masks for cpu in mask)
+        # round robin over the mask: distinct CPUs while they last
+        assert pinned == sorted(cpus[k % len(cpus)] for k in range(n_workers))
+        if n_workers <= len(cpus):
+            assert len(set(pinned)) == n_workers
+
+
+@MANY_CPUS
+def test_pool_leaves_the_calling_thread_unpinned():
+    before = os.sched_getaffinity(0)
+    assert list(echo._in_order(lambda i: i, range(20), 3)) == list(range(20))
+    assert os.sched_getaffinity(0) == before
+
+    def fail(i):
+        if i == 2:
+            raise OSError("item 2")
+        return i
+
+    with pytest.raises(OSError, match="item 2"):
+        list(echo._in_order(fail, range(20), 3))
+    assert os.sched_getaffinity(0) == before
+    results = echo._in_order(lambda i: time.sleep(0.01) or i, range(50), 3)
+    assert next(results) == 0
+    results.close()
+    assert os.sched_getaffinity(0) == before
+
+
+@MANY_CPUS
+@pytest.mark.parametrize("setaffinity", ["raises", "absent"])
+def test_pool_runs_unpinned_without_sched_setaffinity(setaffinity, monkeypatch):
+    table = _table(length=60, beta=2.0)
+    t = np.linspace(-5.0, 400.0, 1001)
+    monkeypatch.setattr(echo, "_CHUNK_BYTES", 8)
+    monkeypatch.setenv("THERMALECHO_THREADS", "2")
+    pinned = echo_point(table, t)
+    if setaffinity == "raises":
+        def refuse(pid, mask):
+            raise OSError(22, "Invalid argument")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    else:
+        monkeypatch.delattr(os, "sched_setaffinity")
+    # each worker keeps the mask it was started with, the calling thread's
+    assert _worker_masks(2) == [os.sched_getaffinity(0)] * 2
+    unpinned = echo_point(table, t)
+    for name in FIELDS:
+        assert np.array_equal(getattr(unpinned, name), getattr(pinned, name)), name
+
+
+@MANY_CPUS
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_fresh_process_workers_run_on_their_own_cpus(tmp_path):
+    # a new process's threads start on the CPU of the thread that made them;
+    # each of a timeseries' two workers must be on a CPU of its own
+    script = (
+        "import json, sys, threading\n"
+        "from thermalecho import cli, echo\n"
+        "seen = []\n"
+        "real_log_factors = echo._log_factors\n"
+        "def log_factors(*args):\n"
+        "    tid = threading.get_native_id()\n"
+        "    with open(f'/proc/self/task/{tid}/status') as status:\n"
+        "        cpus = [line.split()[1] for line in status\n"
+        "                if line.startswith('Cpus_allowed_list:')]\n"
+        "    seen.append((tid, cpus[0]))\n"
+        "    real_log_factors(*args)\n"
+        "echo._log_factors = log_factors\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(json.dumps([code, threading.get_native_id(), seen]))\n"
+    )
+    # 20001 grid times of 999 modes: 157 chunks of 128 rows
+    argv = ["timeseries", "--length", "2000", "--tpoints", "20001", "--tmax", "500",
+            "--output", str(tmp_path / "ts")]
+    env = dict(os.environ, THERMALECHO_THREADS="2",
+               PYTHONPATH=str(pathlib.Path(thermalecho.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    code, caller, seen = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0 and len(seen) >= 128
+    masks = {}
+    for tid, cpus in seen:
+        masks.setdefault(tid, set()).add(cpus)
+    assert caller not in masks and len(masks) == 2, masks
+    # one single-CPU mask per worker, from its first chunk to its last
+    (first,), (second,) = masks.values()
+    assert first.isdigit() and second.isdigit() and first != second, masks
 
 
 def test_dense_oracle_round_trip(pinned):
