@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModeTable
+from .model import ModeTable, QuenchParams
 from .special import _elliptic_ek
 
 __all__ = ["LongTime", "long_time"]
@@ -191,7 +191,7 @@ def long_time(table: ModeTable) -> LongTime:
         var_le=var_le,
     )
     # columns that every chain shares give one value, which a block repeats
-    if isinstance(table.params, tuple):
+    if not isinstance(table.params, QuenchParams):
         return LongTime(**{name: np.broadcast_to(values, table.n_chains)
                            for name, values in fields.items()})
     return LongTime(**{name: float(values[0]) for name, values in fields.items()})

@@ -398,7 +398,8 @@ def cmd_distribution(cfg: RunConfig) -> int:
                 f"temperatures {ladder[tags.index(tag)]!r} and {ladder[i]!r} share the "
                 f"file tag {tag}; rungs must differ in their first 6 significant digits")
     # the rungs share one length, so their blocks hold them in rung order
-    blocks = list(model._blocks([params for _, params in rungs]))
+    blocks = list(model._blocks({name: [getattr(params, name) for _, params in rungs]
+                                 for name in model._FIELDS}))
     # and one draw of times, so the sampler takes each sine once per block
     ladder_sample = stats.sample_logle([block for _, block in blocks],
                                        cfg.tau_factor * cfg.length**2, cfg.samples, cfg.seed)
@@ -556,22 +557,22 @@ def cmd_scan(cfg: RunConfig) -> int:
                                            indexing="ij")]
     # every config value is checked, also one that a swept axis overrides
     config = dataclasses.asdict(_params_for(cfg))
-    chains = []
-    for point in zip(*(g.tolist() for g in grid)):
-        swept = dict(zip(names, point))
-        if thermal:
-            # a swept temperature wins over a swept beta, which wins over the config
-            swept["beta"] = _beta_of(swept.pop("beta", None), swept.pop("temperature", None))
-        chains.append(QuenchParams(**{**config, **swept}))
+    n_points = grid[0].size
+    swept = {name: g.tolist() for name, g in zip(names, grid)}
+    if thermal:
+        # a swept temperature wins over a swept beta, which wins over the config
+        swept["beta"] = [_beta_of(beta, temperature) for beta, temperature in zip(
+            swept.pop("beta", [None] * n_points), swept.pop("temperature", [None] * n_points))]
+    columns = {name: swept.get(name, [value] * n_points) for name, value in config.items()}
     # the long-time statistics and the shape verdicts, one pass per block of chains
     found: dict[str, np.ndarray] = {}
-    for indices, block in model._blocks(chains):
+    for indices, block in model._blocks(columns):
         spectrum = stats.weights(block)
         verdict = stats.classify(spectrum)
         rows = {**vars(averages.long_time(block)), "kappa2": spectrum.kappa2,
                 "dominance": verdict.dominance, "label": verdict.label}
         for name in found_names:
-            found.setdefault(name, np.empty(len(chains), rows[name].dtype))[indices] = rows[name]
+            found.setdefault(name, np.empty(n_points, rows[name].dtype))[indices] = rows[name]
     _write_table(cfg, "scan", names + found_names, grid + [found[name] for name in found_names])
     return EXIT_OK
 
@@ -612,14 +613,19 @@ _VERIFY_FLAGS = ("seed", "output", "inject_failure")
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    from . import verify
+    from . import echo, verify
 
-    results = {}
-    for name, (suite, offset, data) in _VERIFY_DATA.items():
+    def run(name: str) -> tuple[str, dict]:
+        suite, offset, data = _VERIFY_DATA[name]
         kwargs = dict(data) if offset is None else {**data, "seed": cfg.seed + offset}
         if suite == "bound_suite":
             kwargs["inject_failure"] = cfg.inject_failure
-        outcome = getattr(verify, suite)(**kwargs)
+        return name, getattr(verify, suite)(**kwargs)
+
+    # the suites share no state: they run on the pool, and report here in order
+    results = {}
+    workers = min(echo._thread_count(), len(_VERIFY_DATA))
+    for name, outcome in echo._in_order(run, _VERIFY_DATA, workers):
         # strict JSON: a failing suite's non-finite numbers become null
         results[name] = json.loads(json.dumps(outcome), parse_constant=lambda _: None)
         print(f"{name}: {'pass' if outcome['passed'] else 'FAIL'}")

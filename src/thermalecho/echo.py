@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModeTable
+from .model import ModeTable, QuenchParams
 
 __all__ = ["EchoPoint", "echo_point"]
 
@@ -360,7 +360,7 @@ def echo_point(table: ModeTable, t) -> EchoPoint:
     """
     t_arr = np.asarray(t, dtype=float)
     n_chains = table.n_chains
-    block = isinstance(table.params, tuple)
+    block = not isinstance(table.params, QuenchParams)
     if block and (t_arr.ndim not in (1, 2) or t_arr.ndim == 2 and t_arr.shape[0] != n_chains):
         raise ValueError(f"times of a block of {n_chains} chains must have shape (n_times,) "
                          f"or ({n_chains}, n_times), got {t_arr.shape}")

@@ -7,8 +7,10 @@ and thermal occupation ratios at the initial inverse temperature.  All
 thermal factors are evaluated through ``exp(-x)`` and ``tanh`` so that large
 ``beta * lambda`` never overflows and the zero-temperature limit is exact.
 Many chains of one length are built at once, as blocks of bounded size:
-a block is a :class:`ModeTable` whose ``params`` is the tuple of its
-chains' quenches and whose columns are ``(chains, modes)`` arrays, or
+they come as columns, one array or list of values per field of
+:class:`QuenchParams`, and a block is a :class:`ModeTable` whose
+``params`` is the sequence of its chains' quenches, each made only when it
+is asked for, and whose columns are ``(chains, modes)`` arrays, or
 ``(modes,)`` rows that every chain shares.  One table is the one-chain
 case.  Every layer reads a table's attributes, so the echo, the long-time
 statistics, the weights and the sampler take a block as they take one
@@ -18,8 +20,8 @@ table.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -116,12 +118,12 @@ class ModeTable:
 
     One chain's table has its :class:`QuenchParams` as ``params`` and
     ``(modes,)`` columns.  A block of equal-length chains (see
-    :func:`_blocks`) has the tuple of their quenches, and ``(chains,
+    :func:`_blocks`) has the sequence of their quenches, and ``(chains,
     modes)`` columns whose row ``i`` has the bits of chain ``i``'s table,
     or a ``(modes,)`` row, such as ``k``, where every chain has the same.
     """
 
-    params: QuenchParams | tuple[QuenchParams, ...]
+    params: QuenchParams | Sequence[QuenchParams]
     k: np.ndarray
     lam0: np.ndarray
     lam1: np.ndarray
@@ -141,7 +143,7 @@ class ModeTable:
 
     @property
     def n_chains(self) -> int:
-        return len(self.params) if isinstance(self.params, tuple) else 1
+        return 1 if isinstance(self.params, QuenchParams) else len(self.params)
 
     @property
     def omega(self) -> np.ndarray:
@@ -188,19 +190,81 @@ def _shared(values: np.ndarray):
     return values[0] if (bits == bits[0]).all() else values[:, None]
 
 
-def _blocks(chains: Sequence[QuenchParams]):
+# the fields of QuenchParams, in order: the columns that _blocks takes
+_FIELDS = tuple(field.name for field in fields(QuenchParams))
+
+
+class _Chains(Sequence):
+    """The quenches of a block's chains, each made when it is asked for.
+
+    It holds the block's ``(5, chains)`` float parameters and its int
+    lengths, so a block of many chains costs no :class:`QuenchParams` until
+    one is read.  ``len``, indexing, iteration and ``==`` with a tuple work
+    as on the tuple of the chains' quenches.
+    """
+
+    __slots__ = ("_values", "_lengths")
+
+    def __init__(self, values: np.ndarray, lengths: np.ndarray) -> None:
+        self._values, self._lengths = values, lengths
+
+    def __len__(self) -> int:
+        return self._lengths.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _Chains(self._values[:, i], self._lengths[i])
+        return QuenchParams(*self._values[:, i].tolist(), self._lengths[i].item())
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _Chains)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"_Chains({tuple(self)!r})"
+
+
+def _columns(columns: Mapping[str, Sequence]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(5, chains)`` float parameters and the int lengths of ``columns``.
+
+    :class:`QuenchParams`' checks run on whole columns; where a chain fails
+    one, the first such chain is built as a :class:`QuenchParams`, which
+    raises its own message, so the error is the one that building every
+    chain in order would raise.
+    """
+    raw = [columns[name] for name in _FIELDS]
+    if len({len(column) for column in raw}) > 1:
+        raise ValueError("parameter columns must hold one value per chain, got "
+                         + ", ".join(f"{len(c)} {name}" for name, c in zip(_FIELDS, raw)))
+    values = np.array(raw[:5], dtype=float)
+    length = raw[5]
+    # a numpy integer column is checked whole, a list value by value
+    ints = (length.dtype.kind in "iu" if isinstance(length, np.ndarray)
+            else all(isinstance(v, int) and not isinstance(v, bool) for v in length))
+    lengths = np.asarray(length, dtype=np.int64) if ints else None
+    if not (ints and np.isfinite(values[:4]).all() and (values[4] > 0.0).all()
+            and ((lengths >= 2) & (lengths % 2 == 0)).all()):
+        for chain in zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in raw)):
+            QuenchParams(*chain)
+    return values, lengths
+
+
+def _blocks(columns: Mapping[str, Sequence]):
     """Yield ``(indices, block)`` for blocks of equal-length chains.
 
-    Chains of one length share blocks of at most ``_GROUP_MODES`` modes in
-    all (a longer chain is a block of its own); ``indices`` are the
-    positions in ``chains`` of a block's chains, ascending, and ``block``
-    is their :class:`ModeTable`, built at once.  A quench parameter that
-    every chain of the block shares is built once, so columns that depend
-    on shared parameters only are ``(modes,)`` rows.
+    ``columns`` maps each field of :class:`QuenchParams` to one value per
+    chain, as a list or a numpy array (``length`` as Python ints or an
+    integer array); the values pass :class:`QuenchParams`' checks, with its
+    messages (see :func:`_columns`).  Chains of one length share blocks of
+    at most ``_GROUP_MODES`` modes in all (a longer chain is a block of its
+    own); ``indices`` are the positions of a block's chains, ascending, and
+    ``block`` is their :class:`ModeTable`, built at once, whose ``params``
+    makes chain ``i``'s :class:`QuenchParams` only when it is read.  A
+    quench parameter that every chain of the block shares is built once, so
+    columns that depend on shared parameters only are ``(modes,)`` rows.
     """
-    lengths = np.array([p.length for p in chains], dtype=int)
-    values = np.array([(p.h0, p.h1, p.gamma0, p.gamma1, p.beta) for p in chains],
-                      dtype=float).reshape(-1, 5)
+    values, lengths = _columns(columns)
     # ascending, as np.unique would give them, without its numpy.ma import
     for length in sorted(set(lengths.tolist())):
         k = momenta(length)
@@ -208,5 +272,5 @@ def _blocks(chains: Sequence[QuenchParams]):
         per_block = max(1, _GROUP_MODES // k.size)
         for first in range(0, same.size, per_block):
             block = same[first : first + per_block]
-            yield block, _table(tuple(chains[i] for i in block.tolist()), k,
-                                *map(_shared, values[block].T))
+            rows = values[:, block]
+            yield block, _table(_Chains(rows, lengths[block]), k, *map(_shared, rows))

@@ -44,6 +44,9 @@ __all__ = [
 ]
 
 DIM_CAP = 4096
+# complex bytes of one group of a block's (times x dim x dim) evolution
+# matrices in the dense echo; the value only affects speed and memory
+_TIME_GROUP_BYTES = 1 << 23
 _GAP_TOL = 1e-10
 _HERMITIAN_TOL = 1e-12
 _DENSITY_HERMITIAN_TOL = 1e-10
@@ -266,8 +269,12 @@ def exact_le(H0, H1, beta: float, t) -> ExactEcho:
     weights are normalised over all blocks together, and per block and time
     ``B(t) = sqrt(p) U(t) sqrt(p)`` in the initial eigenbasis gives the echo
     (the squared sum of the blocks' nuclear norms) and the overlap (the sum
-    of their squared Frobenius norms).  Post-quench levels closer than 1e-10
-    share one projector when dephasing.
+    of their squared Frobenius norms).  A block takes its times in groups of
+    at most ``_TIME_GROUP_BYTES`` of matrices (one time where a single
+    matrix is larger, as at L = 12), each group as one stacked product and
+    one stacked ``np.linalg.svd``; every time gets the bits it gets on its
+    own.  Post-quench levels closer than 1e-10 share one projector when
+    dephasing.
     """
     H0 = _require_hermitian(H0, "H0")
     H1 = _require_hermitian(H1, "H1")
@@ -290,11 +297,14 @@ def exact_le(H0, H1, beta: float, t) -> ExactEcho:
         labels = np.cumsum(np.diff(s1.energies, prepend=s1.energies[0]) > _GAP_TOL)
         dephased += float(np.sum(np.abs(r * (labels[:, None] == labels[None, :])) ** 2))
         sp = np.sqrt(p)
-        for i, tt in enumerate(t_arr):
-            u = (m * np.exp(-1j * s1.energies * float(tt))) @ mh
+        rate = -1j * s1.energies
+        per_group = max(1, _TIME_GROUP_BYTES // (16 * m.size))
+        for first in range(0, t_arr.size, per_group):
+            group = slice(first, first + per_group)
+            u = (m * np.exp(rate * t_arr[group, None, None])) @ mh
             b = (sp[:, None] * u) * sp[None, :]
-            nuclear[i] += np.linalg.svd(b, compute_uv=False).sum()
-            lef[i] += np.sum(np.abs(b) ** 2)
+            nuclear[group] += np.linalg.svd(b, compute_uv=False).sum(axis=-1)
+            lef[group] += np.sum(np.abs(b) ** 2, axis=(-2, -1))
     return ExactEcho(le=_shaped(nuclear**2, t), lef=_shaped(lef, t),
                      purity=float(np.sum(weights**2)),
                      dephased_purity=dephased)

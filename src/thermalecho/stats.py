@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModeTable
+from .model import ModeTable, QuenchParams
 
 __all__ = [
     "Classification",
@@ -147,7 +147,7 @@ def weights(table: ModeTable, use_second_order: bool = False) -> WeightSpectrum:
     a_f = table.one_minus_cinv2 * amp / 2.0
     # the table, not the columns' shape, tells a block: one of identical
     # chains has only shared rows
-    if isinstance(table.params, tuple):
+    if not isinstance(table.params, QuenchParams):
         shape = (table.n_chains, table.n_modes)
         a, a_f = np.broadcast_to(a, shape), np.broadcast_to(a_f, shape)
     return WeightSpectrum(a=a, a_f=a_f, second_order=use_second_order)

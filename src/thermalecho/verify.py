@@ -6,10 +6,14 @@ arguments named like the keys of ``tests/fixtures/oracle_seeds.json``,
 draws and computes what it checks, and builds its JSON-ready report
 directly: plain ints, floats and lists, with the verdict in ``passed``.
 ``thermalecho verify`` and the acceptance gate run the same suites on their
-own data.  The other layers supply only the quantities and reference
-routes, called through their module attributes (``echo.echo_point``,
-``oracle.uhlmann``, ``oracle.q_function``), so a tracer that rebinds those
-sees every call.
+own data.  The suites share no state, so ``verify`` runs them side by side
+on the echo layer's thread pool, and each does its bulk work in numpy and
+LAPACK, which let the other threads run: the dense echo stacks its times,
+the bound suite hands its draws to ``model._blocks`` as columns, and the
+qubit suite works on 1-D component arrays.  The other layers supply only
+the quantities and reference routes, called through their module
+attributes (``echo.echo_point``, ``oracle.uhlmann``, ``oracle.q_function``),
+so a tracer that rebinds those sees every call.
 """
 
 from __future__ import annotations
@@ -38,6 +42,11 @@ def oracle_equivalence(*, seed, lengths, n_param_sets, n_times, field_range,
     effective dimension and the dephased purity (the infinite-time overlap
     echo) for ``n_param_sets`` quenches per chain length.
     """
+    if len(lengths) < 1:
+        raise ValueError(f"lengths must hold at least one chain length, got {lengths!r}")
+    for name, count in (("n_param_sets", n_param_sets), ("n_times", n_times)):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
     # np.max keeps a NaN error, which Python's max drops unless it comes first
     errors, d_eff_errors = [], []
@@ -89,16 +98,12 @@ def bound_suite(*, seed, n_trials, max_length, field_range, anisotropy_range, be
     betas = rng.uniform(*beta_range, size=n_trials)
     times = np.zeros((n_trials, 2))
     times[:, 0] = rng.uniform(*time_range, size=n_trials)
-    # QuenchParams takes a Python int length only, hence the lists
-    chains = [
-        model.QuenchParams(h0=h0, h1=h1, gamma0=g0, gamma1=g1, beta=beta, length=length)
-        for length, (h0, h1), (g0, g1), beta in zip(
-            lengths.tolist(), fields.tolist(), anisotropies.tolist(), betas.tolist())
-    ]
+    columns = {"h0": fields[:, 0], "h1": fields[:, 1], "gamma0": anisotropies[:, 0],
+               "gamma1": anisotropies[:, 1], "beta": betas, "length": lengths}
     # one pass per block covers its chains at both their random time and t = 0;
     # np.min and np.max keep a NaN, whichever block it comes from
     slacks, t0_devs = [], []
-    for indices, block in model._blocks(chains):
+    for indices, block in model._blocks(columns):
         pt = echo.echo_point(block, times[indices])
         lower = pt.lower[:, 0]
         if inject_failure:
@@ -116,10 +121,8 @@ def bound_suite(*, seed, n_trials, max_length, field_range, anisotropy_range, be
     }
 
 
-def _bloch_state(v: np.ndarray) -> np.ndarray:
-    return 0.5 * np.array(
-        [[1.0 + v[2], v[0] - 1j * v[1]], [v[0] + 1j * v[1], 1.0 - v[2]]]
-    )
+def _bloch_state(x: float, y: float, z: float) -> np.ndarray:
+    return 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]])
 
 
 def qubit_inequality(*, seed, n_trials, slack_floor, closed_form_tolerance,
@@ -139,22 +142,26 @@ def qubit_inequality(*, seed, n_trials, slack_floor, closed_form_tolerance,
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     rng = np.random.default_rng(seed)
-    direction = rng.normal(size=(n_trials, 3))
-    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    # each vector as its three components, in the (x + y) + z order of a sum
+    # over a row; a direction is a normal draw over its norm
+    x, y, z = rng.normal(size=(n_trials, 3)).T
+    norm = np.sqrt((x * x + y * y) + z * z)
     radius = rng.uniform(0.0, 1.0, n_trials)
-    v = direction * radius[:, None]
-    axis = rng.normal(size=(n_trials, 3))
-    axis /= np.linalg.norm(axis, axis=1)[:, None]
+    vx, vy, vz = x / norm * radius, y / norm * radius, z / norm * radius
+    x, y, z = rng.normal(size=(n_trials, 3)).T
+    norm = np.sqrt((x * x + y * y) + z * z)
+    ax, ay, az = x / norm, y / norm, z / norm
     angle = rng.uniform(0.0, math.pi, n_trials)
-    cos_a = np.cos(angle)[:, None]
-    sin_a = np.sin(angle)[:, None]
-    v_t = (
-        v * cos_a
-        + np.cross(axis, v) * sin_a
-        + axis * np.sum(axis * v, axis=1)[:, None] * (1.0 - cos_a)
-    )
-    v2 = np.sum(v * v, axis=1)
-    dot = np.sum(v * v_t, axis=1)
+    cos_a = np.cos(angle)
+    sin_a = np.sin(angle)
+    # Rodrigues: v cos + (axis x v) sin + axis (axis . v)(1 - cos)
+    along = (ax * vx + ay * vy) + az * vz
+    one_m_cos = 1.0 - cos_a
+    wx = (vx * cos_a + (ay * vz - az * vy) * sin_a) + ax * along * one_m_cos
+    wy = (vy * cos_a + (az * vx - ax * vz) * sin_a) + ay * along * one_m_cos
+    wz = (vz * cos_a + (ax * vy - ay * vx) * sin_a) + az * along * one_m_cos
+    v2 = (vx * vx + vy * vy) + vz * vz
+    dot = (vx * wx + vy * wy) + vz * wz
     purity = 0.5 * (1.0 + v2)
     overlap = 0.5 * (1.0 + dot)
     # two-level fidelity: Tr[rho sigma] + 2 sqrt(det rho det sigma)
@@ -164,7 +171,8 @@ def qubit_inequality(*, seed, n_trials, slack_floor, closed_form_tolerance,
     violations = int(np.sum(slack < -1e-12))
     min_slack = float(np.min(slack))
     max_closed_form_dev = float(np.max(np.abs((purity * fid - overlap) - closed)))
-    route_devs = [abs(oracle.uhlmann(_bloch_state(v[i]), _bloch_state(v_t[i])) - float(fid[i]))
+    route_devs = [abs(oracle.uhlmann(_bloch_state(vx[i], vy[i], vz[i]),
+                                     _bloch_state(wx[i], wy[i], wz[i])) - float(fid[i]))
                   for i in range(0, n_trials, _CROSS_CHECK_STRIDE)]
     max_route_dev = float(np.max(route_devs, initial=0.0))
     return {
@@ -189,6 +197,10 @@ def q_function_scan(*, x_max, v_max, nx, nv) -> dict:
     """
     if not (0.0 < v_max <= 2.0):
         raise ValueError(f"v_max must lie in (0, 2], got {v_max}")
+    # the curvature in v needs three points of it
+    for name, count, least in (("nx", nx, 1), ("nv", nv, 3)):
+        if count < least:
+            raise ValueError(f"{name} must be >= {least}, got {count}")
     x = np.linspace(0.0, float(x_max), int(nx))
     v = np.linspace(0.0, float(v_max), int(nv))
     # whole x rows per block: each row's curvature needs only that row, so
@@ -220,6 +232,8 @@ def perturbation_scaling(*, seed, dim, beta, times, base_scale, halvings, ratio_
     Each halving of the perturbation must divide the largest error over
     ``times`` by about 2**3, within ``[ratio_low, ratio_high]``.
     """
+    if halvings < 1:
+        raise ValueError(f"halvings must be >= 1, got {halvings}")
     rng = np.random.default_rng(seed)
     ham0 = oracle.random_hermitian(dim, rng)
     pert = oracle.random_hermitian(dim, rng)

@@ -8,7 +8,11 @@ perturbation report are the dense, second-order picture of one small
 quench; ``elliptic_e`` is the checked scalar-or-array wrapper around the
 AGM loop that :mod:`thermalecho.averages` runs, so testing it tests that
 loop.  The bell widths found by finite differences on a fine grid check
-the closed-form widths of :mod:`thermalecho.stats`.
+the closed-form widths of :mod:`thermalecho.stats`.  ``exact_le_per_time``
+and ``qubit_inequality_rows`` are the former one-time-at-a-time dense echo
+and ``(n, 3)`` qubit suite, which the batched routes must match bit for
+bit, and ``chain_columns`` turns a list of quenches into the columns
+``model._blocks`` takes.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from thermalecho import oracle
+from thermalecho import model, oracle, verify
 from thermalecho.special import _elliptic_ek
 from thermalecho.stats import WeightSpectrum, bell_aniso, bell_ising
 
@@ -252,3 +256,88 @@ def perturbation_report(H0, V, beta: float) -> PerturbationReport:
         nonclassical=metric.nonclassical,
         lbar_perturbative=1.0 - float(np.sum(c)),
     )
+
+
+def chain_columns(chains) -> dict[str, list]:
+    """The quenches ``chains`` as ``model._blocks`` takes them: one list per field."""
+    return {name: [getattr(p, name) for p in chains] for name in model._FIELDS}
+
+
+def exact_le_per_time(H0, H1, beta: float, t) -> oracle.ExactEcho:
+    """``oracle.exact_le`` as it was: one product and one SVD per block and time."""
+    H0 = oracle._require_hermitian(H0, "H0")
+    H1 = oracle._require_hermitian(H1, "H1")
+    t_arr = oracle._flat_times(t)
+    pairs = [(oracle.spectral(H0[np.ix_(b, b)]), oracle.spectral(H1[np.ix_(b, b)]))
+             for b in oracle._blocks(H0, H1)]
+    weights = oracle._gibbs_weights(np.concatenate([s0.energies for s0, _ in pairs]), beta)
+    nuclear = np.zeros(t_arr.shape)
+    lef = np.zeros(t_arr.shape)
+    dephased = 0.0
+    start = 0
+    for s0, s1 in pairs:
+        p = weights[start : start + s0.energies.size]
+        start += p.size
+        m = s0.states.conj().T @ s1.states
+        mh = m.conj().T
+        r = (mh * p) @ m
+        labels = np.cumsum(np.diff(s1.energies, prepend=s1.energies[0]) > oracle._GAP_TOL)
+        dephased += float(np.sum(np.abs(r * (labels[:, None] == labels[None, :])) ** 2))
+        sp = np.sqrt(p)
+        for i, tt in enumerate(t_arr):
+            u = (m * np.exp(-1j * s1.energies * float(tt))) @ mh
+            b = (sp[:, None] * u) * sp[None, :]
+            nuclear[i] += np.linalg.svd(b, compute_uv=False).sum()
+            lef[i] += np.sum(np.abs(b) ** 2)
+    return oracle.ExactEcho(le=oracle._shaped(nuclear**2, t), lef=oracle._shaped(lef, t),
+                            purity=float(np.sum(weights**2)), dephased_purity=dephased)
+
+
+def _bloch_state(v: np.ndarray) -> np.ndarray:
+    return 0.5 * np.array(
+        [[1.0 + v[2], v[0] - 1j * v[1]], [v[0] + 1j * v[1], 1.0 - v[2]]]
+    )
+
+
+def qubit_inequality_rows(*, seed, n_trials, slack_floor, closed_form_tolerance,
+                          route_tolerance) -> dict:
+    """``verify.qubit_inequality`` as it was: vectors as the rows of ``(n, 3)``
+    arrays, with ``np.cross`` and ``np.linalg.norm``."""
+    rng = np.random.default_rng(seed)
+    direction = rng.normal(size=(n_trials, 3))
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    radius = rng.uniform(0.0, 1.0, n_trials)
+    v = direction * radius[:, None]
+    axis = rng.normal(size=(n_trials, 3))
+    axis /= np.linalg.norm(axis, axis=1)[:, None]
+    angle = rng.uniform(0.0, math.pi, n_trials)
+    cos_a = np.cos(angle)[:, None]
+    sin_a = np.sin(angle)[:, None]
+    v_t = (
+        v * cos_a
+        + np.cross(axis, v) * sin_a
+        + axis * np.sum(axis * v, axis=1)[:, None] * (1.0 - cos_a)
+    )
+    v2 = np.sum(v * v, axis=1)
+    dot = np.sum(v * v_t, axis=1)
+    purity = 0.5 * (1.0 + v2)
+    overlap = 0.5 * (1.0 + dot)
+    fid = overlap + 0.5 * (1.0 - v2)
+    slack = fid - overlap / purity
+    closed = (v2 - dot) * (1.0 - v2) / 4.0
+    violations = int(np.sum(slack < -1e-12))
+    min_slack = float(np.min(slack))
+    max_closed_form_dev = float(np.max(np.abs((purity * fid - overlap) - closed)))
+    route_devs = [abs(oracle.uhlmann(_bloch_state(v[i]), _bloch_state(v_t[i])) - float(fid[i]))
+                  for i in range(0, n_trials, verify._CROSS_CHECK_STRIDE)]
+    max_route_dev = float(np.max(route_devs, initial=0.0))
+    return {
+        "passed": violations == 0
+        and min_slack >= slack_floor
+        and max_closed_form_dev < closed_form_tolerance
+        and max_route_dev < route_tolerance,
+        "violations": violations,
+        "min_slack": min_slack,
+        "max_closed_form_dev": max_closed_form_dev,
+        "max_route_dev": max_route_dev,
+    }

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from thermalecho import QuenchParams, long_time, mode_table
 from thermalecho import averages, model, oracle
 
+from reference import chain_columns
+
 fields = st.floats(-2.0, 2.0, allow_nan=False)
 couplings = st.floats(-1.5, 1.5, allow_nan=False)
 betas = st.floats(0.05, 30.0, allow_nan=False)
@@ -425,7 +427,7 @@ _MODE_COLUMNS = ("k", "lam0", "lam1", "dtheta", "alpha", "cinv", "one_minus_cinv
 def _assert_rows_are_tables(chains):
     """Every column of each row of the one block of ``chains`` has the bits
     of that chain's own table; returns the block."""
-    ((indices, block),) = model._blocks(chains)
+    ((indices, block),) = model._blocks(chain_columns(chains))
     assert indices.tolist() == list(range(len(chains)))
     assert block.params == tuple(chains) and block.n_chains == len(chains)
     assert block.length == chains[0].length and block.n_modes == chains[0].length // 2
@@ -493,7 +495,7 @@ def _assert_block_keeps_the_bits(chains, block):
 def test_a_block_of_shared_rows_keeps_its_chain_axis(n_chains):
     # one chain, or identical chains, share every column as one (modes,) row
     chains = [QuenchParams(h0=0.5, h1=0.9, gamma0=1.0, gamma1=1.0, beta=2.0, length=8)] * n_chains
-    ((_, block),) = model._blocks(chains)
+    ((_, block),) = model._blocks(chain_columns(chains))
     assert block.cinv.shape == block.alpha.shape == (4,)
     _assert_block_keeps_the_bits(chains, block)
 
@@ -515,6 +517,6 @@ def test_smallquench_variance_is_nan_above_a_quarter():
     assert _bits(long_time(table).smallquench_var) == _bits(term)
     # and a block writes NaN on its strong rows only
     strong = dataclasses.replace(STRONG, length=2000)
-    ((_, block),) = model._blocks([strong, dataclasses.replace(strong, h1=0.2001)])
+    ((_, block),) = model._blocks(chain_columns([strong, dataclasses.replace(strong, h1=0.2001)]))
     values = long_time(block).smallquench_var
     assert math.isnan(values[0]) and 0.0 <= values[1] <= 0.25

@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import pathlib
+import threading
 import warnings
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermalecho import _csvfile, averages, cli, echo, model, stats
+from thermalecho import _csvfile, averages, cli, echo, model, stats, verify
 
 
 def _run(args, tmp_path, monkeypatch):
@@ -205,8 +206,8 @@ def test_scan_takes_its_verdicts_per_block(tmp_path, monkeypatch):
         calls["classify"] += 1
         return real_classify(spectrum, histogram)
 
-    def counted_blocks(chains):
-        for block in real_blocks(chains):
+    def counted_blocks(columns):
+        for block in real_blocks(columns):
             calls["blocks"] += 1
             yield block
 
@@ -1013,7 +1014,7 @@ def test_verify_fails_on_nan_and_writes_strict_json(tmp_path, monkeypatch, capsy
     def nan_point(table, t):
         pt = real(table, t)
         # the oracle suite's tables only; the bound suite passes blocks
-        if isinstance(table.params, tuple):
+        if not isinstance(table.params, model.QuenchParams):
             return pt
         return dataclasses.replace(pt, le=np.full_like(pt.le, math.nan))
 
@@ -1101,6 +1102,63 @@ def test_verify_thread_count_does_not_change_bytes(tmp_path, monkeypatch, capsys
         assert _run(["verify"], out, monkeypatch) == 0
         runs.append((capsys.readouterr().out, (out / "verify.json").read_bytes()))
     assert runs[0] == runs[1]
+
+
+def _wrap_suite(monkeypatch, suite, before=None):
+    """Run ``before(name)`` ahead of verify's ``suite`` whenever it is called."""
+    real = getattr(verify, suite)
+
+    def wrapped(**kwargs):
+        if before is not None:
+            before(suite)
+        return real(**kwargs)
+
+    monkeypatch.setattr(verify, suite, wrapped)
+
+
+def test_verify_suites_overlap_on_two_threads(tmp_path, monkeypatch, capsys):
+    # the first suite waits for the second, which only another worker can run
+    started, waited = threading.Event(), []
+    _wrap_suite(monkeypatch, "oracle_equivalence",
+                lambda _: waited.append(started.wait(timeout=10.0)))
+    _wrap_suite(monkeypatch, "bound_suite", lambda _: started.set())
+    monkeypatch.setenv("THERMALECHO_THREADS", "2")
+    assert _run(["verify"], tmp_path, monkeypatch) == 0
+    assert waited == [True]
+    assert capsys.readouterr().out.splitlines()[:2] == ["oracle_equivalence: pass",
+                                                         "bounds: pass"]
+
+
+def test_verify_runs_in_order_on_the_calling_thread_at_one_thread(tmp_path, monkeypatch):
+    threads = threading.enumerate()
+    seen = []
+    for suite, _, _ in cli._VERIFY_DATA.values():
+        _wrap_suite(monkeypatch, suite, lambda suite: seen.append(
+            (suite, threading.current_thread(), threading.enumerate())))
+    monkeypatch.setenv("THERMALECHO_THREADS", "1")
+    assert _run(["verify"], tmp_path, monkeypatch) == 0
+    assert [suite for suite, _, _ in seen] == [suite for suite, _, _ in cli._VERIFY_DATA.values()]
+    assert all(thread is threading.current_thread() and during == threads
+               for _, thread, during in seen)
+    assert threading.enumerate() == threads
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_verify_suite_that_raises_stops_the_run(threads, tmp_path, monkeypatch, capsys):
+    # the suites before it report in order, the error is the exit message,
+    # no report is written and no worker is left running
+    def boom(_):
+        raise ValueError("qubit suite broke")
+
+    _wrap_suite(monkeypatch, "qubit_inequality", boom)
+    monkeypatch.setenv("THERMALECHO_THREADS", threads)
+    before = threading.enumerate()
+    assert _run(["verify"], tmp_path, monkeypatch) == 1
+    out, err = capsys.readouterr()
+    assert out == "oracle_equivalence: pass\nbounds: pass\n"
+    assert err == "thermalecho: qubit suite broke\n"
+    assert not (tmp_path / "verify.json").exists()
+    assert threading.enumerate() == before
 
 
 @pytest.mark.parametrize("flag", [

@@ -27,6 +27,8 @@ from thermalecho import (
 import thermalecho
 from thermalecho import echo, model, oracle
 
+from reference import chain_columns
+
 DECAY_QUENCH = dict(h0=0.5, h1=0.5, gamma0=0.25, gamma1=0.1, beta=10.0)
 FIELDS = ("t", "le", "log_le", "lef", "lower", "upper")
 
@@ -113,7 +115,7 @@ def test_rejects_times_whose_phase_overflows():
     table = _table()
     huge = float(np.finfo(float).max)
     assert math.isinf(huge * float(np.max(table.lam1)))
-    ((_, block),) = model._blocks([QuenchParams(**DECAY_QUENCH, length=20)] * 2)
+    ((_, block),) = model._blocks(chain_columns([QuenchParams(**DECAY_QUENCH, length=20)] * 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"the phase t \* lam1 overflows"):
@@ -205,7 +207,7 @@ def _stacked(chains, t):
     shared, or ``(len(chains), n_times)``, one row per chain."""
     t = np.asarray(t, dtype=float)
     fields = {name: np.empty((len(chains), t.shape[-1])) for name in FIELDS}
-    for indices, block in model._blocks(chains):
+    for indices, block in model._blocks(chain_columns(chains)):
         pt = echo_point(block, t if t.ndim == 1 else t[indices])
         for name, values in fields.items():
             assert getattr(pt, name).shape == (indices.size, t.shape[-1]), name
@@ -498,7 +500,7 @@ def test_shared_grid_times_match_echo_point(monkeypatch):
     # addition, and the block of five chains of length 40 takes the direct
     # route, bit for bit as the chain's own table does on short slices and
     # within a float64 ulp of the largest phase per mode of the long-double echo
-    for indices, block in model._blocks(chains):
+    for indices, block in model._blocks(chain_columns(chains)):
         for i in indices.tolist():
             table = mode_table(chains[i])
             if indices.size == 1:
@@ -508,7 +510,7 @@ def test_shared_grid_times_match_echo_point(monkeypatch):
                 if WIDE:
                     phase_ulps = np.finfo(float).eps * t.max() * block.lam1.max() * block.n_modes
                     assert np.abs(rows.log_le[i] - _wide(table, t)["log_le"]).max() <= phase_ulps, i
-    assert max(indices.size for indices, _ in model._blocks(chains)) == 5
+    assert max(indices.size for indices, _ in model._blocks(chain_columns(chains))) == 5
 
 
 def test_short_and_jittered_grids_take_the_direct_route():
@@ -530,7 +532,7 @@ def test_signed_zero_parameters_stay_apart():
     chains = [QuenchParams(h0=-2.0, h1=0.5, gamma0=g0, gamma1=1.0, beta=1.0, length=12)
               for g0 in (0.0, -0.0)]
     t = np.linspace(0.0, 10.0, 50)
-    ((_, block),) = model._blocks(chains)
+    ((_, block),) = model._blocks(chain_columns(chains))
     stacked = echo_point(block, t)
     for i, params in enumerate(chains):
         assert np.array_equal(stacked.log_le[i], echo_point(mode_table(params), t).log_le)
@@ -538,7 +540,7 @@ def test_signed_zero_parameters_stay_apart():
 
 def test_stacked_chains_validate_times():
     chains = [QuenchParams(length=20, **dict(DECAY_QUENCH, beta=beta)) for beta in (1, 2, 3)]
-    ((_, block),) = model._blocks(chains)
+    ((_, block),) = model._blocks(chain_columns(chains))
     # one row of times is shared by every chain; other shapes are not times
     for bad in (np.zeros((2, 4)), np.zeros(()), np.zeros((3, 2, 1))):
         with pytest.raises(ValueError, match=re.escape(f"got {bad.shape}")):
@@ -554,7 +556,7 @@ def test_floor_guard_raises_on_both_routes(monkeypatch):
     # a hot, a warm and a cold chain: a table and a block of the three
     chains = [QuenchParams(length=20, **dict(DECAY_QUENCH, beta=beta))
               for beta in (0.5, 3.0, math.inf)]
-    ((_, block),) = model._blocks(chains)
+    ((_, block),) = model._blocks(chain_columns(chains))
     t = np.linspace(0.0, 5.0, 6).reshape(3, 2)
     # a negative slack puts every factor below the guard's threshold
     monkeypatch.setattr(echo, "_CLAMP_SLACK", -0.5)
@@ -576,7 +578,7 @@ def test_floor_guard_checks_the_whole_table():
     # a block in which one chain out of three is inconsistent raises too
     chains = [QuenchParams(length=20, **dict(DECAY_QUENCH, beta=beta))
               for beta in (0.5, 3.0, math.inf)]
-    ((_, block),) = model._blocks(chains)
+    ((_, block),) = model._blocks(chain_columns(chains))
     assert block.alpha.shape == (block.n_modes,)
     assert (echo_point(block, [0.0]).le == 1.0).all()
     alpha = np.tile(block.alpha, (3, 1))

@@ -21,6 +21,8 @@ from thermalecho import (
 )
 from thermalecho import model
 
+from reference import chain_columns
+
 
 class DegenerateModeError(ValueError):
     """Raised when a mode is gapless and its Bogoliubov angle is undefined."""
@@ -243,7 +245,67 @@ def test_blocks_keep_their_chain_axis(layer, identical):
     betas = (2.0, 2.0, 2.0) if identical else (0.5, 2.0, math.inf)
     chains = [QuenchParams(h0=0.5, h1=0.9, gamma0=1.0, gamma1=1.0, beta=beta, length=8)
               for beta in betas]
-    ((_, block),) = model._blocks(chains)
+    ((_, block),) = model._blocks(chain_columns(chains))
     assert (block.cinv.ndim == 1) == identical
     for values in _chain_rows(layer, block):
         assert np.shape(values)[0] == 3
+
+
+_GOOD = dict(h0=0.5, h1=0.9, gamma0=1.0, gamma1=0.7, beta=2.0, length=8)
+
+
+# values that fail QuenchParams' checks; a numpy column keeps the first six
+_BAD_VALUES = [("h1", math.nan), ("gamma0", -math.inf), ("length", 7), ("length", 0),
+               ("beta", 0.0), ("beta", math.nan), ("length", True), ("length", 8.0),
+               ("beta", None)]
+
+
+@pytest.mark.parametrize("field, bad, as_arrays", [(*case, False) for case in _BAD_VALUES]
+                         + [(*case, True) for case in _BAD_VALUES[:6]])
+def test_blocks_check_columns_as_quench_params_does(field, bad, as_arrays):
+    # chain 1 fails, and chain 2 fails another check: the error is chain 1's,
+    # word for word what building the chains one by one raises
+    chains = [_GOOD, {**_GOOD, field: bad}, {**_GOOD, "h0": math.inf, "length": 9}]
+    with pytest.raises(ValueError) as want:
+        [QuenchParams(**chain) for chain in chains]
+    columns = {name: [chain[name] for chain in chains] for name in model._FIELDS}
+    if as_arrays:
+        columns = {name: np.array(values) for name, values in columns.items()}
+        assert columns["length"].dtype.kind == "i"
+    with pytest.raises(ValueError) as got:
+        list(model._blocks(columns))
+    assert str(got.value) == str(want.value)
+
+
+def test_blocks_need_one_value_per_chain():
+    columns = {name: [value] * 3 for name, value in _GOOD.items()}
+    columns["beta"] = [2.0, 3.0]
+    with pytest.raises(ValueError, match="one value per chain"):
+        list(model._blocks(columns))
+    assert list(model._blocks({name: [] for name in model._FIELDS})) == []
+
+
+def test_block_params_are_made_when_read(monkeypatch):
+    betas = [0.5, 2.0, math.inf, 4.0]
+    chains = [QuenchParams(**{**_GOOD, "beta": beta}) for beta in betas]
+    made, check = [], QuenchParams.__post_init__
+
+    def counted(self):
+        made.append(self)
+        check(self)
+
+    monkeypatch.setattr(QuenchParams, "__post_init__", counted)
+    ((indices, block),) = model._blocks(chain_columns(chains))
+    assert made == [] and len(block.params) == 4 and block.n_chains == 4
+    assert block.params[1] == chains[1] and block.params[-1] == chains[-1]
+    assert len(made) == 2
+    assert list(block.params) == chains and block.params == tuple(chains)
+    assert block.params[1:3] == tuple(chains[1:3]) and block.params != chains
+    with pytest.raises(IndexError):
+        block.params[4]
+    p = block.params[0]
+    assert type(p.length) is int and type(p.h0) is float
+    # from integer and float arrays too
+    columns = {name: np.array(values) for name, values in chain_columns(chains).items()}
+    ((_, block),) = model._blocks(columns)
+    assert list(block.params) == chains and type(block.params[0].length) is int

@@ -24,7 +24,8 @@ from thermalecho.oracle import (
     spectral,
     uhlmann,
 )
-from reference import damping_generic, perturbation_report
+from reference import (chain_columns, damping_generic, exact_le_per_time,
+                       perturbation_report, qubit_inequality_rows)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -812,8 +813,8 @@ def _bound_suite_draws(monkeypatch, **overrides):
     real_point, real_blocks = verify.echo.echo_point, verify.model._blocks
     real_rng = verify.np.random.default_rng
 
-    def capturing_blocks(chains):
-        for indices, block in real_blocks(chains):
+    def capturing_blocks(columns):
+        for indices, block in real_blocks(columns):
             seen.append([indices])
             yield indices, block
 
@@ -920,7 +921,7 @@ def test_bound_suite_fails_on_nan_in_any_block(nan_block, monkeypatch):
     # the suite takes its extrema block by block; a NaN in the first, a middle
     # or the last block must reach the report
     data = _SMALL_SUITE_DATA["bound_suite"]
-    n_blocks = sum(1 for _ in model._blocks(_bound_suite_draws(monkeypatch)[1]))
+    n_blocks = sum(1 for _ in model._blocks(chain_columns(_bound_suite_draws(monkeypatch)[1])))
     assert n_blocks > 2
     real, calls = echo.echo_point, []
 
@@ -956,3 +957,102 @@ def test_hermitian_defect_measures_asymmetry():
     m = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
     assert oracle._hermitian_defect(m) == pytest.approx(2.0)
     assert oracle._hermitian_defect(np.eye(3)) == 0.0
+
+
+@pytest.mark.parametrize("length, n_times", [(4, 7), (6, 7), (8, 40), (10, 3)])
+def test_exact_le_time_groups_match_the_per_time_loop(length, n_times, monkeypatch):
+    # each block's times go through one stacked SVD per group of at most
+    # _TIME_GROUP_BYTES of matrices, with each time's bits unchanged
+    rng = np.random.default_rng(length)
+    h0, h1 = rng.uniform(-2.0, 2.0, 2)
+    g0, g1 = rng.uniform(-1.5, 1.5, 2)
+    beta = float(rng.uniform(0.1, 8.0))
+    t = rng.uniform(-20.0, 20.0, n_times)
+    ham0, ham1 = build_quasifree(h0, g0, length), build_quasifree(h1, g1, length)
+    stacks, real_svd = [], np.linalg.svd
+
+    def counted_svd(a, *args, **kwargs):
+        stacks.append(a.shape)
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    grouped = exact_le(ham0, ham1, beta, t)
+    monkeypatch.setattr(np.linalg, "svd", real_svd)
+    single = exact_le_per_time(ham0, ham1, beta, t)
+    assert np.array_equal(grouped.le, single.le) and np.array_equal(grouped.lef, single.lef)
+    assert grouped.purity == single.purity
+    assert grouped.dephased_purity == single.dephased_purity
+    # both parity sectors, each in groups that fill the budget but the last
+    assert len({shape[1:] for shape in stacks}) == 1 and len(stacks) % 2 == 0
+    dim = stacks[0][-1]
+    per_group = max(1, oracle._TIME_GROUP_BYTES // (16 * dim * dim))
+    assert [shape[0] for shape in stacks[: len(stacks) // 2]] == [
+        min(per_group, n_times - first) for first in range(0, n_times, per_group)]
+    if length >= 8:
+        assert len(stacks) > 2  # the budget splits the times
+    if length == 8:
+        assert per_group > 1  # and a group holds several
+
+
+def test_exact_le_keeps_a_scalar_time_and_no_time():
+    ham0, ham1 = build_quasifree(0.3, 0.5, 6), build_quasifree(1.2, -0.4, 6)
+    scalar = exact_le(ham0, ham1, 1.5, 2.5)
+    assert isinstance(scalar.le, float) and isinstance(scalar.lef, float)
+    reference = exact_le_per_time(ham0, ham1, 1.5, 2.5)
+    assert (scalar.le, scalar.lef) == (reference.le, reference.lef)
+    empty = exact_le(ham0, ham1, 1.5, np.empty((0, 3)))
+    assert empty.le.shape == empty.lef.shape == (0, 3)
+
+
+@pytest.mark.parametrize("seed, n_trials", [(3, 100_000), (11, 1), (12, 5000)])
+def test_qubit_inequality_matches_the_row_formulation(seed, n_trials):
+    data = {**_SMALL_SUITE_DATA["qubit_inequality"], "seed": seed, "n_trials": n_trials}
+    assert verify.qubit_inequality(**data) == qubit_inequality_rows(**data)
+
+
+@pytest.mark.parametrize("inject_failure", [False, True])
+def test_bound_suite_matches_one_table_per_chain(inject_failure):
+    # the suite's draws, in its documented order, each chain through its own
+    # QuenchParams, mode_table and echo_point
+    data = {**_SMALL_SUITE_DATA["bound_suite"], "n_trials": 500, "max_length": 200,
+            "beta_range": (0.01, 50.0), "inject_failure": inject_failure}
+    n = data["n_trials"]
+    rng = np.random.default_rng(data["seed"])
+    lengths = 2 * rng.integers(1, data["max_length"] // 2 + 1, size=n)
+    fields = rng.uniform(*data["field_range"], size=(n, 2))
+    anisotropies = rng.uniform(*data["anisotropy_range"], size=(n, 2))
+    betas = rng.uniform(*data["beta_range"], size=n)
+    times = np.zeros((n, 2))
+    times[:, 0] = rng.uniform(*data["time_range"], size=n)
+    slacks, t0_devs = [], []
+    for i in range(n):
+        table = mode_table(QuenchParams(
+            h0=float(fields[i, 0]), h1=float(fields[i, 1]), gamma0=float(anisotropies[i, 0]),
+            gamma1=float(anisotropies[i, 1]), beta=float(betas[i]), length=int(lengths[i])))
+        pt = echo.echo_point(table, times[i])
+        lower = pt.lower[0] * (1.0 + 1e-6) + 1e-9 if inject_failure else pt.lower[0]
+        slacks += [pt.le[0] - lower, pt.upper[0] - pt.le[0]]
+        t0_devs += [abs(pt.lower[1] - 1.0), abs(pt.upper[1] - 1.0), abs(pt.le[1] - 1.0)]
+    worst, t0_worst = float(min(slacks)), float(max(t0_devs))
+    assert verify.bound_suite(**data) == {
+        "passed": worst >= data["slack_floor"] and t0_worst <= data["t0_tolerance"],
+        "worst_slack": worst,
+        "worst_t0_deviation": t0_worst,
+        "tolerance": data["slack_floor"],
+    }
+
+
+@pytest.mark.parametrize("suite, override", [
+    ("oracle_equivalence", {"lengths": ()}),
+    ("oracle_equivalence", {"n_param_sets": 0}),
+    ("oracle_equivalence", {"n_times": 0}),
+    ("perturbation_scaling", {"halvings": 0}),
+    ("q_function_scan", {"nv": 2}),
+    ("q_function_scan", {"nx": 0}),
+])
+def test_suites_refuse_data_that_checks_nothing(suite, override):
+    # these passed with nothing compared, or failed inside numpy
+    ((name, value),) = override.items()
+    with pytest.raises(ValueError, match=f"^{name} must") as exc:
+        getattr(verify, suite)(**{**_SMALL_SUITE_DATA[suite], **override})
+    assert repr(value) in str(exc.value) or str(value) in str(exc.value)

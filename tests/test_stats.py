@@ -27,7 +27,7 @@ from thermalecho import (
 )
 from thermalecho import echo, model, stats
 import reference
-from reference import char_fn, damping
+from reference import chain_columns, char_fn, damping
 
 fields = st.floats(-2.0, 2.0, allow_nan=False)
 couplings = st.floats(-1.5, 1.5, allow_nan=False)
@@ -124,7 +124,7 @@ LADDERS = {
 
 def _ladder_block(chains):
     """The one block of a ladder's rungs, as ``distribution`` builds it."""
-    ((indices, block),) = model._blocks(chains)
+    ((indices, block),) = model._blocks(chain_columns(chains))
     assert indices.tolist() == list(range(len(chains)))
     return block
 
@@ -383,7 +383,7 @@ BLOCK_SUMS = [_params(h0=0.5, h1=h1, g0=1.0, g1=1.0, beta=2.0, length=8) for h1 
 @pytest.mark.parametrize("chains", [BLOCK_SUMS, BLOCK_SUMS[:1], [BLOCK_SUMS[1]] * 2],
                          ids=["three", "one", "identical"])
 def test_block_sums_are_per_chain(chains):
-    ((_, block),) = model._blocks(chains)
+    ((_, block),) = model._blocks(chain_columns(chains))
     spectrum = weights(block)
     assert spectrum.a.shape == spectrum.a_f.shape == (len(chains), 4)
     assert spectrum.zbar.shape == spectrum.kappa2.shape == (len(chains),)
