@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModeTable, QuenchParams
+from .model import ModeTable
 from .special import _elliptic_ek
 
 __all__ = ["LongTime", "long_time"]
@@ -190,11 +190,11 @@ def long_time(table: ModeTable) -> LongTime:
         smallquench_var=np.where(smallquench > 0.25, np.nan, smallquench),
         var_le=var_le,
     )
-    # columns that every chain shares give one value, which a block repeats
-    if not isinstance(table.params, QuenchParams):
-        return LongTime(**{name: np.broadcast_to(values, table.n_chains)
-                           for name, values in fields.items()})
-    return LongTime(**{name: float(values[0]) for name, values in fields.items()})
+    # a block's thermal columns carry its chain axis, so each field has one
+    # value per chain; one chain's table gives floats
+    if table.cinv.ndim == 1:
+        fields = {name: float(values[0]) for name, values in fields.items()}
+    return LongTime(**fields)
 
 
 # Not public: perfbench's ladder check imports this name, so it stays until

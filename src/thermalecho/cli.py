@@ -286,9 +286,11 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 def _beta_of(beta: float | None, temperature: float | None) -> float:
     """The inverse temperature a user gave as ``beta`` or, if not None, ``temperature``.
 
-    Temperature 0 is the ground state, ``inf``; a given ``beta``, and one
-    that ``1 / temperature`` overflows to, must be finite, so that no
-    config comment or JSON file holds ``Infinity``.
+    Temperature 0 is the ground state, ``inf``; a given ``beta``, and
+    ``1 / temperature`` for any other temperature, must be finite, so that
+    no config comment or JSON file holds ``Infinity``.  An error names the
+    value the user gave: a temperature whose inverse overflows is named as
+    the temperature.
     """
     if temperature is not None:
         if temperature < 0.0 or not math.isfinite(temperature):
@@ -296,6 +298,9 @@ def _beta_of(beta: float | None, temperature: float | None) -> float:
         if temperature == 0.0:
             return math.inf
         beta = 1.0 / temperature
+        if beta == math.inf:
+            raise ValueError("temperature must be 0 or large enough that 1 / temperature "
+                             f"is finite, got {temperature}")
     if not (beta > 0.0 and math.isfinite(beta)):
         raise ValueError(f"beta must be positive and finite, got {beta}")
     return beta
@@ -454,8 +459,7 @@ def cmd_distribution(cfg: RunConfig) -> int:
 
     # the rungs run on the pool, and report here in rung order
     entries = []
-    workers = min(echo._thread_count(), len(rungs))
-    for entry, paths in echo._in_order(rung, range(len(rungs)), workers):
+    for entry, paths in echo._in_order(rung, range(len(rungs))):
         if entry["degenerate"]:
             print(
                 "warning: quench has zero variance; no distribution to classify",
@@ -624,8 +628,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     # the suites share no state: they run on the pool, and report here in order
     results = {}
-    workers = min(echo._thread_count(), len(_VERIFY_DATA))
-    for name, outcome in echo._in_order(run, _VERIFY_DATA, workers):
+    for name, outcome in echo._in_order(run, _VERIFY_DATA):
         # strict JSON: a failing suite's non-finite numbers become null
         results[name] = json.loads(json.dumps(outcome), parse_constant=lambda _: None)
         print(f"{name}: {'pass' if outcome['passed'] else 'FAIL'}")

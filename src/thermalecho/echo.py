@@ -5,8 +5,8 @@ the linear overlap echo and both bounds) is a product over modes of the
 same factors ``1 - (1 - cinv**2) * alpha * sin(lam1 t)**2``, so one private
 kernel evaluates them all.  It takes a :class:`model.ModeTable`, one
 chain's table or a block of equal-length chains (see
-:func:`model._blocks`) with one row of mode columns per chain, and one
-column of times per chain, so :func:`echo_point` of a block gives each
+:func:`model._blocks`) whose thermal columns hold one row per chain, and
+one column of times per chain, so :func:`echo_point` of a block gives each
 chain the bits of its table alone.
 A block whose chains share their times and their post-quench frequencies
 ``lam1`` (a temperature ladder) passes one time column and one ``lam1``
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModeTable, QuenchParams
+from .model import ModeTable
 
 __all__ = ["EchoPoint", "echo_point"]
 
@@ -109,29 +109,30 @@ def _thread_count() -> int:
     return count
 
 
-def _in_order(fn, items, n_workers: int):
-    """Yield ``fn(item)`` for each item, in order.
+def _in_order(fn, items):
+    """Yield ``fn(item)`` for each item of the sized ``items``, in order.
 
-    With more than one worker the items run on ``n_workers`` plain threads,
-    and each worker claims the next unclaimed item from one shared, locked
-    counter when it finishes one, so a worker that is held up holds back no
-    share of the others' work.  Before its first claim, worker ``k`` pins
-    itself to CPU ``_CPUS[k % len(_CPUS)]`` with ``os.sched_setaffinity(0,
-    ...)``, which on Linux acts on the calling thread alone: new threads
-    start on the CPU of the thread that made them, and in a young process
-    Linux left both workers there through a whole 0.2 to 0.3 s kernel pass
-    while the other CPU sat idle.  Where ``os`` has no
-    ``sched_setaffinity``, or it raises ``OSError`` (say, for a CPU taken
-    from the process's cpuset since import), the worker runs unpinned.
-    Pinning moves no item and no result, and since workers claim their
-    items, one whose CPU is busy just claims fewer.  The calling thread is
-    never pinned.  An exception is raised when its item's turn comes, after
-    the results before it.  When the caller stops early, by an exception
-    or by closing the generator, no further item is claimed and every
-    worker is joined before control returns.  With one worker
-    each item runs on the calling thread when its result is asked for, and
-    no thread is started.
+    The pool has ``min(_thread_count(), len(items))`` workers.  With more
+    than one the items run on that many plain threads, and each worker
+    claims the next unclaimed item from one shared, locked counter when it
+    finishes one, so a worker that is held up holds back no share of the
+    others' work.  Before its first claim, worker ``k`` pins itself to CPU
+    ``_CPUS[k % len(_CPUS)]`` with ``os.sched_setaffinity(0, ...)``, which
+    on Linux acts on the calling thread alone: new threads start on the CPU
+    of the thread that made them, and in a young process Linux left both
+    workers there through a whole 0.2 to 0.3 s kernel pass while the other
+    CPU sat idle.  Where ``os`` has no ``sched_setaffinity``, or it raises
+    ``OSError`` (say, for a CPU taken from the process's cpuset since
+    import), the worker runs unpinned.  Pinning moves no item and no result,
+    and since workers claim their items, one whose CPU is busy just claims
+    fewer.  The calling thread is never pinned.  An exception is raised when
+    its item's turn comes, after the results before it.  When the caller
+    stops early, by an exception or by closing the generator, no further
+    item is claimed and every worker is joined before control returns.  With
+    one worker each item runs on the calling thread when its result is asked
+    for, and no thread is started.
     """
+    n_workers = min(_thread_count(), len(items))
     if n_workers <= 1:
         yield from map(fn, items)
         return
@@ -163,8 +164,7 @@ def _in_order(fn, items, n_workers: int):
                 outcome[i] = (None, exc)
             finished[i].set()
 
-    workers = [threading.Thread(target=run, args=(k,))
-               for k in range(min(n_workers, len(items)))]
+    workers = [threading.Thread(target=run, args=(k,)) for k in range(n_workers)]
     for worker in workers:
         worker.start()
     try:
@@ -238,10 +238,11 @@ def _grid_step(t: np.ndarray):
 def _kernel(table: ModeTable, t: np.ndarray, core: bool = True):
     """``(log_le, log_core, log_purity)`` of a table or a block of equal-length chains.
 
-    The table's columns are ``(chains, modes)`` arrays, or ``(modes,)`` rows
-    that every chain of the block shares (see :class:`model.ModeTable`),
-    and ``t`` is ``(times, chains)``: column ``i`` holds the times of chain
-    ``i``, and a single column holds times that every chain shares.  The
+    A block's thermal columns are ``(chains, modes)``, one row per chain,
+    and its other columns are too, or are ``(modes,)`` rows that every
+    chain shares (see :class:`model.ModeTable`); ``t`` is ``(times,
+    chains)``: column ``i`` holds the times of chain ``i``, and a single
+    column holds times that every chain shares.  The
     phases ``t * lam1`` and their ``sin**2`` are taken at the broadcast
     shape of the time columns and the ``lam1`` rows, so chains that share
     both share each sine; only ``coef * sin**2`` onward, with ``coef = (1 -
@@ -261,10 +262,11 @@ def _kernel(table: ModeTable, t: np.ndarray, core: bool = True):
     its own.
     ``log_core`` is the sum over a chain's modes of ``log(arg)`` and
     ``log_le`` twice the sum of ``log((cinv + sqrt(arg)) / (1 + cinv))``
-    (see :func:`_log_factors`), both ``(times, chains)`` with a single
-    column when nothing in the block differs between chains; with ``core``
-    false ``log_core`` is None and never formed.  ``log_purity`` is ``-2``
-    times the sum of ``log1p(cinv)``, one per chain or one shared.
+    (see :func:`_log_factors`), both ``(times, chains)``, one column per
+    row of the block's ``cinv`` (a single column for one chain's table);
+    with ``core`` false ``log_core`` is None and never formed.
+    ``log_purity`` is ``-2`` times the sum of ``log1p(cinv)``, one per
+    chain.
     """
     lam1, cinv = table.lam1, table.cinv
     # an infinite phase would turn its sine, and every factor after it, into nan
@@ -282,7 +284,7 @@ def _kernel(table: ModeTable, t: np.ndarray, core: bool = True):
         )
     n_times = t.shape[0]
     n_phases, n_modes = np.broadcast_shapes(t.shape[1:] + (1,), lam1.shape)
-    n_chains = np.broadcast_shapes((n_phases, n_modes), coef.shape, cinv.shape)[0]
+    n_chains = table.n_chains
     rows = max(1, _CHUNK_BYTES // (8 * n_chains * n_modes))
     span = n_times
     step = _grid_step(t)
@@ -334,7 +336,7 @@ def _kernel(table: ModeTable, t: np.ndarray, core: bool = True):
             np.add.reduce(b, axis=-1, out=log_core[start:stop])
         np.add.reduce(a, axis=-1, out=log_le[start:stop])
 
-    for _ in _in_order(work, starts, min(_thread_count(), len(starts))):
+    for _ in _in_order(work, starts):
         pass
     log_le *= 2.0
     return log_le, log_core, -2.0 * np.add.reduce(np.log1p(cinv), axis=-1)
@@ -347,12 +349,15 @@ def echo_point(table: ModeTable, t) -> EchoPoint:
     be finite.  For one chain's table a scalar gives Python floats and an
     array gives arrays shaped like it.  For a block of chains (see
     :func:`model._blocks`) ``t`` is ``(n_times,)``, times that every chain
-    shares, or ``(chains, n_times)``, row ``i`` the times of chain ``i``,
-    and every field is ``(chains, n_times)``, also when the chains are
-    identical (``t`` and ``log_le`` as read-only views).  Row ``i`` is bit
-    for bit ``echo_point(mode_table(table.params[i]), t[i])`` (``t`` for
-    shared times), except that a block of several chains takes a grid row
-    of their own times by the direct route, to a few ulps of the phase.
+    shares, or ``(chains, n_times)``, row ``j`` the times of the block's
+    ``j``-th chain, and every field is ``(chains, n_times)``, also when the
+    chains are identical (shared times ``t`` as a read-only view).  For the
+    block that ``_blocks(columns)`` yields with ``indices``, row ``j`` is
+    bit for bit ``echo_point(mode_table(p), t[j])`` (``t`` for shared
+    times), where ``p`` is the :class:`model.QuenchParams` of the values that
+    ``columns`` hold at ``indices[j]``, except that a block of several
+    chains takes a grid row of their own times by the direct route, to a
+    few ulps of the phase.
     Evenly spaced times (at least ``2 * _GRID_BLOCK`` of them, shared or of
     one chain) take their sines by angle addition; all others, such as the
     sampler's random times, take ``sin**2`` from ``np.tan``.  See
@@ -360,7 +365,7 @@ def echo_point(table: ModeTable, t) -> EchoPoint:
     """
     t_arr = np.asarray(t, dtype=float)
     n_chains = table.n_chains
-    block = not isinstance(table.params, QuenchParams)
+    block = table.cinv.ndim == 2
     if block and (t_arr.ndim not in (1, 2) or t_arr.ndim == 2 and t_arr.shape[0] != n_chains):
         raise ValueError(f"times of a block of {n_chains} chains must have shape (n_times,) "
                          f"or ({n_chains}, n_times), got {t_arr.shape}")
@@ -369,10 +374,9 @@ def echo_point(table: ModeTable, t) -> EchoPoint:
     log_le, log_core, log_purity = _kernel(
         table, t_arr.T if t_arr.ndim == 2 and block else t_arr.reshape(-1, 1))
     if block:
-        # a column that every chain shares is repeated, so a block keeps its chain axis
-        shape = (n_chains, t_arr.shape[-1])
-        t_arr, log_le, log_core = (np.broadcast_to(x, shape) for x in (t_arr, log_le.T, log_core.T))
-        log_purity = np.reshape(log_purity, (-1, 1))
+        # shared times are repeated, so every field keeps the block's chain axis
+        t_arr = np.broadcast_to(t_arr, (n_chains, t_arr.shape[-1]))
+        log_le, log_core, log_purity = log_le.T, log_core.T, log_purity[:, None]
     else:
         log_le, log_core = log_le.reshape(t_arr.shape), log_core.reshape(t_arr.shape)
     purity = np.exp(log_purity)

@@ -8,13 +8,13 @@ thermal factors are evaluated through ``exp(-x)`` and ``tanh`` so that large
 ``beta * lambda`` never overflows and the zero-temperature limit is exact.
 Many chains of one length are built at once, as blocks of bounded size:
 they come as columns, one array or list of values per field of
-:class:`QuenchParams`, and a block is a :class:`ModeTable` whose
-``params`` is the sequence of its chains' quenches, each made only when it
-is asked for, and whose columns are ``(chains, modes)`` arrays, or
-``(modes,)`` rows that every chain shares.  One table is the one-chain
-case.  Every layer reads a table's attributes, so the echo, the long-time
-statistics, the weights and the sampler take a block as they take one
-table.
+:class:`QuenchParams`, and a block is a :class:`ModeTable` without
+``params`` whose thermal columns are ``(chains, modes)`` arrays, one row
+per chain; a column that depends only on parameters every chain shares,
+such as ``k`` or ``lam1`` along a temperature ladder, is one ``(modes,)``
+row.  One table is the one-chain case.  Every layer reads a table's
+attributes, so the echo, the long-time statistics, the weights and the
+sampler take a block as they take one table.
 """
 
 from __future__ import annotations
@@ -118,12 +118,15 @@ class ModeTable:
 
     One chain's table has its :class:`QuenchParams` as ``params`` and
     ``(modes,)`` columns.  A block of equal-length chains (see
-    :func:`_blocks`) has the sequence of their quenches, and ``(chains,
-    modes)`` columns whose row ``i`` has the bits of chain ``i``'s table,
-    or a ``(modes,)`` row, such as ``k``, where every chain has the same.
+    :func:`_blocks`) has no ``params``, and ``(chains, modes)`` columns
+    whose row ``i`` has the bits of its ``i``-th chain's table: always
+    ``cinv``, ``one_minus_cinv`` and ``one_minus_cinv2``, so the chain axis
+    is in the thermal columns, and the others where the chains differ in
+    what they depend on; a column that every chain shares, such as ``k``,
+    is a ``(modes,)`` row.
     """
 
-    params: QuenchParams | Sequence[QuenchParams]
+    params: QuenchParams | None
     k: np.ndarray
     lam0: np.ndarray
     lam1: np.ndarray
@@ -143,7 +146,7 @@ class ModeTable:
 
     @property
     def n_chains(self) -> int:
-        return 1 if isinstance(self.params, QuenchParams) else len(self.params)
+        return 1 if self.params is not None else self.cinv.shape[0]
 
     @property
     def omega(self) -> np.ndarray:
@@ -160,8 +163,8 @@ def _table(params, k: np.ndarray, h0, h1, gamma0, gamma1, beta) -> ModeTable:
 
     Each quench parameter is a scalar for one chain, or a ``(chains, 1)``
     array that broadcasts against the momenta ``k`` of one chain length, so
-    a block of equal-length chains is built at once as ``(chains, modes)``
-    columns; ``beta = inf`` is the ground state.
+    a block of equal-length chains (``params`` None) is built at once as
+    ``(chains, modes)`` columns; ``beta = inf`` is the ground state.
     """
     lam0, theta0 = _components(h0, gamma0, k)
     lam1, theta1 = _components(h1, gamma1, k)
@@ -192,37 +195,6 @@ def _shared(values: np.ndarray):
 
 # the fields of QuenchParams, in order: the columns that _blocks takes
 _FIELDS = tuple(field.name for field in fields(QuenchParams))
-
-
-class _Chains(Sequence):
-    """The quenches of a block's chains, each made when it is asked for.
-
-    It holds the block's ``(5, chains)`` float parameters and its int
-    lengths, so a block of many chains costs no :class:`QuenchParams` until
-    one is read.  ``len``, indexing, iteration and ``==`` with a tuple work
-    as on the tuple of the chains' quenches.
-    """
-
-    __slots__ = ("_values", "_lengths")
-
-    def __init__(self, values: np.ndarray, lengths: np.ndarray) -> None:
-        self._values, self._lengths = values, lengths
-
-    def __len__(self) -> int:
-        return self._lengths.size
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return _Chains(self._values[:, i], self._lengths[i])
-        return QuenchParams(*self._values[:, i].tolist(), self._lengths[i].item())
-
-    def __eq__(self, other):
-        if isinstance(other, (tuple, _Chains)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"_Chains({tuple(self)!r})"
 
 
 def _columns(columns: Mapping[str, Sequence]) -> tuple[np.ndarray, np.ndarray]:
@@ -259,10 +231,14 @@ def _blocks(columns: Mapping[str, Sequence]):
     messages (see :func:`_columns`).  Chains of one length share blocks of
     at most ``_GROUP_MODES`` modes in all (a longer chain is a block of its
     own); ``indices`` are the positions of a block's chains, ascending, and
-    ``block`` is their :class:`ModeTable`, built at once, whose ``params``
-    makes chain ``i``'s :class:`QuenchParams` only when it is read.  A
-    quench parameter that every chain of the block shares is built once, so
-    columns that depend on shared parameters only are ``(modes,)`` rows.
+    ``block`` is their :class:`ModeTable`, built at once: row ``j`` of a
+    ``(chains, modes)`` column belongs to the chain at ``indices[j]``.
+    ``beta`` always goes in as a ``(chains, 1)`` column, so the thermal
+    columns carry the chain axis even when every chain has the same
+    ``beta``, or the block holds one chain.  Any other quench parameter
+    that every chain of the block shares is built once, so ``lam1``,
+    ``alpha``, ``dtheta`` and ``lam0`` are ``(modes,)`` rows where the
+    chains agree on what they depend on.
     """
     values, lengths = _columns(columns)
     # ascending, as np.unique would give them, without its numpy.ma import
@@ -273,4 +249,4 @@ def _blocks(columns: Mapping[str, Sequence]):
         for first in range(0, same.size, per_block):
             block = same[first : first + per_block]
             rows = values[:, block]
-            yield block, _table(_Chains(rows, lengths[block]), k, *map(_shared, rows))
+            yield block, _table(None, k, *map(_shared, rows[:4]), rows[4][:, None])

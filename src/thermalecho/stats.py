@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModeTable, QuenchParams
+from .model import ModeTable
 
 __all__ = [
     "Classification",
@@ -136,8 +136,7 @@ def weights(table: ModeTable, use_second_order: bool = False) -> WeightSpectrum:
     Parameters
     ----------
     table
-        Mode table of the quench.  A block gives a row of weights per chain,
-        a read-only view where its chains share one row.
+        Mode table of the quench.  A block gives a row of weights per chain.
     use_second_order
         Replace ``sin(dtheta)**2`` by ``dtheta**2``, the leading-order form;
         only meaningful for small rotation angles.
@@ -145,11 +144,6 @@ def weights(table: ModeTable, use_second_order: bool = False) -> WeightSpectrum:
     amp = table.dtheta**2 if use_second_order else table.alpha
     a = table.one_minus_cinv * amp / 2.0
     a_f = table.one_minus_cinv2 * amp / 2.0
-    # the table, not the columns' shape, tells a block: one of identical
-    # chains has only shared rows
-    if not isinstance(table.params, QuenchParams):
-        shape = (table.n_chains, table.n_modes)
-        a, a_f = np.broadcast_to(a, shape), np.broadcast_to(a_f, shape)
     return WeightSpectrum(a=a, a_f=a_f, second_order=use_second_order)
 
 
@@ -188,9 +182,9 @@ def sample_logle(table: ModeTable | Sequence[ModeTable], tau: float, n_samples: 
     tables = [table] if lone else table
     rng = np.random.default_rng(seed)
     times = rng.uniform(0.0, tau, int(n_samples))
-    # a block's kernel gives one column per chain, or one that all of them share
-    z = np.concatenate([np.broadcast_to(echo._kernel(entry, times[:, None], core=False)[0].T,
-                                        (entry.n_chains, times.size)) for entry in tables])
+    # the kernel gives each chain of an entry a column, which is its row of z
+    z = np.concatenate([echo._kernel(entry, times[:, None], core=False)[0].T
+                        for entry in tables])
     return SampleSet(tau=float(tau), seed=int(seed), times=times,
                      z=z[0] if lone and len(z) == 1 else z)
 

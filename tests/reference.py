@@ -11,8 +11,9 @@ loop.  The bell widths found by finite differences on a fine grid check
 the closed-form widths of :mod:`thermalecho.stats`.  ``exact_le_per_time``
 and ``qubit_inequality_rows`` are the former one-time-at-a-time dense echo
 and ``(n, 3)`` qubit suite, which the batched routes must match bit for
-bit, and ``chain_columns`` turns a list of quenches into the columns
-``model._blocks`` takes.
+bit, ``chain_columns`` turns a list of quenches into the columns
+``model._blocks`` takes, and ``chains_of`` reads a block's quenches back
+from those columns and the block's indices.
 """
 
 from __future__ import annotations
@@ -261,6 +262,14 @@ def perturbation_report(H0, V, beta: float) -> PerturbationReport:
 def chain_columns(chains) -> dict[str, list]:
     """The quenches ``chains`` as ``model._blocks`` takes them: one list per field."""
     return {name: [getattr(p, name) for p in chains] for name in model._FIELDS}
+
+
+def chains_of(columns, indices) -> list[model.QuenchParams]:
+    """The quenches that ``columns``, lists or numpy arrays as
+    ``model._blocks`` takes them, hold at ``indices``: for the ``indices``
+    of a block, its chains in the order of its rows."""
+    values = [np.asarray(columns[name])[indices].tolist() for name in model._FIELDS]
+    return [model.QuenchParams(*chain) for chain in zip(*values)]
 
 
 def exact_le_per_time(H0, H1, beta: float, t) -> oracle.ExactEcho:

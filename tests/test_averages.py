@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from thermalecho import QuenchParams, long_time, mode_table
 from thermalecho import averages, model, oracle
 
-from reference import chain_columns
+from reference import chain_columns, chains_of
 
 fields = st.floats(-2.0, 2.0, allow_nan=False)
 couplings = st.floats(-1.5, 1.5, allow_nan=False)
@@ -419,26 +419,40 @@ def _bits(value) -> bytes:
     return np.float64(value).tobytes()
 
 
-# the mode columns of a table, each of which a block holds one row of per chain
+# the mode columns of a table, each of which a block holds one row of per
+# chain, or one (modes,) row that its chains share
 _MODE_COLUMNS = ("k", "lam0", "lam1", "dtheta", "alpha", "cinv", "one_minus_cinv",
                  "one_minus_cinv2")
+# the thermal columns, which hold a row per chain in every block
+_THERMAL_COLUMNS = ("cinv", "one_minus_cinv", "one_minus_cinv2")
+
+
+def _one_block(chains):
+    """The one block of ``chains`` and its chains, rebuilt from the columns
+    and the indices that ``model._blocks`` took and gave."""
+    columns = chain_columns(chains)
+    ((indices, block),) = model._blocks(columns)
+    assert block.params is None and block.n_chains == indices.size
+    return block, chains_of(columns, indices)
 
 
 def _assert_rows_are_tables(chains):
     """Every column of each row of the one block of ``chains`` has the bits
-    of that chain's own table; returns the block."""
-    ((indices, block),) = model._blocks(chain_columns(chains))
-    assert indices.tolist() == list(range(len(chains)))
-    assert block.params == tuple(chains) and block.n_chains == len(chains)
+    of that chain's own table; returns the block and its chains."""
+    block, rebuilt = _one_block(chains)
+    assert rebuilt == chains
     assert block.length == chains[0].length and block.n_modes == chains[0].length // 2
-    for i, params in enumerate(chains):
+    for i, params in enumerate(rebuilt):
         ref = mode_table(params)
         for name in _MODE_COLUMNS:
             column = getattr(block, name)
-            assert column.shape in ((len(chains), ref.n_modes), (ref.n_modes,)), name
+            shapes = [(len(chains), ref.n_modes)]
+            if name not in _THERMAL_COLUMNS:
+                shapes.append((ref.n_modes,))
+            assert column.shape in shapes, name
             row = column[i] if column.ndim == 2 else column
             assert row.tobytes() == getattr(ref, name).tobytes(), (i, name)
-    return block
+    return block, rebuilt
 
 
 def test_block_rows_keep_the_bits_of_one_table():
@@ -460,7 +474,7 @@ def test_block_rows_keep_the_bits_of_one_table():
                   (0.5, 0.5, 0.3, -0.0, 3.0),
                   (0.5, 0.5, 0.25, 0.25, 1.0),
               ]]
-    block = _assert_rows_are_tables(chains)
+    block, chains = _assert_rows_are_tables(chains)
     m = block.one_minus_cinv2 * block.alpha
     assert m.shape == (len(chains), 18)
     assert 0.0 < np.max(m[0]) < 1e-7 and not np.any(m[-1])
@@ -472,7 +486,7 @@ def test_block_rows_keep_the_bits_of_one_table():
     # beta, so lam1, lam0 and the angles are one row for every rung
     ladder = [QuenchParams(h0=0.99, h1=1.01, gamma0=1.0, gamma1=1.0, beta=beta, length=30)
               for beta in (math.inf, 50.0, 10.0, 2.0)]
-    ladder_block = _assert_rows_are_tables(ladder)
+    ladder_block, ladder = _assert_rows_are_tables(ladder)
     assert ladder_block.lam1.shape == ladder_block.dtheta.shape == (15,)
     assert ladder_block.cinv.shape == (4, 15)
     for group, table in ((chains, block), (ladder, ladder_block)):
@@ -493,11 +507,12 @@ def _assert_block_keeps_the_bits(chains, block):
 
 @pytest.mark.parametrize("n_chains", [1, 2, 3])
 def test_a_block_of_shared_rows_keeps_its_chain_axis(n_chains):
-    # one chain, or identical chains, share every column as one (modes,) row
+    # one chain, or identical chains, share the angles as one (modes,) row,
+    # and the thermal columns still hold a row per chain
     chains = [QuenchParams(h0=0.5, h1=0.9, gamma0=1.0, gamma1=1.0, beta=2.0, length=8)] * n_chains
-    ((_, block),) = model._blocks(chain_columns(chains))
-    assert block.cinv.shape == block.alpha.shape == (4,)
-    _assert_block_keeps_the_bits(chains, block)
+    block, rebuilt = _one_block(chains)
+    assert block.alpha.shape == (4,) and block.cinv.shape == (n_chains, 4)
+    _assert_block_keeps_the_bits(rebuilt, block)
 
 
 # the README's strong quench, where the small-rotation term is far above 1/4

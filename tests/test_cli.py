@@ -175,9 +175,12 @@ SMALL_SCAN = ["--h0", "0.7", "--gamma0", "0.3", "--gamma1", "0.3", "--sweep", "l
     (["--length", "2600", "--h0", "0.2", "--gamma0", "1", "--gamma1", "1",
       "--beta", "10", "--sweep", "h1=2.5:3:3"], None),
     # one point, and twenty lengths of one point each: blocks of one chain,
-    # whose columns are all shared rows
+    # whose thermal columns hold its one row
     (["--length", "50", *NEAR_CRITICAL_ARGS, "--sweep", "temperature=0.1:0.1:1"], None),
     (["--sweep", "length=2:40:20"], None),
+    # repeated points: blocks of identical chains, still one row per chain
+    (["--sweep", "h1=0.5:0.5:3"], None),
+    (["--sweep", "length=8:8:2"], None),
 ])
 def test_scan_matches_per_point_reference(tmp_path, monkeypatch, args, group_modes):
     if group_modes is not None:
@@ -606,7 +609,7 @@ def test_validation_failures_exit_one(args, tmp_path, monkeypatch):
         (["timeseries", "--length", "8", "--beta", "inf"],
          "beta must be positive and finite, got inf"),
         (["weights", "--length", "8", "--temperature", "1e-310"],
-         "beta must be positive and finite, got inf"),
+         "temperature must be 0 or large enough that 1 / temperature is finite, got 1e-310"),
         (["scan", "--length", "8", "--sweep", "beta=1:inf:2"],
          "sweep start and stop must be finite in 'beta=1:inf:2'"),
         (["scan", "--length", "8", "--sweep", "length=10:inf:2"],
@@ -640,6 +643,20 @@ def test_non_finite_or_negative_run_values_exit_one(args, message, tmp_path, mon
     # files, which strict JSON does not allow
     assert _run(args, tmp_path, monkeypatch) == 1
     assert capsys.readouterr().err == f"thermalecho: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args", [
+    ["distribution", "--temperatures", "1e-320"],
+    ["timeseries", "--temperature", "1e-320"],
+    ["scan", "--sweep", "temperature=1e-320:1e-320:1"],
+])
+def test_temperature_whose_inverse_overflows_is_named(args, tmp_path, monkeypatch, capsys):
+    # 1 / 1e-320 overflows to inf; the user gave a temperature, not a beta
+    assert _run([*args, "--length", "8"], tmp_path, monkeypatch) == 1
+    assert capsys.readouterr().err == (
+        "thermalecho: temperature must be 0 or large enough that 1 / temperature "
+        "is finite, got 1e-320\n")
     assert not list(tmp_path.iterdir())
 
 
@@ -807,9 +824,10 @@ def test_distribution_ladder_builds_each_table_once(tmp_path, monkeypatch):
     built = []
     real_table = model._table
 
-    def counted(params, *args):
-        built.append(params)
-        return real_table(params, *args)
+    def counted(params, k, *quench):
+        # a block has no params, and its beta is a (chains, 1) column
+        built.append("table" if params is not None else np.shape(quench[-1])[0])
+        return real_table(params, k, *quench)
 
     monkeypatch.setattr(model, "_table", counted)
     args = ["distribution", "--length", "12", "--samples", "500",
@@ -817,13 +835,13 @@ def test_distribution_ladder_builds_each_table_once(tmp_path, monkeypatch):
     one, two = tmp_path / "one", tmp_path / "two"
     one.mkdir(), two.mkdir()
     assert _run(args, one, monkeypatch) == 0
-    assert [len(params) for params in built] == [3]
+    assert built == [3]
     # blocks of 12 modes hold two 6-mode rungs: the ladder spans two blocks,
     # each built once, and writes the same bytes
     built.clear()
     monkeypatch.setattr(model, "_GROUP_MODES", 12)
     assert _run(args, two, monkeypatch) == 0
-    assert [len(params) for params in built] == [2, 1]
+    assert built == [2, 1]
     names = sorted(path.name for path in one.iterdir())
     assert names == sorted(path.name for path in two.iterdir()) and len(names) == 7
     for name in names:
@@ -1014,7 +1032,7 @@ def test_verify_fails_on_nan_and_writes_strict_json(tmp_path, monkeypatch, capsy
     def nan_point(table, t):
         pt = real(table, t)
         # the oracle suite's tables only; the bound suite passes blocks
-        if not isinstance(table.params, model.QuenchParams):
+        if table.params is None:
             return pt
         return dataclasses.replace(pt, le=np.full_like(pt.le, math.nan))
 

@@ -617,7 +617,8 @@ def test_range_guard_survives_optimized_mode():
 
 
 @pytest.mark.parametrize("n_workers", [1, 2, 5])
-def test_pool_yields_in_order_and_raises_at_the_failing_item(n_workers):
+def test_pool_yields_in_order_and_raises_at_the_failing_item(n_workers, monkeypatch):
+    monkeypatch.setenv("THERMALECHO_THREADS", str(n_workers))
     caller = threading.get_ident()
     threads = []
 
@@ -627,7 +628,7 @@ def test_pool_yields_in_order_and_raises_at_the_failing_item(n_workers):
             raise OSError("item 3")
         return i * i
 
-    results = echo._in_order(work, range(6), n_workers)
+    results = echo._in_order(work, range(6))
     assert [next(results) for _ in range(3)] == [0, 1, 4]
     with pytest.raises(OSError, match="item 3"):
         next(results)
@@ -638,9 +639,10 @@ def test_pool_yields_in_order_and_raises_at_the_failing_item(n_workers):
         assert caller not in threads
 
 
-def test_pool_workers_claim_the_next_item():
+def test_pool_workers_claim_the_next_item(monkeypatch):
     # item 0 holds one of two workers until item 2 has run, so the other
     # worker must take items 1 and 2 in turn
+    monkeypatch.setenv("THERMALECHO_THREADS", "2")
     third = threading.Event()
 
     def work(i):
@@ -648,24 +650,26 @@ def test_pool_workers_claim_the_next_item():
             third.set()
         return third.wait(10.0) if i == 0 else i
 
-    assert list(echo._in_order(work, range(4), 2)) == [True, 1, 2, 3]
+    assert list(echo._in_order(work, range(4))) == [True, 1, 2, 3]
 
 
-def test_pool_claims_each_item_once_under_stress():
+def test_pool_claims_each_item_once_under_stress(monkeypatch):
     # more workers than cores and a short switch interval: a claim lost or
     # made twice would run an item twice or never
+    monkeypatch.setenv("THERMALECHO_THREADS", "8")
     ran = []
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        results = list(echo._in_order(lambda i: ran.append(i) or i, range(3000), 8))
+        results = list(echo._in_order(lambda i: ran.append(i) or i, range(3000)))
     finally:
         sys.setswitchinterval(previous)
     assert results == list(range(3000))
     assert sorted(ran) == list(range(3000))
 
 
-def test_pool_closed_early_joins_its_workers():
+def test_pool_closed_early_joins_its_workers(monkeypatch):
+    monkeypatch.setenv("THERMALECHO_THREADS", "3")
     before = threading.enumerate()
     ran = []
 
@@ -674,7 +678,7 @@ def test_pool_closed_early_joins_its_workers():
         time.sleep(0.01)
         return i
 
-    results = echo._in_order(work, range(50), 3)
+    results = echo._in_order(work, range(50))
     assert next(results) == 0
     results.close()
     # no item is claimed after the close, and every worker has been joined
@@ -769,8 +773,9 @@ def test_one_usable_cpu_runs_the_kernel_inline():
 MANY_CPUS = pytest.mark.skipif(len(echo._CPUS) < 2, reason="fewer than 2 usable CPUs")
 
 
-def _worker_masks(n_workers):
+def _worker_masks(n_workers, monkeypatch):
     """The CPU mask of each of ``n_workers`` pool workers, one item each."""
+    monkeypatch.setenv("THERMALECHO_THREADS", str(n_workers))
     # no worker can claim a second item before every worker holds one
     all_in = threading.Barrier(n_workers, timeout=10.0)
 
@@ -778,15 +783,15 @@ def _worker_masks(n_workers):
         all_in.wait()
         return os.sched_getaffinity(0)
 
-    return list(echo._in_order(mask, range(n_workers), n_workers))
+    return list(echo._in_order(mask, range(n_workers)))
 
 
 @MANY_CPUS
-def test_pool_workers_pin_one_cpu_each_in_turn():
+def test_pool_workers_pin_one_cpu_each_in_turn(monkeypatch):
     cpus = echo._CPUS
     assert cpus == tuple(sorted(os.sched_getaffinity(0)))
     for n_workers in (2, len(cpus), len(cpus) + 1):
-        masks = _worker_masks(n_workers)
+        masks = _worker_masks(n_workers, monkeypatch)
         assert all(len(mask) == 1 and mask <= set(cpus) for mask in masks), masks
         pinned = sorted(cpu for mask in masks for cpu in mask)
         # round robin over the mask: distinct CPUs while they last
@@ -796,9 +801,10 @@ def test_pool_workers_pin_one_cpu_each_in_turn():
 
 
 @MANY_CPUS
-def test_pool_leaves_the_calling_thread_unpinned():
+def test_pool_leaves_the_calling_thread_unpinned(monkeypatch):
+    monkeypatch.setenv("THERMALECHO_THREADS", "3")
     before = os.sched_getaffinity(0)
-    assert list(echo._in_order(lambda i: i, range(20), 3)) == list(range(20))
+    assert list(echo._in_order(lambda i: i, range(20))) == list(range(20))
     assert os.sched_getaffinity(0) == before
 
     def fail(i):
@@ -807,9 +813,9 @@ def test_pool_leaves_the_calling_thread_unpinned():
         return i
 
     with pytest.raises(OSError, match="item 2"):
-        list(echo._in_order(fail, range(20), 3))
+        list(echo._in_order(fail, range(20)))
     assert os.sched_getaffinity(0) == before
-    results = echo._in_order(lambda i: time.sleep(0.01) or i, range(50), 3)
+    results = echo._in_order(lambda i: time.sleep(0.01) or i, range(50))
     assert next(results) == 0
     results.close()
     assert os.sched_getaffinity(0) == before
@@ -831,7 +837,7 @@ def test_pool_runs_unpinned_without_sched_setaffinity(setaffinity, monkeypatch):
     else:
         monkeypatch.delattr(os, "sched_setaffinity")
     # each worker keeps the mask it was started with, the calling thread's
-    assert _worker_masks(2) == [os.sched_getaffinity(0)] * 2
+    assert _worker_masks(2, monkeypatch) == [os.sched_getaffinity(0)] * 2
     unpinned = echo_point(table, t)
     for name in FIELDS:
         assert np.array_equal(getattr(unpinned, name), getattr(pinned, name)), name

@@ -240,13 +240,18 @@ def _chain_rows(layer: str, block: ModeTable) -> list:
                                    "sample_logle"])
 @pytest.mark.parametrize("identical", [False, True])
 def test_blocks_keep_their_chain_axis(layer, identical):
-    # a block of identical chains has only shared (modes,) rows, and its
-    # results still have one row per chain
+    # beta goes in as a column, so the thermal columns of every block carry
+    # its chain axis, also for identical chains and for a block of one
+    # chain, and the results of identical chains still have a row each
     betas = (2.0, 2.0, 2.0) if identical else (0.5, 2.0, math.inf)
     chains = [QuenchParams(h0=0.5, h1=0.9, gamma0=1.0, gamma1=1.0, beta=beta, length=8)
               for beta in betas]
-    ((_, block),) = model._blocks(chain_columns(chains))
-    assert (block.cinv.ndim == 1) == identical
+    for group in (chains[:1], chains):
+        ((_, block),) = model._blocks(chain_columns(group))
+        assert block.params is None and block.n_chains == len(group)
+        for column in (block.cinv, block.one_minus_cinv, block.one_minus_cinv2):
+            assert column.ndim == 2 and column.shape == (len(group), 4)
+    # the last block holds all three chains
     for values in _chain_rows(layer, block):
         assert np.shape(values)[0] == 3
 
@@ -285,27 +290,3 @@ def test_blocks_need_one_value_per_chain():
     assert list(model._blocks({name: [] for name in model._FIELDS})) == []
 
 
-def test_block_params_are_made_when_read(monkeypatch):
-    betas = [0.5, 2.0, math.inf, 4.0]
-    chains = [QuenchParams(**{**_GOOD, "beta": beta}) for beta in betas]
-    made, check = [], QuenchParams.__post_init__
-
-    def counted(self):
-        made.append(self)
-        check(self)
-
-    monkeypatch.setattr(QuenchParams, "__post_init__", counted)
-    ((indices, block),) = model._blocks(chain_columns(chains))
-    assert made == [] and len(block.params) == 4 and block.n_chains == 4
-    assert block.params[1] == chains[1] and block.params[-1] == chains[-1]
-    assert len(made) == 2
-    assert list(block.params) == chains and block.params == tuple(chains)
-    assert block.params[1:3] == tuple(chains[1:3]) and block.params != chains
-    with pytest.raises(IndexError):
-        block.params[4]
-    p = block.params[0]
-    assert type(p.length) is int and type(p.h0) is float
-    # from integer and float arrays too
-    columns = {name: np.array(values) for name, values in chain_columns(chains).items()}
-    ((_, block),) = model._blocks(columns)
-    assert list(block.params) == chains and type(block.params[0].length) is int

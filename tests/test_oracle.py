@@ -24,7 +24,7 @@ from thermalecho.oracle import (
     spectral,
     uhlmann,
 )
-from reference import (chain_columns, damping_generic, exact_le_per_time,
+from reference import (chain_columns, chains_of, damping_generic, exact_le_per_time,
                        perturbation_report, qubit_inequality_rows)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -806,8 +806,10 @@ def test_every_suite_reports_plain_json_types():
 
 def _bound_suite_draws(monkeypatch, **overrides):
     """The chains and times ``bound_suite`` hands to ``echo_point``, put back
-    together from each block's ``params`` and its rows of times in the order
-    the suite drew them, and the names of the ``Generator`` methods it called."""
+    together in the order the suite drew them, each block's chains from the
+    columns it passed to ``model._blocks`` and the block's indices, with the
+    block's rows of times, and the names of the ``Generator`` methods it
+    called."""
     data = {**_SMALL_SUITE_DATA["bound_suite"], **overrides}
     seen, calls = [], []
     real_point, real_blocks = verify.echo.echo_point, verify.model._blocks
@@ -815,11 +817,11 @@ def _bound_suite_draws(monkeypatch, **overrides):
 
     def capturing_blocks(columns):
         for indices, block in real_blocks(columns):
-            seen.append([indices])
+            seen.append([indices, chains_of(columns, indices)])
             yield indices, block
 
     def capturing_point(block, t):
-        seen[-1] += [block.params, np.array(t)]
+        seen[-1].append(np.array(t))
         return real_point(block, t)
 
     class CountingRng:

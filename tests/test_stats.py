@@ -27,7 +27,7 @@ from thermalecho import (
 )
 from thermalecho import echo, model, stats
 import reference
-from reference import chain_columns, char_fn, damping
+from reference import chain_columns, chains_of, char_fn, damping
 
 fields = st.floats(-2.0, 2.0, allow_nan=False)
 couplings = st.floats(-1.5, 1.5, allow_nan=False)
@@ -154,14 +154,15 @@ def test_ladder_rows_equal_single_table_samples(name, monkeypatch):
 
 def test_sampler_takes_blocks_and_tables_in_one_sequence():
     # a one-chain block gives one row, and a block whose chains are all
-    # alike one shared kernel column, which still fills a row per chain
+    # alike a row per chain from its per-chain thermal columns
     chains = LADDERS["mixed_h1"][0]
-    twins = _ladder_block([chains[0], chains[0]])
-    assert twins.cinv.ndim == 1 and twins.n_chains == 2
+    columns = chain_columns([chains[0], chains[0]])
+    ((indices, twins),) = model._blocks(columns)
+    assert twins.cinv.shape[0] == twins.n_chains == 2 and twins.lam1.ndim == 1
     sample = sample_logle([twins, mode_table(chains[1]), _ladder_block(chains[2:])],
                           700.0, 500, 3)
     assert sample.z.shape == (4, 500)
-    for params, z in zip([chains[0], *chains], sample.z):
+    for params, z in zip([*chains_of(columns, indices), *chains[1:]], sample.z):
         assert np.array_equal(sample_logle(mode_table(params), 700.0, 500, 3).z, z)
     # a lone block of one chain is one table
     assert sample_logle(_ladder_block(chains[2:]), 700.0, 500, 3).z.shape == (500,)
