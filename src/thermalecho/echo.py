@@ -10,21 +10,16 @@ one column of times per chain, so :func:`echo_point` of a block gives each
 chain the bits of its table alone.
 A block whose chains share their times and their post-quench frequencies
 ``lam1`` (a temperature ladder) passes one time column and one ``lam1``
-row, and the kernel takes each sine once for all of them.  One column of
-evenly spaced times, such as a ``timeseries`` grid, takes its sines by
-angle addition, from ``np.sin`` and ``np.cos`` of each block's first
-phase and of a table of offsets; it agrees with ``np.sin`` to a few ulps
-of the phase, not bit for bit.
-Every other time column (the sampler's random times, a block's per-chain
-times, and short or unevenly spaced arrays) takes the direct route,
-``sin**2`` of each phase as ``tan**2 / (1 + tan**2)``, which is as
-accurate as ``np.sin(phase)**2`` and faster, since numpy vectorises
-``tan``.  The kernel checks a table against the factors' floor once,
-before any chunk, and always works in log space, since products of many
-sub-unit factors underflow for long chains.  It walks the times in chunks
-of (times x chains x modes) work of a fixed byte size, 1 MiB per buffer,
-so memory does not grow with the number of times and a worker's buffers
-stay in its core's L2 cache.  When there is more than one chunk they run
+row, and the kernel takes each sine once for all of them.  Every time
+column (a ``timeseries`` grid, the sampler's random times, a block's
+per-chain times) takes ``sin**2`` of each phase as ``tan**2 / (1 +
+tan**2)``, which is as accurate as ``np.sin(phase)**2`` and faster, since
+numpy vectorises ``tan``.  The kernel checks a table against the factors'
+floor once, before any chunk, and always works in log space, since
+products of many sub-unit factors underflow for long chains.  It walks
+the times in chunks of (times x chains x modes) work of a fixed byte
+size, 1 MiB per buffer, so memory does not grow with the number of times
+and a worker's buffers stay in its core's L2 cache.  When there is more than one chunk they run
 on ``THERMALECHO_THREADS`` plain threads (default: the CPUs the process may
 run on), each of which claims the next chunk when it finishes one; chunk
 and block boundaries do not depend on the thread count or on which thread
@@ -54,8 +49,8 @@ _CLAMP_SLACK = 1e-15
 # float64 scratch per (chunk x n_modes) buffer; the value only affects speed.
 # A worker streams its two buffers about 14 times per chunk, so both should
 # fit in its core's L2 (2 MiB on a 2-core Xeon VM).  There, at 2 threads,
-# median of 25 interleaved runs: a 20001-time grid of 999 modes took 197 ms
-# at 4 MiB, 163 ms at 1 MiB and 168 ms at 256 KiB; a 5-rung ladder's 1e5
+# median of 25 interleaved runs: a 20001-time grid of 999 modes took 129 ms
+# at 4 MiB, 122 ms at 1 MiB and 140 ms at 256 KiB; a 5-rung ladder's 1e5
 # samples of 25 modes took 143, 132 and 151 ms
 _CHUNK_BYTES = 1 << 20
 
@@ -66,10 +61,6 @@ _CHUNK_BYTES = 1 << 20
 # tell, and then the count is os.cpu_count()
 _CPUS = tuple(sorted(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else ()
 _CPU_COUNT = len(_CPUS) or os.cpu_count() or 1
-
-# times per angle-addition block; a grid of fewer than two blocks takes the
-# direct route's tangents instead
-_GRID_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -223,18 +214,6 @@ def _sin_squared(s: np.ndarray, scratch: np.ndarray) -> None:
     np.divide(s, scratch, out=s)
 
 
-def _grid_step(t: np.ndarray):
-    """The step of a single column ``t`` of at least ``2 * _GRID_BLOCK`` times
-    that miss ``t[0] + j * step`` by a few ulps at most, as ``np.linspace``
-    output does, else None."""
-    if t.shape[1] != 1 or t.shape[0] < 2 * _GRID_BLOCK:
-        return None
-    col = t[:, 0]
-    step = (col[-1] - col[0]) / (col.size - 1)
-    miss = np.abs(col - (np.arange(col.size) * step + col[0])).max()
-    return step if miss <= 4.0 * np.finfo(float).eps * max(abs(col[0]), abs(col[-1])) else None
-
-
 def _kernel(table: ModeTable, t: np.ndarray, core: bool = True):
     """``(log_le, log_core, log_purity)`` of a table or a block of equal-length chains.
 
@@ -247,13 +226,8 @@ def _kernel(table: ModeTable, t: np.ndarray, core: bool = True):
     shape of the time columns and the ``lam1`` rows, so chains that share
     both share each sine; only ``coef * sin**2`` onward, with ``coef = (1 -
     cinv**2) * alpha``, runs at the full (times, chains, modes) shape.
-    This direct route takes ``sin**2`` from the tangent (see
-    :func:`_sin_squared`); it serves every time column but a grid: random
-    times, per-chain columns, and short or unevenly spaced ones.  A grid
-    (see :func:`_grid_step`), a single column of evenly spaced times, takes
-    ``sqrt(coef) * sin`` by angle addition instead, from ``np.sin`` and
-    ``np.cos`` at the first time of each block of ``_GRID_BLOCK`` rows and
-    of one table of the offsets in a block.
+    Every time column takes ``sin**2`` from the tangent (see
+    :func:`_sin_squared`).
     Before any chunk the table is checked against the floor of ``arg``
     (see :func:`_log_factors`): ``1 - coef``, the least ``arg`` at any
     time, must not fall below ``cinv**2`` by more than ``_CLAMP_SLACK``,
@@ -286,15 +260,6 @@ def _kernel(table: ModeTable, t: np.ndarray, core: bool = True):
     n_phases, n_modes = np.broadcast_shapes(t.shape[1:] + (1,), lam1.shape)
     n_chains = table.n_chains
     rows = max(1, _CHUNK_BYTES // (8 * n_chains * n_modes))
-    span = n_times
-    step = _grid_step(t)
-    if step is not None:
-        # whole blocks per chunk, so neither the chunks nor the threads move a bit
-        rows = max(_GRID_BLOCK, rows - rows % _GRID_BLOCK)
-        span = -(-n_times // _GRID_BLOCK) * _GRID_BLOCK
-        offset = np.arange(_GRID_BLOCK)[:, None, None] * step * lam1
-        root = np.sqrt(coef)
-        cos_offset, sin_offset = root * np.cos(offset), root * np.sin(offset)
     starts = range(0, n_times, rows)
     log_le = np.empty((n_times, n_chains))
     log_core = np.empty((n_times, n_chains)) if core else None
@@ -303,7 +268,7 @@ def _kernel(table: ModeTable, t: np.ndarray, core: bool = True):
 
     def buffers():
         if not hasattr(own, "buffers"):
-            arg = np.empty((min(rows, span), n_chains, n_modes))
+            arg = np.empty((min(rows, n_times), n_chains, n_modes))
             logs = np.empty_like(arg)
             # the full-shape buffer takes the phases in place unless they are shared
             phase = arg if n_phases == n_chains else np.empty((arg.shape[0], n_phases, n_modes))
@@ -317,20 +282,10 @@ def _kernel(table: ModeTable, t: np.ndarray, core: bool = True):
         stop = min(start + rows, n_times)
         a = arg[: stop - start]
         b = logs[: stop - start]
-        if step is None:
-            s = phase[: stop - start]
-            np.multiply(t[start:stop, :, None], lam1, out=s)
-            _sin_squared(s, denom[: stop - start])
-            np.multiply(s, coef, out=a)
-        else:
-            head = t[start:stop:_GRID_BLOCK, :, None] * lam1
-            shape = (head.shape[0], _GRID_BLOCK, n_chains, n_modes)
-            s = arg[: shape[0] * _GRID_BLOCK].reshape(shape)
-            c = logs[: shape[0] * _GRID_BLOCK].reshape(shape)
-            np.multiply(np.sin(head)[:, None], cos_offset, out=s)
-            np.multiply(np.cos(head)[:, None], sin_offset, out=c)
-            np.add(s, c, out=s)
-            np.square(a, out=a)
+        s = phase[: stop - start]
+        np.multiply(t[start:stop, :, None], lam1, out=s)
+        _sin_squared(s, denom[: stop - start])
+        np.multiply(s, coef, out=a)
         _log_factors(a, b if core else None, cinv)
         if core:
             np.add.reduce(b, axis=-1, out=log_core[start:stop])
@@ -355,13 +310,8 @@ def echo_point(table: ModeTable, t) -> EchoPoint:
     block that ``_blocks(columns)`` yields with ``indices``, row ``j`` is
     bit for bit ``echo_point(mode_table(p), t[j])`` (``t`` for shared
     times), where ``p`` is the :class:`model.QuenchParams` of the values that
-    ``columns`` hold at ``indices[j]``, except that a block of several
-    chains takes a grid row of their own times by the direct route, to a
-    few ulps of the phase.
-    Evenly spaced times (at least ``2 * _GRID_BLOCK`` of them, shared or of
-    one chain) take their sines by angle addition; all others, such as the
-    sampler's random times, take ``sin**2`` from ``np.tan``.  See
-    :class:`EchoPoint`.
+    ``columns`` hold at ``indices[j]``.  Every time takes ``sin**2`` from
+    ``np.tan``.  See :class:`EchoPoint`.
     """
     t_arr = np.asarray(t, dtype=float)
     n_chains = table.n_chains

@@ -158,7 +158,8 @@ def sample_logle(table: ModeTable | Sequence[ModeTable], tau: float, n_samples: 
     chains (see :class:`model.ModeTable`): ``z`` has one row per chain, in
     the order of the entries and of each block's chains, and each row is
     bit for bit the ``z`` of that chain's table alone with the same seed
-    and ``tau``.  A lone table of one chain gives a 1-D ``z``.
+    and ``tau``.  One chain's table alone gives a 1-D ``z``; a lone block
+    keeps its chain axis, also for one chain.
 
     Parameters
     ----------
@@ -185,8 +186,9 @@ def sample_logle(table: ModeTable | Sequence[ModeTable], tau: float, n_samples: 
     # the kernel gives each chain of an entry a column, which is its row of z
     z = np.concatenate([echo._kernel(entry, times[:, None], core=False)[0].T
                         for entry in tables])
+    # a block's thermal columns are 2-D, also for one chain
     return SampleSet(tau=float(tau), seed=int(seed), times=times,
-                     z=z[0] if lone and len(z) == 1 else z)
+                     z=z[0] if lone and table.cinv.ndim == 1 else z)
 
 
 def histogram_peaks(counts, edges) -> np.ndarray:

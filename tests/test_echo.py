@@ -53,6 +53,10 @@ def test_unit_echo_at_time_zero():
     assert pt.log_le == pytest.approx(0.0, abs=1e-14)
     assert pt.lower == pytest.approx(1.0, abs=1e-12)
     assert pt.upper == pytest.approx(1.0, abs=1e-12)
+    # and exactly, at the head of a long grid
+    grid = echo_point(_table(length=200, beta=3.0), np.linspace(0.0, 500.0, 1001))
+    assert grid.le[0] == grid.lower[0] == grid.upper[0] == 1.0
+    assert grid.log_le[0] == 0.0
 
 
 def test_linearized_at_zero_equals_purity():
@@ -62,11 +66,11 @@ def test_linearized_at_zero_equals_purity():
 
 
 def test_even_in_time():
-    table = _table(length=26, beta=3.0)
-    t = np.linspace(0.1, 12.0, 37)
-    forward, backward = echo_point(table, t), echo_point(table, -t)
-    for name in ("le", "log_le", "lef", "lower", "upper"):
-        assert np.array_equal(getattr(forward, name), getattr(backward, name)), name
+    for table, t in ((_table(length=26, beta=3.0), np.linspace(0.1, 12.0, 37)),
+                     (_table(length=200, beta=3.0), np.linspace(0.0, 500.0, 1001))):
+        forward, backward = echo_point(table, t), echo_point(table, -t)
+        for name in ("le", "log_le", "lef", "lower", "upper"):
+            assert np.array_equal(getattr(forward, name), getattr(backward, name)), name
 
 
 def test_decay_series_regression_value():
@@ -288,27 +292,14 @@ def test_shared_times_match_per_chain_times(monkeypatch):
         assert np.array_equal(runs[0].log_le[i], echo_point(mode_table(chains[i]), t).log_le)
 
 
-def _grid(t) -> bool:
-    """Whether the kernel takes ``t``'s sines by angle addition."""
-    return echo._grid_step(np.asarray(t, dtype=float).reshape(-1, 1)) is not None
-
-
-def _direct_route(table, t):
-    """``echo_point`` of ``t`` in slices too short for the grid route."""
-    size = 2 * echo._GRID_BLOCK - 1
-    points = [echo_point(table, t[i : i + size]) for i in range(0, t.size, size)]
-    return {name: np.concatenate([getattr(p, name) for p in points])
-            for name in ("log_le", "lower")}
-
-
 def _tan_sin2(phase):
-    """sin**2 as the direct route takes it, step for step."""
+    """sin**2 as the kernel takes it, step for step."""
     s = np.square(np.tan(phase))
     return s / (s + 1.0)
 
 
 def _direct_formula(table, t, sin2):
-    """``(log_le, lower)`` at times ``t`` by the direct route's steps, with
+    """``(log_le, lower)`` at times ``t`` by the kernel's steps, with
     ``sin2`` for sin**2 of the phases."""
     a = sin2(np.multiply.outer(t, table.lam1)) * (table.one_minus_cinv2 * table.alpha)
     arg = np.maximum(1.0 - a, table.cinv**2)
@@ -336,21 +327,6 @@ ACCURACY_GRIDS = [(2000, 500.0, 1001), (200, 1e5, 2001), (400, 1e6, 2001)]
 
 
 @pytest.mark.skipif(not WIDE, reason=NOT_WIDE)
-@pytest.mark.parametrize("length, tmax, tpoints", ACCURACY_GRIDS)
-def test_grid_route_is_as_accurate_as_sin(length, tmax, tpoints):
-    table = _table(length=length)
-    t = np.linspace(0.0, tmax, tpoints)
-    assert _grid(t)
-    exact = _wide(table, t)
-    grid = echo_point(table, t)
-    parts = _direct_route(table, t)
-    for name, log in (("log_le", lambda x: x), ("lower", np.log)):
-        grid_err = np.abs(log(getattr(grid, name)) - exact[name]).max()
-        sin_err = np.abs(log(parts[name]) - exact[name]).max()
-        assert grid_err <= 2.0 * sin_err, (name, float(grid_err), float(sin_err))
-
-
-@pytest.mark.skipif(not WIDE, reason=NOT_WIDE)
 def test_direct_route_sin_squared_is_as_accurate_as_np_sin():
     rng = np.random.default_rng(59)
     # magnitudes from 1e-150, where sin**2 is still a normal double, to 1e300
@@ -368,42 +344,27 @@ def test_direct_route_sin_squared_is_as_accurate_as_np_sin():
     s2 = edge.copy()
     echo._sin_squared(s2, np.empty_like(s2))
     assert s2[0] == s2[1] == 0.0 and np.isfinite(s2[2]) and 0.0 <= s2[2] <= 1.0
-    # and the echo it gives is as close to the long-double one as np.sin's
+    # and the echo and lower bound it gives are as close to the long-double
+    # ones as np.sin's
     for length, tmax, tpoints in ACCURACY_GRIDS:
         table = _table(length=length)
         t = np.linspace(0.0, tmax, tpoints)
-        exact = _wide(table, t)["log_le"]
-        direct_err = np.abs(_direct_route(table, t)["log_le"] - exact).max()
-        sin_err = np.abs(_direct_formula(table, t, lambda p: np.square(np.sin(p)))[0] - exact).max()
-        assert direct_err <= 2.0 * sin_err, (length, float(direct_err), float(sin_err))
-
-
-def _rounded_grid(table, t):
-    """``log_le`` by the grid route's steps, with each head's and offset's
-    sine and cosine taken in np.longdouble and rounded once to float64."""
-    step = echo._grid_step(t.reshape(-1, 1))
-    assert step is not None
-
-    def rounded(f, phase):
-        return f(phase.astype(np.longdouble)).astype(float)
-
-    root = np.sqrt(table.one_minus_cinv2 * table.alpha)
-    offset = np.arange(echo._GRID_BLOCK)[:, None] * step * table.lam1
-    head = t[:: echo._GRID_BLOCK, None] * table.lam1
-    s = (rounded(np.sin, head)[:, None] * (root * rounded(np.cos, offset))
-         + rounded(np.cos, head)[:, None] * (root * rounded(np.sin, offset)))
-    arg = np.maximum(1.0 - np.square(s).reshape(-1, table.n_modes)[: t.size], table.cinv**2)
-    return 2.0 * np.add.reduce(np.log((np.sqrt(arg) + table.cinv) / (1.0 + table.cinv)), axis=-1)
+        exact = _wide(table, t)
+        pt = echo_point(table, t)
+        log_le, lower = _direct_formula(table, t, lambda p: np.square(np.sin(p)))
+        for name, value, sin_value in (("log_le", pt.log_le, log_le),
+                                       ("lower", np.log(pt.lower), np.log(lower))):
+            err = np.abs(value - exact[name]).max()
+            sin_err = np.abs(sin_value - exact[name]).max()
+            assert err <= 2.0 * sin_err, (length, name, float(err), float(sin_err))
 
 
 @pytest.mark.skipif(not WIDE, reason=NOT_WIDE)
-def test_grid_route_loses_nothing_in_its_sines():
+def test_random_quenches_lose_nothing_in_their_sines():
     # 150 seeded random quenches on 256-point grids.  Where one mode's factor
-    # comes near its floor, an error in a sine is magnified 1/arg times: the
-    # grid route's worst log_le error (tables 45, 51, 107 and 114 of this
-    # seed) was 2.2, 4.3, 2.6 and 2.2 times that of correctly rounded sines
-    # and cosines when both came from one tangent of the half phase; from
-    # np.sin and np.cos it matches it on every table
+    # comes near its floor, an error in sin**2 is magnified 1/arg times; with
+    # sin**2 from the tangent the worst log_le error was at most 1.82 times
+    # (table 3 of this seed) that of the same steps with np.sin
     rng = np.random.default_rng(1)
     for _ in range(150):
         length = 2 * int(rng.integers(10, 300))
@@ -414,62 +375,24 @@ def test_grid_route_loses_nothing_in_its_sines():
         table = mode_table(QuenchParams(h0=h0, h1=h1, gamma0=g0, gamma1=g1,
                                         beta=beta, length=length))
         exact = _wide(table, t)["log_le"]
-        grid_err = np.abs(echo_point(table, t).log_le - exact).max()
-        rounded_err = np.abs(_rounded_grid(table, t) - exact).max()
-        assert grid_err <= 1.5 * rounded_err, (length, beta, float(grid_err), float(rounded_err))
+        err = np.abs(echo_point(table, t).log_le - exact).max()
+        sin_err = np.abs(_direct_formula(table, t, lambda p: np.square(np.sin(p)))[0] - exact).max()
+        assert err <= 2.0 * sin_err, (length, beta, float(err), float(sin_err))
 
 
-@pytest.mark.parametrize("start, stop, tpoints", [(0.0, 500.0, 1001), (0.0, -40.0, 128),
-                                                  (-30.0, 90.0, 20001), (1e4, 1e4 + 7.0, 333),
-                                                  (25.0, 25.0, 200)])
-def test_linspace_takes_the_grid_route(start, stop, tpoints):
-    t = np.linspace(start, stop, tpoints)
-    assert _grid(t) and _grid(-t)
-    table = _table(length=30)
-    pt, parts = echo_point(table, t), _direct_route(table, t)
-    # one float64 ulp of the largest phase per mode, summed over the modes
-    phase_ulps = np.finfo(float).eps * np.abs(t).max() * table.lam1.max() * table.n_modes
-    assert np.abs(pt.log_le - parts["log_le"]).max() <= phase_ulps
-    assert np.abs(np.log(pt.lower) - np.log(parts["lower"])).max() <= phase_ulps
-
-
-def test_grid_route_unit_echo_and_even_in_time():
-    table = _table(length=200, beta=3.0)
-    t = np.linspace(0.0, 500.0, 1001)
-    assert _grid(t)
-    forward, backward = echo_point(table, t), echo_point(table, -t)
-    assert forward.le[0] == forward.lower[0] == forward.upper[0] == 1.0
-    assert forward.log_le[0] == 0.0
-    for name in ("le", "log_le", "lef", "lower", "upper"):
-        assert np.array_equal(getattr(forward, name), getattr(backward, name)), name
-
-
-def test_grid_route_chunks_and_threads_leave_bits_unchanged(monkeypatch):
-    table = _table(length=60, beta=2.0)
-    # 1001 rows: 15 whole blocks and a part, in chunks of one block and of 512 rows
-    t = np.linspace(-5.0, 400.0, 1001)
-    assert _grid(t)
-    whole = echo_point(table, t)
-    runs = []
-    for chunk_bytes in (8, 8 * 30 * 512):
-        monkeypatch.setattr(echo, "_CHUNK_BYTES", chunk_bytes)
-        for threads in ("1", "3"):
-            monkeypatch.setenv("THERMALECHO_THREADS", threads)
-            runs.append(echo_point(table, t))
-    for run in runs:
-        for name in ("le", "log_le", "lef", "lower", "upper"):
-            assert np.array_equal(getattr(run, name), getattr(whole, name)), name
-
-
-@pytest.mark.parametrize("times", ["grid", "random"])
+@pytest.mark.parametrize("times", ["grid", "random", "small"])
 def test_chunk_sizes_leave_bits_unchanged(times, monkeypatch):
-    # 999 modes: 4 MiB chunks hold 512 grid rows (524 random ones), the
-    # default 1 MiB chunks 128 (131), and the smallest chunk one grid block
-    table = _table(length=2000, beta=10.0)
-    rng = np.random.default_rng(53)
-    t = np.linspace(0.0, 500.0, 3001) if times == "grid" else rng.uniform(0.0, 5e4, 3001)
-    assert _grid(t) == (times == "grid")
-    sizes = (4 << 20, echo._CHUNK_BYTES, 8 * table.n_modes * echo._GRID_BLOCK)
+    # 999 modes: 4 MiB chunks hold 524 rows, the default 1 MiB chunks 131,
+    # and the smallest chunk one row; 30 modes: 200 rows and one row
+    if times == "small":
+        table = _table(length=60, beta=2.0)
+        t = np.linspace(-5.0, 400.0, 1001)
+        sizes = (8 * table.n_modes * 200, 8)
+    else:
+        table = _table(length=2000, beta=10.0)
+        rng = np.random.default_rng(53)
+        t = np.linspace(0.0, 500.0, 3001) if times == "grid" else rng.uniform(0.0, 5e4, 3001)
+        sizes = (4 << 20, echo._CHUNK_BYTES, 8 * table.n_modes)
     monkeypatch.setattr(echo, "_CHUNK_BYTES", 8 * table.n_modes * t.size)
     whole = echo_point(table, t)
     for chunk_bytes in sizes:
@@ -488,42 +411,29 @@ def test_shared_grid_times_match_echo_point(monkeypatch):
               for beta in (0.5, 3.0, 30.0, math.inf)]
     chains = _random_chains(rng, 30) + ladder
     t = np.linspace(0.0, 60.0, 300)
-    assert _grid(t)
     monkeypatch.setattr(echo, "_CHUNK_BYTES", 8 * 4000)
     stacked = _stacked(chains, t)
     rows = _stacked(chains, np.tile(t, (len(chains), 1)))
+    # shared times and a row of each chain's own times, in blocks of one to
+    # five chains, give every chain the bits of its own table
     for i, params in enumerate(chains):
         single = echo_point(mode_table(params), t)
         for name in ("le", "log_le", "lef", "lower", "upper"):
-            assert np.array_equal(getattr(stacked, name)[i], getattr(single, name)), (i, name)
-    # a grid row of a chain's own times: a block of one chain keeps angle
-    # addition, and the block of five chains of length 40 takes the direct
-    # route, bit for bit as the chain's own table does on short slices and
-    # within a float64 ulp of the largest phase per mode of the long-double echo
-    for indices, block in model._blocks(chain_columns(chains)):
-        for i in indices.tolist():
-            table = mode_table(chains[i])
-            if indices.size == 1:
-                assert np.array_equal(rows.log_le[i], echo_point(table, t).log_le), i
-            else:
-                assert np.array_equal(rows.log_le[i], _direct_route(table, t)["log_le"]), i
-                if WIDE:
-                    phase_ulps = np.finfo(float).eps * t.max() * block.lam1.max() * block.n_modes
-                    assert np.abs(rows.log_le[i] - _wide(table, t)["log_le"]).max() <= phase_ulps, i
+            for run in (stacked, rows):
+                assert np.array_equal(getattr(run, name)[i], getattr(single, name)), (i, name)
     assert max(indices.size for indices, _ in model._blocks(chain_columns(chains))) == 5
 
 
-def test_short_and_jittered_grids_take_the_direct_route():
+def test_grids_take_sin_squared_from_the_tangent():
+    # a grid, the same grid jittered and a short one, step for step
     table = _table(length=50, beta=2.0)
+    grid = np.linspace(0.0, 25.0, 1001)
     jitter = np.random.default_rng(47).uniform(-1e-9, 1e-9, 1001)
-    for t in (np.linspace(0.0, 25.0, 2 * echo._GRID_BLOCK - 1),
-              np.linspace(0.0, 25.0, 1001) + jitter):
-        assert not _grid(t)
+    for t in (grid, grid + jitter, np.linspace(0.0, 25.0, 127)):
         log_le, lower = _direct_formula(table, t, _tan_sin2)
         pt = echo_point(table, t)
         assert np.array_equal(pt.log_le, log_le)
         assert np.array_equal(pt.lower, lower)
-    assert _grid(np.linspace(0.0, 25.0, 2 * echo._GRID_BLOCK))
 
 
 def test_signed_zero_parameters_stay_apart():
@@ -552,7 +462,7 @@ def test_stacked_chains_validate_times():
         assert empty.le.shape == empty.upper.shape == (3, 0)
 
 
-def test_floor_guard_raises_on_both_routes(monkeypatch):
+def test_floor_guard_raises_on_tables_and_blocks(monkeypatch):
     # a hot, a warm and a cold chain: a table and a block of the three
     chains = [QuenchParams(length=20, **dict(DECAY_QUENCH, beta=beta))
               for beta in (0.5, 3.0, math.inf)]
@@ -689,10 +599,9 @@ def test_pool_closed_early_joins_its_workers(monkeypatch):
 def test_kernel_workers_claim_chunks(monkeypatch):
     table = _table(length=60, beta=2.0)
     t = np.linspace(-5.0, 400.0, 1001)
-    assert _grid(t)
-    # one grid block per chunk: 16 chunks
-    monkeypatch.setattr(echo, "_CHUNK_BYTES", 8)
-    n_chunks = -(-t.size // echo._GRID_BLOCK)
+    # 64 rows per chunk: 16 chunks
+    monkeypatch.setattr(echo, "_CHUNK_BYTES", 8 * table.n_modes * 64)
+    n_chunks = -(-t.size // (echo._CHUNK_BYTES // (8 * table.n_modes)))
     monkeypatch.setenv("THERMALECHO_THREADS", "1")
     inline = echo_point(table, t)
     real_log_factors = echo._log_factors

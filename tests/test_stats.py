@@ -164,8 +164,8 @@ def test_sampler_takes_blocks_and_tables_in_one_sequence():
     assert sample.z.shape == (4, 500)
     for params, z in zip([*chains_of(columns, indices), *chains[1:]], sample.z):
         assert np.array_equal(sample_logle(mode_table(params), 700.0, 500, 3).z, z)
-    # a lone block of one chain is one table
-    assert sample_logle(_ladder_block(chains[2:]), 700.0, 500, 3).z.shape == (500,)
+    # a lone block of one chain keeps its chain axis
+    assert sample_logle(_ladder_block(chains[2:]), 700.0, 500, 3).z.shape == (1, 500)
 
 
 def test_sampler_forms_only_the_log_echo(monkeypatch):
