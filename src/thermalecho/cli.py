@@ -8,12 +8,13 @@ is seeded, so a rerun with the same inputs produces byte-identical files
 under any thread count.  JSON is strict: non-finite numbers are null.
 ``scan`` and a ``distribution`` ladder build their mode columns once per
 block of chains (a ``ModeTable``), which every layer they call takes.
-``THERMALECHO_THREADS`` sets the threads of the echo evaluation
-and of a temperature ladder's rungs, whose statistics and files are made
-on a pool and reported in rung order; neither the files nor the printed
-lines depend on it.  Only ``model`` is imported with this module; each
-command imports the layers it runs when it runs, and the CSV writer
-(``_csvfile``) only when it writes CSV.  Every configuration
+``THERMALECHO_THREADS`` sets the threads of the echo evaluation, of a
+temperature ladder's rungs, whose statistics and files are made on a pool
+and reported in rung order, and of ``verify``'s suites, which run side by
+side on the same pool and report in suite order; neither the files nor
+the printed lines depend on it.  Only ``model`` is imported with this
+module; each command imports the layers it runs when it runs, and the CSV
+writer (``_csvfile``) only when it writes CSV.  Every configuration
 value is checked, also one that a ``scan`` axis overrides.
 
 Exit codes: 0 success, 1 invalid input, 2 verification failure, 3 I/O error.

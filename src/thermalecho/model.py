@@ -8,13 +8,14 @@ thermal factors are evaluated through ``exp(-x)`` and ``tanh`` so that large
 ``beta * lambda`` never overflows and the zero-temperature limit is exact.
 Many chains of one length are built at once, as blocks of bounded size:
 they come as columns, one array or list of values per field of
-:class:`QuenchParams`, and a block is a :class:`ModeTable` without
-``params`` whose thermal columns are ``(chains, modes)`` arrays, one row
-per chain; a column that depends only on parameters every chain shares,
-such as ``k`` or ``lam1`` along a temperature ladder, is one ``(modes,)``
-row.  One table is the one-chain case.  Every layer reads a table's
-attributes, so the echo, the long-time statistics, the weights and the
-sampler take a block as they take one table.
+:class:`QuenchParams`, and a block is a :class:`ModeTable` whose thermal
+columns are ``(chains, modes)`` arrays, one row per chain; a column that
+depends only on parameters every chain shares, such as ``k`` or ``lam1``
+along a temperature ladder, is one ``(modes,)`` row.  One table is the
+one-chain case.  A table is its columns, and every layer tells a block
+from one chain's table by its 2-D thermal columns alone, so the echo, the
+long-time statistics, the weights and the sampler take a block as they
+take one table.
 """
 
 from __future__ import annotations
@@ -116,17 +117,15 @@ class ModeTable:
     minus the one before, ``alpha = sin(dtheta)**2``, and ``omega = 2 *
     lam1`` is the oscillation frequency of the mode after the quench.
 
-    One chain's table has its :class:`QuenchParams` as ``params`` and
-    ``(modes,)`` columns.  A block of equal-length chains (see
-    :func:`_blocks`) has no ``params``, and ``(chains, modes)`` columns
-    whose row ``i`` has the bits of its ``i``-th chain's table: always
-    ``cinv``, ``one_minus_cinv`` and ``one_minus_cinv2``, so the chain axis
-    is in the thermal columns, and the others where the chains differ in
-    what they depend on; a column that every chain shares, such as ``k``,
-    is a ``(modes,)`` row.
+    One chain's table has ``(modes,)`` columns.  A block of equal-length
+    chains (see :func:`_blocks`) has ``(chains, modes)`` columns whose row
+    ``i`` has the bits of its ``i``-th chain's table: always ``cinv``,
+    ``one_minus_cinv`` and ``one_minus_cinv2``, so the chain axis is in
+    the thermal columns, and the others where the chains differ in what
+    they depend on; a column that every chain shares, such as ``k``, is a
+    ``(modes,)`` row.
     """
 
-    params: QuenchParams | None
     k: np.ndarray
     lam0: np.ndarray
     lam1: np.ndarray
@@ -146,31 +145,25 @@ class ModeTable:
 
     @property
     def n_chains(self) -> int:
-        return 1 if self.params is not None else self.cinv.shape[0]
+        return self.cinv.shape[0] if self.cinv.ndim == 2 else 1
 
     @property
     def omega(self) -> np.ndarray:
         return 2.0 * self.lam1
 
-    @property
-    def b(self) -> np.ndarray:
-        """Per-mode coefficient ``-(1 - cinv**2) * alpha``, in ``[-1, 0]``."""
-        return -(self.one_minus_cinv2 * self.alpha)
 
-
-def _table(params, k: np.ndarray, h0, h1, gamma0, gamma1, beta) -> ModeTable:
-    """The :class:`ModeTable` of ``params`` on the momenta ``k``.
+def _table(k: np.ndarray, h0, h1, gamma0, gamma1, beta) -> ModeTable:
+    """The :class:`ModeTable` of a quench on the momenta ``k``.
 
     Each quench parameter is a scalar for one chain, or a ``(chains, 1)``
     array that broadcasts against the momenta ``k`` of one chain length, so
-    a block of equal-length chains (``params`` None) is built at once as
-    ``(chains, modes)`` columns; ``beta = inf`` is the ground state.
+    a block of equal-length chains is built at once as ``(chains, modes)``
+    columns; ``beta = inf`` is the ground state.
     """
     lam0, theta0 = _components(h0, gamma0, k)
     lam1, theta1 = _components(h1, gamma1, k)
     dtheta = theta1 - theta0
-    return ModeTable(params, k, lam0, lam1, dtheta, np.sin(dtheta) ** 2,
-                     *_stable_ratios(beta, lam0))
+    return ModeTable(k, lam0, lam1, dtheta, np.sin(dtheta) ** 2, *_stable_ratios(beta, lam0))
 
 
 def mode_table(params: QuenchParams) -> ModeTable:
@@ -181,8 +174,8 @@ def mode_table(params: QuenchParams) -> ModeTable:
     ModeTable
         Arrays over the ``length / 2`` positive momenta.
     """
-    return _table(params, momenta(params.length), params.h0, params.h1, params.gamma0,
-                  params.gamma1, params.beta)
+    return _table(momenta(params.length), params.h0, params.h1, params.gamma0, params.gamma1,
+                  params.beta)
 
 
 def _shared(values: np.ndarray):
@@ -249,4 +242,4 @@ def _blocks(columns: Mapping[str, Sequence]):
         for first in range(0, same.size, per_block):
             block = same[first : first + per_block]
             rows = values[:, block]
-            yield block, _table(None, k, *map(_shared, rows[:4]), rows[4][:, None])
+            yield block, _table(k, *map(_shared, rows[:4]), rows[4][:, None])

@@ -12,8 +12,9 @@ the closed-form widths of :mod:`thermalecho.stats`.  ``exact_le_per_time``
 and ``qubit_inequality_rows`` are the former one-time-at-a-time dense echo
 and ``(n, 3)`` qubit suite, which the batched routes must match bit for
 bit, ``chain_columns`` turns a list of quenches into the columns
-``model._blocks`` takes, and ``chains_of`` reads a block's quenches back
-from those columns and the block's indices.
+``model._blocks`` takes, ``chains_of`` reads a block's quenches back
+from those columns and the block's indices, and ``b`` is the per-mode
+coefficient that the series references of the long-time averages expand in.
 """
 
 from __future__ import annotations
@@ -270,6 +271,11 @@ def chains_of(columns, indices) -> list[model.QuenchParams]:
     of a block, its chains in the order of its rows."""
     values = [np.asarray(columns[name])[indices].tolist() for name in model._FIELDS]
     return [model.QuenchParams(*chain) for chain in zip(*values)]
+
+
+def b(table: model.ModeTable) -> np.ndarray:
+    """Per-mode coefficient ``-(1 - cinv**2) * alpha`` of ``table``, in ``[-1, 0]``."""
+    return -(table.one_minus_cinv2 * table.alpha)
 
 
 def exact_le_per_time(H0, H1, beta: float, t) -> oracle.ExactEcho:

@@ -824,10 +824,10 @@ def test_distribution_ladder_builds_each_table_once(tmp_path, monkeypatch):
     built = []
     real_table = model._table
 
-    def counted(params, k, *quench):
-        # a block has no params, and its beta is a (chains, 1) column
-        built.append("table" if params is not None else np.shape(quench[-1])[0])
-        return real_table(params, k, *quench)
+    def counted(k, *quench):
+        # a block's beta is a (chains, 1) column, one chain's a scalar
+        built.append("table" if np.ndim(quench[-1]) == 0 else np.shape(quench[-1])[0])
+        return real_table(k, *quench)
 
     monkeypatch.setattr(model, "_table", counted)
     args = ["distribution", "--length", "12", "--samples", "500",
@@ -1032,7 +1032,7 @@ def test_verify_fails_on_nan_and_writes_strict_json(tmp_path, monkeypatch, capsy
     def nan_point(table, t):
         pt = real(table, t)
         # the oracle suite's tables only; the bound suite passes blocks
-        if table.params is None:
+        if table.cinv.ndim == 2:
             return pt
         return dataclasses.replace(pt, le=np.full_like(pt.le, math.nan))
 

@@ -1,5 +1,6 @@
 """Mode table construction: momenta, dispersion, thermal ratios, rotation angles."""
 
+import dataclasses
 import math
 from typing import NamedTuple
 
@@ -21,6 +22,7 @@ from thermalecho import (
 )
 from thermalecho import model
 
+import reference
 from reference import chain_columns
 
 
@@ -73,8 +75,11 @@ def occupation_factor(table: ModeTable) -> np.ndarray:
         return 1.0 / table.cinv
 
 
-couplings = st.floats(-2.0, 2.0, allow_nan=False)
-fields = st.floats(-2.5, 2.5, allow_nan=False)
+# the strata where the formulas change (a zero field or anisotropy, the
+# critical field, the Ising coupling) are drawn as well as the bulk
+STRATA = st.sampled_from([-1.0, 0.0, 1.0])
+couplings = STRATA | st.floats(-2.0, 2.0, allow_nan=False)
+fields = STRATA | st.floats(-2.5, 2.5, allow_nan=False)
 betas = st.floats(0.05, 60.0, allow_nan=False)
 lengths = st.integers(1, 40).map(lambda n: 2 * n)
 
@@ -188,7 +193,7 @@ def test_series_coefficient_identity():
     # c*b/(2(1+c)) reduces to -(1 - 1/c)*alpha/2 for every mode
     table = mode_table(_params(h0=0.7, h1=-0.4, g0=0.9, g1=0.3, beta=1.7))
     c = occupation_factor(table)
-    lhs = c * table.b / (2.0 * (1.0 + c))
+    lhs = c * reference.b(table) / (2.0 * (1.0 + c))
     rhs = -table.one_minus_cinv * table.alpha / 2.0
     assert np.allclose(lhs, rhs, atol=1e-16)
 
@@ -248,12 +253,68 @@ def test_blocks_keep_their_chain_axis(layer, identical):
               for beta in betas]
     for group in (chains[:1], chains):
         ((_, block),) = model._blocks(chain_columns(group))
-        assert block.params is None and block.n_chains == len(group)
+        assert block.n_chains == len(group)
         for column in (block.cinv, block.one_minus_cinv, block.one_minus_cinv2):
             assert column.ndim == 2 and column.shape == (len(group), 4)
     # the last block holds all three chains
     for values in _chain_rows(layer, block):
         assert np.shape(values)[0] == 3
+
+
+# a table's fields: its mode columns and nothing else
+_COLUMNS = ("k", "lam0", "lam1", "dtheta", "alpha", "cinv", "one_minus_cinv",
+            "one_minus_cinv2")
+
+
+def _from_columns(table: ModeTable) -> ModeTable:
+    """A table built by keyword from the mode columns of ``table``."""
+    return ModeTable(**{name: getattr(table, name) for name in _COLUMNS})
+
+
+def _one_chain_results(layer: str, table: ModeTable) -> list:
+    """Every field of ``layer``'s result on one chain's ``table``; the echo
+    at a scalar time and at an array of times."""
+    if layer == "echo_point":
+        return [*vars(echo_point(table, 0.7)).values(),
+                *vars(echo_point(table, np.linspace(-1.0, 2.0, 5))).values()]
+    if layer == "long_time":
+        return list(vars(long_time(table)).values())
+    if layer == "weights":
+        return list(vars(weights(table)).values())
+    if layer == "classify":
+        return list(vars(classify(weights(table))).values())
+    return list(vars(sample_logle(table, 10.0, 7, seed=3)).values())
+
+
+def _assert_same_bits(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, (float, np.ndarray)):
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("layer", ["echo_point", "long_time", "weights", "classify",
+                                   "sample_logle"])
+def test_a_table_is_its_columns(layer):
+    # every layer tells a block from one chain's table by its 2-D thermal
+    # columns alone, so a table built from one chain's columns gives that
+    # chain's results bit for bit, and one built from a one-chain block's
+    # columns keeps the block's chain axis and its bits
+    assert tuple(field.name for field in dataclasses.fields(ModeTable)) == _COLUMNS
+    chain = QuenchParams(h0=0.5, h1=0.9, gamma0=1.0, gamma1=0.7, beta=2.0, length=8)
+    table = mode_table(chain)
+    assert _from_columns(table).n_chains == 1
+    for got, want in zip(_one_chain_results(layer, _from_columns(table)),
+                         _one_chain_results(layer, table), strict=True):
+        _assert_same_bits(got, want)
+    ((_, block),) = model._blocks(chain_columns([chain]))
+    assert _from_columns(block).n_chains == 1
+    for got, want in zip(_chain_rows(layer, _from_columns(block)), _chain_rows(layer, block),
+                         strict=True):
+        assert np.shape(got)[0] == 1
+        _assert_same_bits(got, want)
 
 
 _GOOD = dict(h0=0.5, h1=0.9, gamma0=1.0, gamma1=0.7, beta=2.0, length=8)

@@ -219,10 +219,16 @@ def test_committed_bench_files_name_every_workload_and_metric():
                 assert set(run["metrics"]) == metrics, (path.name, side, name)
                 for metric in run["metrics"].values():
                     assert isinstance(metric["value"], (int, float)), (path.name, side, name)
-        # a claim names one workload and one end-to-end metric, and its
-        # workload has at least 10 runs on each side, as many for both
+        # every workload has as many wall times on each side, at least 5
+        pairs = bench["wall_s_runs"]
+        assert set(pairs) == workloads, path.name
+        for name, runs in pairs.items():
+            assert len(runs["parent"]) == len(runs["change"]) >= 5, (path.name, name)
+        # a change that claims no gain has a null claim; a claim, of a gain
+        # or of a stated cost, names one workload and one end-to-end
+        # metric, and its workload has at least 10 pairs
         claim = bench["claim"]
-        assert claim["workload"] in workloads, path.name
-        assert claim["metric"] in metrics, path.name
-        runs = bench["wall_s_runs"][claim["workload"]]
-        assert len(runs["parent"]) == len(runs["change"]) >= 10, path.name
+        if claim is not None:
+            assert claim["workload"] in workloads, path.name
+            assert claim["metric"] in metrics, path.name
+            assert len(pairs[claim["workload"]]["parent"]) >= 10, path.name

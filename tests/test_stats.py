@@ -29,8 +29,11 @@ from thermalecho import echo, model, stats
 import reference
 from reference import chain_columns, chains_of, char_fn, damping
 
-fields = st.floats(-2.0, 2.0, allow_nan=False)
-couplings = st.floats(-1.5, 1.5, allow_nan=False)
+# the strata where the formulas change (a zero field or anisotropy, the
+# critical field, the Ising coupling) are drawn as well as the bulk
+STRATA = st.sampled_from([-1.0, 0.0, 1.0])
+fields = STRATA | st.floats(-2.0, 2.0, allow_nan=False)
+couplings = STRATA | st.floats(-1.5, 1.5, allow_nan=False)
 betas = st.floats(0.05, 40.0, allow_nan=False)
 
 NEAR_CRITICAL = dict(h0=0.99, h1=1.01, gamma0=1.0, gamma1=1.0)
